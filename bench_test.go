@@ -127,6 +127,7 @@ func BenchmarkSagaWorkflow(b *testing.B) {
 				if err := e.RegisterProcess(p); err != nil {
 					b.Fatal(err)
 				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					inst, err := e.CreateInstance(spec.Name, nil, wal.Discard)
@@ -195,6 +196,7 @@ func BenchmarkFlexibleWorkflow(b *testing.B) {
 			if err := e.RegisterProcess(p); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst, err := e.CreateInstance(spec.Name, nil, wal.Discard)

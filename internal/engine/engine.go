@@ -79,7 +79,7 @@ const NOPName = "nop"
 type Engine struct {
 	mu        sync.RWMutex
 	programs  map[string]Program
-	processes map[string]*model.Process
+	processes map[string]*template
 
 	dir       *org.Directory
 	worklists *org.Worklists
@@ -174,7 +174,7 @@ func WithTrailObserver(fn func(inst *Instance, ev Event)) Option {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		programs:  map[string]Program{NOPName: NOP},
-		processes: make(map[string]*model.Process),
+		processes: make(map[string]*template),
 		clock:     func() int64 { return time.Now().Unix() },
 		sleep:     time.Sleep,
 	}
@@ -219,9 +219,12 @@ func (e *Engine) Program(name string) Program {
 	return e.programs[name]
 }
 
-// RegisterProcess validates and installs a process template. Subprocess
-// references are resolved against the templates registered so far plus the
-// new one, so register bottom-up.
+// RegisterProcess validates a process template, compiles its navigation
+// plan and installs both. Subprocess references are resolved against the
+// templates registered so far, so register bottom-up. Registration is the
+// end of buildtime for the template: the process, its graphs and its type
+// registry must not be modified afterwards — every instance navigates the
+// plan compiled here.
 func (e *Engine) RegisterProcess(p *model.Process) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -236,38 +239,28 @@ func (e *Engine) RegisterProcess(p *model.Process) error {
 	if err := p.Validate(known); err != nil {
 		return err
 	}
-	if err := e.checkProgramsRegistered(&p.Graph, p.Name); err != nil {
+	pl, err := e.compile(&p.Graph, p.Types, p.Name)
+	if err != nil {
 		return err
 	}
-	e.processes[p.Name] = p
-	return nil
-}
-
-func (e *Engine) checkProgramsRegistered(g *model.Graph, proc string) error {
-	for _, a := range g.Activities {
-		switch a.Kind {
-		case model.KindProgram:
-			if _, ok := e.programs[a.Program]; !ok {
-				return fmt.Errorf("engine: process %q activity %q uses unregistered program %q",
-					proc, a.Name, a.Program)
-			}
-		case model.KindBlock:
-			if a.Block != nil {
-				if err := e.checkProgramsRegistered(a.Block, proc); err != nil {
-					return err
-				}
-			}
-		}
-	}
+	e.processes[p.Name] = &template{proc: p, plan: pl, manual: hasManual(&p.Graph)}
 	return nil
 }
 
 // Process returns a registered process template.
 func (e *Engine) Process(name string) (*model.Process, bool) {
+	tpl, ok := e.template(name)
+	if !ok {
+		return nil, false
+	}
+	return tpl.proc, true
+}
+
+func (e *Engine) template(name string) (*template, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	p, ok := e.processes[name]
-	return p, ok
+	tpl, ok := e.processes[name]
+	return tpl, ok
 }
 
 // Worklists exposes the engine's worklist manager (nil when no organization
@@ -296,28 +289,23 @@ func (e *Engine) NewInstanceID() string {
 // normally one reserved via NewInstanceID. The caller owns uniqueness:
 // reusing a live ID corrupts log demultiplexing and recovery.
 func (e *Engine) CreateInstanceID(process, id string, input map[string]expr.Value, log wal.Log) (*Instance, error) {
-	e.mu.RLock()
-	p, ok := e.processes[process]
-	e.mu.RUnlock()
+	tpl, ok := e.template(process)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown process %q", process)
 	}
-	if hasManual(&p.Graph) && e.worklists == nil {
+	if tpl.manual && e.worklists == nil {
 		return nil, fmt.Errorf("engine: process %q has manual activities but no organization is attached", process)
 	}
 	if log == nil {
 		log = &wal.MemLog{}
 	}
-	in, err := p.Types.NewContainer(p.In())
-	if err != nil {
-		return nil, err
-	}
+	in := tpl.plan.input.Clone()
 	for k, v := range input {
 		if err := in.Set(k, v); err != nil {
 			return nil, err
 		}
 	}
-	inst := newInstance(e, id, p, in, log)
+	inst := newInstance(e, id, tpl, in, log)
 	e.metrics.instCreated.Inc()
 	e.bus.Publish(obs.Event{Kind: obs.EvInstanceCreated, Instance: id, Program: process})
 	e.instMu.Lock()
@@ -352,7 +340,7 @@ func (e *Engine) Instances() []InstanceInfo {
 	for _, inst := range insts {
 		status, cause := inst.StatusInfo()
 		out = append(out, InstanceInfo{
-			ID: inst.id, Process: inst.proc.Name,
+			ID: inst.id, Process: inst.tpl.proc.Name,
 			Status: status, Cause: cause, PendingWork: inst.PendingWork(),
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,38 +49,26 @@ func (s State) String() string {
 
 // scope is one executing graph: the root process, a block iteration or a
 // subprocess invocation. Its path prefixes the paths of its activities.
+// It is the runtime half of a plan — only what differs from instance to
+// instance lives here, indexed by the plan's activity slots.
 type scope struct {
-	inst      *Instance
-	graph     *model.Graph
-	types     *model.Types
+	plan      *plan
 	path      string // "" for root, "B#0", "B#0/S#1", ...
 	input     *model.Container
 	output    *model.Container
-	acts      map[string]*actState
-	owner     *actState // block/process activity owning this scope (nil for root)
+	acts      []actState // by plan slot
+	owner     *actState  // block/process activity owning this scope (nil for root)
 	remaining int
-
-	// Adjacency indexes over graph connectors, built once per scope so
-	// navigation is O(V+E) instead of rescanning the connector lists for
-	// every activity.
-	incoming map[string][]*model.ControlConnector
-	outgoing map[string][]*model.ControlConnector
-	dataInto map[string][]*model.DataConnector // keyed by target endpoint
-	dataOut  map[string][]*model.DataConnector // activity -> scope-sink connectors
 }
 
 // actState is the run-time state of one activity within a scope.
 type actState struct {
-	act    *model.Activity
+	plan   *actPlan
 	sc     *scope
 	joined string // cached scope-qualified path (see path())
-	state  State
-	dead   bool
-	iter   int
-	connIn map[string]bool // resolved incoming connector values by source name
 	output *model.Container
+	iter   int
 	workID int64
-	forced bool // the current completion was forced by a user (no program ran)
 
 	// Monotonic phase stamps for live latency attribution (obs.Now
 	// nanoseconds): readyNs is when the activity last became ready, so
@@ -89,6 +79,15 @@ type actState struct {
 	// synchronizes the two.
 	readyNs int64
 	progNs  int64
+
+	// Start conditions are AND or OR over the incoming control connectors,
+	// so two counts stand for their truth values: how many have been
+	// evaluated and how many of those to true.
+	connSeen, connTrue int32
+
+	state  State
+	dead   bool
+	forced bool // the current completion was forced by a user (no program ran)
 }
 
 // path returns the activity's scope-qualified path. The join is computed
@@ -98,9 +97,9 @@ type actState struct {
 func (as *actState) path() string {
 	if as.joined == "" {
 		if as.sc.path == "" {
-			as.joined = as.act.Name
+			as.joined = as.plan.act.Name
 		} else {
-			as.joined = as.sc.path + "/" + as.act.Name
+			as.joined = as.sc.path + "/" + as.plan.act.Name
 		}
 	}
 	return as.joined
@@ -109,15 +108,16 @@ func (as *actState) path() string {
 // Instance is one execution of a process template. Instances are not safe
 // for concurrent use; drive them from a single goroutine.
 type Instance struct {
-	eng  *Engine
-	id   string
-	proc *model.Process
-	log  wal.Log
+	eng *Engine
+	id  string
+	tpl *template
+	log wal.Log
 
-	root   *scope
-	byPath map[string]*actState
-	queue  []*actState
-	trail  []Event
+	root     *scope
+	scopes   []*scope // every scope created so far, root first
+	queue    []*actState
+	trail    []trailRec
+	failures []Event // the EvFailed events of the trail, whole (see trailRec)
 
 	// replay memoizes completed activity executions during recovery:
 	// path -> iter -> output snapshot.
@@ -142,55 +142,61 @@ type Instance struct {
 	pool        chan struct{}
 }
 
-func newInstance(e *Engine, id string, p *model.Process, input *model.Container, log wal.Log) *Instance {
+func newInstance(e *Engine, id string, tpl *template, input *model.Container, log wal.Log) *Instance {
 	inst := &Instance{
-		eng: e, id: id, proc: p, log: log,
-		byPath:      make(map[string]*actState),
+		eng: e, id: id, tpl: tpl, log: log,
+		trail:       make([]trailRec, 0, tpl.plan.events+2), // plus created and done
 		concurrency: e.concurrency,
 	}
 	if inst.concurrency > 1 {
 		inst.completions = make(chan completion, inst.concurrency)
 		inst.pool = make(chan struct{}, inst.concurrency)
 	}
-	inst.root = inst.newScope(&p.Graph, p.Types, "", input, nil)
+	inst.root = inst.newScope(tpl.plan, "", input, nil)
 	return inst
 }
 
-func (inst *Instance) newScope(g *model.Graph, types *model.Types, path string, input *model.Container, owner *actState) *scope {
+func (inst *Instance) newScope(p *plan, path string, input *model.Container, owner *actState) *scope {
 	sc := &scope{
-		inst: inst, graph: g, types: types, path: path,
-		input: input, owner: owner,
-		acts:      make(map[string]*actState, len(g.Activities)),
-		remaining: len(g.Activities),
+		plan: p, path: path,
+		input: input, output: p.output.Clone(), owner: owner,
+		acts:      make([]actState, len(p.acts)),
+		remaining: len(p.acts),
 	}
-	sc.output = types.MustContainer(g.Out())
-	for _, a := range g.Activities {
-		as := &actState{act: a, sc: sc, connIn: make(map[string]bool)}
-		sc.acts[a.Name] = as
-		inst.byPath[as.path()] = as
+	for i := range sc.acts {
+		sc.acts[i].plan, sc.acts[i].sc = &p.acts[i], sc
 	}
-	sc.incoming = make(map[string][]*model.ControlConnector)
-	sc.outgoing = make(map[string][]*model.ControlConnector)
-	for _, c := range g.Control {
-		sc.incoming[c.To] = append(sc.incoming[c.To], c)
-		sc.outgoing[c.From] = append(sc.outgoing[c.From], c)
-	}
-	sc.dataInto = make(map[string][]*model.DataConnector)
-	sc.dataOut = make(map[string][]*model.DataConnector)
-	for _, d := range g.Data {
-		sc.dataInto[d.To] = append(sc.dataInto[d.To], d)
-		if d.To == model.ScopeRef {
-			sc.dataOut[d.From] = append(sc.dataOut[d.From], d)
+	inst.scopes = append(inst.scopes, sc)
+	return sc
+}
+
+// lookup finds the activity instance with the given scope-qualified path.
+// Only monitoring and user interventions address activities by path, so the
+// instance keeps no index over its scopes.
+func (inst *Instance) lookup(path string) *actState {
+	for _, sc := range inst.scopes {
+		name := path
+		if sc.path != "" {
+			rest, ok := strings.CutPrefix(path, sc.path)
+			if !ok || !strings.HasPrefix(rest, "/") {
+				continue
+			}
+			name = rest[1:]
+		}
+		for i := range sc.acts {
+			if sc.acts[i].plan.act.Name == name {
+				return &sc.acts[i]
+			}
 		}
 	}
-	return sc
+	return nil
 }
 
 // ID returns the instance identifier.
 func (inst *Instance) ID() string { return inst.id }
 
 // ProcessName returns the name of the instantiated template.
-func (inst *Instance) ProcessName() string { return inst.proc.Name }
+func (inst *Instance) ProcessName() string { return inst.tpl.proc.Name }
 
 // Finished reports whether every activity has terminated and the process
 // output is final. Safe for concurrent use.
@@ -243,8 +249,18 @@ func (inst *Instance) StatusInfo() (status, cause string) {
 // Finished reports true.
 func (inst *Instance) Output() *model.Container { return inst.root.output.Clone() }
 
-// Trail returns the audit trail so far.
-func (inst *Instance) Trail() []Event { return append([]Event(nil), inst.trail...) }
+// Trail returns the audit trail so far, materialized from the stored
+// records on every call. Like Trace and Activities it is not synchronized
+// with navigation or with itself (activity paths are joined and cached on
+// first use): call it from the navigator goroutine, or from one goroutine
+// after the instance settled.
+func (inst *Instance) Trail() []Event {
+	out := make([]Event, len(inst.trail))
+	for i := range inst.trail {
+		out[i] = inst.materialize(&inst.trail[i])
+	}
+	return out
+}
 
 // PendingWork reports how many manual activities are waiting on worklists.
 // Safe for concurrent use.
@@ -267,9 +283,10 @@ type ProgramRun struct {
 // ProgramRuns extracts the completed program executions from the trail.
 func (inst *Instance) ProgramRuns() []ProgramRun {
 	var out []ProgramRun
-	for _, ev := range inst.trail {
-		if ev.Kind == EvFinished && ev.Program != "" {
-			out = append(out, ProgramRun{Path: ev.Path, Program: ev.Program, Iter: ev.Iter, RC: ev.RC})
+	for i := range inst.trail {
+		r := &inst.trail[i]
+		if r.kind == EvFinished && !r.flag && r.as.plan.act.Program != "" {
+			out = append(out, ProgramRun{Path: r.as.path(), Program: r.as.plan.act.Program, Iter: int(r.iter), RC: r.rc})
 		}
 	}
 	return out
@@ -277,8 +294,8 @@ func (inst *Instance) ProgramRuns() []ProgramRun {
 
 // ActivityState reports the stored state of the activity at the given path.
 func (inst *Instance) ActivityState(path string) (State, bool) {
-	as, ok := inst.byPath[path]
-	if !ok {
+	as := inst.lookup(path)
+	if as == nil {
 		return 0, false
 	}
 	return as.state, true
@@ -303,12 +320,15 @@ type ActivityInfo struct {
 // created so far (inner scopes appear once their block or subprocess has
 // started), sorted by path.
 func (inst *Instance) Activities() []ActivityInfo {
-	out := make([]ActivityInfo, 0, len(inst.byPath))
-	for path, as := range inst.byPath {
-		out = append(out, ActivityInfo{
-			Path: path, Kind: as.act.Kind, State: as.state, Dead: as.dead,
-			Iter: as.iter, Manual: as.act.Start == model.StartManual,
-		})
+	var out []ActivityInfo
+	for _, sc := range inst.scopes {
+		for i := range sc.acts {
+			as := &sc.acts[i]
+			out = append(out, ActivityInfo{
+				Path: as.path(), Kind: as.plan.act.Kind, State: as.state, Dead: as.dead,
+				Iter: as.iter, Manual: as.plan.act.Start == model.StartManual,
+			})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
@@ -323,10 +343,10 @@ func (inst *Instance) Start() error {
 	}
 	inst.markStarted()
 	inst.appendLog(wal.Record{
-		Type: wal.RecCreated, Instance: inst.id, Process: inst.proc.Name,
+		Type: wal.RecCreated, Instance: inst.id, Process: inst.tpl.proc.Name,
 		Values: inst.root.input.Snapshot(),
 	})
-	inst.event(Event{Kind: EvCreated})
+	inst.event(trailRec{kind: EvCreated})
 	if inst.err == nil {
 		inst.startScope(inst.root)
 		inst.pump()
@@ -350,12 +370,15 @@ func (inst *Instance) SelectWork(person string, itemID int64) error {
 	if err != nil {
 		return err
 	}
-	as, ok := inst.byPath[item.Activity]
-	if !ok || as.state != StateReady {
+	as := inst.lookup(item.Activity)
+	if as == nil {
+		return fmt.Errorf("engine: work item %d targets activity %q, which this instance does not have", itemID, item.Activity)
+	}
+	if as.state != StateReady {
 		return fmt.Errorf("engine: work item %d targets activity %q in state %v", itemID, item.Activity, as.state)
 	}
 	inst.addPending(-1)
-	inst.event(Event{Kind: EvWorkSelected, Path: as.path(), Iter: as.iter})
+	inst.event(trailRec{kind: EvWorkSelected, as: as})
 	inst.enqueue(as)
 	inst.pump()
 	return inst.err
@@ -372,23 +395,19 @@ func (inst *Instance) ForceFinish(path string, rc int64) error {
 	if inst.err != nil {
 		return inst.err
 	}
-	as, ok := inst.byPath[path]
-	if !ok {
+	as := inst.lookup(path)
+	if as == nil {
 		return fmt.Errorf("engine: no activity at %q", path)
 	}
-	if as.state != StateReady || as.act.Start != model.StartManual {
+	if as.state != StateReady || as.plan.act.Start != model.StartManual {
 		return fmt.Errorf("engine: activity %q is not a ready manual activity", path)
 	}
 	if err := inst.eng.worklists.Withdraw(as.workID); err != nil {
 		return err
 	}
 	inst.addPending(-1)
-	inst.event(Event{Kind: EvForced, Path: path, Iter: as.iter, RC: rc})
-	out, err := as.sc.types.NewContainer(as.act.Out())
-	if err != nil {
-		inst.fail(err)
-		return inst.err
-	}
+	inst.event(trailRec{kind: EvForced, as: as, rc: rc})
+	out := as.plan.out.Clone()
 	out.SetRC(rc)
 	as.state = StateRunning
 	as.forced = true
@@ -413,21 +432,24 @@ func (inst *Instance) Cancel() error {
 	if !inst.started {
 		return errors.New("engine: instance not started")
 	}
-	inst.event(Event{Kind: EvCanceled})
+	inst.event(trailRec{kind: EvCanceled})
 	inst.eng.metrics.instCanceled.Inc()
 	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
 	inst.queue = nil
-	for _, as := range inst.byPath {
-		if as.state == StateTerminated {
-			continue
-		}
-		if as.state == StateReady && as.act.Start == model.StartManual && as.workID != 0 {
-			if err := inst.eng.worklists.Withdraw(as.workID); err == nil {
-				inst.addPending(-1)
+	for _, sc := range inst.scopes {
+		for i := range sc.acts {
+			as := &sc.acts[i]
+			if as.state == StateTerminated {
+				continue
 			}
+			if as.state == StateReady && as.plan.act.Start == model.StartManual && as.workID != 0 {
+				if err := inst.eng.worklists.Withdraw(as.workID); err == nil {
+					inst.addPending(-1)
+				}
+			}
+			as.state = StateTerminated
+			as.dead = true
 		}
-		as.state = StateTerminated
-		as.dead = true
 	}
 	inst.appendLog(wal.Record{
 		Type: wal.RecDone, Instance: inst.id, Values: inst.root.output.Snapshot(),
@@ -436,7 +458,7 @@ func (inst *Instance) Cancel() error {
 		return inst.err
 	}
 	inst.markDone()
-	inst.event(Event{Kind: EvDone})
+	inst.event(trailRec{kind: EvDone})
 	return nil
 }
 
@@ -457,7 +479,8 @@ func (inst *Instance) fail(err error) {
 // instance to the "failed" monitoring status. Navigation stops but the
 // engine and its other instances are unaffected.
 func (inst *Instance) failActivity(af *ActivityFailure) {
-	inst.event(Event{Kind: EvFailed, Path: af.Path, Iter: af.Iter, Program: af.Program, Cause: af.Cause.Error()})
+	inst.failures = append(inst.failures, Event{Kind: EvFailed, Path: af.Path, Iter: af.Iter, Program: af.Program, Cause: af.Cause.Error()})
+	inst.event(trailRec{kind: EvFailed, rc: int64(len(inst.failures) - 1)})
 	inst.fail(af)
 }
 
@@ -489,10 +512,70 @@ func (inst *Instance) appendLog(rec wal.Record) {
 	inst.eng.metrics.walAppends.Inc()
 }
 
-func (inst *Instance) event(ev Event) {
-	ev.At = inst.eng.clock()
-	inst.trail = append(inst.trail, ev)
-	inst.publishTrail(ev)
+// trailRec is the stored form of an audit-trail event: which activity
+// instance it is about and the few values that are not a function of that
+// activity. Paths and program names are read off the activity when an
+// Event is wanted — Trail, ProgramRuns, Trace, and at recording time only
+// if an observer or the bus listens — so recording an event copies no
+// strings. EvFailed alone does not fit: its Event is kept whole in
+// Instance.failures and rc is its index there.
+type trailRec struct {
+	at   int64
+	rc   int64     // EvFinished, EvForced: the return code
+	as   *actState // the activity; the source for EvConnector; nil for instance-level events
+	iter int32     // the activity's iteration when the event was recorded
+	to   int32     // EvConnector: slot of the target activity in the source's scope
+	kind EventKind
+	flag bool // EvConnector: the truth value; EvFinished: the completion was forced
+}
+
+// materialize builds the Event a trail record stands for.
+func (inst *Instance) materialize(r *trailRec) Event {
+	if r.kind == EvFailed {
+		ev := inst.failures[r.rc]
+		ev.At = r.at
+		return ev
+	}
+	ev := Event{Kind: r.kind, At: r.at}
+	if r.as == nil {
+		return ev
+	}
+	if r.kind == EvConnector {
+		ev.From, ev.To, ev.Value = r.as.path(), r.as.sc.acts[r.to].path(), r.flag
+		return ev
+	}
+	ev.Path, ev.Iter = r.as.path(), int(r.iter)
+	switch r.kind {
+	case EvStarted:
+		ev.Program = r.as.plan.act.Program
+	case EvFinished:
+		ev.RC = r.rc
+		if !r.flag { // forced completions are not program executions
+			ev.Program = r.as.plan.act.Program
+		}
+	case EvForced:
+		ev.RC = r.rc
+	}
+	return ev
+}
+
+// event appends one record to the audit trail, stamping the engine clock
+// and the activity's current iteration, and hands the materialized Event
+// to whoever listens.
+func (inst *Instance) event(r trailRec) {
+	r.at = inst.eng.clock()
+	if r.as != nil {
+		r.iter = int32(r.as.iter)
+	}
+	inst.trail = append(inst.trail, r)
+	bus := inst.eng.bus.Active()
+	if !bus && inst.eng.trailObs == nil {
+		return
+	}
+	ev := inst.materialize(&r)
+	if bus {
+		inst.publishTrail(ev, r.as)
+	}
 	if inst.eng.trailObs != nil {
 		inst.eng.trailObs(inst, ev)
 	}
@@ -505,34 +588,27 @@ const compensationActivityName = "Compensation"
 
 // publishTrail mirrors the externally interesting audit-trail events
 // onto the engine's real-time bus, enriched with the monotonic phase
-// stamps that trail events (wall-clock seconds) cannot carry. It is a
-// single atomic load when nothing is listening.
-func (inst *Instance) publishTrail(ev Event) {
+// stamps that trail events (wall-clock seconds) cannot carry. as is the
+// activity the event is about (nil for instance-level events and for
+// EvFailed, which need none of its stamps).
+func (inst *Instance) publishTrail(ev Event, as *actState) {
 	bus := inst.eng.bus
-	if !bus.Active() {
-		return
-	}
 	switch ev.Kind {
 	case EvCreated:
 		bus.Publish(obs.Event{Kind: obs.EvInstanceStarted, Instance: inst.id})
 	case EvStarted:
 		var wait int64
-		as := inst.byPath[ev.Path]
-		if as != nil && as.readyNs > 0 {
+		if as.readyNs > 0 {
 			wait = obs.Now() - as.readyNs
 		}
 		bus.Publish(obs.Event{Kind: obs.EvActivityDispatch, Instance: inst.id,
 			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, DurNs: wait})
-		if as != nil && as.act.Kind == model.KindBlock && as.act.Name == compensationActivityName {
+		if as.plan.act.Kind == model.KindBlock && as.plan.act.Name == compensationActivityName {
 			bus.Publish(obs.Event{Kind: obs.EvCompensation, Instance: inst.id, Path: ev.Path, Iter: ev.Iter})
 		}
 	case EvFinished:
-		var dur int64
-		if as := inst.byPath[ev.Path]; as != nil {
-			dur = as.progNs
-		}
 		bus.Publish(obs.Event{Kind: obs.EvActivityFinished, Instance: inst.id,
-			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, RC: ev.RC, DurNs: dur})
+			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, RC: ev.RC, DurNs: as.progNs})
 	case EvLooped:
 		bus.Publish(obs.Event{Kind: obs.EvActivityLoop, Instance: inst.id, Path: ev.Path, Iter: ev.Iter})
 	case EvDeadPath:
@@ -606,8 +682,8 @@ func (inst *Instance) startScope(sc *scope) {
 		inst.scopeDone(sc)
 		return
 	}
-	for _, a := range sc.graph.Starts() {
-		inst.setReady(sc.acts[a.Name])
+	for _, slot := range sc.plan.starts {
+		inst.setReady(&sc.acts[slot])
 		if inst.err != nil {
 			return
 		}
@@ -617,8 +693,8 @@ func (inst *Instance) startScope(sc *scope) {
 func (inst *Instance) setReady(as *actState) {
 	as.state = StateReady
 	as.readyNs = obs.Now()
-	inst.event(Event{Kind: EvReady, Path: as.path(), Iter: as.iter})
-	if as.act.Start == model.StartManual {
+	inst.event(trailRec{kind: EvReady, as: as})
+	if as.plan.act.Start == model.StartManual {
 		inst.postWork(as)
 		return
 	}
@@ -633,30 +709,29 @@ func (inst *Instance) postWork(as *actState) {
 	item, err := inst.eng.worklists.Post(org.WorkItem{
 		Activity: as.path(), Instance: inst.id,
 		ReadyAt:     inst.eng.clock(),
-		NotifyAfter: as.act.NotifySeconds, NotifyRole: as.act.NotifyRole,
-	}, as.act.Staff.Role, as.act.Staff.Person)
+		NotifyAfter: as.plan.act.NotifySeconds, NotifyRole: as.plan.act.NotifyRole,
+	}, as.plan.act.Staff.Role, as.plan.act.Staff.Person)
 	if err != nil {
 		inst.fail(err)
 		return
 	}
 	as.workID = item.ID
 	inst.addPending(1)
-	inst.event(Event{Kind: EvWorkPosted, Path: as.path(), Iter: as.iter})
+	inst.event(trailRec{kind: EvWorkPosted, as: as})
 }
 
 func (inst *Instance) runActivity(as *actState) {
 	as.state = StateRunning
-	path := as.path()
-	inst.event(Event{Kind: EvStarted, Path: path, Iter: as.iter, Program: as.act.Program})
+	inst.event(trailRec{kind: EvStarted, as: as})
 
-	switch as.act.Kind {
+	switch as.plan.act.Kind {
 	case model.KindProgram:
 		// Recovery path: a logged completion replaces the program
 		// invocation. Blocks and subprocesses always re-navigate (their
 		// member completions replay individually), so a recovered run
 		// produces the identical audit trail.
-		if vals := inst.replayHit(path, as.iter); vals != nil {
-			out := as.sc.types.MustContainer(as.act.Out())
+		if vals := inst.replayHit(as); vals != nil {
+			out := as.plan.out.Clone()
 			if err := out.Restore(vals); err != nil {
 				inst.fail(err)
 				return
@@ -670,25 +745,28 @@ func (inst *Instance) runActivity(as *actState) {
 		if inst.err != nil {
 			return
 		}
-		inner := inst.newScope(as.act.Block, as.sc.types, childPath(as, as.iter), in, as)
-		inst.startScope(inner)
+		inst.startScope(inst.newScope(as.plan.block, childPath(as), in, as))
 	case model.KindProcess:
-		inst.runSubprocess(as)
+		in := inst.buildInput(as)
+		if inst.err != nil {
+			return
+		}
+		sub := as.plan.sub.plan
+		subIn := sub.input.Clone()
+		copyCommon(subIn, in)
+		inst.startScope(inst.newScope(sub, childPath(as), subIn, as))
 	default:
-		inst.fail(fmt.Errorf("engine: activity %q has invalid kind", path))
+		inst.fail(fmt.Errorf("engine: activity %q has invalid kind", as.path()))
 	}
 }
 
-func childPath(as *actState, iter int) string {
-	return fmt.Sprintf("%s#%d", as.path(), iter)
+// childPath is the path of the scope the activity's current iteration
+// opens: "Forward#0".
+func childPath(as *actState) string {
+	return as.path() + "#" + strconv.Itoa(as.iter)
 }
 
 func (inst *Instance) runProgram(as *actState) {
-	prog := inst.eng.Program(as.act.Program)
-	if prog == nil {
-		inst.fail(fmt.Errorf("engine: program %q not registered", as.act.Program))
-		return
-	}
 	in := inst.buildInput(as)
 	if inst.err != nil {
 		return
@@ -709,13 +787,13 @@ func (inst *Instance) runProgram(as *actState) {
 		pool := inst.pool
 		go func() {
 			pool <- struct{}{}
-			out, err := inst.executeAttempts(prog, as, in)
+			out, err := inst.executeAttempts(as, in)
 			<-pool
 			inst.completions <- completion{as: as, out: out, err: err}
 		}()
 		return
 	}
-	final, err := inst.executeAttempts(prog, as, in)
+	final, err := inst.executeAttempts(as, in)
 	if err != nil {
 		var af *ActivityFailure
 		if errors.As(err, &af) {
@@ -737,18 +815,16 @@ func (inst *Instance) runProgram(as *actState) {
 // on the navigator goroutine in sequential mode and on a worker goroutine
 // in concurrent mode — everything it touches is immutable while the
 // activity is running.
-func (inst *Instance) executeAttempts(prog Program, as *actState, in *model.Container) (*model.Container, error) {
+func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model.Container, error) {
 	m := inst.eng.metrics
-	budget := as.act.Retry.Attempts()
-	br := inst.eng.breakerFor(as.act.Program)
+	act, prog := as.plan.act, as.plan.prog
+	budget := act.Retry.Attempts()
+	br := inst.eng.breakerFor(act.Program)
 	var lastErr error
 	attempts := 0
 	start := time.Now()
 	for attempt := 1; attempt <= budget; attempt++ {
-		out, err := as.sc.types.NewContainer(as.act.Out())
-		if err != nil {
-			return nil, err // infrastructure failure, not a program fault
-		}
+		out := as.plan.out.Clone()
 		inv := &Invocation{
 			InstanceID: inst.id, Path: as.path(), Iter: as.iter,
 			In: in, Out: out, Attempt: attempt,
@@ -769,7 +845,7 @@ func (inst *Instance) executeAttempts(prog Program, as *actState, in *model.Cont
 			}
 		}
 		if !blocked {
-			if err := invokeGuarded(prog, inv, as.act.DeadlineMS); err == nil {
+			if err := invokeGuarded(prog, inv, act.DeadlineMS); err == nil {
 				if br != nil {
 					br.Record(false)
 				}
@@ -797,7 +873,7 @@ func (inst *Instance) executeAttempts(prog Program, as *actState, in *model.Cont
 				m.panics.Inc()
 				if bus := inst.eng.bus; bus.Active() {
 					bus.Publish(obs.Event{Kind: obs.EvActivityPanic, Instance: inst.id,
-						Path: as.path(), Iter: as.iter, Program: as.act.Program,
+						Path: as.path(), Iter: as.iter, Program: act.Program,
 						N: int64(attempt), Cause: lastErr.Error()})
 				}
 			}
@@ -810,19 +886,19 @@ func (inst *Instance) executeAttempts(prog Program, as *actState, in *model.Cont
 				// Budget exhausted: forgo the retry so correlated failures
 				// cannot multiply into a retry storm; the activity fails
 				// with the last error.
-				inst.publishRetryExhausted(as.path(), as.act.Program, attempt)
+				inst.publishRetryExhausted(as.path(), act.Program, attempt)
 				break
 			}
 			inst.eng.recordRetryBudgetGauge()
 		}
 		var backoff time.Duration
-		if rp := as.act.Retry; rp != nil && rp.BackoffMS > 0 {
+		if rp := act.Retry; rp != nil && rp.BackoffMS > 0 {
 			backoff = time.Duration(rp.BackoffMS<<(attempt-1)) * time.Millisecond
 			m.backoffNs.Observe(backoff.Nanoseconds())
 		}
 		if bus := inst.eng.bus; bus.Active() {
 			bus.Publish(obs.Event{Kind: obs.EvActivityRetry, Instance: inst.id,
-				Path: as.path(), Iter: as.iter, Program: as.act.Program,
+				Path: as.path(), Iter: as.iter, Program: act.Program,
 				N: int64(attempt), DurNs: backoff.Nanoseconds(), Cause: lastErr.Error()})
 		}
 		if backoff > 0 {
@@ -834,7 +910,7 @@ func (inst *Instance) executeAttempts(prog Program, as *actState, in *model.Cont
 	as.progNs = time.Since(start).Nanoseconds()
 	m.programNs.Observe(as.progNs)
 	return nil, &ActivityFailure{
-		Path: as.path(), Program: as.act.Program, Iter: as.iter,
+		Path: as.path(), Program: act.Program, Iter: as.iter,
 		Attempts: attempts, Cause: lastErr,
 	}
 }
@@ -872,33 +948,13 @@ func runIsolated(prog Program, inv *Invocation) (err error) {
 	return prog.Run(inv)
 }
 
-func (inst *Instance) runSubprocess(as *actState) {
-	tpl, ok := inst.eng.Process(as.act.Subprocess)
-	if !ok {
-		inst.fail(fmt.Errorf("engine: subprocess %q not registered", as.act.Subprocess))
-		return
-	}
-	in := inst.buildInput(as)
-	if inst.err != nil {
-		return
-	}
-	subIn, err := tpl.Types.NewContainer(tpl.In())
-	if err != nil {
-		inst.fail(err)
-		return
-	}
-	copyCommon(subIn, in)
-	inner := inst.newScope(&tpl.Graph, tpl.Types, childPath(as, as.iter), subIn, as)
-	inst.startScope(inner)
-}
-
 // copyCommon copies members present in both containers with compatible
 // kinds; the bridge between a process activity's containers and the
 // subprocess's own type registry.
 func copyCommon(dst, src *model.Container) {
-	for k, v := range src.Snapshot() {
-		if _, ok := dst.Get(k); ok {
-			_ = dst.Set(k, v) // incompatible kinds are skipped by design
+	for _, path := range src.Paths() {
+		if _, ok := dst.Get(path); ok {
+			_ = dst.CopyFrom(src, path, path) // incompatible kinds are skipped by design
 		}
 	}
 }
@@ -908,22 +964,16 @@ func copyCommon(dst, src *model.Container) {
 // terminated source activities. Connectors from activities that never ran
 // (dead paths) contribute nothing — the target sees declared defaults.
 func (inst *Instance) buildInput(as *actState) *model.Container {
-	in, err := as.sc.types.NewContainer(as.act.In())
-	if err != nil {
-		inst.fail(err)
-		return nil
-	}
-	for _, d := range as.sc.dataInto[as.act.Name] {
-		var src *model.Container
-		if d.From == model.ScopeRef {
-			src = as.sc.input
-		} else if srcAs := as.sc.acts[d.From]; srcAs != nil {
-			src = srcAs.output // nil when dead or not yet run
+	in := as.plan.in.Clone()
+	for _, d := range as.plan.dataIn {
+		src := as.sc.input
+		if d.from != scopeInput {
+			src = as.sc.acts[d.from].output // nil when dead or not yet run
 		}
 		if src == nil {
 			continue
 		}
-		for _, m := range d.Maps {
+		for _, m := range d.maps {
 			if err := in.CopyFrom(src, m.FromPath, m.ToPath); err != nil {
 				inst.fail(err)
 				return nil
@@ -936,22 +986,17 @@ func (inst *Instance) buildInput(as *actState) *model.Container {
 // finishActivity handles the transient finished state: log the completion,
 // evaluate the exit condition, loop or terminate.
 func (inst *Instance) finishActivity(as *actState, out *model.Container) {
-	path := as.path()
 	inst.appendLog(wal.Record{
-		Type: wal.RecFinishedActivity, Instance: inst.id, Path: path, Iter: as.iter,
+		Type: wal.RecFinishedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
 		Values: out.Snapshot(),
 	})
 	if inst.err != nil {
 		return
 	}
-	program := as.act.Program
-	if as.forced {
-		program = "" // forced completions are not program executions
-	}
-	inst.event(Event{Kind: EvFinished, Path: path, Iter: as.iter, Program: program, RC: out.RC()})
+	inst.event(trailRec{kind: EvFinished, as: as, rc: out.RC(), flag: as.forced})
 
-	if as.act.Exit != nil {
-		ok, err := expr.EvalBool(as.act.Exit, out)
+	if exit := as.plan.act.Exit; exit != nil {
+		ok, err := expr.EvalBool(exit, out)
 		if err != nil {
 			inst.fail(err)
 			return
@@ -959,7 +1004,7 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 		if !ok {
 			// §3.2: "If false, the activity is rescheduled for execution."
 			inst.eng.metrics.loops.Inc()
-			inst.event(Event{Kind: EvLooped, Path: path, Iter: as.iter})
+			inst.event(trailRec{kind: EvLooped, as: as})
 			as.iter++
 			inst.setReady(as)
 			return
@@ -977,21 +1022,21 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 	as.output = out
 	if dead {
 		inst.eng.metrics.deadPaths.Inc()
-		inst.event(Event{Kind: EvDeadPath, Path: as.path(), Iter: as.iter})
+		inst.event(trailRec{kind: EvDeadPath, as: as})
 	} else {
-		inst.event(Event{Kind: EvTerminated, Path: as.path(), Iter: as.iter})
+		inst.event(trailRec{kind: EvTerminated, as: as})
 		inst.applyScopeOutput(as, out)
 		if inst.err != nil {
 			return
 		}
 	}
-	for _, c := range as.sc.outgoing[as.act.Name] {
+	for _, c := range as.plan.outgoing {
 		val := false
 		if !dead {
-			if c.Condition == nil {
+			if c.cond == nil {
 				val = true
 			} else {
-				v, err := expr.EvalBool(c.Condition, out)
+				v, err := expr.EvalBool(c.cond, out)
 				if err != nil {
 					inst.fail(err)
 					return
@@ -999,9 +1044,12 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 				val = v
 			}
 		}
-		inst.event(Event{Kind: EvConnector, From: joinScoped(as.sc.path, c.From), To: joinScoped(as.sc.path, c.To), Value: val})
-		tgt := as.sc.acts[c.To]
-		tgt.connIn[as.act.Name] = val
+		inst.event(trailRec{kind: EvConnector, as: as, to: c.to, flag: val})
+		tgt := &as.sc.acts[c.to]
+		tgt.connSeen++
+		if val {
+			tgt.connTrue++
+		}
 		inst.checkStart(tgt)
 		if inst.err != nil {
 			return
@@ -1013,17 +1061,10 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 	}
 }
 
-func joinScoped(scopePath, name string) string {
-	if scopePath == "" {
-		return name
-	}
-	return scopePath + "/" + name
-}
-
 // applyScopeOutput pushes the activity's outputs into the scope output
 // container along data connectors targeting the scope sink.
 func (inst *Instance) applyScopeOutput(as *actState, out *model.Container) {
-	for _, d := range as.sc.dataOut[as.act.Name] {
+	for _, d := range as.plan.dataOut {
 		for _, m := range d.Maps {
 			if err := as.sc.output.CopyFrom(out, m.FromPath, m.ToPath); err != nil {
 				inst.fail(err)
@@ -1040,21 +1081,12 @@ func (inst *Instance) checkStart(as *actState) {
 	if as.state != StateWaiting {
 		return
 	}
-	incoming := as.sc.incoming[as.act.Name]
-	if len(as.connIn) < len(incoming) {
+	if as.connSeen < as.plan.incoming {
 		return // §3.2: wait until all incoming connectors are evaluated
 	}
-	anyTrue, allTrue := false, true
-	for _, c := range incoming {
-		if as.connIn[c.From] {
-			anyTrue = true
-		} else {
-			allTrue = false
-		}
-	}
-	start := allTrue
-	if as.act.Join == model.JoinOr {
-		start = anyTrue
+	start := as.connTrue == as.plan.incoming
+	if as.plan.act.Join == model.JoinOr {
+		start = as.connTrue > 0
 	}
 	if start {
 		inst.setReady(as)
@@ -1078,17 +1110,13 @@ func (inst *Instance) scopeDone(sc *scope) {
 		}
 		inst.markDone()
 		inst.eng.metrics.instFinished.Inc()
-		inst.event(Event{Kind: EvDone})
+		inst.event(trailRec{kind: EvDone})
 		return
 	}
 	owner := sc.owner
-	if owner.act.Kind == model.KindProcess {
+	if owner.plan.act.Kind == model.KindProcess {
 		// Bridge the subprocess output back into the owner's container.
-		out, err := owner.sc.types.NewContainer(owner.act.Out())
-		if err != nil {
-			inst.fail(err)
-			return
-		}
+		out := owner.plan.out.Clone()
 		copyCommon(out, sc.output)
 		inst.finishActivity(owner, out)
 		return
@@ -1096,13 +1124,11 @@ func (inst *Instance) scopeDone(sc *scope) {
 	inst.finishActivity(owner, sc.output)
 }
 
-func (inst *Instance) replayHit(path string, iter int) map[string]expr.Value {
+// replayHit returns the logged output of the activity's current iteration,
+// or nil when the instance is not recovering or the log has none.
+func (inst *Instance) replayHit(as *actState) map[string]expr.Value {
 	if inst.replay == nil {
 		return nil
 	}
-	byIter, ok := inst.replay[path]
-	if !ok {
-		return nil
-	}
-	return byIter[iter]
+	return inst.replay[as.path()][as.iter]
 }

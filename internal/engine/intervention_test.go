@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -192,5 +193,38 @@ func TestSelectWorkWrongInstancePreservesItem(t *testing.T) {
 	}
 	if !i1.Finished() {
 		t.Fatal("i1 not finished")
+	}
+}
+
+// TestSelectWorkUnknownActivity pins the error path of SelectWork for a
+// work item that names this instance but no activity in it — the item was
+// posted to the shared worklists by someone other than the navigator.
+// SelectWork used to format the state of a nil activity there and panic.
+func TestSelectWorkUnknownActivity(t *testing.T) {
+	e := approvalEngine(t)
+	inst, err := e.CreateInstance("Approval", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stray, err := e.Worklists().Post(org.WorkItem{Activity: "no/such#0/activity", Instance: inst.ID()}, "clerk", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = inst.SelectWork("alice", stray.ID)
+	if err == nil || !strings.Contains(err.Error(), "no/such#0/activity") {
+		t.Fatalf("SelectWork on a stray item = %v, want an error naming the activity", err)
+	}
+	if inst.PendingWork() != 1 || inst.Err() != nil {
+		t.Fatalf("stray item disturbed the instance: pending=%d err=%v", inst.PendingWork(), inst.Err())
+	}
+	// The real item is still selectable.
+	if err := inst.SelectWork("alice", e.Worklists().List("alice")[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if !inst.Finished() {
+		t.Fatal("not finished after selecting the posted item")
 	}
 }

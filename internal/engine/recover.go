@@ -30,23 +30,20 @@ func Recover(e *Engine, records []wal.Record, newLog wal.Log) (*Instance, error)
 	if created.Type != wal.RecCreated {
 		return nil, fmt.Errorf("engine: log does not begin with a %q record", wal.RecCreated)
 	}
-	p, ok := e.Process(created.Process)
+	tpl, ok := e.template(created.Process)
 	if !ok {
 		return nil, fmt.Errorf("engine: process %q of the crashed instance is not registered", created.Process)
 	}
 	if newLog == nil {
 		newLog = &wal.MemLog{}
 	}
-	in, err := p.Types.NewContainer(p.In())
-	if err != nil {
-		return nil, err
-	}
+	in := tpl.plan.input.Clone()
 	if err := in.Restore(created.Values); err != nil {
 		return nil, fmt.Errorf("engine: restoring input container: %w", err)
 	}
 
 	e.metrics.recReplayed.Add(int64(len(records)))
-	inst := newInstance(e, created.Instance, p, in, newLog)
+	inst := newInstance(e, created.Instance, tpl, in, newLog)
 	inst.replay = make(map[string]map[int]map[string]expr.Value)
 	for _, rec := range records[1:] {
 		if rec.Instance != created.Instance {

@@ -45,11 +45,11 @@ func (inst *Instance) Snapshot() *InstanceSnapshot {
 	status, cause := inst.StatusInfo()
 	s := &InstanceSnapshot{
 		ID:       inst.id,
-		Process:  inst.proc.Name,
+		Process:  inst.tpl.proc.Name,
 		Status:   status,
 		Cause:    cause,
 		Output:   inst.root.output.Snapshot(),
-		TrailLen: len(inst.Trail()),
+		TrailLen: len(inst.trail),
 	}
 	for _, ai := range inst.Activities() {
 		s.Activities = append(s.Activities, ActivitySnapshot{

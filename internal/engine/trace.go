@@ -24,9 +24,9 @@ import (
 // Call Trace from the navigator goroutine or after the instance settled;
 // like Trail, it is not synchronized with active navigation.
 func (inst *Instance) Trace() *obs.Trace {
-	trail := inst.trail
+	trail := inst.Trail()
 	status, cause := inst.StatusInfo()
-	root := &obs.Span{Name: inst.proc.Name, Kind: "instance", Status: "open"}
+	root := &obs.Span{Name: inst.tpl.proc.Name, Kind: "instance", Status: "open"}
 	if len(trail) > 0 {
 		root.Start = trail[0].At
 		root.End = trail[len(trail)-1].At
@@ -113,5 +113,5 @@ func (inst *Instance) Trace() *obs.Trace {
 			target.AddEvent(ev.Kind.String(), ev.At, detail)
 		}
 	}
-	return &obs.Trace{TraceID: inst.id, Process: inst.proc.Name, Root: root}
+	return &obs.Trace{TraceID: inst.id, Process: inst.tpl.proc.Name, Root: root}
 }

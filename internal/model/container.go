@@ -8,6 +8,77 @@ import (
 	"repro/internal/expr"
 )
 
+// layout is the buildtime half of a container: everything about the
+// containers of one structure type that does not change from instance to
+// instance. Nested structure members are flattened to dotted paths; the
+// implicit RC member is one more path. Slot i of every container of the
+// type holds the member at paths[i]. A layout is built once, when the
+// registry can first resolve the type, and is shared read-only by all its
+// containers.
+type layout struct {
+	typ      *StructType
+	paths    []string       // sorted, RC included
+	slot     map[string]int // dotted path -> index into paths
+	defaults []expr.Value   // by slot
+	rc       int            // slot of the RC member
+}
+
+// buildLayout flattens a structure type against the registry. It fails
+// when a nested structure is not registered (yet) or contains itself.
+func (ts *Types) buildLayout(t *StructType) (*layout, error) {
+	defaults := map[string]expr.Value{RCMember: expr.Int(0)}
+	var open []string // the nesting being flattened, to stop at a cycle
+	var flatten func(t *StructType, prefix string) error
+	flatten = func(t *StructType, prefix string) error {
+		for _, name := range open {
+			if name == t.Name {
+				return fmt.Errorf("model: structure cycle through %q", t.Name)
+			}
+		}
+		open = append(open, t.Name)
+		for i := range t.Members {
+			m := &t.Members[i]
+			path := prefix + m.Name
+			if m.IsStruct() {
+				nested, ok := ts.byName[m.Struct]
+				if !ok {
+					return fmt.Errorf("model: unknown structure %q", m.Struct)
+				}
+				if err := flatten(nested, path+"."); err != nil {
+					return err
+				}
+				continue
+			}
+			def := m.Default
+			if def.IsNull() {
+				def = expr.ZeroOf(m.Basic.ValueKind())
+			}
+			defaults[path] = def
+		}
+		open = open[:len(open)-1]
+		return nil
+	}
+	if err := flatten(t, ""); err != nil {
+		return nil, err
+	}
+	lay := &layout{
+		typ:      t,
+		paths:    make([]string, 0, len(defaults)),
+		slot:     make(map[string]int, len(defaults)),
+		defaults: make([]expr.Value, len(defaults)),
+	}
+	for path := range defaults {
+		lay.paths = append(lay.paths, path)
+	}
+	sort.Strings(lay.paths)
+	for i, path := range lay.paths {
+		lay.slot[path] = i
+		lay.defaults[i] = defaults[path]
+	}
+	lay.rc = lay.slot[RCMember]
+	return lay, nil
+}
+
 // Container is a run-time instance of a structure type: the input or output
 // data container of an activity, block or process. Nested structure members
 // are flattened to dotted paths internally. Every container additionally
@@ -17,24 +88,23 @@ import (
 // them. A Container is not safe for concurrent mutation; the engine
 // serializes access.
 type Container struct {
-	typ    *StructType
-	types  *Types
-	values map[string]expr.Value // dotted path -> value, fully populated with defaults
+	lay    *layout
+	values []expr.Value // by layout slot, fully populated with defaults
 }
 
 // NewContainer builds a container of the named type with every member set
 // to its default value and RC set to 0.
 func (ts *Types) NewContainer(typeName string) (*Container, error) {
-	t, ok := ts.Lookup(typeName)
+	lay, ok := ts.layouts[typeName]
 	if !ok {
-		return nil, fmt.Errorf("model: unknown structure %q", typeName)
-	}
-	c := &Container{typ: t, types: ts, values: make(map[string]expr.Value)}
-	if err := c.populate(t, nil); err != nil {
+		t, ok := ts.Lookup(typeName)
+		if !ok {
+			return nil, fmt.Errorf("model: unknown structure %q", typeName)
+		}
+		_, err := ts.buildLayout(t) // says which nested structure is missing
 		return nil, err
 	}
-	c.values[RCMember] = expr.Int(0)
-	return c, nil
+	return &Container{lay: lay, values: append([]expr.Value(nil), lay.defaults...)}, nil
 }
 
 // MustContainer is NewContainer that panics on error, for tests and
@@ -47,72 +117,51 @@ func (ts *Types) MustContainer(typeName string) *Container {
 	return c
 }
 
-func (c *Container) populate(t *StructType, prefix []string) error {
-	for i := range t.Members {
-		m := &t.Members[i]
-		path := append(append([]string(nil), prefix...), m.Name)
-		if m.IsStruct() {
-			nested, ok := c.types.Lookup(m.Struct)
-			if !ok {
-				return fmt.Errorf("model: unknown structure %q", m.Struct)
-			}
-			if err := c.populate(nested, path); err != nil {
-				return err
-			}
-			continue
-		}
-		def := m.Default
-		if def.IsNull() {
-			def = expr.ZeroOf(m.Basic.ValueKind())
-		}
-		c.values[joinPath(path)] = def
-	}
-	return nil
-}
-
 // Type returns the container's structure type.
-func (c *Container) Type() *StructType { return c.typ }
+func (c *Container) Type() *StructType { return c.lay.typ }
 
 // Lookup implements expr.Env over the container's members.
 func (c *Container) Lookup(path []string) (expr.Value, bool) {
-	v, ok := c.values[joinPath(path)]
-	return v, ok
+	return c.Get(joinPath(path))
 }
 
 // Get returns the value at a dotted path such as "order.total" or "RC".
 func (c *Container) Get(path string) (expr.Value, bool) {
-	v, ok := c.values[path]
-	return v, ok
+	i, ok := c.lay.slot[path]
+	if !ok {
+		return expr.Null, false
+	}
+	return c.values[i], true
 }
 
 // MustGet is Get that panics when the member does not exist.
 func (c *Container) MustGet(path string) expr.Value {
-	v, ok := c.values[path]
+	v, ok := c.Get(path)
 	if !ok {
-		panic(fmt.Sprintf("model: container %q has no member %q", c.typ.Name, path))
+		panic(fmt.Sprintf("model: container %q has no member %q", c.lay.typ.Name, path))
 	}
 	return v
 }
 
 // RC returns the container's return code member.
-func (c *Container) RC() int64 { return c.values[RCMember].AsInt() }
+func (c *Container) RC() int64 { return c.values[c.lay.rc].AsInt() }
 
 // SetRC sets the return code member.
-func (c *Container) SetRC(rc int64) { c.values[RCMember] = expr.Int(rc) }
+func (c *Container) SetRC(rc int64) { c.values[c.lay.rc] = expr.Int(rc) }
 
 // Set assigns a member at a dotted path. The member must exist and the
 // value's kind must match the member's declared kind (ints are accepted for
 // float members and widened).
 func (c *Container) Set(path string, v expr.Value) error {
-	old, ok := c.values[path]
+	i, ok := c.lay.slot[path]
 	if !ok {
-		return fmt.Errorf("model: container %q has no member %q", c.typ.Name, path)
+		return fmt.Errorf("model: container %q has no member %q", c.lay.typ.Name, path)
 	}
-	coerced, err := coerce(v, old.Kind())
+	coerced, err := coerce(v, c.values[i].Kind())
 	if err != nil {
-		return fmt.Errorf("model: member %q of %q: %v", path, c.typ.Name, err)
+		return fmt.Errorf("model: member %q of %q: %v", path, c.lay.typ.Name, err)
 	}
-	c.values[path] = coerced
+	c.values[i] = coerced
 	return nil
 }
 
@@ -139,43 +188,34 @@ func coerce(v expr.Value, want expr.Kind) (expr.Value, error) {
 func (c *Container) CopyFrom(src *Container, fromPath, toPath string) error {
 	v, ok := src.Get(fromPath)
 	if !ok {
-		return fmt.Errorf("model: source container %q has no member %q", src.typ.Name, fromPath)
+		return fmt.Errorf("model: source container %q has no member %q", src.lay.typ.Name, fromPath)
 	}
 	return c.Set(toPath, v)
 }
 
 // Clone returns a deep copy of the container.
 func (c *Container) Clone() *Container {
-	vals := make(map[string]expr.Value, len(c.values))
-	for k, v := range c.values {
-		vals[k] = v
-	}
-	return &Container{typ: c.typ, types: c.types, values: vals}
+	return &Container{lay: c.lay, values: append([]expr.Value(nil), c.values...)}
 }
 
 // Paths returns the container's member paths in sorted order (including
 // RC), useful for serialization and debugging.
 func (c *Container) Paths() []string {
-	out := make([]string, 0, len(c.values))
-	for k := range c.values {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), c.lay.paths...)
 }
 
 // String renders the container as "Type{a=1, b="x"}" with sorted members.
 func (c *Container) String() string {
 	var sb strings.Builder
-	sb.WriteString(c.typ.Name)
+	sb.WriteString(c.lay.typ.Name)
 	sb.WriteByte('{')
-	for i, p := range c.Paths() {
+	for i, p := range c.lay.paths {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
 		sb.WriteString(p)
 		sb.WriteByte('=')
-		sb.WriteString(c.values[p].String())
+		sb.WriteString(c.values[i].String())
 	}
 	sb.WriteByte('}')
 	return sb.String()
@@ -185,8 +225,8 @@ func (c *Container) String() string {
 // used by the WAL to persist activity outputs.
 func (c *Container) Snapshot() map[string]expr.Value {
 	vals := make(map[string]expr.Value, len(c.values))
-	for k, v := range c.values {
-		vals[k] = v
+	for i, p := range c.lay.paths {
+		vals[p] = c.values[i]
 	}
 	return vals
 }
@@ -196,7 +236,7 @@ func (c *Container) Snapshot() map[string]expr.Value {
 func (c *Container) Restore(vals map[string]expr.Value) error {
 	for k, v := range vals {
 		if k == RCMember {
-			c.values[k] = v
+			c.values[c.lay.rc] = v
 			continue
 		}
 		if err := c.Set(k, v); err != nil {
@@ -209,11 +249,12 @@ func (c *Container) Restore(vals map[string]expr.Value) error {
 // Equal reports whether two containers have the same type name and member
 // values.
 func (c *Container) Equal(o *Container) bool {
-	if c.typ.Name != o.typ.Name || len(c.values) != len(o.values) {
+	if c.lay.typ.Name != o.lay.typ.Name || len(c.values) != len(o.values) {
 		return false
 	}
-	for k, v := range c.values {
-		ov, ok := o.values[k]
+	for i, v := range c.values {
+		// By path: same-named types of two registries have layouts of their own.
+		ov, ok := o.Get(c.lay.paths[i])
 		if !ok || !v.Equal(ov) {
 			return false
 		}

@@ -89,9 +89,17 @@ func (t *StructType) Member(name string) *Member {
 }
 
 // Types is a registry of structure types, keyed by name.
+//
+// A registry is filled at buildtime and read at runtime: a registered
+// StructType must not be modified afterwards, and Register must not run
+// concurrently with any other use of the registry. Once registration is
+// over, any number of goroutines may create containers from it.
 type Types struct {
 	byName map[string]*StructType
 	order  []*StructType
+	// layouts holds the container layout of every type whose nested
+	// structures are all registered. Register is the only writer.
+	layouts map[string]*layout
 }
 
 // NewTypes returns an empty type registry with the predefined 'Default'
@@ -99,7 +107,7 @@ type Types struct {
 // container must be able to carry the RC return code, so the Default type
 // is the canonical minimal container type.
 func NewTypes() *Types {
-	ts := &Types{byName: make(map[string]*StructType)}
+	ts := &Types{byName: make(map[string]*StructType), layouts: make(map[string]*layout)}
 	// The predefined default container type: just the return code.
 	if err := ts.Register(&StructType{Name: DefaultType}); err != nil {
 		panic(err) // unreachable: registry is empty
@@ -152,6 +160,17 @@ func (ts *Types) Register(t *StructType) error {
 	}
 	ts.byName[t.Name] = t
 	ts.order = append(ts.order, t)
+	// The new type may be the one an earlier type was waiting for. A layout
+	// that exists is final: names cannot be registered twice, so nothing it
+	// was built from can change.
+	for _, pending := range ts.order {
+		if _, done := ts.layouts[pending.Name]; done {
+			continue
+		}
+		if lay, err := ts.buildLayout(pending); err == nil {
+			ts.layouts[pending.Name] = lay
+		}
+	}
 	return nil
 }
 
