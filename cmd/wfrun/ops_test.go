@@ -295,6 +295,14 @@ func TestOpsPprofGatedBehindFlag(t *testing.T) {
 	if hz.WalIdleNs != -1 || hz.CheckpointIdleNs != -1 {
 		t.Errorf("healthz staleness for WAL-less run = %+v, want -1", hz)
 	}
+	// The ops address is announced before the run builds its engine, and
+	// the engine binds its instruments when it is built: scrape only once
+	// the instance has finished (/events replays the recorder's ring, so a
+	// finish that already happened is still seen).
+	finished := func(evs []obs.Event) bool { return evs[len(evs)-1].Kind == obs.EvInstanceFinished }
+	if evs := readSSE(t, base, finished, 10*time.Second); len(evs) == 0 || !finished(evs) {
+		t.Fatalf("instance never finished; /events gave %d events", len(evs))
+	}
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)

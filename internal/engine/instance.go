@@ -123,6 +123,12 @@ type Instance struct {
 	// path -> iter -> output snapshot.
 	replay map[string]map[int]map[string]expr.Value
 
+	// logq holds the records navigation has produced since the last
+	// commitLog barrier, borrowed from logqPool while it is non-empty;
+	// logFailed latches a failed barrier, after which nothing is logged.
+	logq      *[]wal.Record
+	logFailed bool
+
 	// stMu guards the status fields below for cross-goroutine monitors
 	// (Engine.Instances, Err, Finished, PendingWork). All writes happen on
 	// the navigator goroutine, which may therefore read them directly; any
@@ -347,10 +353,8 @@ func (inst *Instance) Start() error {
 		Values: inst.root.input.Snapshot(),
 	})
 	inst.event(trailRec{kind: EvCreated})
-	if inst.err == nil {
-		inst.startScope(inst.root)
-		inst.pump()
-	}
+	inst.startScope(inst.root)
+	inst.pump()
 	return inst.err
 }
 
@@ -454,6 +458,7 @@ func (inst *Instance) Cancel() error {
 	inst.appendLog(wal.Record{
 		Type: wal.RecDone, Instance: inst.id, Values: inst.root.output.Snapshot(),
 	})
+	inst.commitLog()
 	if inst.err != nil {
 		return inst.err
 	}
@@ -504,12 +509,51 @@ func (inst *Instance) addPending(d int) {
 	inst.stMu.Unlock()
 }
 
+// logqPool lends an instance the buffer that queues a navigation step's
+// records, so an instance holds none between steps or once it has ended.
+// A step of the reference models queues at most 3 records (finished +
+// block-finished + done); 8 leaves room for deeper nesting.
+var logqPool = sync.Pool{New: func() any {
+	q := make([]wal.Record, 0, 8)
+	return &q
+}}
+
+// appendLog queues rec behind the records navigation has produced since
+// the last barrier; nothing reaches the log before commitLog.
 func (inst *Instance) appendLog(rec wal.Record) {
-	if err := inst.log.Append(rec); err != nil {
-		inst.fail(err)
+	if inst.logFailed {
 		return
 	}
-	inst.eng.metrics.walAppends.Inc()
+	if inst.logq == nil {
+		inst.logq = logqPool.Get().(*[]wal.Record)
+	}
+	*inst.logq = append(*inst.logq, rec)
+}
+
+// commitLog is the write-ahead barrier: it hands every queued record to
+// the log in one call and returns once they are durable, so the durable
+// wait is paid per navigation step rather than per record. It runs before
+// anything the records must precede becomes externally visible — a program
+// body is invoked, a work item is posted, RecDone is reported (markDone,
+// EvDone) — and before pump returns control to the caller of a navigating
+// entry point. If the log refuses the records the instance fails with that
+// error and logs nothing further, so what is on disk stays a prefix of the
+// instance's record sequence.
+func (inst *Instance) commitLog() {
+	q := inst.logq
+	if q == nil {
+		return
+	}
+	inst.logq = nil
+	if err := wal.AppendAll(inst.log, *q); err != nil {
+		inst.logFailed = true
+		inst.fail(err)
+	} else {
+		inst.eng.metrics.walAppends.Add(int64(len(*q)))
+	}
+	clear(*q)
+	*q = (*q)[:0]
+	logqPool.Put(q)
 }
 
 // trailRec is the stored form of an audit-trail event: which activity
@@ -639,7 +683,10 @@ type completion struct {
 // pump drives navigation. Everything except program bodies runs on the
 // calling (navigator) goroutine; in concurrent mode program bodies execute
 // on a bounded worker pool and their completions are folded back in here,
-// so navigation state needs no locking.
+// so navigation state needs no locking. Every navigating entry point but
+// Cancel returns through pump, which therefore ends on the commitLog
+// barrier: what the caller can observe afterwards is on the log — also
+// when the instance failed for a reason other than the log.
 func (inst *Instance) pump() {
 	for {
 		for inst.err == nil && len(inst.queue) > 0 {
@@ -653,6 +700,7 @@ func (inst *Instance) pump() {
 			inst.runActivity(as)
 		}
 		if inst.inflight == 0 {
+			inst.commitLog()
 			return
 		}
 		// Queue drained (or the instance failed) with programs in flight:
@@ -704,6 +752,10 @@ func (inst *Instance) setReady(as *actState) {
 func (inst *Instance) postWork(as *actState) {
 	if inst.eng.worklists == nil {
 		inst.fail(fmt.Errorf("engine: manual activity %q requires an organization", as.path()))
+		return
+	}
+	inst.commitLog()
+	if inst.err != nil {
 		return
 	}
 	item, err := inst.eng.worklists.Post(org.WorkItem{
@@ -774,6 +826,7 @@ func (inst *Instance) runProgram(as *actState) {
 	inst.appendLog(wal.Record{
 		Type: wal.RecStartedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
 	})
+	inst.commitLog() // the program body must not run ahead of the log
 	if inst.err != nil {
 		return
 	}
@@ -990,9 +1043,6 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 		Type: wal.RecFinishedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
 		Values: out.Snapshot(),
 	})
-	if inst.err != nil {
-		return
-	}
 	inst.event(trailRec{kind: EvFinished, as: as, rc: out.RC(), flag: as.forced})
 
 	if exit := as.plan.act.Exit; exit != nil {
@@ -1105,6 +1155,7 @@ func (inst *Instance) scopeDone(sc *scope) {
 		inst.appendLog(wal.Record{
 			Type: wal.RecDone, Instance: inst.id, Values: sc.output.Snapshot(),
 		})
+		inst.commitLog()
 		if inst.err != nil {
 			return
 		}

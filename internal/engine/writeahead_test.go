@@ -1,0 +1,228 @@
+package engine_test
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/rm"
+	"repro/internal/wal"
+)
+
+// groupLogOn opens a group-commit log over a fresh FileLog in the test's
+// temp dir, both recording into reg.
+func groupLogOn(t *testing.T, reg *obs.Registry, opts ...wal.GroupOption) (*wal.GroupCommitLog, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	fl, err := wal.OpenFileLog(path, wal.WithMetricsRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal.NewGroupCommitLog(fl, append(opts, wal.GroupWithMetricsRegistry(reg))...), path
+}
+
+// goldenScript returns the process and abort script of the named golden
+// case.
+func goldenScript(t *testing.T, name string) (process string, script func(*rm.Injector)) {
+	t.Helper()
+	for _, gc := range goldenCases {
+		if gc.name == name {
+			return gc.process, gc.script
+		}
+	}
+	t.Fatalf("no golden case %q", name)
+	return "", nil
+}
+
+// TestFlushCountPin is the per-layer evidence for the write-ahead barrier:
+// a lone instance on a real GroupCommitLog logs the record sequence it
+// always did, but waits for the disk once per navigation step — one flush
+// for each program execution plus the one that carries RecDone.
+func TestFlushCountPin(t *testing.T) {
+	cases := []struct {
+		golden           string
+		records, flushes int64
+	}{
+		{"travel-commit", 9, 4},       // created+started, finished+started x2, finished+block+done
+		{"travel-compensated", 16, 7}, // three steps, NOP and two compensations
+		{"fig3-commit", 16, 7},        // first path, six subtransactions
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			process, script := goldenScript(t, tc.golden)
+			inj := rm.NewInjector()
+			script(inj)
+			e := atmEngine(t, inj)
+			walReg := obs.NewRegistry()
+			log, path := groupLogOn(t, walReg)
+			inst, err := e.CreateInstance(process, nil, log)
+			if err == nil {
+				err = inst.Start()
+			}
+			if err != nil || !inst.Finished() {
+				t.Fatalf("%s did not finish: %v", process, err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := wal.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs := e.Metrics().Counter("engine.program.invocations").Value()
+			got := map[string]int64{
+				"records on disk":         int64(len(recs)),
+				"engine.wal.appends":      e.Metrics().Counter("engine.wal.appends").Value(),
+				"wal.group.records":       walReg.Counter("wal.group.records").Value(),
+				"wal.group.batches":       walReg.Counter("wal.group.batches").Value(),
+				"program executions + 1":  programs + 1,
+				"wal.fsync_ns count":      walReg.Histogram("wal.fsync_ns").SnapshotNow().Count,
+				"wal.group.batch_records": walReg.SizeHistogram("wal.group.batch_records").SnapshotNow().Count,
+			}
+			want := map[string]int64{
+				"records on disk":         tc.records,
+				"engine.wal.appends":      tc.records,
+				"wal.group.records":       tc.records,
+				"wal.group.batches":       tc.flushes,
+				"program executions + 1":  tc.flushes,
+				"wal.fsync_ns count":      tc.flushes,
+				"wal.group.batch_records": tc.flushes,
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("flush counts moved:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// recordKey identifies a WAL record within one instance.
+type recordKey struct {
+	Type wal.RecordType
+	Path string
+	Iter int
+}
+
+// recordsOfTrail derives, from an instance's audit trail, the record
+// sequence its navigation produced: the trail and the record queue are fed
+// by the same steps in the same order, whether or not a record ever
+// reached the log.
+func recordsOfTrail(trail []engine.Event) []recordKey {
+	var out []recordKey
+	for _, ev := range trail {
+		switch {
+		case ev.Kind == engine.EvCreated:
+			out = append(out, recordKey{Type: wal.RecCreated})
+		case ev.Kind == engine.EvStarted && ev.Program != "":
+			out = append(out, recordKey{wal.RecStartedActivity, ev.Path, ev.Iter})
+		case ev.Kind == engine.EvFinished:
+			out = append(out, recordKey{wal.RecFinishedActivity, ev.Path, ev.Iter})
+		case ev.Kind == engine.EvDone:
+			out = append(out, recordKey{Type: wal.RecDone})
+		}
+	}
+	return out
+}
+
+func keysOf(recs []wal.Record) []recordKey {
+	out := make([]recordKey, len(recs))
+	for i, r := range recs {
+		out[i] = recordKey{r.Type, r.Path, r.Iter}
+	}
+	return out
+}
+
+// TestWriteAheadUnderGroupCrash crashes the travel saga and the Figure 3
+// transaction at every batch boundary of a real group-commit log, with and
+// without a torn tail, in sequential and worker-pool mode, and checks the
+// invariant the barrier exists for: a program body ran, or the instance
+// reported finished, only after every earlier record of the instance was
+// on disk — and what is on disk is always a prefix of the instance's
+// record sequence, from which recovery reaches the crash-free output and
+// trail.
+func TestWriteAheadUnderGroupCrash(t *testing.T) {
+	for _, golden := range []string{"travel-commit", "travel-compensated", "fig3-commit", "fig3-alternative"} {
+		process, script := goldenScript(t, golden)
+		newEngine := func(opts ...engine.Option) *engine.Engine {
+			inj := rm.NewInjector()
+			script(inj)
+			var tick int64
+			opts = append(opts, engine.WithClock(func() int64 { tick++; return tick }), engine.WithBus(obs.NewBus()))
+			return atmEngine(t, inj, opts...)
+		}
+		clean, err := newEngine().CreateInstanceID(process, "inst-1", nil, nil)
+		if err == nil {
+			err = clean.Start()
+		}
+		if err != nil || !clean.Finished() {
+			t.Fatalf("%s: crash-free run: %v", golden, err)
+		}
+		total := len(recordsOfTrail(clean.Trail()))
+
+		for _, workers := range []int{1, 4} {
+			for _, short := range []bool{false, true} {
+				for k := 1; k <= total; k++ {
+					name := fmt.Sprintf("%s/workers=%d/short=%v/k=%d", golden, workers, short, k)
+					t.Run(name, func(t *testing.T) {
+						e := newEngine(engine.WithConcurrency(workers))
+						log, path := groupLogOn(t, obs.NewRegistry(), wal.GroupCrashAfter(k, short))
+						inst, err := e.CreateInstanceID(process, "inst-1", nil, log)
+						if err != nil {
+							t.Fatal(err)
+						}
+						err = inst.Start()
+						if k < total && !errors.Is(err, wal.ErrCrash) {
+							t.Fatalf("Start = %v, want the injected crash", err)
+						}
+						log.Close() // a crashed log reports its state again; the file is closed either way
+						disk, _, err := wal.RepairFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+
+						seq := recordsOfTrail(inst.Trail())
+						if len(disk) > len(seq) || !reflect.DeepEqual(keysOf(disk), seq[:len(disk)]) {
+							t.Fatalf("disk is not a prefix of the instance's records:\ndisk %v\n seq %v", keysOf(disk), seq)
+						}
+						// Barriers are taken in trail order and a failed one
+						// is final, so the bodies that ran are the first
+						// `ran` program starts of the sequence.
+						ran := e.Metrics().Counter("engine.program.invocations").Value()
+						started := int64(0)
+						for i, key := range seq {
+							if key.Type != wal.RecStartedActivity {
+								continue
+							}
+							if started++; started <= ran && i >= len(disk) {
+								t.Fatalf("a program ran whose %v record is not among the %d on disk", key, len(disk))
+							}
+						}
+						if inst.Finished() && (len(disk) != total || disk[total-1].Type != wal.RecDone) {
+							t.Fatalf("finished with %d of %d records on disk", len(disk), total)
+						}
+						if !inst.Finished() && k == total {
+							t.Fatalf("no crash injected, yet not finished: %v", inst.Err())
+						}
+
+						if len(disk) == 0 {
+							return // crashed before the instance existed durably
+						}
+						rec, err := engine.Recover(newEngine(), disk, nil)
+						if err != nil || !rec.Finished() {
+							t.Fatalf("recovery: %v (finished=%v)", err, rec != nil && rec.Finished())
+						}
+						if got, want := rec.Output().String(), clean.Output().String(); got != want {
+							t.Errorf("recovered output %s, crash-free %s", got, want)
+						}
+						if !reflect.DeepEqual(rec.Trail(), clean.Trail()) {
+							t.Errorf("recovered trail differs from the crash-free trail")
+						}
+					})
+				}
+			}
+		}
+	}
+}

@@ -233,7 +233,7 @@ const (
 	EvActivityLoop     = "activity.loop"     // exit condition false, rescheduled
 	EvCompensation     = "compensation.entered"
 
-	EvWalFsync              = "wal.fsync"               // per-record durable append; DurNs = sync time
+	EvWalFsync              = "wal.fsync"               // one durable append call; N = records, DurNs = sync time
 	EvWalFlush              = "wal.flush"               // group-commit batch flushed; N = records, DurNs = sync time
 	EvWalRotate             = "wal.rotate"              // segment sealed; N = sealed index
 	EvWalCheckpoint         = "wal.checkpoint"          // checkpoint written; N = sequence, DurNs = write time

@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/history"
@@ -44,7 +45,10 @@ func bucketIndex(snap obs.HistogramSnapshot, v int64) int {
 // observation counts must match exactly, and every quantile must land
 // within one decade bucket of the registry's estimate (the pair wall
 // time includes dispatch overhead the program timer excludes, so exact
-// equality is not the contract — same-decade is).
+// equality is not the contract — same-decade is). The program takes a
+// millisecond so its own duration dominates both timers: over
+// sub-microsecond programs one scheduler hiccup between the two clocks
+// moves the pair's q99 two decades.
 func TestPairQuantilesAgreeWithRegistryHistogram(t *testing.T) {
 	const steps = 40
 	proc := Chain("lat", steps)
@@ -60,7 +64,10 @@ func TestPairQuantilesAgreeWithRegistryHistogram(t *testing.T) {
 	defer detach()
 
 	e := engine.New(engine.WithMetrics(reg), engine.WithBus(bus))
-	mustRegister(e, "ok", OKProgram)
+	mustRegister(e, "ok", engine.ProgramFunc(func(inv *engine.Invocation) error {
+		time.Sleep(time.Millisecond)
+		return OKProgram(inv)
+	}))
 	if err := e.RegisterProcess(proc); err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ import (
 var ErrLogClosed = errors.New("wal: log closed")
 
 // GroupCommitLog batches appends from many concurrent instances into a
-// single framed write + one fsync per flush. Append blocks until the
-// batch containing its record is on stable storage, so the per-append
-// durability contract is exactly FileLog-with-WithFsync — a nil return
-// means the record survives any crash — while the fsync cost is shared
-// by every record in the batch.
+// single framed write + one fsync per flush. Append and AppendBatch block
+// until the batch containing their records is on stable storage, so the
+// per-call durability contract is exactly FileLog-with-WithFsync — a nil
+// return means the records survive any crash — while the fsync cost is
+// shared by every record in the batch.
 //
 // Batching is leader-based with commit pipelining: the first appender
 // into an open batch becomes its leader; while the previous batch's
@@ -46,13 +46,13 @@ type GroupCommitLog struct {
 	crashAfter int
 	shortWrite bool
 
-	mu        sync.Mutex // guards cur, closed, crashed, failed, committed, lastBatch
+	mu        sync.Mutex // guards cur, closed, crashed, failed, committed, lastHerd
 	cur       *gcBatch
 	closed    bool
 	crashed   bool
 	failed    error // first batch storage error; non-nil seals the log
 	committed int   // records durably committed (crash-injection bookkeeping)
-	lastBatch int   // size of the last committed batch (herd estimate)
+	lastHerd  int   // appenders that waited on the last committed batch (herd estimate)
 
 	commitMu sync.Mutex // held while a batch's write+fsync is in flight
 
@@ -69,15 +69,16 @@ type GroupCommitLog struct {
 // is set) once the batch is durable or has failed.
 type gcBatch struct {
 	buf      []byte
-	pooled   *[]byte // pool token holding buf's backing array
-	count    int
+	pooled   *[]byte       // pool token holding buf's backing array
+	count    int           // records admitted
+	waiters  int           // appenders blocked on done, the leader included
 	full     chan struct{} // closed when count reaches maxBatch
 	fullOnce sync.Once
 	done     chan struct{}
 	err      error
 }
 
-// framePool recycles per-append record encode buffers (GroupCommitLog
+// framePool recycles per-call record encode buffers (GroupCommitLog
 // frames records outside its batch lock so encoding never serializes
 // appenders); batchBufPool recycles whole batch buffers.
 var (
@@ -174,63 +175,82 @@ func (l *GroupCommitLog) bindMetrics(reg *obs.Registry) {
 	l.flushNs = reg.Histogram("wal.group.flush_ns")
 }
 
-// Append implements Log. It returns only after the batch containing rec
-// has been written and fsynced (nil), or has failed as a unit (the
-// batch's error, ErrCrash under injection, ErrLogClosed after Close,
-// ErrLogFailed once a previous batch's write or fsync failed and sealed
-// the log).
+// Append implements Log: AppendBatch of one record.
 func (l *GroupCommitLog) Append(rec Record) error {
+	one := [1]Record{rec}
+	return l.AppendBatch(one[:])
+}
+
+// AppendBatch admits recs to the open batch together, in order, as one
+// waiter — what wal.AppendAll hands a navigation step's records to. It
+// returns only after the batch containing them has been written and
+// fsynced (nil), or has failed as a unit (the batch's error, ErrCrash
+// under injection, ErrLogClosed after Close, ErrLogFailed once a previous
+// batch's write or fsync failed and sealed the log). A record that cannot
+// be encoded fails the call before any of recs is admitted.
+func (l *GroupCommitLog) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	// Encode outside the batch lock into a pooled scratch buffer so
 	// framing cost never serializes concurrent appenders.
 	bp := framePool.Get().(*[]byte)
-	enc, err := EncodeRecord((*bp)[:0], rec, l.format)
+	enc, err := encodeRecords((*bp)[:0], recs, l.format)
+	var batch *gcBatch
+	var leader bool
+	if err == nil {
+		batch, leader, err = l.admit(enc, len(recs))
+	}
+	*bp = enc[:0]
+	framePool.Put(bp)
 	if err != nil {
-		framePool.Put(bp)
 		return err
 	}
+	if leader {
+		l.commit(batch)
+	} else {
+		<-batch.done
+	}
+	return batch.err
+}
 
+// admit copies the framed records of one appender into the open batch,
+// opening one (and making the appender its leader) if there is none.
+func (l *GroupCommitLog) admit(enc []byte, records int) (batch *gcBatch, leader bool, err error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		*bp = enc[:0]
-		framePool.Put(bp)
-		return ErrLogClosed
+	defer l.mu.Unlock()
+	if err := l.sealedErrLocked(); err != nil {
+		return nil, false, err
 	}
-	if l.crashed {
-		l.mu.Unlock()
-		*bp = enc[:0]
-		framePool.Put(bp)
-		return ErrCrash
-	}
-	if l.failed != nil {
-		err := fmt.Errorf("%w: %v", ErrLogFailed, l.failed)
-		l.mu.Unlock()
-		*bp = enc[:0]
-		framePool.Put(bp)
-		return err
-	}
-	leader := l.cur == nil
+	leader = l.cur == nil
 	if leader {
 		pooled := batchBufPool.Get().(*[]byte)
 		l.cur = &gcBatch{buf: (*pooled)[:0], pooled: pooled,
 			full: make(chan struct{}), done: make(chan struct{})}
 	}
-	batch := l.cur
+	batch = l.cur
 	batch.buf = append(batch.buf, enc...)
-	batch.count++
+	batch.count += records
+	batch.waiters++
 	if batch.count >= l.maxBatch {
 		batch.fullOnce.Do(func() { close(batch.full) })
 	}
-	l.mu.Unlock()
-	*bp = enc[:0]
-	framePool.Put(bp)
+	return batch, leader, nil
+}
 
-	if !leader {
-		<-batch.done
-		return batch.err
+// sealedErrLocked is the error every append to a log that no longer admits
+// records returns — closed, crashed under injection, or sealed by a failed
+// batch — and nil while the log is open.
+func (l *GroupCommitLog) sealedErrLocked() error {
+	switch {
+	case l.closed:
+		return ErrLogClosed
+	case l.crashed:
+		return ErrCrash
+	case l.failed != nil:
+		return fmt.Errorf("%w: %v", ErrLogFailed, l.failed)
 	}
-	l.commit(batch)
-	return batch.err
+	return nil
 }
 
 // herdWait bounds how long a leader waits for the appenders woken by the
@@ -256,19 +276,21 @@ func (l *GroupCommitLog) commit(batch *gcBatch) {
 	// releases commitMu, so without this they would always miss the batch
 	// now being committed and batch sizes would never grow past the
 	// handful of appenders that happened to arrive mid-sync. Wait — by
-	// yielding, bounded well under one disk sync — until as many records
-	// as the last batch carried have rejoined. A lone sequential appender
-	// (lastBatch <= 1) skips the wait entirely.
+	// yielding, bounded well under one disk sync — until as many appenders
+	// as the last batch released have rejoined. The herd is counted in
+	// appenders, not records: one AppendBatch caller is one waiter however
+	// many records it brings, so a lone sequential appender (lastHerd <= 1)
+	// skips the wait entirely.
 	l.mu.Lock()
-	want := l.lastBatch
+	want := l.lastHerd
 	l.mu.Unlock()
 	if want > 1 {
 		deadline := time.Now().Add(herdWait)
 		for {
 			l.mu.Lock()
-			n := batch.count
+			herd, full := batch.waiters >= want, batch.count >= l.maxBatch
 			l.mu.Unlock()
-			if n >= want || n >= l.maxBatch || !time.Now().Before(deadline) {
+			if herd || full || !time.Now().Before(deadline) {
 				break
 			}
 			runtime.Gosched()
@@ -277,7 +299,7 @@ func (l *GroupCommitLog) commit(batch *gcBatch) {
 
 	l.mu.Lock()
 	l.cur = nil // later appends start a new batch behind this commit
-	l.lastBatch = batch.count
+	l.lastHerd = batch.waiters
 	crash := l.crashed
 	if !crash && l.crashAfter > 0 && l.committed+batch.count > l.crashAfter {
 		l.crashed = true

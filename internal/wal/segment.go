@@ -198,10 +198,18 @@ func (l *SegmentedLog) Failed() error {
 	return l.failed
 }
 
-// Append implements Log, rotating afterwards if the active segment
-// crossed a threshold. Records are encoded into a scratch buffer the log
-// owns, so the steady-state binary append path allocates nothing.
+// Append implements Log: AppendBatch of one record.
 func (l *SegmentedLog) Append(rec Record) error {
+	one := [1]Record{rec}
+	return l.AppendBatch(one[:])
+}
+
+// AppendBatch appends recs in order to the active segment as one write
+// (one fsync with SegmentFsync), rotating afterwards if the segment
+// crossed a threshold — so a batch never spans segments. Records are
+// encoded into a scratch buffer the log owns, so the steady-state binary
+// append path allocates nothing.
+func (l *SegmentedLog) AppendBatch(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.active == nil {
@@ -211,14 +219,13 @@ func (l *SegmentedLog) Append(rec Record) error {
 		return l.sealedErrLocked()
 	}
 	var err error
-	l.enc, err = EncodeRecord(l.enc[:0], rec, l.format)
-	if err != nil {
+	if l.enc, err = encodeRecords(l.enc[:0], recs, l.format); err != nil {
 		return err
 	}
-	if err := l.active.appendEncoded(l.enc); err != nil {
+	if err := l.active.appendEncoded(l.enc, len(recs)); err != nil {
 		return l.sealLocked(err)
 	}
-	l.activeRecords++
+	l.activeRecords += len(recs)
 	l.activeBytes += int64(len(l.enc))
 	return l.maybeRotateLocked()
 }

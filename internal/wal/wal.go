@@ -16,12 +16,13 @@
 //
 // FileLog frames every record as "crc8hex json\n": a CRC-32C checksum over
 // the JSON body detects torn writes and bit rot on replay. Appends are
-// buffered; with the WithFsync option every Append flushes the buffer and
-// calls File.Sync, so a record handed back to the engine is on stable
-// storage before navigation proceeds (the classic WAL contract — slower,
-// but a kernel or power failure can lose at most the record being
-// written). Without fsync a crash can lose the buffered tail; either way
-// Close flushes and syncs. Recovery reads with ReadFileTolerant or
+// buffered; with the WithFsync option every Append or AppendBatch call
+// flushes the buffer and calls File.Sync before it returns, so what the
+// engine handed over at a write-ahead barrier is on stable storage before
+// the action it must precede (the classic WAL contract — slower, but a
+// kernel or power failure can lose at most the records being written).
+// Without fsync a crash can lose the buffered tail; either way Close
+// flushes and syncs. Recovery reads with ReadFileTolerant or
 // RepairFile tolerate a torn or corrupt *final* record — the signature a
 // crash mid-append leaves behind — by truncating to the valid prefix;
 // corruption in the middle of the log (valid records after a bad line) is
@@ -80,6 +81,28 @@ type Record struct {
 // Log is an append-only record sink.
 type Log interface {
 	Append(rec Record) error
+}
+
+// AppendAll appends recs to log in order and returns once all of them are
+// as durable as log makes an Append. A log with an AppendBatch method
+// (FileLog, SegmentedLog, GroupCommitLog) takes them in one call — one
+// write, one durable wait; any other Log gets one Append per record,
+// stopping at the first error, so a crash-injecting log or an Append-only
+// wrapper sees exactly the record boundaries it always did. Either way
+// what reaches the log is a prefix of recs in order.
+func AppendAll(log Log, recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	if b, ok := log.(interface{ AppendBatch([]Record) error }); ok {
+		return b.AppendBatch(recs)
+	}
+	for i := range recs {
+		if err := log.Append(recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ErrCrash is returned by a crash-injecting log when the configured crash
@@ -214,8 +237,8 @@ type FileLog struct {
 // FileOption configures a FileLog.
 type FileOption func(*FileLog)
 
-// WithFsync makes every Append flush the write buffer and fsync the file,
-// so each record is on stable storage before the engine navigates past it.
+// WithFsync makes every Append and AppendBatch call flush the write buffer
+// and fsync the file, so its records are on stable storage when it returns.
 // Durable and slow; without it a crash can lose the buffered tail of the
 // log (recovery then resumes from a shorter—but still consistent—prefix).
 func WithFsync() FileOption {
@@ -301,41 +324,61 @@ func (l *FileLog) Failed() error {
 	return l.failed
 }
 
-// Append implements Log. The record is encoded into a scratch buffer the
-// log owns (reused under its mutex), so the steady-state binary append
-// path with an idle event bus performs zero heap allocations — the hot
-// path the B13 gate holds at 0 allocs/op.
+// Append implements Log: AppendBatch of one record.
 func (l *FileLog) Append(rec Record) error {
+	one := [1]Record{rec}
+	return l.AppendBatch(one[:])
+}
+
+// AppendBatch appends recs in order as one write and, with WithFsync, one
+// flush+fsync for all of them — what wal.AppendAll hands a navigation
+// step's records to. The bytes are exactly what len(recs) Appends would
+// have written. The records are encoded into a scratch buffer the log owns
+// (reused under its mutex), so the steady-state binary append path with an
+// idle event bus performs zero heap allocations — the hot path the B13
+// gate holds at 0 allocs/op. A record that cannot be encoded fails the
+// whole batch before anything is written.
+func (l *FileLog) AppendBatch(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
 		return l.sealedErrLocked()
 	}
 	var err error
-	l.enc, err = EncodeRecord(l.enc[:0], rec, l.format)
-	if err != nil {
+	if l.enc, err = encodeRecords(l.enc[:0], recs, l.format); err != nil {
 		return err
 	}
-	return l.appendEncodedLocked(l.enc)
+	return l.appendEncodedLocked(l.enc, len(recs))
+}
+
+// encodeRecords appends the frames of recs, in order, to dst.
+func encodeRecords(dst []byte, recs []Record, f Format) ([]byte, error) {
+	for i := range recs {
+		var err error
+		if dst, err = EncodeRecord(dst, recs[i], f); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // recFormat reports the log's record framing (immutable after open).
 func (l *FileLog) recFormat() Format { return l.format }
 
-// appendEncoded writes one fully framed record (a text line including its
-// trailing newline, or one binary frame), honoring the log's fsync
-// setting and counting metrics. SegmentedLog shares this path so a
-// rotated segment is byte-for-byte what FileLog would have written.
-func (l *FileLog) appendEncoded(data []byte) error {
+// appendEncoded writes fully framed records (text lines including their
+// trailing newlines, or binary frames), honoring the log's fsync setting
+// and counting metrics. SegmentedLog shares this path so a rotated
+// segment is byte-for-byte what FileLog would have written.
+func (l *FileLog) appendEncoded(data []byte, records int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
 		return l.sealedErrLocked()
 	}
-	return l.appendEncodedLocked(data)
+	return l.appendEncodedLocked(data, records)
 }
 
-func (l *FileLog) appendEncodedLocked(data []byte) error {
+func (l *FileLog) appendEncodedLocked(data []byte, records int) error {
 	n, err := l.w.Write(data)
 	if err != nil {
 		return l.sealLocked(fmt.Errorf("wal: %w", err))
@@ -351,10 +394,10 @@ func (l *FileLog) appendEncodedLocked(data []byte) error {
 		dur := time.Since(start).Nanoseconds()
 		l.fsyncNs.Observe(dur)
 		if obs.DefaultBus.Active() {
-			obs.DefaultBus.Publish(obs.Event{Kind: obs.EvWalFsync, N: 1, DurNs: dur})
+			obs.DefaultBus.Publish(obs.Event{Kind: obs.EvWalFsync, N: int64(records), DurNs: dur})
 		}
 	}
-	l.appends.Inc()
+	l.appends.Add(int64(records))
 	l.bytes.Add(int64(n))
 	return nil
 }
