@@ -68,8 +68,10 @@
 // sealed segments into crash-consistent checkpoints, so restart work is
 // bounded by the checkpoint period instead of the history length.
 // -resume recovers every instance from an existing log instead of
-// starting new ones — seeded from the newest usable checkpoint when
-// -checkpoint is given, by full replay otherwise:
+// starting new ones, through the one recovery ladder (wal.Ladder via
+// engine.RecoverLadder) whatever the layout — seeded from the newest
+// usable checkpoint when -checkpoint is given or the root is sharded, by
+// full replay of a single log file otherwise:
 //
 //	wfrun -process travel -n 16 -wal segs/ -checkpoint segs/ -group-commit travel.fdl
 //	wfrun -process travel -resume -wal segs/ -checkpoint segs/ travel.fdl
@@ -520,18 +522,14 @@ func main() {
 		if err := flog.Close(); err != nil {
 			fatal(err)
 		}
-		recs, dropped, err := wal.RepairFile(*walPath)
+		e2, rec2 := build()
+		insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: *walPath}, nil)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("crashed after %d records; repaired %s: %d records kept, %d bytes truncated\n",
-			*crashAt, *walPath, len(recs), dropped)
-		e2, rec2 := build()
-		inst, err = engine.Recover(e2, recs, nil)
-		if err != nil {
-			fatal(err)
-		}
-		rec = rec2
+			*crashAt, *walPath, len(h.Tail), h.Torn)
+		inst, rec = insts[0], rec2 // the one instance whose created record opened the log
 	case err != nil:
 		fatal(err)
 	default:
@@ -563,70 +561,49 @@ func main() {
 }
 
 // resumeRun recovers every instance recorded in the log a previous
-// (possibly crashed) wfrun left behind and resumes each to completion.
-// With a checkpoint directory, recovery seeds live instances from the
-// newest usable checkpoint and replays only the segment tail — the
-// fallback ladder (previous checkpoint, archive fetch with -archive,
-// then full replay) engages automatically when newer checkpoints are
-// damaged, and the summary names the rung that satisfied recovery.
+// (possibly crashed) wfrun left behind and resumes each to completion,
+// through the one recovery ladder (engine.RecoverLadder): a single log
+// file is repaired and replayed whole; with a checkpoint directory,
+// recovery seeds live instances from the newest usable checkpoint and
+// replays only the segment tail — the fallback rungs (previous
+// checkpoint, archive fetch with -archive, then full replay) engage
+// automatically when newer checkpoints are damaged, and the summary names
+// the rung that satisfied recovery.
 func resumeRun(build func() (*engine.Engine, *rm.Recorder), walPath, ckptDir, archiveDir string, trace, spans, metrics bool) {
 	e, rec := build()
-	var insts []*engine.Instance
+	ladder := wal.Ladder{Path: walPath, Checkpoints: ckptDir}
+	if archiveDir != "" { // flag validation: -archive without -shards implies -checkpoint
+		st, err := wal.NewDirStore(archiveDir)
+		if err != nil {
+			fatal(err)
+		}
+		ladder.Store = st
+	}
+	insts, h, err := engine.RecoverLadder(e, ladder, nil)
 	doneN := 0
-	rung := wal.SourceFullReplay
-	if ckptDir != "" {
-		var st wal.Store
-		if archiveDir != "" {
-			s, err := wal.NewDirStore(archiveDir)
-			if err != nil {
-				fatal(err)
-			}
-			st = s
-		}
-		cp, src, err := wal.LoadCheckpointStore(ckptDir, st)
-		if err != nil {
-			fatal(err)
-		}
-		rung = src
-		cover := 0
-		if cp != nil {
-			cover = cp.Cover
-			doneN = len(cp.Done)
-		}
-		tail, dropped, err := wal.RepairSegmentsStore(walPath, cover, st)
-		if err != nil {
-			fatal(err)
-		}
-		if cp != nil {
+	if h != nil { // the walk succeeded: report it even when an instance then failed to recover
+		doneN = len(h.Done())
+		switch cp := h.Checkpoint; {
+		case cp != nil:
 			fmt.Printf("checkpoint seq %d covers segments <= %d: %d live records, %d instances already finished; replaying %d tail records (%d bytes truncated)\n",
-				cp.Seq, cp.Cover, len(cp.Records), doneN, len(tail), dropped)
-		} else {
+				cp.Seq, cp.Cover, len(cp.Records), doneN, len(h.Tail), h.Torn)
+		case ckptDir != "":
 			fmt.Printf("no usable checkpoint in %s: full replay of %d records (%d bytes truncated)\n",
-				ckptDir, len(tail), dropped)
-		}
-		insts, err = engine.RecoverAllFromCheckpoint(e, cp, tail, nil)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		recs, dropped, err := wal.RepairFile(walPath)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("repaired %s: %d records kept, %d bytes truncated\n", walPath, len(recs), dropped)
-		insts, err = engine.RecoverAll(e, recs, nil)
-		if err != nil {
-			fatal(err)
+				ckptDir, len(h.Tail), h.Torn)
+		default:
+			fmt.Printf("repaired %s: %d records kept, %d bytes truncated\n", walPath, len(h.Tail), h.Torn)
 		}
 	}
-	finished, failed := 0, 0
+	if err != nil {
+		fatal(err)
+	}
+	finished := 0
 	for _, inst := range insts {
 		if inst.Finished() {
 			finished++
-		} else {
-			failed++
 		}
 	}
+	failed := len(insts) - finished
 	if len(insts) == 1 {
 		inst := insts[0]
 		if trace {
@@ -647,7 +624,7 @@ func resumeRun(build func() (*engine.Engine, *rm.Recorder), walPath, ckptDir, ar
 		fmt.Printf("output: %s\n", inst.Output())
 	}
 	fmt.Printf("resumed %d instances (%d already finished in checkpoint): finished=%d failed=%d (recovery rung: %s)\n",
-		len(insts), doneN, finished, failed, rung)
+		len(insts), doneN, finished, failed, h.Rung)
 	if metrics {
 		fmt.Println("-- metrics --")
 		obs.WritePrometheus(os.Stdout, obs.Default)

@@ -90,45 +90,45 @@ func runSharded(e *engine.Engine, process string, shards, fleetN, parallel, maxQ
 }
 
 // resumeSharded recovers every instance a sharded run left under the
-// fleet root directory: each shard-NN subdirectory is recovered
-// independently (newest usable checkpoint, repaired segment tail, then
-// replay; with -archive, missing or damaged blobs are fetched back
-// from ARCHIVE/shard-NN), and the concatenation is reported like a
-// single-log resume, with the recovery rung each shard climbed to.
+// fleet root directory: each shard-NN subdirectory is recovered through
+// its own ladder (engine.RecoverLadder; with -archive, missing or damaged
+// blobs are fetched back from ARCHIVE/shard-NN), and the concatenation is
+// reported like a single-log resume, with the recovery rung each shard
+// climbed to.
 func resumeSharded(build func() (*engine.Engine, *rm.Recorder), root, archiveDir string, metrics bool) {
 	e, _ := build()
 	dirs, err := engine.ShardDirs(root)
 	if err != nil {
 		fatal(err)
 	}
-	var stores func(shardDir string) wal.Store
-	if archiveDir != "" {
-		stores = func(shardDir string) wal.Store {
-			st, err := wal.NewDirStore(filepath.Join(archiveDir, shardDir))
+	if len(dirs) == 0 {
+		fatal(fmt.Errorf("engine: no shard-NN directories under %s", root))
+	}
+	var insts []*engine.Instance
+	byRung := map[string]int{} // shards per ladder rung, so archive fetches show in the summary
+	for _, dir := range dirs {
+		ladder := wal.Ladder{Path: dir}
+		if archiveDir != "" {
+			st, err := wal.NewDirStore(filepath.Join(archiveDir, filepath.Base(dir)))
 			if err != nil {
 				fatal(err)
 			}
-			return st
+			ladder.Store = st
 		}
+		recovered, h, err := engine.RecoverLadder(e, ladder, nil)
+		if err != nil {
+			fatal(fmt.Errorf("engine: recovering shard %s: %w", dir, err))
+		}
+		insts = append(insts, recovered...)
+		byRung[h.Rung]++
 	}
-	insts, rungs, err := engine.RecoverFleetStore(e, root, stores, nil)
-	if err != nil {
-		fatal(err)
-	}
-	finished, failed := 0, 0
+	finished := 0
 	for _, inst := range insts {
 		if inst.Finished() {
 			finished++
-		} else {
-			failed++
 		}
 	}
-	// Tally the ladder rung each shard recovered through so archive
-	// fetches are visible in the summary line.
-	byRung := map[string]int{}
-	for _, r := range rungs {
-		byRung[r]++
-	}
+	failed := len(insts) - finished
 	var parts []string
 	for _, r := range []string{
 		wal.SourceNewestCheckpoint, wal.SourcePreviousCheckpoint,

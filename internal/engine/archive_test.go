@@ -122,21 +122,13 @@ func TestCheckpointPruneCrashWindowRegression(t *testing.T) {
 
 	// Recovery over the repaired layout is exact: all four instances
 	// finish with the baseline trail (or sit in Done).
-	cp, err := wal.LoadCheckpoint(dir)
-	if err != nil || cp == nil {
-		t.Fatalf("load after repair: %v, %v", cp, err)
-	}
-	tail, _, err := wal.RepairSegments(dir, cp.Cover)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2, _ := newRecoveryEngine(t)
-	insts, err := RecoverAllFromCheckpoint(e2, cp, tail, nil)
-	if err != nil {
-		t.Fatal(err)
+	insts, h, err := RecoverLadder(e2, wal.Ladder{Path: dir}, nil)
+	if err != nil || h.Checkpoint == nil {
+		t.Fatalf("recovery after repair: %+v, %v", h, err)
 	}
-	if len(insts)+len(cp.Done) != 4 {
-		t.Fatalf("recovered %d + done %d != 4", len(insts), len(cp.Done))
+	if len(insts)+len(h.Done()) != 4 {
+		t.Fatalf("recovered %d + done %d != 4", len(insts), len(h.Done()))
 	}
 	want := fmt.Sprint(baselineTrail(t))
 	for _, inst := range insts {
@@ -163,9 +155,10 @@ func TestFleetArchiveRequiresCheckpointing(t *testing.T) {
 }
 
 // TestFleetArchiveRoundTrip wires a fleet to a directory archive, runs
-// work, then destroys every local checkpoint and recovers through
-// RecoverFleetStore: each shard must climb to the archive rung, fetch
-// its checkpoint from the store, and reconstruct every instance.
+// work, then destroys every local checkpoint and recovers each shard
+// through RecoverLadder with its archive store: every shard must climb to
+// the archive rung, fetch its checkpoint from the store, and reconstruct
+// every instance.
 func TestFleetArchiveRoundTrip(t *testing.T) {
 	const n = 16
 	root, arch := t.TempDir(), t.TempDir()
@@ -226,41 +219,31 @@ func TestFleetArchiveRoundTrip(t *testing.T) {
 	if err := e2.RegisterProcess(chainProcess("Chain")); err != nil {
 		t.Fatal(err)
 	}
-	stores := func(shardDir string) wal.Store {
-		st, err := wal.NewDirStore(filepath.Join(arch, shardDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	insts, rungs, err := RecoverFleetStore(e2, root, stores, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inst := range insts {
-		if !inst.Finished() {
-			t.Fatalf("recovered %s not finished", inst.ID())
-		}
-	}
 	// Instances that finished inside an archived checkpoint's cover sit in
 	// its Done list rather than the recovered slice; together they must
 	// account for the whole fleet.
-	done := 0
+	recovered, done := 0, 0
 	for _, dir := range dirs {
-		rung, ok := rungs[filepath.Base(dir)]
-		if !ok {
-			t.Fatalf("no rung reported for %s: %v", dir, rungs)
+		st, err := wal.NewDirStore(filepath.Join(arch, filepath.Base(dir)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rung != wal.SourceArchiveCheckpoint {
-			t.Fatalf("shard %s recovered via %q, want %q", dir, rung, wal.SourceArchiveCheckpoint)
+		insts, h, err := RecoverLadder(e2, wal.Ladder{Path: dir, Store: st}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cp, _, err := wal.LoadCheckpointStore(dir, stores(filepath.Base(dir)))
-		if err != nil || cp == nil {
-			t.Fatalf("shard %s archived checkpoint: %v, %v", dir, cp, err)
+		if h.Rung != wal.SourceArchiveCheckpoint {
+			t.Fatalf("shard %s recovered via %q, want %q", dir, h.Rung, wal.SourceArchiveCheckpoint)
 		}
-		done += len(cp.Done)
+		for _, inst := range insts {
+			if !inst.Finished() {
+				t.Fatalf("recovered %s not finished", inst.ID())
+			}
+		}
+		recovered += len(insts)
+		done += len(h.Done())
 	}
-	if len(insts)+done != n {
-		t.Fatalf("recovered %d + done %d != %d", len(insts), done, n)
+	if recovered+done != n {
+		t.Fatalf("recovered %d + done %d != %d", recovered, done, n)
 	}
 }

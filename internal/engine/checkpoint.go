@@ -9,74 +9,6 @@ import (
 	"repro/internal/wal"
 )
 
-// RecoverFromCheckpoint rebuilds one instance from its checkpointed
-// snapshot records plus the tail records logged after the checkpoint was
-// taken. The snapshot is the instance's compacted history (wal.Compact
-// semantics, produced by wal.BuildCheckpoint), so seeding is the same
-// deterministic re-navigation Recover performs — logged completions are
-// consumed from the replay map without re-invoking programs, and only
-// half-executed activities re-run — but over O(live) records instead of
-// the full history. Compensation ordering is preserved across the
-// snapshot boundary because the compacted records retain every completed
-// iteration's output in causal order.
-func RecoverFromCheckpoint(e *Engine, snapshot, tail []wal.Record, newLog wal.Log) (*Instance, error) {
-	recs := make([]wal.Record, 0, len(snapshot)+len(tail))
-	recs = append(recs, snapshot...)
-	recs = append(recs, tail...)
-	return Recover(e, recs, newLog)
-}
-
-// RecoverAllFromCheckpoint recovers a fleet from a checkpoint plus the
-// replayed tail (the records of segments newer than cp.Cover, e.g. from
-// wal.RepairSegments). Instances live at the checkpoint are seeded from
-// their snapshot records and continued with their tail records; instances
-// created after the checkpoint are recovered from the tail alone;
-// instances in cp.Done finished inside the covered prefix and are not
-// resurrected. A nil cp degrades to RecoverAll over the tail — the bottom
-// rung of the fallback ladder (full replay). newLog, when non-nil,
-// supplies the fresh log for each recovered instance.
-func RecoverAllFromCheckpoint(e *Engine, cp *wal.Checkpoint, tail []wal.Record, newLog func(instanceID string) wal.Log) ([]*Instance, error) {
-	if cp == nil {
-		return RecoverAll(e, tail, newLog)
-	}
-	done := make(map[string]bool, len(cp.Done))
-	for _, id := range cp.Done {
-		done[id] = true
-	}
-	byInst := make(map[string][]wal.Record)
-	var order []string
-	add := func(rec wal.Record) {
-		if _, seen := byInst[rec.Instance]; !seen {
-			order = append(order, rec.Instance)
-		}
-		byInst[rec.Instance] = append(byInst[rec.Instance], rec)
-	}
-	for _, rec := range cp.Records {
-		add(rec)
-	}
-	for _, rec := range tail {
-		if done[rec.Instance] {
-			// A finished instance appends nothing after its RecDone; tail
-			// records here mean the checkpoint and the log disagree.
-			return nil, fmt.Errorf("engine: tail records for instance %s, which the checkpoint marks finished", rec.Instance)
-		}
-		add(rec)
-	}
-	out := make([]*Instance, 0, len(order))
-	for _, id := range order {
-		var log wal.Log
-		if newLog != nil {
-			log = newLog(id)
-		}
-		inst, err := Recover(e, byInst[id], log)
-		if err != nil {
-			return out, fmt.Errorf("engine: recovering %s from checkpoint: %w", id, err)
-		}
-		out = append(out, inst)
-	}
-	return out, nil
-}
-
 // Checkpointer periodically folds a SegmentedLog's sealed segments into
 // checkpoints and prunes what they make redundant. Each pass: optionally
 // rotate when the active segment has accumulated enough records

@@ -75,7 +75,7 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 
 		// Path A: full replay of the interleaved history.
 		eA, _ := newRecoveryEngine(t)
-		instsA, err := RecoverAll(eA, merged, nil)
+		instsA, err := RecoverAllFromCheckpoint(eA, nil, merged, nil)
 		if err != nil {
 			t.Fatalf("seed %d: full replay: %v", seed, err)
 		}
@@ -133,31 +133,6 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: checkpoint recovery diverges for %s (k=%d):\n%+v\nvs\n%+v",
 					seed, id, k, got, want)
 			}
-		}
-	}
-}
-
-// TestRecoverAllFromCheckpointNil: a nil checkpoint is the full-replay
-// rung of the ladder.
-func TestRecoverAllFromCheckpointNil(t *testing.T) {
-	_, merged := genFleetHistory(t, rand.New(rand.NewSource(1)), 3)
-	eA, _ := newRecoveryEngine(t)
-	instsA, err := RecoverAll(eA, merged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eB, _ := newRecoveryEngine(t)
-	instsB, err := RecoverAllFromCheckpoint(eB, nil, merged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(instsA) != len(instsB) {
-		t.Fatalf("recovered %d vs %d", len(instsA), len(instsB))
-	}
-	snapA := snapshotsByID(instsA)
-	for id, got := range snapshotsByID(instsB) {
-		if !got.Equal(snapA[id]) {
-			t.Fatalf("%s diverges", id)
 		}
 	}
 }
@@ -221,19 +196,12 @@ func TestCheckpointerRetention(t *testing.T) {
 		}
 	}
 
-	cp, err := wal.LoadCheckpoint(dir)
-	if err != nil || cp == nil {
-		t.Fatalf("load: %v", err)
-	}
-	tail, _, err := wal.RepairSegments(dir, cp.Cover)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2, _ := newRecoveryEngine(t)
-	insts, err := RecoverAllFromCheckpoint(e2, cp, tail, nil)
-	if err != nil {
-		t.Fatal(err)
+	insts, h, err := RecoverLadder(e2, wal.Ladder{Path: dir}, nil)
+	if err != nil || h.Checkpoint == nil {
+		t.Fatalf("ladder recovery: %+v err=%v", h, err)
 	}
+	cp := h.Checkpoint
 	// Every instance is accounted for: finished ones either in Done (their
 	// RecDone fell inside the covered prefix) or recovered to completion
 	// from snapshot + tail; the crashed one is re-seeded and finishes with
@@ -260,7 +228,7 @@ func TestCheckpointerRetention(t *testing.T) {
 	if !foundCrashed {
 		t.Fatal("crashed instance not recovered")
 	}
-	replayed := len(cp.Records) + len(tail)
+	replayed := h.Len()
 	full := 6 * 11 // six instances, eleven records each in a clean history
 	if replayed*2 > full {
 		t.Fatalf("checkpointed recovery replayed %d records; full history is ~%d", replayed, full)
@@ -291,21 +259,13 @@ func TestCheckpointerBackground(t *testing.T) {
 	if err := gl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := wal.LoadCheckpoint(dir)
-	if err != nil || cp == nil {
-		t.Fatalf("no checkpoint after Stop: %v", err)
-	}
-	tail, _, err := wal.RepairSegments(dir, cp.Cover)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2, _ := newRecoveryEngine(t)
-	insts, err := RecoverAllFromCheckpoint(e2, cp, tail, nil)
-	if err != nil {
-		t.Fatal(err)
+	insts, h, err := RecoverLadder(e2, wal.Ladder{Path: dir}, nil)
+	if err != nil || h.Checkpoint == nil {
+		t.Fatalf("no checkpoint after Stop: %+v err=%v", h, err)
 	}
-	if len(insts)+len(cp.Done) != 12 {
-		t.Fatalf("recovered %d + done %d != 12", len(insts), len(cp.Done))
+	if len(insts)+len(h.Done()) != 12 {
+		t.Fatalf("recovered %d + done %d != 12", len(insts), len(h.Done()))
 	}
 	for _, inst := range insts {
 		if !inst.Finished() {
@@ -454,16 +414,12 @@ func TestCheckpointRotationBoundary(t *testing.T) {
 	if err := slog.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err = wal.LoadCheckpoint(dir)
-	if err != nil || cp == nil {
-		t.Fatal(err)
-	}
-	tail, _, err := wal.RepairSegments(dir, cp.Cover)
-	if err != nil {
-		t.Fatal(err)
+	h, err := wal.Ladder{Path: dir}.Recover()
+	if err != nil || h.Checkpoint == nil {
+		t.Fatalf("ladder walk: %+v err=%v", h, err)
 	}
 	seen := make(map[string]int)
-	for _, r := range append(append([]wal.Record{}, cp.Records...), tail...) {
+	for _, r := range append(append([]wal.Record{}, h.Checkpoint.Records...), h.Tail...) {
 		key := string(r.Type) + "/" + r.Path
 		seen[key]++
 	}

@@ -165,7 +165,7 @@ type FleetOptions struct {
 	// Log is the shared navigation log for the whole fleet — typically a
 	// *wal.GroupCommitLog so concurrent instances share fsyncs. nil gives
 	// each instance its own in-memory log. A shared on-disk log
-	// interleaves instances; RecoverAll demultiplexes it.
+	// interleaves instances; RecoverAllFromCheckpoint demultiplexes it.
 	Log wal.Log
 	// MaxQueue bounds the admission queue beyond the Parallel worker
 	// slots (0 = no queue). Without Shed a full queue blocks admission

@@ -112,7 +112,7 @@ func TestRunFleetValidation(t *testing.T) {
 
 // TestRunFleetSharedGroupCommitLog runs a fleet over one shared
 // group-commit log (the production shape) and then recovers every
-// instance from the interleaved file with RecoverAll — the full
+// instance from the interleaved file (full-replay rung) — the full
 // round trip: fleet → shared WAL → crash → demultiplex → replay.
 func TestRunFleetSharedGroupCommitLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.wal")
@@ -153,7 +153,7 @@ func TestRunFleetSharedGroupCommitLog(t *testing.T) {
 	if err := e2.RegisterProcess(chainProcess("Chain")); err != nil {
 		t.Fatal(err)
 	}
-	insts, err := RecoverAll(e2, records, nil)
+	insts, err := RecoverAllFromCheckpoint(e2, nil, records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +176,10 @@ func TestRecoverAllErrors(t *testing.T) {
 	records := []wal.Record{
 		{Type: wal.RecStartedActivity, Instance: "i1", Path: "A"},
 	}
-	if _, err := RecoverAll(e, records, nil); err == nil {
+	if _, err := RecoverAllFromCheckpoint(e, nil, records, nil); err == nil {
 		t.Fatal("headless instance subsequence accepted")
 	}
-	if _, err := RecoverAll(e, []wal.Record{{Type: wal.RecCreated}}, nil); err == nil {
+	if _, err := RecoverAllFromCheckpoint(e, nil, []wal.Record{{Type: wal.RecCreated}}, nil); err == nil {
 		t.Fatal("record without instance ID accepted")
 	}
 }

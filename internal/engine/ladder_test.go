@@ -1,0 +1,353 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/wal"
+)
+
+// ladderRow is one scenario of the recovery-ladder table: how the log is
+// written, what is done to it after the crash, and what a walk of the
+// ladder must then report. Every scenario writes the same history: four
+// "Rec" instances run to completion and a fifth crashes after three
+// records with half a record torn on disk.
+type ladderRow struct {
+	name    string
+	file    bool // a single log file instead of a segment directory
+	shards  int  // > 0: a sharded root, the history written once per shard
+	passes  int  // a checkpoint pass after each of the first passes instances
+	archive bool // archiver attached; every sealed segment archived before the crash
+	// damage is applied to each log directory after the crash (arch is its
+	// archive directory, "" without one).
+	damage func(t *testing.T, dir, arch string)
+
+	rung string // rung every walk must report
+	read int    // records a walk reads, checkpoint plus tail, per log
+	done int    // instances the chosen checkpoint already marks finished, per log
+}
+
+const (
+	ladderInstances = 5  // per log; the last one crashes
+	ladderRecords   = 11 // records of one finished "Rec" instance
+	ladderCrashAt   = 3  // records the crashed instance got to disk
+)
+
+func ladderRows() []ladderRow {
+	const whole = (ladderInstances-1)*ladderRecords + ladderCrashAt
+	return []ladderRow{
+		{name: "single file", file: true, rung: wal.SourceFullReplay, read: whole},
+		{name: "segment dir without checkpoint", rung: wal.SourceFullReplay, read: whole},
+		{name: "newest checkpoint", passes: 3, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+		{name: "damaged newest -> previous", passes: 3, damage: damageNewestCheckpoint,
+			rung: wal.SourcePreviousCheckpoint, read: 25, done: 2},
+		{name: "every checkpoint damaged -> full replay", passes: 1, damage: damageNewestCheckpoint,
+			rung: wal.SourceFullReplay, read: whole},
+		{name: "leftover .tmp", passes: 3, damage: func(t *testing.T, dir, _ string) {
+			writeFile(t, filepath.Join(dir, "ckpt-999999.ckpt.tmp"), []byte("garbage"))
+		}, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+		{name: "archive checkpoint", passes: 3, archive: true, damage: func(t *testing.T, dir, _ string) {
+			cps, err := wal.ListCheckpoints(dir)
+			if err != nil || len(cps) == 0 {
+				t.Fatalf("checkpoints: %v err=%v", cps, err)
+			}
+			for _, ci := range cps {
+				if err := os.Remove(ci.Path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, rung: wal.SourceArchiveCheckpoint, read: 22, done: 2},
+		{name: "archived-only segment", passes: 3, archive: true, damage: func(t *testing.T, dir, arch string) {
+			if err := os.Remove(archivedTailSegment(t, dir, arch)); err != nil {
+				t.Fatal(err)
+			}
+		}, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+		{name: "torn local segment replaced from archive", passes: 3, archive: true, damage: func(t *testing.T, dir, arch string) {
+			path := archivedTailSegment(t, dir, arch)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, path, data[:len(data)-len(data)/4])
+		}, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+		{name: "sharded root", shards: 2, passes: 3, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+	}
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// damageNewestCheckpoint tears the newest checkpoint file in half.
+func damageNewestCheckpoint(t *testing.T, dir, _ string) {
+	t.Helper()
+	cps, err := wal.ListCheckpoints(dir)
+	if err != nil || len(cps) == 0 {
+		t.Fatalf("checkpoints: %v err=%v", cps, err)
+	}
+	path := cps[len(cps)-1].Path
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, path, data[:len(data)/2])
+}
+
+// archivedTailSegment returns the local path of the first sealed segment
+// past the newest checkpoint's cover that the archive also holds.
+func archivedTailSegment(t *testing.T, dir, arch string) string {
+	t.Helper()
+	cp, err := wal.LoadCheckpoint(dir)
+	if err != nil || cp == nil {
+		t.Fatalf("newest checkpoint: %v err=%v", cp, err)
+	}
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		if _, err := os.Stat(filepath.Join(arch, filepath.Base(s.Path))); err == nil && s.Index > cp.Cover {
+			return s.Path
+		}
+	}
+	t.Fatalf("no archived segment past cover %d in %s", cp.Cover, dir)
+	return ""
+}
+
+// writeLadderLog is the create → write → crash half of a row for one log:
+// it returns the ladder that names what was left behind.
+func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix string) wal.Ladder {
+	t.Helper()
+	e, _ := newRecoveryEngine(t)
+	run := func(i int, log wal.Log) error {
+		inst, err := e.CreateInstanceID("Rec", fmt.Sprintf("%sw-%d", prefix, i), nil, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.Start()
+	}
+	crash := func(log wal.Log) {
+		if err := run(ladderInstances-1, log); !errors.Is(err, wal.ErrCrash) {
+			t.Fatalf("want injected crash, got %v", err)
+		}
+	}
+	if row.file {
+		path := filepath.Join(dir, "run.wal")
+		flog, err := wal.OpenFileLog(path, wal.WithFormat(format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ladderInstances-1; i++ {
+			if err := run(i, flog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crash(wal.NewFaultLog(flog, ladderCrashAt, true))
+		if err := flog.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return wal.Ladder{Path: path}
+	}
+
+	slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(format))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := wal.Ladder{Path: dir}
+	ckopts := []CheckpointerOption{CheckpointEveryRecords(4)}
+	var arch *wal.Archiver
+	if row.archive {
+		st, err := wal.NewDirStore(dir + ".arch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch = wal.NewArchiver(st, wal.ArchiveBackoff(time.Millisecond, 4*time.Millisecond),
+			wal.ArchiveMetricsRegistry(obs.NewRegistry()))
+		arch.Start()
+		defer arch.Stop()
+		ckopts = append(ckopts, CheckpointArchive(arch))
+		l.Store = st
+	}
+	ck := NewCheckpointer(slog, ckopts...)
+	for i := 0; i < ladderInstances-1; i++ {
+		if err := run(i, slog); err != nil {
+			t.Fatal(err)
+		}
+		if i < row.passes {
+			if err := ck.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if arch != nil {
+		// The segments sealed since the last pass are the checkpoint's tail:
+		// archive them too, as the next pass would have.
+		for _, s := range slog.SealedSegments() {
+			arch.Enqueue(s.Path)
+		}
+		if !arch.Drain(5 * time.Second) {
+			t.Fatal("archiver did not drain")
+		}
+	}
+	crash(wal.NewSegmentedFaultLog(slog, ladderCrashAt, true))
+	if err := slog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// readTree maps every file under root to its content.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestLadderTable is the one table behind every way of reopening a log:
+// create → write → crash → (damage) → reopen through the ladder → compare
+// with the crash-free run, for every row × {text, binary} × {the
+// recovering walk, the non-mutating walk}. Each cell asserts the rung, the
+// records read, the torn tail, and that every instance is either marked
+// finished by the checkpoint or recovered to the crash-free trail, output
+// and snapshot; the non-mutating walk must in addition leave every file
+// byte-identical and wal.recovery.* untouched.
+func TestLadderTable(t *testing.T) {
+	// The crash-free run: every instance has the same trail and output.
+	wantTrail := fmt.Sprint(baselineTrail(t))
+	ref, _ := newRecoveryEngine(t)
+	refInst, err := ref.CreateInstanceID("Rec", "ref", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refInst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := refInst.Snapshot()
+
+	repairs := obs.Default.Counter("wal.recovery.repairs")
+	repaired := obs.Default.Counter("wal.recovery.records")
+	for _, row := range ladderRows() {
+		for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
+			for _, mutate := range []bool{true, false} {
+				walk := map[bool]string{true: "recover", false: "read"}[mutate]
+				t.Run(fmt.Sprintf("%s/%s/%s", row.name, format, walk), func(t *testing.T) {
+					root := t.TempDir()
+					var ladders []wal.Ladder
+					if row.shards == 0 {
+						dir := filepath.Join(root, "log")
+						if err := os.MkdirAll(dir, 0o755); err != nil {
+							t.Fatal(err)
+						}
+						ladders = append(ladders, writeLadderLog(t, row, format, dir, ""))
+					}
+					for s := 0; s < row.shards; s++ {
+						writeLadderLog(t, row, format, filepath.Join(root, ShardDirName(s)), fmt.Sprintf("s%d-", s))
+					}
+					if row.shards > 0 {
+						// A stray copy beside the shards must not become a shard.
+						if err := os.MkdirAll(filepath.Join(root, "shard-00.bak"), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						dirs, err := ShardDirs(root)
+						if err != nil || len(dirs) != row.shards {
+							t.Fatalf("ShardDirs = %v err=%v", dirs, err)
+						}
+						for _, dir := range dirs {
+							ladders = append(ladders, wal.Ladder{Path: dir})
+						}
+					}
+					if row.damage != nil {
+						for _, l := range ladders {
+							row.damage(t, l.Path, l.Path+".arch")
+						}
+					}
+
+					before := readTree(t, root)
+					repairs0, repaired0 := repairs.Value(), repaired.Value()
+					e, _ := newRecoveryEngine(t)
+					var insts []*Instance
+					for _, l := range ladders {
+						var h *wal.History
+						var got []*Instance
+						var err error
+						if mutate {
+							got, h, err = RecoverLadder(e, l, nil)
+						} else if h, err = l.Read(); err == nil {
+							got, err = RecoverAllFromCheckpoint(e, h.Checkpoint, h.Tail, nil)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", l.Path, err)
+						}
+						if h.Rung != row.rung || h.Len() != row.read || len(h.Done()) != row.done {
+							t.Fatalf("%s: rung %q read %d done %d, want %q %d %d",
+								l.Path, h.Rung, h.Len(), len(h.Done()), row.rung, row.read, row.done)
+						}
+						if h.Torn == 0 {
+							t.Fatalf("%s: the crash's torn record went unnoticed", l.Path)
+						}
+						if len(got)+row.done != ladderInstances {
+							t.Fatalf("%s: recovered %d + done %d != %d", l.Path, len(got), row.done, ladderInstances)
+						}
+						insts = append(insts, got...)
+					}
+					for _, inst := range insts {
+						snap := inst.Snapshot()
+						snap.ID = wantSnap.ID
+						if !inst.Finished() || fmt.Sprint(trailStrings(inst)) != wantTrail ||
+							!inst.Output().Equal(refInst.Output()) || !snap.Equal(wantSnap) {
+							t.Fatalf("%s diverges from the crash-free run:\n%v\nwant\n%v", inst.ID(), trailStrings(inst), wantTrail)
+						}
+					}
+
+					if !mutate {
+						if after := readTree(t, root); !reflect.DeepEqual(before, after) {
+							t.Fatal("the non-mutating walk changed a file")
+						}
+						if repairs.Value() != repairs0 || repaired.Value() != repaired0 {
+							t.Fatal("the non-mutating walk moved wal.recovery.*")
+						}
+						return
+					}
+					// The recovering walk left a log that is clean to reopen.
+					for _, l := range ladders {
+						if h, err := l.Read(); err != nil || h.Torn != 0 || h.Len() != row.read {
+							t.Fatalf("%s after recovery: %+v err=%v", l.Path, h, err)
+						}
+					}
+					if row.shards > 0 {
+						e2, _ := newRecoveryEngine(t)
+						fleet, err := RecoverFleet(e2, root, nil)
+						if err != nil || len(fleet) != len(insts) {
+							t.Fatalf("RecoverFleet: %d instances err=%v, want %d", len(fleet), err, len(insts))
+						}
+						for i := range fleet {
+							if fleet[i].ID() != insts[i].ID() || !fleet[i].Snapshot().Equal(insts[i].Snapshot()) {
+								t.Fatalf("RecoverFleet[%d] = %s, per-shard recovery gave %s", i, fleet[i].ID(), insts[i].ID())
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

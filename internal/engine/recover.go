@@ -65,28 +65,51 @@ func Recover(e *Engine, records []wal.Record, newLog wal.Log) (*Instance, error)
 	return inst, nil
 }
 
-// RecoverAll recovers every instance found in a log that interleaves
-// records from a whole fleet — what a shared GroupCommitLog leaves
-// behind. The records are demultiplexed by instance ID (each instance
-// appends sequentially, so its subsequence is causally ordered and
-// begins with its RecCreated record even though the fleet's records
-// interleave) and each instance is recovered in order of first
-// appearance via Recover. newLog, when non-nil, supplies the fresh log
-// for each recovered instance (nil gives each an in-memory log).
+// RecoverAllFromCheckpoint recovers every instance of one log from what a
+// walk of its recovery ladder found: a checkpoint plus the records logged
+// after its cover (wal.History). The log interleaves records from a whole
+// fleet — what a shared GroupCommitLog leaves behind — so they are
+// demultiplexed by instance ID: each instance appends sequentially, so its
+// subsequence is causally ordered even though the fleet's records
+// interleave. Instances live at the checkpoint are seeded from their
+// snapshot records (their compacted history, wal.Compact semantics, so
+// seeding is the same deterministic re-navigation over O(live) records)
+// and continued with their tail records; instances created after the
+// checkpoint are recovered from the tail alone; instances in cp.Done
+// finished inside the covered prefix and are not resurrected. A nil cp is
+// the full-replay rung: tail is the whole log. Each instance is recovered
+// with Recover in order of first appearance; newLog, when non-nil,
+// supplies its fresh log (nil gives each an in-memory log).
 //
 // Recovery stops at the first instance that fails to recover, returning
 // the instances recovered so far alongside the error.
-func RecoverAll(e *Engine, records []wal.Record, newLog func(instanceID string) wal.Log) ([]*Instance, error) {
+func RecoverAllFromCheckpoint(e *Engine, cp *wal.Checkpoint, tail []wal.Record, newLog func(instanceID string) wal.Log) ([]*Instance, error) {
+	var done map[string]bool
+	var live []wal.Record
+	if cp != nil {
+		live = cp.Records
+		done = make(map[string]bool, len(cp.Done))
+		for _, id := range cp.Done {
+			done[id] = true
+		}
+	}
 	byInst := make(map[string][]wal.Record)
 	var order []string
-	for _, rec := range records {
-		if rec.Instance == "" {
-			return nil, errors.New("engine: record without an instance ID")
+	for _, recs := range [2][]wal.Record{live, tail} {
+		for _, rec := range recs {
+			if rec.Instance == "" {
+				return nil, errors.New("engine: record without an instance ID")
+			}
+			if done[rec.Instance] {
+				// A finished instance appends nothing after its RecDone; tail
+				// records here mean the checkpoint and the log disagree.
+				return nil, fmt.Errorf("engine: tail records for instance %s, which the checkpoint marks finished", rec.Instance)
+			}
+			if _, seen := byInst[rec.Instance]; !seen {
+				order = append(order, rec.Instance)
+			}
+			byInst[rec.Instance] = append(byInst[rec.Instance], rec)
 		}
-		if _, seen := byInst[rec.Instance]; !seen {
-			order = append(order, rec.Instance)
-		}
-		byInst[rec.Instance] = append(byInst[rec.Instance], rec)
 	}
 	out := make([]*Instance, 0, len(order))
 	for _, id := range order {
@@ -101,4 +124,20 @@ func RecoverAll(e *Engine, records []wal.Record, newLog func(instanceID string) 
 		out = append(out, inst)
 	}
 	return out, nil
+}
+
+// RecoverLadder recovers every instance of one log — a single log file, a
+// segment directory or one shard directory of a fleet — by walking its
+// recovery ladder (wal.Ladder.Recover: best checkpoint rung, archived
+// blobs when the ladder has a store, torn tail truncated) and handing
+// what the walk found to RecoverAllFromCheckpoint. It returns the walk
+// too, so callers can report the rung, the torn bytes and the instances
+// the checkpoint already marks finished.
+func RecoverLadder(e *Engine, l wal.Ladder, newLog func(instanceID string) wal.Log) ([]*Instance, *wal.History, error) {
+	h, err := l.Recover()
+	if err != nil {
+		return nil, nil, err
+	}
+	insts, err := RecoverAllFromCheckpoint(e, h.Checkpoint, h.Tail, newLog)
+	return insts, h, err
 }

@@ -56,8 +56,9 @@ func jumpHash(key uint64, buckets int) int {
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 
 // ShardDirs lists the shard-NN subdirectories of a fleet root in shard
-// order. An empty result with a nil error means root holds no shard
-// layout.
+// order. Only a directory named exactly ShardDirName(i) for some i counts:
+// a backup copy such as shard-00.bak is not a second shard. An empty
+// result with a nil error means root holds no shard layout.
 func ShardDirs(root string) ([]string, error) {
 	ents, err := os.ReadDir(root)
 	if err != nil {
@@ -69,7 +70,7 @@ func ShardDirs(root string) ([]string, error) {
 		if !ent.IsDir() {
 			continue
 		}
-		if n, err := fmt.Sscanf(ent.Name(), "shard-%02d", &i); n != 1 || err != nil {
+		if n, err := fmt.Sscanf(ent.Name(), "shard-%d", &i); n != 1 || err != nil || i < 0 || ent.Name() != ShardDirName(i) {
 			continue
 		}
 		dirs = append(dirs, filepath.Join(root, ent.Name()))
@@ -594,64 +595,30 @@ func (f *Fleet) Stats() FleetStats {
 // directory. Each shard-NN subdirectory is an independent recovery unit
 // — placement happens before instance creation, so an instance's
 // records live wholly inside one shard — and recovery walks the shards
-// in index order, climbing the same ladder per shard as single-log
-// recovery: newest readable checkpoint (none → full replay),
-// RepairSegments over the tail, RecoverAllFromCheckpoint. The
-// concatenation reproduces exactly what RecoverAll over one shared log
-// would have produced, modulo instance order across shards (shard
-// index, then first appearance within the shard).
+// in index order, one RecoverLadder per shard directory (checkpoints are
+// co-located with the segments). The concatenation reproduces exactly
+// what recovering one shared log would have produced, modulo instance
+// order across shards (shard index, then first appearance within the
+// shard).
 //
 // newLog, when non-nil, supplies the fresh log each recovered instance
 // writes. Recovery stops at the first shard that fails, returning the
 // instances recovered so far alongside the error.
 func RecoverFleet(e *Engine, root string, newLog func(instanceID string) wal.Log) ([]*Instance, error) {
-	insts, _, err := RecoverFleetStore(e, root, nil, newLog)
-	return insts, err
-}
-
-// RecoverFleetStore is RecoverFleet with the archive rung: store, when
-// non-nil, supplies each shard's archive backend (keyed by the shard
-// directory's base name, e.g. "shard-00"), and the per-shard ladder
-// extends to fetching a checkpoint or sealed segment from the archive
-// when the local copy is missing or damaged — every fetched blob is
-// CRC-verified, and a miss or corrupt blob falls through to the next
-// rung exactly like local damage. The returned map reports, per shard
-// directory, which ladder rung satisfied that shard's checkpoint load
-// (wal.SourceNewestCheckpoint … wal.SourceFullReplay) — wfrun -resume
-// surfaces it in its summary line.
-func RecoverFleetStore(e *Engine, root string, store func(shardDir string) wal.Store, newLog func(instanceID string) wal.Log) ([]*Instance, map[string]string, error) {
 	dirs, err := ShardDirs(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(dirs) == 0 {
-		return nil, nil, fmt.Errorf("engine: no shard-NN directories under %s", root)
+		return nil, fmt.Errorf("engine: no shard-NN directories under %s", root)
 	}
-	rungs := make(map[string]string, len(dirs))
 	var out []*Instance
 	for _, dir := range dirs {
-		var st wal.Store
-		if store != nil {
-			st = store(filepath.Base(dir))
-		}
-		cp, src, err := wal.LoadCheckpointStore(dir, st)
-		if err != nil {
-			return out, rungs, fmt.Errorf("engine: shard %s checkpoint: %w", dir, err)
-		}
-		rungs[filepath.Base(dir)] = src
-		cover := 0
-		if cp != nil {
-			cover = cp.Cover
-		}
-		tail, _, err := wal.RepairSegmentsStore(dir, cover, st)
-		if err != nil {
-			return out, rungs, fmt.Errorf("engine: shard %s repair: %w", dir, err)
-		}
-		insts, err := RecoverAllFromCheckpoint(e, cp, tail, newLog)
+		insts, _, err := RecoverLadder(e, wal.Ladder{Path: dir}, newLog)
 		out = append(out, insts...)
 		if err != nil {
-			return out, rungs, fmt.Errorf("engine: recovering shard %s: %w", dir, err)
+			return out, fmt.Errorf("engine: recovering shard %s: %w", dir, err)
 		}
 	}
-	return out, rungs, nil
+	return out, nil
 }

@@ -59,9 +59,13 @@ func TestShardDirNaming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Non-shard entries are ignored.
-	if err := os.MkdirAll(filepath.Join(root, "ckpt"), 0o755); err != nil {
-		t.Fatal(err)
+	// Non-shard entries are ignored — including names that merely start
+	// like a shard: an operator's backup copy recovered as a second shard
+	// would duplicate every instance in it.
+	for _, stray := range []string{"ckpt", "shard-00.bak", "shard-1x", "shard-007"} {
+		if err := os.MkdirAll(filepath.Join(root, stray), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dirs, err := ShardDirs(root)
 	if err != nil {
@@ -172,15 +176,11 @@ func TestRecoverFleetMatchesSingleLogRecovery(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := wal.ReadSegments(dirA, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2 := newTestEngine(t)
 	if err := e2.RegisterProcess(chainProcess("Chain")); err != nil {
 		t.Fatal(err)
 	}
-	single, err := RecoverAll(e2, recs, nil)
+	single, _, err := RecoverLadder(e2, wal.Ladder{Path: dirA}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

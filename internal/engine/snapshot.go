@@ -23,7 +23,7 @@ type ActivitySnapshot struct {
 // recovery — whether by full replay or seeded from a checkpoint — must
 // reproduce the snapshot a crash-free run reaches (restore is implemented
 // as deterministic re-navigation over compacted records, see
-// RecoverFromCheckpoint; the property tests and the E9 soak assert
+// RecoverAllFromCheckpoint; the property tests and the E9 soak assert
 // snapshot equality across every recovery path).
 type InstanceSnapshot struct {
 	ID      string

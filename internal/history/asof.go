@@ -3,8 +3,6 @@ package history
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/wal"
@@ -58,157 +56,77 @@ func filterInstance(records []wal.Record, id string) []wal.Record {
 	return out
 }
 
-// demuxLive splits a checkpoint's compacted live-instance records by
-// instance.
-func demuxLive(records []wal.Record) map[string][]wal.Record {
-	m := make(map[string][]wal.Record)
-	for _, r := range records {
-		m[r.Instance] = append(m[r.Instance], r)
-	}
-	return m
-}
-
-// shardDirs lists shard-NN subdirectories of root, or nil when root is
-// not a sharded fleet layout.
-func shardDirs(root string) []string {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return nil
-	}
-	var dirs []string
-	for _, e := range entries {
-		if e.IsDir() {
-			var n int
-			if _, err := fmt.Sscanf(e.Name(), "shard-%02d", &n); err == nil {
-				dirs = append(dirs, filepath.Join(root, e.Name()))
-			}
-		}
-	}
-	sort.Strings(dirs)
-	return dirs
-}
-
-// Records returns the WAL records needed to replay instance id, walking
-// the same recovery ladder as wfrun -resume: the newest usable
-// checkpoint's compacted records plus the repaired segment tail when the
-// instance is live in it, the full (repaired) history otherwise — or
-// always, with Full set. Sharded roots are probed shard by shard through
-// their bounded views first, so locating one instance in a fleet never
-// costs a fleet-wide scan while a checkpoint covers it.
+// Records returns the WAL records needed to replay instance id, through
+// the same recovery ladder as wfrun -resume (wal.Ladder) but its
+// non-mutating walk — a query never truncates or repairs the log it
+// reads, so it is safe against a crashed run's evidence and a live run's
+// files alike. The bounded view comes first: the best checkpoint's
+// compacted records plus the segment tail when the instance is live in
+// it; the full history otherwise — or at once, with Full set on an
+// unsharded source. Sharded roots are probed shard by shard through their
+// bounded views before any full scan, so locating one instance in a fleet
+// never costs a fleet-wide scan while a checkpoint covers it.
 func (s *Source) Records(id string) ([]wal.Record, *Stats, error) {
 	fi, err := os.Stat(s.WAL)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !fi.IsDir() {
-		// Single log file: there is no checkpoint to bound the read, so
-		// full history is the only rung. Tolerant read: a torn tail from
-		// a crashed run must not block post-mortem queries.
-		all, _, err := wal.ReadFileTolerant(s.WAL)
+	ladders := []wal.Ladder{{Path: s.WAL, Checkpoints: s.Checkpoint}}
+	st, full, where := &Stats{}, s.Full, s.WAL
+	if fi.IsDir() {
+		shards, err := engine.ShardDirs(s.WAL)
 		if err != nil {
 			return nil, nil, err
 		}
-		recs := filterInstance(all, id)
-		st := &Stats{Rung: wal.SourceFullReplay, RecordsRead: len(all), RecordsReplayed: len(recs)}
-		if len(recs) == 0 {
-			return nil, st, fmt.Errorf("history: instance %s not found in %s", id, s.WAL)
+		if len(shards) > 0 {
+			st.Shards, full, where = len(shards), false, "any shard under "+s.WAL
+			ladders = nil
+			for _, dir := range shards {
+				ladders = append(ladders, wal.Ladder{Path: dir})
+			}
 		}
-		return recs, st, nil
 	}
-	if shards := shardDirs(s.WAL); len(shards) > 0 {
-		st := &Stats{Shards: len(shards)}
-		// Bounded pass over every shard first; only then full scans.
-		for _, dir := range shards {
-			recs, dst, found, err := s.fromDir(dir, dir, id, false)
+	for {
+		for _, l := range ladders {
+			l.Full = full
+			h, err := l.Read()
 			if err != nil {
 				return nil, st, err
 			}
-			st.RecordsRead += dst.RecordsRead
-			if found {
-				st.Rung, st.RecordsReplayed = dst.Rung, dst.RecordsReplayed
+			st.Rung = h.Rung
+			st.RecordsRead += h.Len()
+			if recs := located(h, id); len(recs) > 0 {
+				st.RecordsReplayed = len(recs)
 				return recs, st, nil
 			}
 		}
-		for _, dir := range shards {
-			recs, dst, found, err := s.fromDir(dir, dir, id, true)
-			if err != nil {
-				return nil, st, err
-			}
-			st.RecordsRead += dst.RecordsRead
-			if found {
-				st.Rung, st.RecordsReplayed = dst.Rung, dst.RecordsReplayed
-				return recs, st, nil
-			}
+		if full {
+			return nil, st, fmt.Errorf("history: instance %s not found in %s", id, where)
 		}
-		return nil, st, fmt.Errorf("history: instance %s not found in any shard under %s", id, s.WAL)
-	}
-	ckpt := s.Checkpoint
-	if ckpt == "" {
-		ckpt = s.WAL // co-located (fleet shard layout, E9 soak layout)
-	}
-	recs, st, found, err := s.fromDir(s.WAL, ckpt, id, s.Full)
-	if err != nil {
-		return nil, st, err
-	}
-	if !found && !s.Full {
-		recs, st, found, err = s.fromDir(s.WAL, ckpt, id, true)
-		if err != nil {
-			return nil, st, err
+		full = true
+		if st.Shards == 0 {
+			st.RecordsRead = 0 // an unsharded source reports its last walk only
 		}
 	}
-	if !found {
-		return nil, st, fmt.Errorf("history: instance %s not found in %s", id, s.WAL)
-	}
-	return recs, st, nil
 }
 
-// fromDir resolves one segment directory (checkpoints in ckptDir). With
-// full set — or when no usable checkpoint exists — it reads everything;
-// otherwise it loads the newest checkpoint and the post-cover tail, and
-// reports found only if the instance is live in that bounded view (a
-// Done instance's compacted records are gone from the checkpoint, so
-// intermediate states need the full-history rung).
-func (s *Source) fromDir(segDir, ckptDir, id string, full bool) ([]wal.Record, *Stats, bool, error) {
-	st := &Stats{}
-	if !full {
-		cp, rung, err := wal.LoadCheckpointStore(ckptDir, nil)
-		if err != nil {
-			return nil, st, false, err
-		}
-		if cp != nil {
-			tail, _, err := wal.RepairSegments(segDir, cp.Cover)
-			if err != nil {
-				return nil, st, false, err
-			}
-			st.Rung = rung
-			st.RecordsRead = len(cp.Records) + len(tail)
-			live := demuxLive(cp.Records)[id]
-			tailRecs := filterInstance(tail, id)
-			switch {
-			case len(live) > 0:
-				recs := append(append([]wal.Record{}, live...), tailRecs...)
-				st.RecordsReplayed = len(recs)
-				return recs, st, true, nil
-			case len(tailRecs) > 0 && tailRecs[0].Type == wal.RecCreated:
-				// Born after the checkpoint's cover: the tail is complete.
-				st.RecordsReplayed = len(tailRecs)
-				return tailRecs, st, true, nil
-			default:
-				// Done before the checkpoint (or unknown): needs the full rung.
-				return nil, st, false, nil
-			}
-		}
-		// No usable checkpoint: fall through to full replay.
+// located returns instance id's replayable records in one walk's view, or
+// nil when the view cannot replay it: on a checkpoint rung an instance
+// that finished inside the cover has lost its compacted records (its
+// intermediate states need the full history), and one the view has never
+// seen is simply elsewhere.
+func located(h *wal.History, id string) []wal.Record {
+	tail := filterInstance(h.Tail, id)
+	if h.Checkpoint == nil {
+		return tail
 	}
-	all, _, err := wal.RepairSegments(segDir, 0)
-	if err != nil {
-		return nil, st, false, err
+	if live := filterInstance(h.Checkpoint.Records, id); len(live) > 0 {
+		return append(live, tail...)
 	}
-	st.Rung = wal.SourceFullReplay
-	st.RecordsRead = len(all)
-	recs := filterInstance(all, id)
-	st.RecordsReplayed = len(recs)
-	return recs, st, len(recs) > 0, nil
+	if len(tail) > 0 && tail[0].Type == wal.RecCreated {
+		return tail // born after the checkpoint's cover: the tail is complete
+	}
+	return nil
 }
 
 // Builder constructs a fresh engine with the run's programs and process

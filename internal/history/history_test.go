@@ -1,6 +1,7 @@
 package history
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -297,5 +298,84 @@ func TestSourceCheckpointLadder(t *testing.T) {
 	// Unknown instances are an error.
 	if _, _, err := src.Records("wf-nope"); err == nil {
 		t.Fatal("unknown instance accepted")
+	}
+}
+
+// hashTree maps every file under root to its content.
+func hashTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestQueryLeavesTheWALAlone: a query must not write. Each shard of a
+// 2-shard root holds a finished instance and one that crashed with a torn
+// record on disk; StateAt answers for all four — through the bounded view
+// and the full scan — and every file under the root is byte-identical
+// afterwards, so the crashed run's evidence (and a live run's active
+// segment) survives being asked about. Recovery, not the query, truncates.
+func TestQueryLeavesTheWALAlone(t *testing.T) {
+	root := t.TempDir()
+	for s := 0; s < 2; s++ {
+		dir := filepath.Join(root, engine.ShardDirName(s))
+		seg, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runChain(t, "done-"+engine.ShardDirName(s), seg, engine.WithMetrics(obs.NewRegistry()))
+		if err := engine.NewCheckpointer(seg).CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		e, err := buildChain(engine.WithMetrics(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := e.CreateInstanceID("Chain", "torn-"+engine.ShardDirName(s), nil, wal.NewSegmentedFaultLog(seg, 3, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
+			t.Fatalf("want injected crash, got %v", err)
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := hashTree(t, root)
+	src := &Source{WAL: root}
+	for _, id := range []string{"done-shard-00", "torn-shard-00", "done-shard-01", "torn-shard-01"} {
+		snap, _, st, err := src.StateAt(buildChain, id, 0)
+		if err != nil {
+			t.Fatalf("%s: %v (stats %+v)", id, err, st)
+		}
+		if snap.ID != id || st.Shards != 2 {
+			t.Fatalf("%s: answered for %s, stats %+v", id, snap.ID, st)
+		}
+	}
+	if after := hashTree(t, root); !reflect.DeepEqual(before, after) {
+		for path, data := range before {
+			if after[path] != data {
+				t.Errorf("query changed %s: %d -> %d bytes", path, len(data), len(after[path]))
+			}
+		}
+		t.Fatalf("query wrote under %s (%d files before, %d after)", root, len(before), len(after))
+	}
+	// The torn tails are really there: recovery finds and truncates them.
+	for s := 0; s < 2; s++ {
+		h, err := wal.Ladder{Path: filepath.Join(root, engine.ShardDirName(s))}.Recover()
+		if err != nil || h.Torn == 0 {
+			t.Fatalf("shard %d: recovery found no torn tail: %+v err=%v", s, h, err)
+		}
 	}
 }

@@ -51,53 +51,50 @@ func sagaEventsFromRuns(spec *saga.Spec, inst *engine.Instance) []rm.Event {
 type e10Backend struct {
 	name string
 	// open returns the group-commit front, a close function for the
-	// underlying log (tolerant of sealed-log errors), and a repair
-	// function reading back every surviving record.
-	open func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, func() ([]wal.Record, int, error), error)
+	// underlying log (tolerant of sealed-log errors), and the path of the
+	// log — file or segment directory — for the recovery ladder to walk.
+	open func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, string, error)
 }
 
 func e10Backends() []e10Backend {
 	return []e10Backend{
 		{
 			name: "group commit / file log",
-			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, func() ([]wal.Record, int, error), error) {
+			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, string, error) {
 				path := filepath.Join(dir, "chaos.wal")
 				flog, err := wal.OpenFileLog(path, wal.WithFS(fs), wal.WithMetricsRegistry(obs.NewRegistry()))
 				if err != nil {
-					return nil, nil, nil, err
+					return nil, nil, "", err
 				}
 				g := wal.NewGroupCommitLog(flog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
-				repair := func() ([]wal.Record, int, error) { return wal.RepairFile(path) }
-				return g, g.Close, repair, nil
+				return g, g.Close, path, nil
 			},
 		},
 		{
 			name: "group commit / segmented",
-			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, func() ([]wal.Record, int, error), error) {
+			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, string, error) {
 				slog, err := wal.OpenSegmentedLog(dir,
 					wal.SegmentMaxRecords(8), wal.SegmentFS(fs),
 					wal.SegmentMetricsRegistry(obs.NewRegistry()))
 				if err != nil {
-					return nil, nil, nil, err
+					return nil, nil, "", err
 				}
 				g := wal.NewGroupCommitSegmented(slog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
-				repair := func() ([]wal.Record, int, error) { return wal.RepairSegments(dir, 0) }
-				return g, g.Close, repair, nil
+				return g, g.Close, dir, nil
 			},
 		},
 		{
 			name: "group commit / segmented binary",
-			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, func() ([]wal.Record, int, error), error) {
+			open: func(dir string, fs wal.FS) (*wal.GroupCommitLog, func() error, string, error) {
 				slog, err := wal.OpenSegmentedLog(dir,
 					wal.SegmentMaxRecords(8), wal.SegmentFS(fs),
 					wal.SegmentFormat(wal.FormatBinary),
 					wal.SegmentMetricsRegistry(obs.NewRegistry()))
 				if err != nil {
-					return nil, nil, nil, err
+					return nil, nil, "", err
 				}
 				g := wal.NewGroupCommitSegmented(slog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
-				repair := func() ([]wal.Record, int, error) { return wal.RepairSegments(dir, 0) }
-				return g, g.Close, repair, nil
+				return g, g.Close, dir, nil
 			},
 		},
 	}
@@ -293,7 +290,7 @@ func RunE10() *Report {
 				}
 
 				ffs := wal.NewFaultFS(kind, failAt)
-				g, closeLog, repair, err := backend.open(dir, ffs)
+				g, closeLog, logPath, err := backend.open(dir, ffs)
 				if err != nil {
 					fail("open: %v", err)
 					break
@@ -345,13 +342,14 @@ func RunE10() *Report {
 
 				// Durability oracle: every acknowledged append survives in
 				// the repaired log.
-				recs, _, err := repair()
-				if err != nil {
+				e2, _ := travelWorkload()
+				insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: logPath, Full: true}, nil)
+				if h == nil {
 					fail("repair: %v", err)
 					continue
 				}
-				onDisk := make(map[string]bool, len(recs))
-				for _, rec := range recs {
+				onDisk := make(map[string]bool, len(h.Tail))
+				for _, rec := range h.Tail {
 					onDisk[recKey(rec)] = true
 				}
 				track.mu.Lock()
@@ -367,8 +365,6 @@ func RunE10() *Report {
 				// Recovery + compensation oracle: the surviving instances
 				// complete with the baseline output, and their histories
 				// still satisfy the saga guarantee.
-				e2, _ := travelWorkload()
-				insts, err := engine.RecoverAll(e2, recs, nil)
 				if err != nil {
 					fail("recover: %v", err)
 					continue

@@ -163,7 +163,7 @@ func recKey(r wal.Record) string {
 // concurrent chain instances shares one GroupCommitLog, and the server
 // is crashed at every batch boundary (GroupCrashAfter sweeping every
 // record count, clean and short-write). After each crash the file is
-// repaired and the fleet recovered with RecoverAll. The soak proves the
+// repaired and the fleet recovered with RecoverLadder. The soak proves the
 // group-commit durability contract:
 //
 //   - no acknowledged append is ever missing from the repaired log
@@ -248,16 +248,21 @@ func RunE8() *Report {
 				okAll = false
 				break
 			}
-			recs, dropped, err := wal.RepairFile(path)
+			e2 := NewEngine()
+			if err := e2.RegisterProcess(proc); err != nil {
+				okAll = false
+				break
+			}
+			insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: path}, nil)
 			if err != nil {
 				okAll = false
 				break
 			}
-			if dropped > 0 {
+			if h.Torn > 0 {
 				repaired++
 			}
-			onDisk := make(map[string]bool, len(recs))
-			for _, rec := range recs {
+			onDisk := make(map[string]bool, len(h.Tail))
+			for _, rec := range h.Tail {
 				onDisk[recKey(rec)] = true
 			}
 			track.mu.Lock()
@@ -270,16 +275,6 @@ func RunE8() *Report {
 				}
 			}
 			if !okAll {
-				break
-			}
-			e2 := NewEngine()
-			if err := e2.RegisterProcess(proc); err != nil {
-				okAll = false
-				break
-			}
-			insts, err := engine.RecoverAll(e2, recs, nil)
-			if err != nil {
-				okAll = false
 				break
 			}
 			for _, inst := range insts {

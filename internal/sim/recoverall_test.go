@@ -31,7 +31,7 @@ func flakyProcess() *model.Process {
 	return p
 }
 
-// mixedFleetEngine registers every workload the interleaved RecoverAll
+// mixedFleetEngine registers every workload the interleaved recovery
 // test uses on one engine: the plain chain, the travel saga on its
 // compensation path, and the flaky retry chain.
 func mixedFleetEngine(t *testing.T) *engine.Engine {
@@ -64,7 +64,7 @@ func firstIndex(recs []wal.Record, pred func(wal.Record) bool) int {
 	return -1
 }
 
-// TestRecoverAllInterleavedFleet checks RecoverAll over a shared
+// TestRecoverAllInterleavedFleet checks RecoverLadder over a shared
 // group-commit log holding nine interleaved instances in every
 // interesting crash posture: finished (chain and saga), crashed
 // mid-chain, crashed mid-compensation (after the first cancellation, and
@@ -199,15 +199,10 @@ func TestRecoverAllInterleavedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := wal.RepairFile(path)
-	if err != nil || dropped != 0 {
-		t.Fatalf("repair: %v (dropped %d)", err, dropped)
-	}
-
 	e2 := mixedFleetEngine(t)
-	insts, err := engine.RecoverAll(e2, recs, nil)
-	if err != nil {
-		t.Fatal(err)
+	insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: path}, nil)
+	if err != nil || h.Torn != 0 {
+		t.Fatalf("recovery: %v (%+v)", err, h)
 	}
 	if len(insts) != len(fleet) {
 		t.Fatalf("recovered %d instances, want %d", len(insts), len(fleet))

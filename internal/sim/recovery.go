@@ -37,8 +37,8 @@ func (l *checkpointingLog) Append(rec wal.Record) error {
 	return nil
 }
 
-// fallbackCount reads the global checkpoint-fallback counter that
-// wal.LoadCheckpoint increments when it skips a damaged checkpoint.
+// fallbackCount reads the global checkpoint-fallback counter that the
+// ladder increments when it skips a damaged checkpoint.
 func fallbackCount() int64 {
 	return obs.Default.Counter("recover.checkpoint_fallbacks").Value()
 }
@@ -164,33 +164,21 @@ func RunE9() *Report {
 						okAll = false
 						break
 					}
-					cp, err := wal.LoadCheckpoint(dir)
-					if err != nil {
-						okAll = false
-						break
-					}
-					cover := 0
-					if cp != nil {
-						ckptUsed++
-						cover = cp.Cover
-					}
-					tail, dropped, err := wal.RepairSegments(dir, cover)
-					if err != nil {
-						okAll = false
-						break
-					}
-					if mode.shortWrite && dropped == 0 {
-						okAll = false // the torn tail must have been detected
-						break
-					}
-					if dropped > 0 {
-						repaired++
-					}
 					e3, _ := w.mk()
-					insts, err := engine.RecoverAllFromCheckpoint(e3, cp, tail, nil)
+					insts, h, err := engine.RecoverLadder(e3, wal.Ladder{Path: dir}, nil)
 					if err != nil || len(insts) != 1 {
 						okAll = false
 						break
+					}
+					if h.Checkpoint != nil {
+						ckptUsed++
+					}
+					if mode.shortWrite && h.Torn == 0 {
+						okAll = false // the torn tail must have been detected
+						break
+					}
+					if h.Torn > 0 {
+						repaired++
 					}
 					rec := insts[0]
 					if !rec.Finished() || fmt.Sprint(trailStrings(rec)) != baseTrail || !rec.Output().Equal(base.Output()) {
@@ -218,9 +206,9 @@ func RunE9() *Report {
 	// text-format segmented directory and shuts down cleanly; session two
 	// reopens the same directory with the binary format (old segments keep
 	// their text headers, new ones are binary) and crashes mid-way through
-	// instance B with a torn frame on disk. A checkpoint pass plus
-	// RepairSegments must then recover both instances across the framing
-	// switch with zero acknowledged appends lost.
+	// instance B with a torn frame on disk. A checkpoint pass plus the
+	// ladder's repaired tail must then recover both instances across the
+	// framing switch with zero acknowledged appends lost.
 	mixedOK := func() error {
 		e, proc := travelWorkload()
 		clean := &wal.MemLog{}
@@ -276,30 +264,15 @@ func RunE9() *Report {
 				return err
 			}
 
-			cp, err := wal.LoadCheckpoint(dir)
+			e3, _ := travelWorkload()
+			insts, h, err := engine.RecoverLadder(e3, wal.Ladder{Path: dir}, nil)
 			if err != nil {
 				return err
 			}
-			cover := 0
-			if cp != nil {
-				cover = cp.Cover
-			}
-			tail, dropped, err := wal.RepairSegments(dir, cover)
-			if err != nil {
-				return err
-			}
-			if dropped == 0 {
+			if h.Torn == 0 {
 				return fmt.Errorf("crashAt %d: torn binary tail not detected", crashAt)
 			}
-			e3, _ := travelWorkload()
-			insts, err := engine.RecoverAllFromCheckpoint(e3, cp, tail, nil)
-			if err != nil {
-				return err
-			}
-			doneN := 0
-			if cp != nil {
-				doneN = len(cp.Done)
-			}
+			doneN := len(h.Done())
 			if len(insts)+doneN != 2 {
 				return fmt.Errorf("crashAt %d: recovered %d + done %d != 2", crashAt, len(insts), doneN)
 			}
@@ -369,16 +342,12 @@ func RunE9() *Report {
 		if err := os.WriteFile(filepath.Join(dir, "ckpt-999999.ckpt.tmp"), []byte("garbage"), 0o644); err != nil {
 			return err
 		}
-		cp, err := wal.LoadCheckpoint(dir)
-		if err != nil || cp == nil {
+		h, err := wal.Ladder{Path: dir}.Read()
+		if err != nil || h.Checkpoint == nil {
 			return fmt.Errorf("load with .tmp leftover: %v", err)
 		}
-		newest, err := wal.ReadCheckpoint(cps[1].Path)
-		if err != nil {
-			return err
-		}
-		if cp.Seq != newest.Seq {
-			return fmt.Errorf(".tmp leftover changed checkpoint selection: got seq %d want %d", cp.Seq, newest.Seq)
+		if h.Checkpoint.Seq != cps[1].Seq || h.Rung != wal.SourceNewestCheckpoint {
+			return fmt.Errorf(".tmp leftover changed checkpoint selection: got seq %d (%s) want %d", h.Checkpoint.Seq, h.Rung, cps[1].Seq)
 		}
 
 		// Tear the newest checkpoint: the ladder must fall back to the
@@ -391,27 +360,19 @@ func RunE9() *Report {
 			return err
 		}
 		before := fallbackCount()
-		cp, err = wal.LoadCheckpoint(dir)
-		if err != nil || cp == nil {
-			return fmt.Errorf("fallback load: %v", err)
+		e3, _ := travelWorkload()
+		insts, h, err := engine.RecoverLadder(e3, wal.Ladder{Path: dir}, nil)
+		if err != nil || h.Checkpoint == nil {
+			return fmt.Errorf("fallback recovery: %v", err)
 		}
-		if cp.Seq != cps[0].Seq {
-			return fmt.Errorf("fell back to seq %d, want %d", cp.Seq, cps[0].Seq)
+		if h.Checkpoint.Seq != cps[0].Seq || h.Rung != wal.SourcePreviousCheckpoint {
+			return fmt.Errorf("fell back to seq %d (%s), want %d", h.Checkpoint.Seq, h.Rung, cps[0].Seq)
 		}
 		if fallbackCount() <= before {
 			return errors.New("fallback counter did not advance")
 		}
-		tail, _, err := wal.RepairSegments(dir, cp.Cover)
-		if err != nil {
-			return err
-		}
-		e3, _ := travelWorkload()
-		insts, err := engine.RecoverAllFromCheckpoint(e3, cp, tail, nil)
-		if err != nil {
-			return err
-		}
-		if len(insts)+len(cp.Done) != 1 {
-			return fmt.Errorf("recovered %d + done %d != 1", len(insts), len(cp.Done))
+		if len(insts)+len(h.Done()) != 1 {
+			return fmt.Errorf("recovered %d + done %d != 1", len(insts), len(h.Done()))
 		}
 		for _, rec := range insts {
 			if !rec.Finished() || fmt.Sprint(trailStrings(rec)) != baseTrail || !rec.Output().Equal(base.Output()) {
@@ -475,26 +436,18 @@ func RunE9() *Report {
 			return err
 		}
 		before := fallbackCount()
-		cp, err := wal.LoadCheckpoint(dir)
-		if err != nil {
-			return err
+		// With a single checkpoint no segment was ever pruned, so the
+		// full-replay rung has the complete history.
+		e3, _ := travelWorkload()
+		insts, h, err := engine.RecoverLadder(e3, wal.Ladder{Path: dir}, nil)
+		if err != nil || len(insts) != 1 {
+			return fmt.Errorf("full replay: %v (%d instances)", err, len(insts))
 		}
-		if cp != nil {
+		if h.Checkpoint != nil || h.Rung != wal.SourceFullReplay {
 			return errors.New("damaged checkpoint not rejected")
 		}
 		if fallbackCount() <= before {
 			return errors.New("fallback counter did not advance")
-		}
-		// With a single checkpoint no segment was ever pruned, so the
-		// full-replay rung has the complete history.
-		recs, _, err := wal.RepairSegments(dir, 0)
-		if err != nil {
-			return err
-		}
-		e3, _ := travelWorkload()
-		insts, err := engine.RecoverAllFromCheckpoint(e3, nil, recs, nil)
-		if err != nil || len(insts) != 1 {
-			return fmt.Errorf("full replay: %v (%d instances)", err, len(insts))
 		}
 		rec := insts[0]
 		if !rec.Finished() || fmt.Sprint(trailStrings(rec)) != baseTrail || !rec.Output().Equal(base.Output()) {
@@ -575,17 +528,19 @@ func RunE9() *Report {
 				okAll = false
 				break
 			}
-			all, dropped, err := wal.RepairSegments(dir, 0)
+			whole, err := wal.Ladder{Path: dir, Full: true}.Recover()
 			if err != nil {
 				okAll = false
 				break
 			}
-			if dropped > 0 {
+			if whole.Torn > 0 {
 				repaired++
 			}
-			onDisk := make(map[string]bool, len(all))
-			for _, rec := range all {
+			onDisk := make(map[string]bool, len(whole.Tail))
+			started := make(map[string]bool)
+			for _, rec := range whole.Tail {
 				onDisk[recKey(rec)] = true
+				started[rec.Instance] = true
 			}
 			track.mu.Lock()
 			acked := append([]wal.Record(nil), track.acked...)
@@ -598,42 +553,18 @@ func RunE9() *Report {
 			if !okAll {
 				break
 			}
-			cp, err := wal.LoadCheckpoint(dir)
-			if err != nil {
-				okAll = false
-				break
-			}
-			cover := 0
-			if cp != nil {
-				ckptUsed++
-				cover = cp.Cover
-			}
-			tail, _, err := wal.RepairSegments(dir, cover)
-			if err != nil {
-				okAll = false
-				break
-			}
-			started := make(map[string]bool)
-			for _, rec := range all {
-				started[rec.Instance] = true
-			}
 			e2 := NewEngine()
 			if err := e2.RegisterProcess(proc); err != nil {
 				okAll = false
 				break
 			}
-			insts, err := engine.RecoverAllFromCheckpoint(e2, cp, tail, nil)
-			if err != nil {
+			insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: dir}, nil)
+			if err != nil || len(insts)+len(h.Done()) != len(started) {
 				okAll = false
 				break
 			}
-			doneN := 0
-			if cp != nil {
-				doneN = len(cp.Done)
-			}
-			if len(insts)+doneN != len(started) {
-				okAll = false
-				break
+			if h.Checkpoint != nil {
+				ckptUsed++
 			}
 			for _, inst := range insts {
 				if !inst.Finished() || !inst.Output().Equal(baseOut) {
@@ -733,6 +664,17 @@ func RunB10() *Report {
 		return slog.Close()
 	}
 
+	// recoverTimed restarts a fresh engine from dir through the ladder.
+	recoverTimed := func(dir string) ([]*engine.Instance, *wal.History, time.Duration, error) {
+		start := time.Now()
+		e := NewEngine()
+		if err := e.RegisterProcess(proc); err != nil {
+			return nil, nil, 0, err
+		}
+		insts, h, err := engine.RecoverLadder(e, wal.Ladder{Path: dir}, nil)
+		return insts, h, time.Since(start), err
+	}
+
 	for _, n := range []int{8, 32, 128} {
 		history := n * recsPerInst
 
@@ -744,18 +686,7 @@ func RunB10() *Report {
 			return r
 		}
 		bytesA := segmentBytes(dirA)
-		startA := time.Now()
-		recsA, _, err := wal.RepairSegments(dirA, 0)
-		var instsA []*engine.Instance
-		if err == nil {
-			eA := NewEngine()
-			if rerr := eA.RegisterProcess(proc); rerr != nil {
-				err = rerr
-			} else {
-				instsA, err = engine.RecoverAll(eA, recsA, nil)
-			}
-		}
-		wallA := time.Since(startA)
+		instsA, hA, wallA, err := recoverTimed(dirA)
 		if err != nil || len(instsA) != n {
 			r.Pass = false
 			r.Err = fmt.Errorf("B10 n=%d full recovery: %v (%d instances)", n, err, len(instsA))
@@ -770,34 +701,19 @@ func RunB10() *Report {
 			return r
 		}
 		bytesB := segmentBytes(dirB)
-		startB := time.Now()
-		cp, err := wal.LoadCheckpoint(dirB)
-		var tail []wal.Record
-		var instsB []*engine.Instance
-		if err == nil && cp != nil {
-			tail, _, err = wal.RepairSegments(dirB, cp.Cover)
-			if err == nil {
-				eB := NewEngine()
-				if rerr := eB.RegisterProcess(proc); rerr != nil {
-					err = rerr
-				} else {
-					instsB, err = engine.RecoverAllFromCheckpoint(eB, cp, tail, nil)
-				}
-			}
-		}
-		wallB := time.Since(startB)
-		if err != nil || cp == nil {
+		instsB, hB, wallB, err := recoverTimed(dirB)
+		if err != nil || hB.Checkpoint == nil {
 			r.Pass = false
 			r.Err = fmt.Errorf("B10 n=%d ckpt recovery: %v", n, err)
 			return r
 		}
-		if len(instsB)+len(cp.Done) != n {
+		if len(instsB)+len(hB.Done()) != n {
 			r.Pass = false
-			r.Err = fmt.Errorf("B10 n=%d: recovered %d + done %d != %d", n, len(instsB), len(cp.Done), n)
+			r.Err = fmt.Errorf("B10 n=%d: recovered %d + done %d != %d", n, len(instsB), len(hB.Done()), n)
 			return r
 		}
-		replayedA := len(recsA)
-		replayedB := len(cp.Records) + len(tail)
+		replayedA := hA.Len()
+		replayedB := hB.Len()
 		ratio := float64(replayedA) / float64(replayedB)
 
 		r.AddRow(fmt.Sprint(n), fmt.Sprint(history), "full replay",

@@ -394,13 +394,13 @@ func RunE11() *Report {
 			}
 			// Zero acked-append loss on the repaired victim directory.
 			vdir := filepath.Join(runRoot, engine.ShardDirName(victim))
-			recs, _, err := wal.RepairSegments(vdir, 0)
+			whole, err := wal.Ladder{Path: vdir, Full: true}.Recover()
 			if err != nil {
 				r.fail(fmt.Errorf("E11 %s@%d repair: %w", mode.name, crashAt, err))
 				return r
 			}
-			onDisk := make(map[string]bool, len(recs))
-			for _, rec := range recs {
+			onDisk := make(map[string]bool, len(whole.Tail))
+			for _, rec := range whole.Tail {
 				onDisk[recKey(rec)] = true
 			}
 			for _, rec := range tr[victim].acked {

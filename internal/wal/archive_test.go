@@ -429,14 +429,14 @@ func TestArchiveCheckpointRungFetchesAndRejectsCorrupt(t *testing.T) {
 
 	before := fallbackCount()
 	fetches := obs.Default.Counter("recover.archive_fetches").Value()
-	cp, src, err := LoadCheckpointStore(local, st)
+	h, err := Ladder{Path: local, Store: st}.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceArchiveCheckpoint {
-		t.Fatalf("source = %q, want %q", src, SourceArchiveCheckpoint)
+	if h.Rung != SourceArchiveCheckpoint {
+		t.Fatalf("source = %q, want %q", h.Rung, SourceArchiveCheckpoint)
 	}
-	if cp == nil || cp.Seq != olderCp.Seq || cp.Cover != olderCp.Cover {
+	if cp := h.Checkpoint; cp == nil || cp.Seq != olderCp.Seq || cp.Cover != olderCp.Cover {
 		t.Fatalf("recovered checkpoint: %+v, want seq %d", cp, olderCp.Seq)
 	}
 	if got := fallbackCount() - before; got != 1 {
@@ -455,12 +455,12 @@ func TestArchiveCheckpointRungFetchesAndRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = fallbackCount()
-	cp, src, err = LoadCheckpointStore(t.TempDir(), st2)
-	if err != nil || cp != nil {
-		t.Fatalf("all-corrupt archive: cp=%v err=%v", cp, err)
+	h, err = Ladder{Path: t.TempDir(), Store: st2}.Recover()
+	if err != nil || h.Checkpoint != nil {
+		t.Fatalf("all-corrupt archive: %+v err=%v", h, err)
 	}
-	if src != SourceFullReplay {
-		t.Fatalf("source = %q, want %q", src, SourceFullReplay)
+	if h.Rung != SourceFullReplay {
+		t.Fatalf("source = %q, want %q", h.Rung, SourceFullReplay)
 	}
 	if got := fallbackCount() - before; got != 1 {
 		t.Fatalf("checkpoint_fallbacks delta = %d, want 1", got)
@@ -477,10 +477,11 @@ func TestArchiveCheckpointLadderPrefersLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count-only FaultStore proves the archive is never consulted when a
-	// local checkpoint reads back clean.
+	// Count-only FaultStore proves the checkpoint rungs never consult the
+	// archive when a local checkpoint reads back clean (the tail step of a
+	// whole walk lists the store, so this drives the rungs alone).
 	st := NewFaultStore(inner, StoreUnavailable, 0)
-	got, src, err := LoadCheckpointStore(local, st)
+	got, src, err := loadCheckpoint(local, st)
 	if err != nil || got == nil {
 		t.Fatalf("load: %v, %v", got, err)
 	}
@@ -498,12 +499,12 @@ func TestArchiveCheckpointLadderSurvivesDownArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewFaultStore(inner, StoreUnavailable, 1, StoreSticky())
-	cp, src, err := LoadCheckpointStore(t.TempDir(), st)
+	h, err := Ladder{Path: t.TempDir(), Store: st}.Recover()
 	if err != nil {
 		t.Fatalf("a down archive must degrade to full replay, not fail: %v", err)
 	}
-	if cp != nil || src != SourceFullReplay {
-		t.Fatalf("cp=%v src=%q, want nil/%q", cp, src, SourceFullReplay)
+	if h.Checkpoint != nil || h.Rung != SourceFullReplay {
+		t.Fatalf("cp=%v src=%q, want nil/%q", h.Checkpoint, h.Rung, SourceFullReplay)
 	}
 }
 
@@ -561,10 +562,11 @@ func TestArchiveRepairSegmentsStoreFetchesMissingAndDamaged(t *testing.T) {
 	}
 
 	fetches := obs.Default.Counter("recover.archive_fetches").Value()
-	got, dropped, err := RepairSegmentsStore(dir, 0, st)
+	h, err := Ladder{Path: dir, Store: st}.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, dropped := h.Tail, h.Torn
 	if dropped != 0 {
 		t.Fatalf("dropped = %d, want 0 (archived copies are clean)", dropped)
 	}
@@ -598,11 +600,11 @@ func TestArchiveRepairSegmentsStoreRejectsCorruptBlob(t *testing.T) {
 	if err := st.Put("wal-000002.seg", corrupt); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := RepairSegmentsStore(dir, 0, st)
-	if err != nil || dropped != 0 {
-		t.Fatalf("repair: dropped=%d err=%v", dropped, err)
+	h, err := Ladder{Path: dir, Store: st}.Recover()
+	if err != nil || h.Torn != 0 {
+		t.Fatalf("repair: %+v err=%v", h, err)
 	}
-	if len(got) != len(want) {
+	if got := h.Tail; len(got) != len(want) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(want))
 	}
 
@@ -611,7 +613,7 @@ func TestArchiveRepairSegmentsStoreRejectsCorruptBlob(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "wal-000002.seg")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RepairSegmentsStore(dir, 0, st); err == nil {
+	if _, err := (Ladder{Path: dir, Store: st}).Recover(); err == nil {
 		t.Fatal("missing local + corrupt archived blob accepted")
 	}
 }

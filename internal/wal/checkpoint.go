@@ -50,9 +50,12 @@ type ckptHeader struct {
 	N     int      `json:"n"` // record lines that must follow
 }
 
-// ckptPath names checkpoint files so lexical order equals sequence order.
+// ckptLayout names checkpoint files (and archived checkpoint blobs) so
+// lexical order equals sequence order.
+const ckptLayout = "ckpt-%06d.ckpt"
+
 func ckptPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%06d.ckpt", seq))
+	return filepath.Join(dir, fmt.Sprintf(ckptLayout, seq))
 }
 
 // BuildCheckpoint folds newly sealed records into a predecessor
@@ -115,14 +118,14 @@ func BuildCheckpoint(prev *Checkpoint, sealedRecords []Record, cover int) *Check
 // frames and record count at read time, and the recovery ladder falls
 // back). Returns the final path.
 func WriteCheckpoint(dir string, cp *Checkpoint) (string, error) {
-	return WriteCheckpointFS(OSFS{}, dir, cp)
+	return writeCheckpoint(OSFS{}, dir, cp)
 }
 
-// WriteCheckpointFS is WriteCheckpoint over an explicit filesystem —
-// the seam fault tests use to fail a checkpoint's write, fsync, or
+// writeCheckpoint is WriteCheckpoint over an explicit filesystem — the
+// seam the fault tests use to fail a checkpoint's write, fsync, or
 // publication rename with a FaultFS. A failed checkpoint write leaves at
 // most a *.tmp file and never a visible damaged checkpoint.
-func WriteCheckpointFS(fsys FS, dir string, cp *Checkpoint) (string, error) {
+func writeCheckpoint(fsys FS, dir string, cp *Checkpoint) (string, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return "", fmt.Errorf("wal: %w", err)
@@ -183,8 +186,8 @@ func WriteCheckpointFS(fsys FS, dir string, cp *Checkpoint) (string, error) {
 // must verify, declare a supported version, and be followed by exactly
 // the declared number of CRC-clean record lines. Anything else — torn
 // tail, checksum mismatch, missing or surplus records — is an error;
-// callers fall down the recovery ladder (LoadCheckpoint) instead of
-// trusting a damaged summary.
+// callers fall down the recovery ladder (Ladder) instead of trusting a
+// damaged summary.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -267,129 +270,19 @@ func ListCheckpoints(dir string) ([]CheckpointInfo, error) {
 	}
 	var out []CheckpointInfo
 	for _, ent := range ents {
-		var seq int
-		if n, err := fmt.Sscanf(ent.Name(), "ckpt-%06d.ckpt", &seq); n != 1 || err != nil {
-			continue
+		if seq, ok := parseIndex(ent.Name(), ckptLayout); ok {
+			out = append(out, CheckpointInfo{Seq: seq, Path: filepath.Join(dir, ent.Name())})
 		}
-		if filepath.Ext(ent.Name()) != ".ckpt" {
-			continue
-		}
-		out = append(out, CheckpointInfo{Seq: seq, Path: filepath.Join(dir, ent.Name())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
 }
 
-// The recovery-ladder rungs LoadCheckpointStore reports — which source
-// satisfied checkpoint recovery. wfrun -resume surfaces the rung in its
-// summary line.
-const (
-	// SourceNewestCheckpoint: the newest local checkpoint read back clean.
-	SourceNewestCheckpoint = "newest-checkpoint"
-	// SourcePreviousCheckpoint: the newest was damaged; an older local
-	// checkpoint was used.
-	SourcePreviousCheckpoint = "previous-checkpoint"
-	// SourceArchiveCheckpoint: no local checkpoint was usable; one was
-	// fetched from the archive store and CRC-verified.
-	SourceArchiveCheckpoint = "archive-checkpoint"
-	// SourceFullReplay: no usable checkpoint anywhere; recover by full
-	// replay of the segments.
-	SourceFullReplay = "full-replay"
-)
-
-// LoadCheckpoint walks the recovery fallback ladder: it tries the newest
-// checkpoint in dir, then each older one, returning the first that reads
-// back clean. Every damaged checkpoint skipped increments the
-// recover.checkpoint_fallbacks counter. (nil, nil) means no usable
-// checkpoint — recover by full replay.
-func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	cp, _, err := LoadCheckpointStore(dir, nil)
-	return cp, err
-}
-
-// LoadCheckpointStore is LoadCheckpoint with the archive rung: when no
-// local checkpoint is usable and store is non-nil, the archived
-// checkpoints are tried newest-first — each fetched blob must decode
-// CRC-clean (ParseCheckpoint) or it is skipped exactly like a damaged
-// local file, counted in recover.checkpoint_fallbacks. An unavailable
-// archive or an archive miss falls through to (nil, SourceFullReplay,
-// nil): the archive tier can delay recovery's best rung, never block
-// recovery. The returned source names the rung that satisfied the load.
-func LoadCheckpointStore(dir string, store Store) (*Checkpoint, string, error) {
-	infos, err := ListCheckpoints(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	fallback := func(seq int, cause error) {
-		obs.Default.Counter("recover.checkpoint_fallbacks").Inc()
-		if obs.DefaultBus.Active() {
-			obs.DefaultBus.Publish(obs.Event{Kind: obs.EvWalCheckpointFallback,
-				N: int64(seq), Cause: cause.Error()})
-		}
-	}
-	for i := len(infos) - 1; i >= 0; i-- {
-		cp, err := ReadCheckpoint(infos[i].Path)
-		if err == nil {
-			src := SourceNewestCheckpoint
-			if i < len(infos)-1 {
-				src = SourcePreviousCheckpoint
-			}
-			return cp, src, nil
-		}
-		fallback(infos[i].Seq, err)
-	}
-	if store != nil {
-		names, err := store.List()
-		if err != nil {
-			// A down archive is degradation, not failure: full replay still
-			// recovers everything local retention holds.
-			names = nil
-		}
-		type blob struct {
-			seq  int
-			name string
-		}
-		var blobs []blob
-		for _, name := range names {
-			var seq int
-			if n, err := fmt.Sscanf(name, "ckpt-%06d.ckpt", &seq); n == 1 && err == nil && filepath.Ext(name) == ".ckpt" {
-				blobs = append(blobs, blob{seq: seq, name: name})
-			}
-		}
-		sort.Slice(blobs, func(i, j int) bool { return blobs[i].seq > blobs[j].seq })
-		for _, b := range blobs {
-			data, err := store.Get(b.name)
-			if err != nil {
-				fallback(b.seq, err)
-				continue
-			}
-			cp, err := ParseCheckpoint(data, b.name)
-			if err != nil {
-				fallback(b.seq, err)
-				continue
-			}
-			obs.Default.Counter("recover.archive_fetches").Inc()
-			if obs.DefaultBus.Active() {
-				obs.DefaultBus.Publish(obs.Event{Kind: obs.EvArchiveFetch,
-					Cause: b.name, N: int64(len(data))})
-			}
-			return cp, SourceArchiveCheckpoint, nil
-		}
-	}
-	return nil, SourceFullReplay, nil
-}
-
-// PruneCheckpoints deletes all but the newest keep checkpoint files in
-// dir (retention keeps two: the newest plus its predecessor as the
-// fallback rung). It returns the surviving checkpoints in sequence order.
-func PruneCheckpoints(dir string, keep int) ([]CheckpointInfo, error) {
-	return PruneCheckpointsEligible(dir, keep, nil)
-}
-
-// PruneCheckpointsEligible is PruneCheckpoints gated by an eligibility
-// predicate: a checkpoint outside the newest keep is deleted only when
-// eligible (keyed by file base name) returns true — the archive gate,
-// where eligibility means "archived copy CRC-verified". Ineligible
+// PruneCheckpointsEligible deletes all but the newest keep checkpoint
+// files in dir (retention keeps two: the newest plus its predecessor as
+// the fallback rung). A checkpoint outside the newest keep is deleted
+// only when eligible (keyed by file base name) returns true — the archive
+// gate, where eligibility means "archived copy CRC-verified". Ineligible
 // checkpoints survive (retention grows while the archive is degraded)
 // and are re-offered on the next pass. A nil predicate admits
 // everything. Survivors are returned in sequence order.

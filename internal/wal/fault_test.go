@@ -153,7 +153,7 @@ func TestWriteCheckpointFSFault(t *testing.T) {
 	cp := &Checkpoint{Seq: 1, Cover: 0, Records: []Record{faultRec(1)}}
 	for _, kind := range []FaultKind{FaultEIO, FaultFsync} {
 		fs := NewFaultFS(kind, 1)
-		if _, err := WriteCheckpointFS(fs, dir, cp); err == nil {
+		if _, err := writeCheckpoint(fs, dir, cp); err == nil {
 			t.Fatalf("%v: checkpoint write succeeded through fault", kind)
 		}
 		infos, err := ListCheckpoints(dir)
@@ -165,7 +165,7 @@ func TestWriteCheckpointFSFault(t *testing.T) {
 		}
 	}
 	// And a clean FS succeeds in the same directory afterwards.
-	if _, err := WriteCheckpointFS(OSFS{}, dir, cp); err != nil {
+	if _, err := writeCheckpoint(OSFS{}, dir, cp); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := LoadCheckpoint(dir); err != nil || got == nil || got.Seq != 1 {

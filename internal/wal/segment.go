@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,9 +19,12 @@ type SegmentInfo struct {
 	Path  string
 }
 
-// segPath names segment files so lexical order equals index order.
+// segLayout names segment files (and archived segment blobs) so lexical
+// order equals index order.
+const segLayout = "wal-%06d.seg"
+
 func segPath(dir string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%06d.seg", index))
+	return filepath.Join(dir, fmt.Sprintf(segLayout, index))
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's
@@ -352,19 +354,13 @@ func (l *SegmentedLog) ActiveRecords() int {
 	return l.activeRecords
 }
 
-// Prune deletes sealed segments with index <= upto — the retention pass
-// run after a checkpoint has made them redundant. It returns how many
-// files were removed.
-func (l *SegmentedLog) Prune(upto int) (int, error) {
-	return l.PruneEligible(upto, nil)
-}
-
-// PruneEligible is Prune gated by an eligibility predicate: a covered
-// segment is deleted only when eligible returns true — the archive
-// gate, where eligibility means "archived copy CRC-verified". Ineligible
-// segments stay sealed on disk (local retention grows while the archive
-// is degraded) and are re-offered on the next pass. A nil predicate
-// admits everything.
+// PruneEligible deletes sealed segments with index <= upto — the
+// retention pass run after a checkpoint has made them redundant — and
+// returns how many files were removed. A covered segment is deleted only
+// when eligible returns true — the archive gate, where eligibility means
+// "archived copy CRC-verified". Ineligible segments stay sealed on disk
+// (local retention grows while the archive is degraded) and are
+// re-offered on the next pass. A nil predicate admits everything.
 func (l *SegmentedLog) PruneEligible(upto int, eligible func(SegmentInfo) bool) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -402,152 +398,10 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 	}
 	var out []SegmentInfo
 	for _, ent := range ents {
-		var idx int
-		if n, err := fmt.Sscanf(ent.Name(), "wal-%06d.seg", &idx); n != 1 || err != nil {
-			continue
+		if idx, ok := parseIndex(ent.Name(), segLayout); ok {
+			out = append(out, SegmentInfo{Index: idx, Path: filepath.Join(dir, ent.Name())})
 		}
-		out = append(out, SegmentInfo{Index: idx, Path: filepath.Join(dir, ent.Name())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out, nil
-}
-
-// ReadSegments strictly reads every record in the segments of dir with
-// index > afterIndex, in order; each segment is decoded in the format its
-// own header declares. Any torn or corrupt record is an error — recovery
-// uses RepairSegments instead.
-func ReadSegments(dir string, afterIndex int) ([]Record, error) {
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, s := range segs {
-		if s.Index <= afterIndex {
-			continue
-		}
-		recs, err := ReadFile(s.Path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: segment %d: %w", s.Index, err)
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
-}
-
-// RepairSegments implements truncate-and-resume recovery across a segment
-// directory: every segment with index > afterIndex is repaired with
-// RepairFile semantics — in whatever format its own header declares, so
-// mixed-format directories recover without configuration — and its
-// surviving records are concatenated in index order. A torn tail is tolerated only where a crash can put one —
-// in the last segment that holds any records (rotation seals earlier
-// segments with an fsync, and a just-rotated empty segment after the torn
-// one is fine); a torn segment followed by records in a later segment is
-// mid-log corruption and is an error. Returns the surviving records and
-// the total bytes truncated.
-func RepairSegments(dir string, afterIndex int) ([]Record, int, error) {
-	return RepairSegmentsStore(dir, afterIndex, nil)
-}
-
-// RepairSegmentsStore is RepairSegments with the archive rung: when
-// store is non-nil, the archived sealed segments supplement the local
-// directory. A segment index present only in the archive (local copy
-// pruned or lost) is fetched and strict-decoded; a local segment that
-// repairs dirty (torn or structurally damaged) is replaced by its
-// archived copy when one fetches and decodes clean — the archive only
-// ever holds fully-sealed segments, so a clean archived copy is the
-// authoritative content. Fetch errors and corrupt archived blobs fall
-// back to whatever the local file yields (CRC rejection, never silent
-// trust), so a down archive degrades to plain RepairSegments. Archive
-// fetches are counted in recover.archive_fetches and published as
-// wal.archive.fetch events.
-func RepairSegmentsStore(dir string, afterIndex int, store Store) ([]Record, int, error) {
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	local := make(map[int]string, len(segs))
-	indexes := make([]int, 0, len(segs))
-	for _, s := range segs {
-		local[s.Index] = s.Path
-		if s.Index > afterIndex {
-			indexes = append(indexes, s.Index)
-		}
-	}
-	archived := map[int]string{}
-	if store != nil {
-		names, err := store.List()
-		if err == nil {
-			for _, name := range names {
-				var idx int
-				if n, err := fmt.Sscanf(name, "wal-%06d.seg", &idx); n == 1 && err == nil && filepath.Ext(name) == ".seg" {
-					archived[idx] = name
-					if idx > afterIndex {
-						if _, ok := local[idx]; !ok {
-							indexes = append(indexes, idx)
-						}
-					}
-				}
-			}
-		}
-	}
-	sort.Ints(indexes)
-
-	fetch := func(idx int) ([]Record, bool) {
-		name, ok := archived[idx]
-		if !ok {
-			return nil, false
-		}
-		data, err := store.Get(name)
-		if err != nil {
-			return nil, false
-		}
-		recs, err := ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return nil, false // corrupt archived blob: CRC-reject, use local
-		}
-		obs.Default.Counter("recover.archive_fetches").Inc()
-		if obs.DefaultBus.Active() {
-			obs.DefaultBus.Publish(obs.Event{Kind: obs.EvArchiveFetch,
-				Cause: name, N: int64(len(data))})
-		}
-		return recs, true
-	}
-
-	var out []Record
-	dropped := 0
-	tornAt := -1 // index of a segment that lost a tail
-	for _, idx := range indexes {
-		path, haveLocal := local[idx]
-		var recs []Record
-		d := 0
-		if haveLocal {
-			var err error
-			recs, d, err = RepairFile(path)
-			if err != nil || d > 0 {
-				// Damaged local segment: prefer the archived sealed copy,
-				// which restores the full content a torn local file lost.
-				if arecs, ok := fetch(idx); ok {
-					recs, d = arecs, 0
-				} else if err != nil {
-					return nil, 0, fmt.Errorf("wal: segment %d: %w", idx, err)
-				}
-			}
-		} else {
-			arecs, ok := fetch(idx)
-			if !ok {
-				return nil, 0, fmt.Errorf("wal: segment %d: archived copy missing or corrupt and no local file", idx)
-			}
-			recs = arecs
-		}
-		if tornAt >= 0 && len(recs) > 0 {
-			return nil, 0, fmt.Errorf("wal: segment %d torn but segment %d has records — mid-log corruption", tornAt, idx)
-		}
-		if d > 0 {
-			tornAt = idx
-		}
-		dropped += d
-		out = append(out, recs...)
-	}
-	return out, dropped, nil
 }

@@ -652,14 +652,9 @@ func ReadAllTolerant(r io.Reader) ([]Record, int, error) {
 }
 
 // ReadFileTolerant reads a file-backed log, tolerating a torn tail (see
-// ReadAllTolerant).
+// ReadAllTolerant); the file is not modified.
 func ReadFileTolerant(path string) ([]Record, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	return ReadAllTolerant(f)
+	return readLog(path, false)
 }
 
 // RepairFile implements truncate-and-resume recovery for a file log in
@@ -668,23 +663,42 @@ func ReadFileTolerant(path string) ([]Record, int, error) {
 // log's file header) so subsequent appends produce a clean log. It
 // returns the surviving records and the number of bytes truncated.
 func RepairFile(path string) ([]Record, int, error) {
+	return readLog(path, true)
+}
+
+// readLog reads one log file tolerantly and returns its records and the
+// size of its torn tail. With repair set that tail is truncated away and
+// the read counted in wal.recovery.*; without, the file is left alone.
+func readLog(path string, repair bool) ([]Record, int, error) {
+	recs, validLen, dropped, err := scanFile(path)
+	if err == nil && repair {
+		err = repairLog(path, validLen, dropped, len(recs))
+	}
+	return recs, dropped, err
+}
+
+// scanFile reads one log file tolerantly: its records, the length of the
+// valid prefix and the size of the torn tail after it.
+func scanFile(path string) (recs []Record, validLen, dropped int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	recs, validLen, dropped, err := scanLog(data, false)
-	if err != nil {
-		return nil, 0, err
-	}
+	return scanLog(data, false)
+}
+
+// repairLog truncates the torn tail scanFile found (keeping a binary log's
+// file header) and counts the repair and the records that survived it.
+func repairLog(path string, validLen, dropped, records int) error {
 	if dropped > 0 {
 		if err := os.Truncate(path, int64(validLen)); err != nil {
-			return nil, 0, fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("wal: %w", err)
 		}
 		obs.Default.Counter("wal.recovery.repairs").Inc()
 		obs.Default.Counter("wal.recovery.dropped_bytes").Add(int64(dropped))
 	}
-	obs.Default.Counter("wal.recovery.records").Add(int64(len(recs)))
-	return recs, dropped, nil
+	obs.Default.Counter("wal.recovery.records").Add(int64(records))
+	return nil
 }
 
 // Discard is a Log that drops every record; used by benchmarks to measure
