@@ -205,6 +205,44 @@ func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix 
 	return l
 }
 
+// buildLadderCorpus is the create → write → crash → damage half of a row:
+// the root everything was written under and one ladder per log left behind
+// (one per shard directory on a sharded row).
+func buildLadderCorpus(t *testing.T, row ladderRow, format wal.Format) (string, []wal.Ladder) {
+	t.Helper()
+	root := t.TempDir()
+	var ladders []wal.Ladder
+	if row.shards == 0 {
+		dir := filepath.Join(root, "log")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		ladders = append(ladders, writeLadderLog(t, row, format, dir, ""))
+	}
+	for s := 0; s < row.shards; s++ {
+		writeLadderLog(t, row, format, filepath.Join(root, ShardDirName(s)), fmt.Sprintf("s%d-", s))
+	}
+	if row.shards > 0 {
+		// A stray copy beside the shards must not become a shard.
+		if err := os.MkdirAll(filepath.Join(root, "shard-00.bak"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		dirs, err := ShardDirs(root)
+		if err != nil || len(dirs) != row.shards {
+			t.Fatalf("ShardDirs = %v err=%v", dirs, err)
+		}
+		for _, dir := range dirs {
+			ladders = append(ladders, wal.Ladder{Path: dir})
+		}
+	}
+	if row.damage != nil {
+		for _, l := range ladders {
+			row.damage(t, l.Path, l.Path+".arch")
+		}
+	}
+	return root, ladders
+}
+
 // readTree maps every file under root to its content.
 func readTree(t *testing.T, root string) map[string]string {
 	t.Helper()
@@ -251,36 +289,7 @@ func TestLadderTable(t *testing.T) {
 			for _, mutate := range []bool{true, false} {
 				walk := map[bool]string{true: "recover", false: "read"}[mutate]
 				t.Run(fmt.Sprintf("%s/%s/%s", row.name, format, walk), func(t *testing.T) {
-					root := t.TempDir()
-					var ladders []wal.Ladder
-					if row.shards == 0 {
-						dir := filepath.Join(root, "log")
-						if err := os.MkdirAll(dir, 0o755); err != nil {
-							t.Fatal(err)
-						}
-						ladders = append(ladders, writeLadderLog(t, row, format, dir, ""))
-					}
-					for s := 0; s < row.shards; s++ {
-						writeLadderLog(t, row, format, filepath.Join(root, ShardDirName(s)), fmt.Sprintf("s%d-", s))
-					}
-					if row.shards > 0 {
-						// A stray copy beside the shards must not become a shard.
-						if err := os.MkdirAll(filepath.Join(root, "shard-00.bak"), 0o755); err != nil {
-							t.Fatal(err)
-						}
-						dirs, err := ShardDirs(root)
-						if err != nil || len(dirs) != row.shards {
-							t.Fatalf("ShardDirs = %v err=%v", dirs, err)
-						}
-						for _, dir := range dirs {
-							ladders = append(ladders, wal.Ladder{Path: dir})
-						}
-					}
-					if row.damage != nil {
-						for _, l := range ladders {
-							row.damage(t, l.Path, l.Path+".arch")
-						}
-					}
+					root, ladders := buildLadderCorpus(t, row, format)
 
 					before := readTree(t, root)
 					repairs0, repaired0 := repairs.Value(), repaired.Value()
@@ -349,5 +358,145 @@ func TestLadderTable(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// onlyInstance keeps the records of one instance, preserving order — what
+// a walk that names the instance must return of an unfiltered walk's tail.
+func onlyInstance(recs []wal.Record, id string) []wal.Record {
+	var out []wal.Record
+	for _, r := range recs {
+		if r.Instance == id {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestLadderInstanceDifferential pins instance push-down against the walk
+// it projects: over every corpus of the ladder table × {text, binary} ×
+// {Recover, Read}, for every instance ID on disk and one that is not, the
+// walk of Ladder{Instance: id} returns exactly the unfiltered walk's tail
+// filtered to id, with the same rung, torn bytes, records read and done
+// list. The recovering walk truncates what it reads, so each of its cells
+// gets a corpus of its own.
+func TestLadderInstanceDifferential(t *testing.T) {
+	for _, row := range ladderRows() {
+		for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
+			for _, mutate := range []bool{true, false} {
+				walk := func(l wal.Ladder) (*wal.History, error) {
+					if mutate {
+						return l.Recover()
+					}
+					return l.Read()
+				}
+				name := map[bool]string{true: "recover", false: "read"}[mutate]
+				t.Run(fmt.Sprintf("%s/%s/%s", row.name, format, name), func(t *testing.T) {
+					_, ladders := buildLadderCorpus(t, row, format)
+					var whole []*wal.History
+					ids := []string{"nobody"}
+					for _, l := range ladders {
+						h, err := walk(l)
+						if err != nil {
+							t.Fatalf("%s: %v", l.Path, err)
+						}
+						whole = append(whole, h)
+						seen := map[string]bool{}
+						for _, recs := range [][]wal.Record{h.Tail, cpRecords(h)} {
+							for _, r := range recs {
+								if !seen[r.Instance] {
+									seen[r.Instance] = true
+									ids = append(ids, r.Instance)
+								}
+							}
+						}
+					}
+					for _, id := range ids {
+						if mutate {
+							_, ladders = buildLadderCorpus(t, row, format)
+						}
+						for i, l := range ladders {
+							l.Instance = id
+							h, err := walk(l)
+							if err != nil {
+								t.Fatalf("%s for %s: %v", l.Path, id, err)
+							}
+							want := whole[i]
+							if !reflect.DeepEqual(h.Tail, onlyInstance(want.Tail, id)) {
+								t.Fatalf("%s for %s: tail\n%v\nwant\n%v", l.Path, id, h.Tail, onlyInstance(want.Tail, id))
+							}
+							if h.Rung != want.Rung || h.Torn != want.Torn || h.Len() != want.Len() ||
+								!reflect.DeepEqual(h.Done(), want.Done()) || !reflect.DeepEqual(cpRecords(h), cpRecords(want)) {
+								t.Fatalf("%s for %s: rung %q torn %d read %d done %v, want %q %d %d %v", l.Path, id,
+									h.Rung, h.Torn, h.Len(), h.Done(), want.Rung, want.Torn, want.Len(), want.Done())
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// cpRecords is the checkpoint half of a walk, nil on the full-replay rung.
+func cpRecords(h *wal.History) []wal.Record {
+	if h.Checkpoint == nil {
+		return nil
+	}
+	return h.Checkpoint.Records
+}
+
+// TestLadderInstanceSeesForeignDamage: naming an instance does not excuse
+// the frames the walk skips. A checksum broken in the middle of the log, in
+// a record of another instance, fails the filtered walk with the very
+// error the unfiltered walk reports, in both framings and both walks.
+func TestLadderInstanceSeesForeignDamage(t *testing.T) {
+	row := ladderRows()[1] // a segment directory, no checkpoint
+	for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
+		t.Run(format.String(), func(t *testing.T) {
+			// damaged writes the corpus and flips one byte of the first segment,
+			// which holds only records of w-0: three bytes from its end — inside
+			// its last record (the segment then reads as torn, with records
+			// after it) — or in its middle (a bad frame with frames after it). Recover truncates a segment it takes for torn before
+			// it meets the next one, so every recovering walk gets a corpus of
+			// its own.
+			damaged := func(middle bool) wal.Ladder {
+				_, ladders := buildLadderCorpus(t, row, format)
+				segs, err := wal.ListSegments(ladders[0].Path)
+				if err != nil || len(segs) < 3 {
+					t.Fatalf("segments: %v err=%v", segs, err)
+				}
+				data, err := os.ReadFile(segs[0].Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := len(data) - 3
+				if middle {
+					at = len(data) / 2
+				}
+				data[at] ^= 0x40
+				writeFile(t, segs[0].Path, data)
+				return ladders[0]
+			}
+			for _, middle := range []bool{false, true} {
+				l := damaged(middle)
+				_, want := l.Read()
+				if want == nil {
+					t.Fatal("the unfiltered walk read through a broken checksum")
+				}
+				for _, id := range []string{"w-0", "w-3", "nobody"} {
+					l.Instance = id
+					if _, err := l.Read(); err == nil || err.Error() != want.Error() {
+						t.Fatalf("Read for %s: %v, want %v", id, err, want)
+					}
+					r := damaged(middle)
+					r.Instance = id
+					if _, err := r.Recover(); err == nil || err.Error() != want.Error() {
+						t.Fatalf("Recover for %s: %v, want %v", id, err, want)
+					}
+				}
+				t.Logf("middle=%v: %v", middle, want)
+			}
+		})
 	}
 }

@@ -93,31 +93,53 @@ func RecoverAllFromCheckpoint(e *Engine, cp *wal.Checkpoint, tail []wal.Record, 
 			done[id] = true
 		}
 	}
-	byInst := make(map[string][]wal.Record)
+	// Demultiplex by counting: one pass sizes every instance's run of one
+	// backing array, a second fills it — no per-instance slice grows.
+	index := make(map[string]int) // instance ID → position in order
 	var order []string
-	for _, recs := range [2][]wal.Record{live, tail} {
-		for _, rec := range recs {
-			if rec.Instance == "" {
+	var counts []int
+	views := [2][]wal.Record{live, tail}
+	for _, recs := range views {
+		for i := range recs {
+			id := recs[i].Instance
+			if id == "" {
 				return nil, errors.New("engine: record without an instance ID")
 			}
-			if done[rec.Instance] {
+			if done[id] {
 				// A finished instance appends nothing after its RecDone; tail
 				// records here mean the checkpoint and the log disagree.
-				return nil, fmt.Errorf("engine: tail records for instance %s, which the checkpoint marks finished", rec.Instance)
+				return nil, fmt.Errorf("engine: tail records for instance %s, which the checkpoint marks finished", id)
 			}
-			if _, seen := byInst[rec.Instance]; !seen {
-				order = append(order, rec.Instance)
+			at, seen := index[id]
+			if !seen {
+				at = len(order)
+				index[id] = at
+				order = append(order, id)
+				counts = append(counts, 0)
 			}
-			byInst[rec.Instance] = append(byInst[rec.Instance], rec)
+			counts[at]++
+		}
+	}
+	backing := make([]wal.Record, len(live)+len(tail))
+	byInst := make([][]wal.Record, len(order))
+	next := 0
+	for at, n := range counts {
+		byInst[at] = backing[next : next : next+n]
+		next += n
+	}
+	for _, recs := range views {
+		for i := range recs {
+			at := index[recs[i].Instance]
+			byInst[at] = append(byInst[at], recs[i])
 		}
 	}
 	out := make([]*Instance, 0, len(order))
-	for _, id := range order {
+	for at, id := range order {
 		var log wal.Log
 		if newLog != nil {
 			log = newLog(id)
 		}
-		inst, err := Recover(e, byInst[id], log)
+		inst, err := Recover(e, byInst[at], log)
 		if err != nil {
 			return out, fmt.Errorf("engine: recovering %s: %w", id, err)
 		}

@@ -3,6 +3,8 @@ package history
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/wal"
@@ -20,9 +22,9 @@ type Source struct {
 	// empty means checkpoints are co-located with the segments (the
 	// sharded layout) or absent.
 	Checkpoint string
-	// Full forces the full-history rung — read and demultiplex the
-	// entire WAL even when a usable checkpoint exists. It is the
-	// baseline B16 measures the checkpoint ladder against.
+	// Full forces the full-history rung — scan the entire log (of each
+	// shard probed, on a fleet root) even when a usable checkpoint exists.
+	// It is the baseline B16 measures the checkpoint ladder against.
 	Full bool
 }
 
@@ -35,9 +37,10 @@ type Stats struct {
 	// wal.SourcePreviousCheckpoint, wal.SourceFullReplay) that supplied
 	// the records.
 	Rung string
-	// RecordsRead counts records parsed from disk to find the instance;
-	// RecordsReplayed counts the instance's own records handed to the
-	// replay engine.
+	// RecordsRead counts the records scanned on disk to find the instance
+	// — every checkpoint record and every log frame the walks passed and
+	// checked, not only the ones decoded into records; RecordsReplayed
+	// counts the instance's own records handed to the replay engine.
 	RecordsRead     int
 	RecordsReplayed int
 	// Shards is the number of shard directories probed (0 for unsharded
@@ -60,71 +63,96 @@ func filterInstance(records []wal.Record, id string) []wal.Record {
 // the same recovery ladder as wfrun -resume (wal.Ladder) but its
 // non-mutating walk — a query never truncates or repairs the log it
 // reads, so it is safe against a crashed run's evidence and a live run's
-// files alike. The bounded view comes first: the best checkpoint's
-// compacted records plus the segment tail when the instance is live in
-// it; the full history otherwise — or at once, with Full set on an
-// unsharded source. Sharded roots are probed shard by shard through their
-// bounded views before any full scan, so locating one instance in a fleet
-// never costs a fleet-wide scan while a checkpoint covers it.
+// files alike. The ladder is given the question (Ladder.Instance): every
+// frame it passes is still checked and counted in RecordsRead, but only
+// id's are decoded into records. The bounded view comes first: the best
+// checkpoint's compacted records plus the segment tail when the instance
+// is live in it; then the full history — at once with Full set, or as
+// soon as the checkpoint's Done list names the instance.
+//
+// A sharded root is probed home shard first (engine.ShardFor): unless
+// admission spilled the instance to a peer, its whole history is there and
+// no other shard is read. An instance's records live in exactly one shard,
+// so the order changes what is read, never what is returned; the other
+// shards follow in index order, and an exhaustive full sweep is the last
+// resort before "not found".
 func (s *Source) Records(id string) ([]wal.Record, *Stats, error) {
 	fi, err := os.Stat(s.WAL)
 	if err != nil {
 		return nil, nil, err
 	}
-	ladders := []wal.Ladder{{Path: s.WAL, Checkpoints: s.Checkpoint}}
-	st, full, where := &Stats{}, s.Full, s.WAL
+	ladders := []wal.Ladder{{Path: s.WAL, Checkpoints: s.Checkpoint, Instance: id}}
+	st, where := &Stats{}, s.WAL
 	if fi.IsDir() {
 		shards, err := engine.ShardDirs(s.WAL)
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(shards) > 0 {
-			st.Shards, full, where = len(shards), false, "any shard under "+s.WAL
-			ladders = nil
+			st.Shards, where = len(shards), "any shard under "+s.WAL
+			home := engine.ShardDirName(engine.ShardFor(id, len(shards)))
+			ladders = ladders[:0]
 			for _, dir := range shards {
-				ladders = append(ladders, wal.Ladder{Path: dir})
+				l := wal.Ladder{Path: dir, Instance: id}
+				if filepath.Base(dir) == home {
+					ladders = append([]wal.Ladder{l}, ladders...)
+				} else {
+					ladders = append(ladders, l)
+				}
 			}
 		}
 	}
-	for {
-		for _, l := range ladders {
-			l.Full = full
-			h, err := l.Read()
-			if err != nil {
-				return nil, st, err
-			}
-			st.Rung = h.Rung
-			st.RecordsRead += h.Len()
-			if recs := located(h, id); len(recs) > 0 {
-				st.RecordsReplayed = len(recs)
-				return recs, st, nil
-			}
+	// probe walks one ladder and returns id's replayable records in its
+	// view, nil when the view cannot replay it.
+	probe := func(l wal.Ladder, full bool) ([]wal.Record, *wal.History, error) {
+		l.Full = full
+		h, err := l.Read()
+		if err != nil {
+			return nil, nil, err
 		}
-		if full {
-			return nil, st, fmt.Errorf("history: instance %s not found in %s", id, where)
-		}
-		full = true
+		st.Rung = h.Rung
 		if st.Shards == 0 {
 			st.RecordsRead = 0 // an unsharded source reports its last walk only
 		}
+		st.RecordsRead += h.Len()
+		recs := located(h, id)
+		st.RecordsReplayed = len(recs)
+		return recs, h, nil
 	}
+	for _, full := range []bool{false, true} {
+		if s.Full && !full {
+			continue
+		}
+		for _, l := range ladders {
+			recs, h, err := probe(l, full)
+			if err == nil && len(recs) == 0 && !full && slices.Contains(h.Done(), id) {
+				// Finished inside this checkpoint's cover: its records are
+				// here and nowhere else, behind the cover.
+				recs, _, err = probe(l, true)
+			}
+			if err != nil || len(recs) > 0 {
+				return recs, st, err
+			}
+		}
+	}
+	return nil, st, fmt.Errorf("history: instance %s not found in %s", id, where)
 }
 
 // located returns instance id's replayable records in one walk's view, or
 // nil when the view cannot replay it: on a checkpoint rung an instance
 // that finished inside the cover has lost its compacted records (its
 // intermediate states need the full history), and one the view has never
-// seen is simply elsewhere.
+// seen is simply elsewhere. h is a walk of a ladder that named id, so its
+// tail is already id's alone.
 func located(h *wal.History, id string) []wal.Record {
-	tail := filterInstance(h.Tail, id)
 	if h.Checkpoint == nil {
-		return tail
+		return h.Tail
 	}
 	if live := filterInstance(h.Checkpoint.Records, id); len(live) > 0 {
-		return append(live, tail...)
+		return append(live, h.Tail...)
 	}
-	if len(tail) > 0 && tail[0].Type == wal.RecCreated {
-		return tail // born after the checkpoint's cover: the tail is complete
+	if len(h.Tail) > 0 && h.Tail[0].Type == wal.RecCreated {
+		return h.Tail // born after the checkpoint's cover: the tail is complete
 	}
 	return nil
 }
@@ -151,7 +179,10 @@ type Builder func(opts ...engine.Option) (*engine.Engine, error)
 // (wfquery registers halting stub programs there) cannot disturb
 // already-captured snapshots.
 func StateAsOf(build Builder, records []wal.Record, id string, k int) (*engine.InstanceSnapshot, int, error) {
-	recs := filterInstance(records, id)
+	recs := records
+	if slices.ContainsFunc(records, func(r wal.Record) bool { return r.Instance != id }) {
+		recs = filterInstance(records, id) // a mixed slice, not one Records projected
+	}
 	if len(recs) == 0 {
 		return nil, 0, fmt.Errorf("history: no records for instance %s", id)
 	}

@@ -379,3 +379,103 @@ func TestQueryLeavesTheWALAlone(t *testing.T) {
 		}
 	}
 }
+
+// writeShard runs the named chain instances to completion on shard s of a
+// fleet root; a checkpoint pass follows the first checkpointed of them, so
+// those finish inside its cover and the rest are its tail.
+func writeShard(t *testing.T, root string, s, checkpointed int, ids ...string) {
+	t.Helper()
+	seg, err := wal.OpenSegmentedLog(filepath.Join(root, engine.ShardDirName(s)), wal.SegmentMaxRecords(4), wal.SegmentFormat(wal.FormatBinary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		runChain(t, id, seg, engine.WithMetrics(obs.NewRegistry()))
+		if i+1 == checkpointed {
+			if err := engine.NewCheckpointer(seg).CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSourceFullOnFleetRoot: Full means the full-history rung on a fleet
+// root too (wfquery state -full -wal FLEET). Both shards are checkpointed,
+// so the bounded query answers from a checkpoint rung; the forced one must
+// report full-replay and read at least as much.
+func TestSourceFullOnFleetRoot(t *testing.T) {
+	root := t.TempDir()
+	for s := 0; s < 2; s++ {
+		name := engine.ShardDirName(s)
+		writeShard(t, root, s, 2, "old-1-"+name, "old-2-"+name, "new-"+name)
+	}
+	for s := 0; s < 2; s++ {
+		id := "new-" + engine.ShardDirName(s)
+		recs, bounded, err := (&Source{WAL: root}).Records(id)
+		if err != nil || bounded.Rung != wal.SourceNewestCheckpoint {
+			t.Fatalf("%s bounded: stats %+v err=%v", id, bounded, err)
+		}
+		frecs, full, err := (&Source{WAL: root, Full: true}).Records(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Rung != wal.SourceFullReplay || full.RecordsRead < bounded.RecordsRead || full.Shards != 2 {
+			t.Fatalf("%s with Full: stats %+v, bounded %+v", id, full, bounded)
+		}
+		if !reflect.DeepEqual(recs, frecs) {
+			t.Fatalf("%s: the full rung returned other records than the bounded view", id)
+		}
+	}
+}
+
+// TestSourceFindsInstanceOffItsHomeShard: admission-time rebalancing can
+// put an instance on a peer of its consistent-hash home. Probing the home
+// shard first is only an order — the instance is still located, from the
+// peer's bounded view when it is live there and from the peer's full
+// history when the peer's checkpoint lists it as done — and every probe is
+// counted.
+func TestSourceFindsInstanceOffItsHomeShard(t *testing.T) {
+	const shards = 3
+	root := t.TempDir()
+	away := func(id string) int { return (engine.ShardFor(id, shards) + 1) % shards }
+	ids := make([][]string, shards)
+	for _, id := range []string{"moved-done-a", "moved-done-b", "moved-done-c", "moved-live-a", "moved-live-b", "moved-live-c"} {
+		ids[away(id)] = append(ids[away(id)], id)
+	}
+	for s := 0; s < shards; s++ {
+		// A resident of its own so every shard has a checkpoint and a tail.
+		name := engine.ShardDirName(s)
+		var done, live []string
+		for _, id := range ids[s] {
+			if strings.HasPrefix(id, "moved-done") {
+				done = append(done, id)
+			} else {
+				live = append(live, id)
+			}
+		}
+		done = append(done, "resident-done-"+name)
+		writeShard(t, root, s, len(done), append(append(done, live...), "resident-live-"+name)...)
+	}
+	src := &Source{WAL: root}
+	for s := 0; s < shards; s++ {
+		for _, id := range ids[s] {
+			snap, _, st, err := src.StateAt(buildChain, id, 0)
+			if err != nil {
+				t.Fatalf("%s (on shard %d, home %d): %v", id, s, engine.ShardFor(id, shards), err)
+			}
+			wantRung := wal.SourceNewestCheckpoint
+			if strings.HasPrefix(id, "moved-done") {
+				wantRung = wal.SourceFullReplay
+			}
+			if snap.ID != id || snap.Status != "finished" || st.Rung != wantRung || st.RecordsReplayed == 0 {
+				t.Fatalf("%s: snapshot %+v stats %+v, want rung %s", id, snap, st, wantRung)
+			}
+		}
+	}
+	if _, st, err := src.Records("nobody"); err == nil || !strings.Contains(err.Error(), "not found in any shard under") || st.Shards != shards {
+		t.Fatalf("absent instance: stats %+v err=%v", st, err)
+	}
+}

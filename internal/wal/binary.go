@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -213,13 +214,15 @@ func (r *binReader) varint() int64 {
 	return v
 }
 
-func (r *binReader) str() string {
+// str returns the bytes of a length-prefixed string, aliasing the body:
+// the walk decides whether they are worth a string.
+func (r *binReader) str() []byte {
 	n := r.uvarint()
 	if r.bad || uint64(r.off)+n > uint64(len(r.b)) {
 		r.bad = true
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	s := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
 	return s
 }
@@ -234,69 +237,140 @@ func (r *binReader) u64() uint64 {
 	return v
 }
 
-// UnmarshalBinary decodes one binary frame body into a record — the
-// inverse of MarshalBinary. The accepted domain matches the text decoder:
-// a record UnmarshalBinary accepts always re-marshals in both formats.
-func UnmarshalBinary(b []byte) (Record, error) {
-	r := &binReader{b: b}
-	var rec Record
+// scan is the state of one walk over log bytes: a single file, or every
+// segment of a ladder walk in turn. The strict and tolerant readers, the
+// ladder and the instance-filtered query walk all decode through it, so
+// there is one definition of what a log's bytes mean.
+type scan struct {
+	// instance, when non-empty, is the projection the walk computes: only
+	// this instance's records are materialised. A frame of another instance
+	// still gets its CRC check and the same walk of its body, so the scan
+	// reports every error an unfiltered one would — it just allocates
+	// nothing for what the caller would throw away.
+	instance string
+	// recs holds the records materialised so far, in log order.
+	recs []Record
+	// frames counts the frames and text lines that scanned clean, kept or
+	// not: what the walk read, as History.Len reports it.
+	frames int
+	// strs interns the identity strings and value keys of binary frames: a
+	// log repeats a few paths, process names and member names thousands of
+	// times. Nil (UnmarshalBinary's one-record scan) interns nothing.
+	strs map[string]string
+}
+
+// maxInterned bounds a walk's intern table; past it strings are allocated
+// per record, as before interning.
+const maxInterned = 1 << 16
+
+func newScan(instance string) *scan {
+	return &scan{instance: instance, strs: make(map[string]string)}
+}
+
+// str returns b as a string, shared with every earlier equal string of the
+// walk.
+func (s *scan) str(b []byte) string {
+	if v, ok := s.strs[string(b)]; ok {
+		return v
+	}
+	v := string(b)
+	if s.strs != nil && len(s.strs) < maxInterned {
+		s.strs[v] = v
+	}
+	return v
+}
+
+// body walks one binary frame body — the only function that knows the
+// body's layout. It always validates the whole body (type code, the three
+// identity strings, iteration, value count, every value's kind and
+// payload, no trailing bytes) and reports the frame's instance ID,
+// aliasing b; it fills rec, and allocates, only when the walk keeps that
+// instance (keep).
+func (s *scan) body(b []byte, rec *Record) (instance []byte, keep bool, err error) {
+	r := binReader{b: b}
+	var typ RecordType
+	var other []byte
 	switch tc := r.byteVal(); tc {
 	case binTypeCreated:
-		rec.Type = RecCreated
+		typ = RecCreated
 	case binTypeActivity:
-		rec.Type = RecFinishedActivity
+		typ = RecFinishedActivity
 	case binTypeStarted:
-		rec.Type = RecStartedActivity
+		typ = RecStartedActivity
 	case binTypeDone:
-		rec.Type = RecDone
+		typ = RecDone
 	case binTypeOther:
-		rec.Type = RecordType(r.str())
+		other = r.str()
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record type code %d", tc)
+		return nil, false, fmt.Errorf("wal: unknown record type code %d", tc)
 	}
-	rec.Instance = r.str()
-	rec.Process = r.str()
-	rec.Path = r.str()
-	rec.Iter = int(r.varint())
+	instance = r.str()
+	process, path := r.str(), r.str()
+	iter := r.varint()
 	nvals := r.uvarint()
 	if r.bad {
-		return Record{}, fmt.Errorf("wal: truncated binary record body")
+		return nil, false, fmt.Errorf("wal: truncated binary record body")
 	}
 	if nvals > uint64(len(b)) {
 		// Each value needs at least 2 body bytes; a larger count is
 		// corruption, not an allocation request.
-		return Record{}, fmt.Errorf("wal: implausible value count %d", nvals)
+		return nil, false, fmt.Errorf("wal: implausible value count %d", nvals)
 	}
-	if nvals > 0 {
-		rec.Values = make(map[string]expr.Value, nvals)
-		for i := uint64(0); i < nvals; i++ {
-			k := r.str()
-			switch kind := r.byteVal(); kind {
-			case binKindInt:
-				rec.Values[k] = expr.Int(r.varint())
-			case binKindFloat:
-				f := math.Float64frombits(r.u64())
-				if math.IsNaN(f) || math.IsInf(f, 0) {
-					return Record{}, fmt.Errorf("wal: member %q: non-finite FLOAT value", k)
-				}
-				rec.Values[k] = expr.Float(f)
-			case binKindString:
-				rec.Values[k] = expr.String_(r.str())
-			case binKindBool:
-				rec.Values[k] = expr.Bool(r.byteVal() != 0)
-			default:
-				if r.bad {
-					return Record{}, fmt.Errorf("wal: truncated binary record body")
-				}
-				return Record{}, fmt.Errorf("wal: member %q: unknown value kind %q", k, kind)
+	if keep = s.instance == "" || string(instance) == s.instance; keep {
+		if other != nil {
+			typ = RecordType(s.str(other))
+		}
+		*rec = Record{Type: typ, Instance: s.str(instance), Process: s.str(process), Path: s.str(path), Iter: int(iter)}
+		if nvals > 0 {
+			rec.Values = make(map[string]expr.Value, nvals)
+		}
+	}
+	for i := uint64(0); i < nvals; i++ {
+		k := r.str()
+		var v expr.Value
+		switch kind := r.byteVal(); kind {
+		case binKindInt:
+			v = expr.Int(r.varint())
+		case binKindFloat:
+			f := math.Float64frombits(r.u64())
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, false, fmt.Errorf("wal: member %q: non-finite FLOAT value", k)
 			}
+			v = expr.Float(f)
+		case binKindString:
+			if sv := r.str(); keep {
+				v = expr.String_(string(sv))
+			}
+		case binKindBool:
+			v = expr.Bool(r.byteVal() != 0)
+		default:
+			if r.bad {
+				return nil, false, fmt.Errorf("wal: truncated binary record body")
+			}
+			return nil, false, fmt.Errorf("wal: member %q: unknown value kind %q", k, kind)
+		}
+		if keep {
+			rec.Values[s.str(k)] = v
 		}
 	}
 	if r.bad {
-		return Record{}, fmt.Errorf("wal: truncated binary record body")
+		return nil, false, fmt.Errorf("wal: truncated binary record body")
 	}
 	if r.off != len(b) {
-		return Record{}, fmt.Errorf("wal: %d trailing bytes after binary record body", len(b)-r.off)
+		return nil, false, fmt.Errorf("wal: %d trailing bytes after binary record body", len(b)-r.off)
+	}
+	return instance, keep, nil
+}
+
+// UnmarshalBinary decodes one binary frame body into a record — the
+// inverse of MarshalBinary, and the body walk of every scan with nothing
+// filtered. The accepted domain matches the text decoder: a record
+// UnmarshalBinary accepts always re-marshals in both formats.
+func UnmarshalBinary(b []byte) (Record, error) {
+	var s scan
+	var rec Record
+	if _, _, err := s.body(b, &rec); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
@@ -318,114 +392,137 @@ func EncodeRecord(dst []byte, rec Record, f Format) ([]byte, error) {
 	return append(dst, '\n'), nil
 }
 
-// scanBinary walks binary frames starting at off (just past the file
-// header). Tolerant mode mirrors the text scanner's crash semantics: an
-// incomplete frame at EOF, or a final frame whose CRC or body fails, is a
-// torn tail and is dropped; a complete bad frame followed by further
-// bytes is mid-log corruption and an error. A corrupted length field
-// makes resynchronization impossible, so everything from the bad frame on
-// is dropped as a tail — strict mode errors in every one of these cases,
-// so a strictly readable log always reads tolerantly with nothing
-// dropped.
-func scanBinary(data []byte, off int, strict bool) (recs []Record, validLen, droppedBytes int, err error) {
+// countFrames counts the complete frames from off by hopping their length
+// prefixes, so a scan that keeps everything sizes its record slice once.
+func countFrames(data []byte, off int) int {
+	n := 0
+	for len(data)-off >= binFrameHdr {
+		bodyLen := binary.LittleEndian.Uint32(data[off:])
+		if bodyLen > maxFrameBody || len(data)-off-binFrameHdr < int(bodyLen) {
+			break
+		}
+		off += binFrameHdr + int(bodyLen)
+		n++
+	}
+	return n
+}
+
+// binary walks binary frames starting at off (just past the file header).
+// Tolerant mode mirrors the text scanner's crash semantics: an incomplete
+// frame at EOF, or a final frame whose CRC or body fails, is a torn tail
+// and is dropped; a complete bad frame followed by further bytes is mid-log
+// corruption and an error. A corrupted length field makes
+// resynchronization impossible, so everything from the bad frame on is
+// dropped as a tail — strict mode errors in every one of these cases, so a
+// strictly readable log always reads tolerantly with nothing dropped.
+func (s *scan) binary(data []byte, off int, strict bool) (validLen, droppedBytes int, err error) {
 	validLen = off
+	if s.instance == "" {
+		s.recs = slices.Grow(s.recs, countFrames(data, off))
+	}
 	frame := 0
 	for off < len(data) {
 		frame++
 		rem := data[off:]
 		if len(rem) < binFrameHdr {
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: frame %d: truncated frame header", frame)
+				return 0, 0, fmt.Errorf("wal: frame %d: truncated frame header", frame)
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
 		bodyLen := binary.LittleEndian.Uint32(rem)
 		if bodyLen > maxFrameBody {
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: frame %d: implausible body length %d", frame, bodyLen)
+				return 0, 0, fmt.Errorf("wal: frame %d: implausible body length %d", frame, bodyLen)
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
 		end := binFrameHdr + int(bodyLen)
 		if len(rem) < end {
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: frame %d: truncated body (%d of %d bytes)", frame, len(rem)-binFrameHdr, bodyLen)
+				return 0, 0, fmt.Errorf("wal: frame %d: truncated body (%d of %d bytes)", frame, len(rem)-binFrameHdr, bodyLen)
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
 		body := rem[binFrameHdr:end]
 		final := off+end == len(data)
 		if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(rem[4:]); got != want {
 			perr := fmt.Errorf("wal: frame %d: checksum mismatch (want %08x, got %08x)", frame, want, got)
 			if strict {
-				return nil, 0, 0, perr
+				return 0, 0, perr
 			}
 			if !final {
-				return nil, 0, 0, fmt.Errorf("%w (followed by further frames — mid-log corruption)", perr)
+				return 0, 0, fmt.Errorf("%w (followed by further frames — mid-log corruption)", perr)
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
-		rec, perr := UnmarshalBinary(body)
+		var rec Record
+		_, keep, perr := s.body(body, &rec)
 		if perr != nil {
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: frame %d: %w", frame, perr)
+				return 0, 0, fmt.Errorf("wal: frame %d: %w", frame, perr)
 			}
 			if !final {
-				return nil, 0, 0, fmt.Errorf("wal: frame %d: %w (followed by further frames — mid-log corruption)", frame, perr)
+				return 0, 0, fmt.Errorf("wal: frame %d: %w (followed by further frames — mid-log corruption)", frame, perr)
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
-		recs = append(recs, rec)
+		s.frames++
+		if keep {
+			s.recs = append(s.recs, rec)
+		}
 		off += end
 		validLen = off
 	}
-	return recs, validLen, 0, nil
+	return validLen, 0, nil
 }
 
-// scanLog sniffs the file header and walks the whole log in the format it
-// declares (no header means text). It is the single scanning core behind
-// the strict and tolerant readers — both walk the identical byte
-// semantics with strictness as the only difference, so the two can never
-// diverge on the same input (the PR 6 CRLF parity-bug class, fixed here
-// by construction; the old strict reader also capped lines at 16 MiB
-// while the tolerant one did not, so a repaired log could still fail a
-// strict read-back).
-func scanLog(data []byte, strict bool) (recs []Record, validLen, droppedBytes int, err error) {
+// log sniffs the file header and walks the whole log in the format it
+// declares (no header means text), adding what it finds to the scan. It is
+// the single scanning core behind the strict and tolerant readers — both
+// walk the identical byte semantics with strictness as the only
+// difference, so the two can never diverge on the same input (the PR 6
+// CRLF parity-bug class, fixed here by construction; the old strict reader
+// also capped lines at 16 MiB while the tolerant one did not, so a
+// repaired log could still fail a strict read-back). After an error the
+// scan holds a partial read of data: the caller discards it or rewinds.
+func (s *scan) log(data []byte, strict bool) (validLen, droppedBytes int, err error) {
 	if len(data) == 0 {
-		return nil, 0, 0, nil
+		return 0, 0, nil
 	}
 	if data[0] != binaryMagic[0] {
-		return scanText(data, strict)
+		return s.text(data, strict)
 	}
 	if len(data) < fileHeaderLen {
 		if bytes.Equal(data, binaryMagic[:len(data)]) {
 			// A crash can tear the header itself; the file holds no
 			// records yet.
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: truncated file header")
+				return 0, 0, fmt.Errorf("wal: truncated file header")
 			}
-			return nil, 0, len(data), nil
+			return 0, len(data), nil
 		}
-		return nil, 0, 0, fmt.Errorf("wal: bad file magic")
+		return 0, 0, fmt.Errorf("wal: bad file magic")
 	}
 	if !bytes.Equal(data[:len(binaryMagic)], binaryMagic[:]) {
-		return nil, 0, 0, fmt.Errorf("wal: bad file magic")
+		return 0, 0, fmt.Errorf("wal: bad file magic")
 	}
 	switch Format(data[fileHeaderLen-1]) {
 	case FormatText:
-		recs, validLen, droppedBytes, err = scanText(data[fileHeaderLen:], strict)
-		return recs, validLen + fileHeaderLen, droppedBytes, err
+		validLen, droppedBytes, err = s.text(data[fileHeaderLen:], strict)
+		return validLen + fileHeaderLen, droppedBytes, err
 	case FormatBinary:
-		return scanBinary(data, fileHeaderLen, strict)
+		return s.binary(data, fileHeaderLen, strict)
 	default:
-		return nil, 0, 0, fmt.Errorf("wal: unsupported log format %d", data[fileHeaderLen-1])
+		return 0, 0, fmt.Errorf("wal: unsupported log format %d", data[fileHeaderLen-1])
 	}
 }
 
-// scanText walks text-framed log bytes; see scanLog. Only the final
-// non-empty line may be torn or corrupt in tolerant mode; strict mode
-// errors on any bad line.
-func scanText(data []byte, strict bool) (recs []Record, validLen, droppedBytes int, err error) {
+// text walks text-framed log bytes; see log. Only the final non-empty line
+// may be torn or corrupt in tolerant mode; strict mode errors on any bad
+// line. Every line is parsed in full; an instance filter applies to the
+// parsed record.
+func (s *scan) text(data []byte, strict bool) (validLen, droppedBytes int, err error) {
 	off := 0
 	lineNo := 0
 	for off < len(data) {
@@ -450,7 +547,7 @@ func scanText(data []byte, strict bool) (recs []Record, validLen, droppedBytes i
 		rec, perr := parseLine(line)
 		if perr != nil {
 			if strict {
-				return nil, 0, 0, fmt.Errorf("wal: line %d: %w", lineNo, perr)
+				return 0, 0, fmt.Errorf("wal: line %d: %w", lineNo, perr)
 			}
 			// Tolerated only as the final non-empty line.
 			for rest := next; rest < len(data); {
@@ -465,15 +562,18 @@ func scanText(data []byte, strict bool) (recs []Record, validLen, droppedBytes i
 					rline = rline[:n-1]
 				}
 				if len(rline) > 0 {
-					return nil, 0, 0, fmt.Errorf("wal: line %d: %w (followed by further records — mid-log corruption)", lineNo, perr)
+					return 0, 0, fmt.Errorf("wal: line %d: %w (followed by further records — mid-log corruption)", lineNo, perr)
 				}
 				rest = rnext
 			}
-			return recs, validLen, len(data) - validLen, nil
+			return validLen, len(data) - validLen, nil
 		}
-		recs = append(recs, rec)
+		s.frames++
+		if s.instance == "" || rec.Instance == s.instance {
+			s.recs = append(s.recs, rec)
+		}
 		off = next
 		validLen = off
 	}
-	return recs, validLen, 0, nil
+	return validLen, 0, nil
 }

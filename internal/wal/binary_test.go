@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -382,5 +383,73 @@ func TestFileAppendIdleBusZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("idle-bus binary append allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// scanCorpus writes a binary log of n records: five instances of one
+// process, round-robin, each opened by a created record and continued by
+// finished activities on three paths whose output holds two integers.
+func scanCorpus(t *testing.T, n int) (path string, distinct int) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "scan.wal")
+	l, err := OpenFileLog(path, WithFormat(FormatBinary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"Flight", "Hotel", "Car"}
+	for i := 0; i < n; i++ {
+		rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("inst-%05d", i%5), Path: paths[i%len(paths)], Iter: i,
+			Values: map[string]expr.Value{"RC": expr.Int(0), "N": expr.Int(int64(i))}}
+		if i < 5 {
+			rec = Record{Type: RecCreated, Instance: rec.Instance, Process: "Travel", Values: rec.Values}
+		}
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, 5 + 1 + len(paths) + 2
+}
+
+// valuesSink keeps the map TestScanAllocCeilings prices on the heap.
+var valuesSink map[string]expr.Value
+
+// TestScanAllocCeilings gates what reading a log allocates (CI runs it
+// beside the append gate). A walk that names an instance the log does not
+// hold validates every frame and materialises none: its allocations are
+// the file buffer and bookkeeping, the same number for 100 records as for
+// 500. A walk that keeps everything adds, on top of that, its record
+// slice — once, sized by hopping the length prefixes — one string per
+// distinct instance, process, path and value key (interned for the walk;
+// the slack is the intern table's own growth) and each record's Values
+// map, and nothing else per record.
+func TestScanAllocCeilings(t *testing.T) {
+	const records = 500
+	small, _ := scanCorpus(t, records/5)
+	big, distinct := scanCorpus(t, records)
+	walk := func(path, instance string, want int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			h, err := Ladder{Path: path, Instance: instance}.Read()
+			if err != nil || len(h.Tail) != want || h.Len() == 0 {
+				t.Fatalf("walk of %s for %q: %d records err=%v, want %d", path, instance, len(h.Tail), err, want)
+			}
+		})
+	}
+	absent := walk(big, "nobody", 0)
+	if few := walk(small, "nobody", 0); few != absent || absent > 20 {
+		t.Fatalf("a filtered walk that keeps nothing allocates %.0f objects over %d records, %.0f over %d: want the same, and <= 20",
+			absent, records, few, records/5)
+	}
+	perMap := testing.AllocsPerRun(100, func() {
+		valuesSink = make(map[string]expr.Value, 2)
+		valuesSink["RC"], valuesSink["N"] = expr.Int(0), expr.Int(1)
+	})
+	const internSlack = 8
+	whole := walk(big, "", records)
+	if ceiling := absent + 1 + float64(distinct) + internSlack + records*perMap; whole > ceiling {
+		t.Fatalf("an unfiltered walk of %d records allocates %.0f objects, ceiling %.0f (bookkeeping %.0f + 1 slice + %d strings + %d table growth + %d maps of %.0f)",
+			records, whole, ceiling, absent, distinct, internSlack, records, perMap)
 	}
 }

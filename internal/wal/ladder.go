@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,6 +43,13 @@ type Ladder struct {
 	Store Store
 	// Full skips the checkpoint rungs: the walk reads the whole log.
 	Full bool
+	// Instance, when non-empty, is the question the walk answers: Tail
+	// holds only that instance's records. The walk still checks every frame
+	// it passes — CRC, structure, torn-tail and mid-log rules — so it fails
+	// exactly where an unfiltered walk fails, and Len still counts every
+	// record scanned; binary frames of other instances are validated
+	// without being materialised. The checkpoint is returned whole.
+	Instance string
 }
 
 // History is what one walk of a Ladder found.
@@ -51,13 +57,17 @@ type History struct {
 	// Checkpoint is the chosen checkpoint, nil on the full-replay rung.
 	Checkpoint *Checkpoint
 	// Tail holds the log's records after Checkpoint.Cover, in order — the
-	// whole log on the full-replay rung.
+	// whole log on the full-replay rung — or, when the ladder named an
+	// Instance, that instance's records among them.
 	Tail []Record
 	// Rung names the source that satisfied the walk (Source*).
 	Rung string
 	// Torn is the size in bytes of the torn tail found: truncated away by
 	// Recover, skipped by Read.
 	Torn int
+	// scanned counts the log records the walk read after the cover: len(Tail)
+	// unless the ladder named an Instance.
+	scanned int
 }
 
 // Done lists the instances that finished inside the checkpoint's cover and
@@ -69,13 +79,14 @@ func (h *History) Done() []string {
 	return h.Checkpoint.Done
 }
 
-// Len is the number of records the walk read: the checkpoint's plus the
-// tail's.
+// Len is the number of records the walk read: the checkpoint's plus every
+// log record scanned after its cover, whether or not an Instance filter
+// kept it.
 func (h *History) Len() int {
 	if h.Checkpoint == nil {
-		return len(h.Tail)
+		return h.scanned
 	}
-	return len(h.Checkpoint.Records) + len(h.Tail)
+	return len(h.Checkpoint.Records) + h.scanned
 }
 
 // Recover walks the ladder for a restart: a torn tail — the signature of a
@@ -95,25 +106,30 @@ func (l Ladder) walk(repair bool) (*History, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	h := &History{Rung: SourceFullReplay}
+	s := newScan(l.Instance)
 	if !fi.IsDir() {
-		h.Tail, h.Torn, err = readLog(l.Path, repair)
+		h.Torn, err = s.readLog(l.Path, repair)
+	} else {
+		cover := 0
+		if !l.Full {
+			dir := l.Checkpoints
+			if dir == "" {
+				dir = l.Path
+			}
+			if h.Checkpoint, h.Rung, err = loadCheckpoint(dir, l.Store); err != nil {
+				return nil, err
+			}
+			if h.Checkpoint != nil {
+				cover = h.Checkpoint.Cover
+			}
+		}
+		h.Torn, err = s.readSegments(l.Path, cover, l.Store, repair)
+	}
+	if err != nil {
 		return h, err
 	}
-	cover := 0
-	if !l.Full {
-		dir := l.Checkpoints
-		if dir == "" {
-			dir = l.Path
-		}
-		if h.Checkpoint, h.Rung, err = loadCheckpoint(dir, l.Store); err != nil {
-			return nil, err
-		}
-		if h.Checkpoint != nil {
-			cover = h.Checkpoint.Cover
-		}
-	}
-	h.Tail, h.Torn, err = readSegments(l.Path, cover, l.Store, repair)
-	return h, err
+	h.Tail, h.scanned = s.recs, s.frames
+	return h, nil
 }
 
 // LoadCheckpoint returns the newest checkpoint in dir that reads back
@@ -129,7 +145,12 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // index > afterIndex plus the bytes truncated — the tail step of
 // Ladder.Recover on its own.
 func RepairSegments(dir string, afterIndex int) ([]Record, int, error) {
-	return readSegments(dir, afterIndex, nil, true)
+	s := newScan("")
+	torn, err := s.readSegments(dir, afterIndex, nil, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.recs, torn, nil
 }
 
 // loadCheckpoint climbs the checkpoint rungs: the newest checkpoint in
@@ -207,15 +228,15 @@ func fetched(name string, size int) {
 	}
 }
 
-// readSegments reads every segment of dir with index > afterIndex, each
-// in whatever format its own header declares, and concatenates the
-// surviving records in index order. A torn tail is tolerated only where a
-// crash can put one — in the last segment that holds any records
-// (rotation seals earlier segments with an fsync, and a just-rotated
-// empty segment after the torn one is fine); a torn segment followed by
-// records in a later segment is mid-log corruption and is an error. With
-// repair set the torn tail is truncated (RepairFile semantics); without,
-// no file is written. Returns the records and the torn bytes.
+// readSegments scans every segment of dir with index > afterIndex, each in
+// whatever format its own header declares, straight into the walk's one
+// record slice in index order. A torn tail is tolerated only where a crash
+// can put one — in the last segment that holds any records (rotation seals
+// earlier segments with an fsync, and a just-rotated empty segment after
+// the torn one is fine); a torn segment followed by records in a later
+// segment is mid-log corruption and is an error. With repair set the torn
+// tail is truncated (RepairFile semantics); without, no file is written.
+// Returns the torn bytes.
 //
 // When store is non-nil the archived sealed segments supplement the
 // directory. A segment index present only in the archive (local copy
@@ -226,17 +247,17 @@ func fetched(name string, size int) {
 // content — and is then not truncated. Fetch errors and corrupt archived blobs fall back to whatever
 // the local file yields (CRC rejection, never silent trust), so a down
 // archive degrades to the local read.
-func readSegments(dir string, afterIndex int, store Store, repair bool) ([]Record, int, error) {
+func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool) (int, error) {
 	segs, err := ListSegments(dir)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	local := make(map[int]string, len(segs))
 	var indexes []int
-	for _, s := range segs {
-		local[s.Index] = s.Path
-		if s.Index > afterIndex {
-			indexes = append(indexes, s.Index)
+	for _, seg := range segs {
+		local[seg.Index] = seg.Path
+		if seg.Index > afterIndex {
+			indexes = append(indexes, seg.Index)
 		}
 	}
 	archived := map[int]string{}
@@ -255,61 +276,67 @@ func readSegments(dir string, afterIndex int, store Store, repair bool) ([]Recor
 	}
 	sort.Ints(indexes)
 
-	fetch := func(idx int) ([]Record, bool) {
+	// fetch makes segment idx's archived copy what the walk holds from
+	// (recs, frames) on, when one fetches and strict-decodes clean. The copy
+	// is scanned on its own, sharing the walk's filter and intern table, so
+	// a corrupt blob leaves the local read untouched: the rare path, where
+	// one more copy of a segment's records costs nothing that matters.
+	fetch := func(idx, recs, frames int) bool {
 		name, ok := archived[idx]
 		if !ok {
-			return nil, false
+			return false
 		}
 		data, err := store.Get(name)
 		if err != nil {
-			return nil, false
+			return false
 		}
-		recs, err := ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return nil, false // corrupt archived blob: CRC-reject, use local
+		a := &scan{instance: s.instance, strs: s.strs}
+		if _, _, err := a.log(data, true); err != nil {
+			return false // corrupt archived blob: CRC-reject, use local
 		}
 		fetched(name, len(data))
-		return recs, true
+		s.recs, s.frames = append(s.recs[:recs], a.recs...), frames+a.frames
+		return true
 	}
 
-	var out []Record
 	torn := 0
 	tornAt := -1 // index of a segment that lost a tail
 	for _, idx := range indexes {
-		var recs []Record
+		recs, frames := len(s.recs), s.frames // where this segment starts
 		d := 0
 		if path, ok := local[idx]; ok {
-			var validLen int
-			var err error
-			recs, validLen, d, err = scanFile(path)
+			validLen, dropped, err := s.file(path)
+			if err != nil {
+				s.recs, s.frames = s.recs[:recs], frames
+			}
+			d = dropped
 			replaced := false
 			if err != nil || d > 0 {
 				// Damaged local segment: the archived sealed copy restores
 				// the full content the local file lost. The local file is
 				// then left as found — truncating it would make a short
 				// segment look clean to a later walk with no archive to ask.
-				if arecs, ok := fetch(idx); ok {
-					recs, d, replaced = arecs, 0, true
+				if fetch(idx, recs, frames) {
+					d, replaced = 0, true
 				} else if err != nil {
-					return nil, 0, fmt.Errorf("wal: segment %d: %w", idx, err)
+					return 0, fmt.Errorf("wal: segment %d: %w", idx, err)
 				}
 			}
 			if repair && !replaced {
-				if err := repairLog(path, validLen, d, len(recs)); err != nil {
-					return nil, 0, err
+				if err := repairLog(path, validLen, d, s.frames-frames); err != nil {
+					return 0, err
 				}
 			}
-		} else if recs, ok = fetch(idx); !ok {
-			return nil, 0, fmt.Errorf("wal: segment %d: archived copy missing or corrupt and no local file", idx)
+		} else if !fetch(idx, recs, frames) {
+			return 0, fmt.Errorf("wal: segment %d: archived copy missing or corrupt and no local file", idx)
 		}
-		if tornAt >= 0 && len(recs) > 0 {
-			return nil, 0, fmt.Errorf("wal: segment %d torn but segment %d has records — mid-log corruption", tornAt, idx)
+		if tornAt >= 0 && s.frames > frames {
+			return 0, fmt.Errorf("wal: segment %d torn but segment %d has records — mid-log corruption", tornAt, idx)
 		}
 		if d > 0 {
 			tornAt = idx
 		}
 		torn += d
-		out = append(out, recs...)
 	}
-	return out, torn, nil
+	return torn, nil
 }

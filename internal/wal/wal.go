@@ -616,15 +616,18 @@ func decodeValue(jv jsonValue) (expr.Value, error) {
 // CRC-framed text lines (legacy plain-JSON lines are also accepted) or
 // length-prefixed binary frames. Any undecodable or checksum-failing
 // record is an error — use ReadAllTolerant to accept a log with a torn
-// tail. Strict and tolerant reads share one scanning core (scanLog), so
+// tail. Strict and tolerant reads share one scanning core (scan.log), so
 // a log RepairFile pronounces clean always reads back strictly.
 func ReadAll(r io.Reader) ([]Record, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	recs, _, _, err := scanLog(data, true)
-	return recs, err
+	s := newScan("")
+	if _, _, err := s.log(data, true); err != nil {
+		return nil, err
+	}
+	return s.recs, nil
 }
 
 // ReadFile reads a file-backed log from disk (strict; see ReadAll).
@@ -647,8 +650,12 @@ func ReadAllTolerant(r io.Reader) ([]Record, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: %w", err)
 	}
-	recs, _, dropped, err := scanLog(data, false)
-	return recs, dropped, err
+	s := newScan("")
+	_, dropped, err := s.log(data, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.recs, dropped, nil
 }
 
 // ReadFileTolerant reads a file-backed log, tolerating a torn tail (see
@@ -666,28 +673,39 @@ func RepairFile(path string) ([]Record, int, error) {
 	return readLog(path, true)
 }
 
-// readLog reads one log file tolerantly and returns its records and the
-// size of its torn tail. With repair set that tail is truncated away and
-// the read counted in wal.recovery.*; without, the file is left alone.
+// readLog reads every record of one log file; see scan.readLog.
 func readLog(path string, repair bool) ([]Record, int, error) {
-	recs, validLen, dropped, err := scanFile(path)
-	if err == nil && repair {
-		err = repairLog(path, validLen, dropped, len(recs))
+	s := newScan("")
+	dropped, err := s.readLog(path, repair)
+	if err != nil {
+		return nil, 0, err
 	}
-	return recs, dropped, err
+	return s.recs, dropped, nil
 }
 
-// scanFile reads one log file tolerantly: its records, the length of the
-// valid prefix and the size of the torn tail after it.
-func scanFile(path string) (recs []Record, validLen, dropped int, err error) {
+// readLog scans one log file tolerantly and returns the size of its torn
+// tail. With repair set that tail is truncated away and the read counted
+// in wal.recovery.*; without, the file is left alone.
+func (s *scan) readLog(path string, repair bool) (dropped int, err error) {
+	before := s.frames
+	validLen, dropped, err := s.file(path)
+	if err == nil && repair {
+		err = repairLog(path, validLen, dropped, s.frames-before)
+	}
+	return dropped, err
+}
+
+// file scans one log file tolerantly: the length of its valid prefix and
+// the size of the torn tail after it.
+func (s *scan) file(path string) (validLen, dropped int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	return scanLog(data, false)
+	return s.log(data, false)
 }
 
-// repairLog truncates the torn tail scanFile found (keeping a binary log's
+// repairLog truncates the torn tail scan.file found (keeping a binary log's
 // file header) and counts the repair and the records that survived it.
 func repairLog(path string, validLen, dropped, records int) error {
 	if dropped > 0 {
