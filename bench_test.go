@@ -309,7 +309,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 func BenchmarkWALMarshal(b *testing.B) {
 	rec := wal.Record{
 		Type: wal.RecFinishedActivity, Instance: "inst-1", Path: "Forward#0/T7", Iter: 3,
-		Values: sim.Chain("x", 1).Types.MustContainer(model.DefaultType).Snapshot(),
+		Values: defaultContainerValues(),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -477,8 +477,15 @@ func BenchmarkWALCompact(b *testing.B) {
 func benchRecord() wal.Record {
 	return wal.Record{
 		Type: wal.RecFinishedActivity, Instance: "inst-000042", Path: "Book/Flight", Iter: 1,
-		Values: sim.Chain("x", 1).Types.MustContainer(model.DefaultType).Snapshot(),
+		Values: defaultContainerValues(),
 	}
+}
+
+// defaultContainerValues is a default-type container as the engine hands it
+// to the log: the layout's paths and a copy of the slots.
+func defaultContainerValues() wal.Values {
+	keys, vals := sim.Chain("x", 1).Types.MustContainer(model.DefaultType).Vector()
+	return wal.Values{Keys: keys, Vals: vals}
 }
 
 func BenchmarkWALEncode(b *testing.B) {

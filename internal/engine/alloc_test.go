@@ -12,9 +12,11 @@ import (
 // travelSagaAllocCeiling bounds the allocations of creating and running
 // one FMTM-compiled travel saga to its commit on wal.Discard. The engine
 // that rebuilt adjacency maps, map-backed containers and a []Event trail
-// for every instance made 126 and this one makes 52; the gate sits under
-// 60% of the former with room for a toolchain to move the latter.
-const travelSagaAllocCeiling = 60
+// for every instance made 126; slot-vector containers and plans brought it
+// to 52, and records that carry the slot vector instead of a Snapshot map
+// to 46. The gate leaves room for a toolchain to move that, not for a map
+// per record to come back.
+const travelSagaAllocCeiling = 50
 
 // TestTravelSagaAllocCeiling is the allocation gate of the navigation hot
 // path: per-instance work that creeps back into CreateInstance or Start

@@ -119,9 +119,9 @@ type Instance struct {
 	trail    []trailRec
 	failures []Event // the EvFailed events of the trail, whole (see trailRec)
 
-	// replay memoizes completed activity executions during recovery:
-	// path -> iter -> output snapshot.
-	replay map[string]map[int]map[string]expr.Value
+	// replay indexes the completed activity executions of the log being
+	// recovered; the records stay where Recover's caller put them.
+	replay map[replayKey]*wal.Record
 
 	// logq holds the records navigation has produced since the last
 	// commitLog barrier, borrowed from logqPool while it is non-empty;
@@ -350,7 +350,7 @@ func (inst *Instance) Start() error {
 	inst.markStarted()
 	inst.appendLog(wal.Record{
 		Type: wal.RecCreated, Instance: inst.id, Process: inst.tpl.proc.Name,
-		Values: inst.root.input.Snapshot(),
+		Values: recordValues(inst.root.input),
 	})
 	inst.event(trailRec{kind: EvCreated})
 	inst.startScope(inst.root)
@@ -456,7 +456,7 @@ func (inst *Instance) Cancel() error {
 		}
 	}
 	inst.appendLog(wal.Record{
-		Type: wal.RecDone, Instance: inst.id, Values: inst.root.output.Snapshot(),
+		Type: wal.RecDone, Instance: inst.id, Values: recordValues(inst.root.output),
 	})
 	inst.commitLog()
 	if inst.err != nil {
@@ -782,9 +782,9 @@ func (inst *Instance) runActivity(as *actState) {
 		// invocation. Blocks and subprocesses always re-navigate (their
 		// member completions replay individually), so a recovered run
 		// produces the identical audit trail.
-		if vals := inst.replayHit(as); vals != nil {
+		if rec := inst.replayHit(as); rec != nil {
 			out := as.plan.out.Clone()
-			if err := out.Restore(vals); err != nil {
+			if err := out.Restore(rec.Values.Keys, rec.Values.Vals); err != nil {
 				inst.fail(err)
 				return
 			}
@@ -1041,7 +1041,7 @@ func (inst *Instance) buildInput(as *actState) *model.Container {
 func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 	inst.appendLog(wal.Record{
 		Type: wal.RecFinishedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
-		Values: out.Snapshot(),
+		Values: recordValues(out),
 	})
 	inst.event(trailRec{kind: EvFinished, as: as, rc: out.RC(), flag: as.forced})
 
@@ -1153,7 +1153,7 @@ func (inst *Instance) checkStart(as *actState) {
 func (inst *Instance) scopeDone(sc *scope) {
 	if sc.owner == nil {
 		inst.appendLog(wal.Record{
-			Type: wal.RecDone, Instance: inst.id, Values: sc.output.Snapshot(),
+			Type: wal.RecDone, Instance: inst.id, Values: recordValues(sc.output),
 		})
 		inst.commitLog()
 		if inst.err != nil {
@@ -1175,11 +1175,23 @@ func (inst *Instance) scopeDone(sc *scope) {
 	inst.finishActivity(owner, sc.output)
 }
 
-// replayHit returns the logged output of the activity's current iteration,
-// or nil when the instance is not recovering or the log has none.
-func (inst *Instance) replayHit(as *actState) map[string]expr.Value {
-	if inst.replay == nil {
-		return nil
+// replayKey names one activity execution in the replay index.
+type replayKey struct {
+	path string
+	iter int
+}
+
+// replayHit returns the logged completion of the activity's current
+// iteration, if the log being recovered has one that carries an output.
+func (inst *Instance) replayHit(as *actState) *wal.Record {
+	if rec := inst.replay[replayKey{as.path(), as.iter}]; rec != nil && rec.Values.Len() > 0 {
+		return rec
 	}
-	return inst.replay[as.path()][as.iter]
+	return nil
+}
+
+// recordValues is a container's record form: shared paths, copied slots.
+func recordValues(c *model.Container) wal.Values {
+	keys, vals := c.Vector()
+	return wal.Values{Keys: keys, Vals: vals}
 }

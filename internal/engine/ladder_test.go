@@ -28,6 +28,11 @@ type ladderRow struct {
 	// archive directory, "" without one).
 	damage func(t *testing.T, dir, arch string)
 
+	// fails: the damage is lost history, not a torn tail. Every walk must
+	// fail, a second walk must fail with the same error, and no walk —
+	// the recovering one included — may change a byte on disk.
+	fails bool
+
 	rung string // rung every walk must report
 	read int    // records a walk reads, checkpoint plus tail, per log
 	done int    // instances the chosen checkpoint already marks finished, per log
@@ -77,7 +82,32 @@ func ladderRows() []ladderRow {
 			writeFile(t, path, data[:len(data)-len(data)/4])
 		}, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
 		{name: "sharded root", shards: 2, passes: 3, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
+		{name: "torn segment before later records", fails: true, damage: func(t *testing.T, dir, _ string) {
+			damageFirstSegment(t, dir, false)
+		}},
 	}
+}
+
+// damageFirstSegment flips one byte of dir's first segment, which holds
+// only records of w-0: three bytes from its end — inside its last record, so
+// the segment reads as torn with records after it in later segments — or in
+// its middle (a bad frame with frames after it).
+func damageFirstSegment(t *testing.T, dir string, middle bool) {
+	t.Helper()
+	segs, err := wal.ListSegments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("segments: %v err=%v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(data) - 3
+	if middle {
+		at = len(data) / 2
+	}
+	data[at] ^= 0x40
+	writeFile(t, segs[0].Path, data)
 }
 
 func writeFile(t *testing.T, path string, data []byte) {
@@ -268,7 +298,9 @@ func readTree(t *testing.T, root string) map[string]string {
 // records read, the torn tail, and that every instance is either marked
 // finished by the checkpoint or recovered to the crash-free trail, output
 // and snapshot; the non-mutating walk must in addition leave every file
-// byte-identical and wal.recovery.* untouched.
+// byte-identical and wal.recovery.* untouched. A row marked fails asserts
+// the opposite contract: both walks fail, twice with one error, and the
+// recovering walk repairs nothing it met on the way to that error.
 func TestLadderTable(t *testing.T) {
 	// The crash-free run: every instance has the same trail and output.
 	wantTrail := fmt.Sprint(baselineTrail(t))
@@ -293,6 +325,28 @@ func TestLadderTable(t *testing.T) {
 
 					before := readTree(t, root)
 					repairs0, repaired0 := repairs.Value(), repaired.Value()
+					if row.fails {
+						for _, l := range ladders {
+							walk := l.Read
+							if mutate {
+								walk = l.Recover
+							}
+							_, first := walk()
+							if first == nil {
+								t.Fatalf("%s: the walk read through lost history", l.Path)
+							}
+							if after := readTree(t, root); !reflect.DeepEqual(before, after) {
+								t.Fatalf("%s: a failing walk changed a file (%v)", l.Path, first)
+							}
+							if _, second := walk(); second == nil || second.Error() != first.Error() {
+								t.Fatalf("%s: second walk: %v, first walk: %v", l.Path, second, first)
+							}
+						}
+						if repairs.Value() != repairs0 || repaired.Value() != repaired0 {
+							t.Fatal("a failing walk moved wal.recovery.*")
+						}
+						return
+					}
 					e, _ := newRecoveryEngine(t)
 					var insts []*Instance
 					for _, l := range ladders {
@@ -382,6 +436,9 @@ func onlyInstance(recs []wal.Record, id string) []wal.Record {
 // gets a corpus of its own.
 func TestLadderInstanceDifferential(t *testing.T) {
 	for _, row := range ladderRows() {
+		if row.fails {
+			continue // nothing to project: TestLadderInstanceSeesForeignDamage
+		}
 		for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
 			for _, mutate := range []bool{true, false} {
 				walk := func(l wal.Ladder) (*wal.History, error) {
@@ -449,37 +506,16 @@ func cpRecords(h *wal.History) []wal.Record {
 // TestLadderInstanceSeesForeignDamage: naming an instance does not excuse
 // the frames the walk skips. A checksum broken in the middle of the log, in
 // a record of another instance, fails the filtered walk with the very
-// error the unfiltered walk reports, in both framings and both walks.
+// error the unfiltered walk reports, in both framings and both walks. A
+// failing Recover repairs nothing, so every walk shares one corpus.
 func TestLadderInstanceSeesForeignDamage(t *testing.T) {
 	row := ladderRows()[1] // a segment directory, no checkpoint
 	for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
 		t.Run(format.String(), func(t *testing.T) {
-			// damaged writes the corpus and flips one byte of the first segment,
-			// which holds only records of w-0: three bytes from its end — inside
-			// its last record (the segment then reads as torn, with records
-			// after it) — or in its middle (a bad frame with frames after it). Recover truncates a segment it takes for torn before
-			// it meets the next one, so every recovering walk gets a corpus of
-			// its own.
-			damaged := func(middle bool) wal.Ladder {
-				_, ladders := buildLadderCorpus(t, row, format)
-				segs, err := wal.ListSegments(ladders[0].Path)
-				if err != nil || len(segs) < 3 {
-					t.Fatalf("segments: %v err=%v", segs, err)
-				}
-				data, err := os.ReadFile(segs[0].Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				at := len(data) - 3
-				if middle {
-					at = len(data) / 2
-				}
-				data[at] ^= 0x40
-				writeFile(t, segs[0].Path, data)
-				return ladders[0]
-			}
 			for _, middle := range []bool{false, true} {
-				l := damaged(middle)
+				_, ladders := buildLadderCorpus(t, row, format)
+				l := ladders[0]
+				damageFirstSegment(t, l.Path, middle)
 				_, want := l.Read()
 				if want == nil {
 					t.Fatal("the unfiltered walk read through a broken checksum")
@@ -489,9 +525,7 @@ func TestLadderInstanceSeesForeignDamage(t *testing.T) {
 					if _, err := l.Read(); err == nil || err.Error() != want.Error() {
 						t.Fatalf("Read for %s: %v, want %v", id, err, want)
 					}
-					r := damaged(middle)
-					r.Instance = id
-					if _, err := r.Recover(); err == nil || err.Error() != want.Error() {
+					if _, err := l.Recover(); err == nil || err.Error() != want.Error() {
 						t.Fatalf("Recover for %s: %v, want %v", id, err, want)
 					}
 				}

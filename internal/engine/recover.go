@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/wal"
 )
 
@@ -38,26 +37,21 @@ func Recover(e *Engine, records []wal.Record, newLog wal.Log) (*Instance, error)
 		newLog = &wal.MemLog{}
 	}
 	in := tpl.plan.input.Clone()
-	if err := in.Restore(created.Values); err != nil {
+	if err := in.Restore(created.Values.Keys, created.Values.Vals); err != nil {
 		return nil, fmt.Errorf("engine: restoring input container: %w", err)
 	}
 
 	e.metrics.recReplayed.Add(int64(len(records)))
 	inst := newInstance(e, created.Instance, tpl, in, newLog)
-	inst.replay = make(map[string]map[int]map[string]expr.Value)
-	for _, rec := range records[1:] {
+	inst.replay = make(map[replayKey]*wal.Record, len(records)/2)
+	for i := range records[1:] {
+		rec := &records[1+i]
 		if rec.Instance != created.Instance {
 			return nil, fmt.Errorf("engine: log mixes instances %q and %q", created.Instance, rec.Instance)
 		}
-		if rec.Type != wal.RecFinishedActivity {
-			continue
+		if rec.Type == wal.RecFinishedActivity {
+			inst.replay[replayKey{rec.Path, rec.Iter}] = rec
 		}
-		byIter := inst.replay[rec.Path]
-		if byIter == nil {
-			byIter = make(map[int]map[string]expr.Value)
-			inst.replay[rec.Path] = byIter
-		}
-		byIter[rec.Iter] = rec.Values
 	}
 	if err := inst.Start(); err != nil {
 		return inst, err

@@ -368,8 +368,8 @@ func TestRecoverErrors(t *testing.T) {
 		t.Error("unknown process accepted")
 	}
 	recs := []wal.Record{
-		{Type: wal.RecCreated, Instance: "x", Process: "Rec", Values: map[string]expr.Value{"RC": expr.Int(0)}},
-		{Type: wal.RecFinishedActivity, Instance: "other", Path: "A", Values: map[string]expr.Value{"RC": expr.Int(0)}},
+		{Type: wal.RecCreated, Instance: "x", Process: "Rec", Values: wal.ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
+		{Type: wal.RecFinishedActivity, Instance: "other", Path: "A", Values: wal.ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 	}
 	if _, err := Recover(e, recs, nil); err == nil {
 		t.Error("mixed-instance log accepted")

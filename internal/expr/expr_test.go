@@ -1,10 +1,12 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, src string) Node {
@@ -284,5 +286,36 @@ func TestValueHelpers(t *testing.T) {
 	}
 	if Float(2.5).String() != "2.5" || Int(-4).String() != "-4" || Bool(true).String() != "TRUE" {
 		t.Error("Value.String formatting wrong")
+	}
+}
+
+// TestValueSize pins the slot size: containers, WAL records and replay copy
+// whole vectors of Values, so a fourth word is paid on every one of them.
+// The shared payload word must still give every accessor what the
+// five-field Value gave: the payload of the value's own kind, zero otherwise.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, i := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
+		if v := Int(i); v.AsInt() != i || v.AsFloat() != float64(i) || v.AsBool() || v.AsString() != "" {
+			t.Errorf("Int(%d) reads back as %d / %g / %v", i, v.AsInt(), v.AsFloat(), v.AsBool())
+		}
+	}
+	for _, f := range []float64{0, -2.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1)} {
+		if v := Float(f); v.AsFloat() != f || v.AsInt() != 0 || v.AsBool() {
+			t.Errorf("Float(%g) reads back as %g / %d / %v", f, v.AsFloat(), v.AsInt(), v.AsBool())
+		}
+	}
+	if v := Float(math.NaN()); !math.IsNaN(v.AsFloat()) {
+		t.Errorf("Float(NaN) reads back as %g", v.AsFloat())
+	}
+	for _, b := range []bool{false, true} {
+		if v := Bool(b); v.AsBool() != b || v.AsInt() != 0 {
+			t.Errorf("Bool(%v) reads back as %v / %d", b, v.AsBool(), v.AsInt())
+		}
+	}
+	if v := String_("x"); v.AsString() != "x" || v.AsInt() != 0 || v.AsFloat() != 0 || v.AsBool() {
+		t.Errorf("String_ payload leaks into another accessor: %d / %g / %v", v.AsInt(), v.AsFloat(), v.AsBool())
 	}
 }

@@ -16,9 +16,9 @@ const CopyName = "fmtm_nop"
 
 // CopyProgram implements CopyName.
 var CopyProgram engine.Program = engine.ProgramFunc(func(inv *engine.Invocation) error {
-	for k, v := range inv.In.Snapshot() {
-		if _, ok := inv.Out.Get(k); ok {
-			if err := inv.Out.Set(k, v); err != nil {
+	for _, path := range inv.In.Paths() {
+		if _, ok := inv.Out.Get(path); ok {
+			if err := inv.Out.CopyFrom(inv.In, path, path); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -222,7 +223,7 @@ func (c *Container) String() string {
 }
 
 // Snapshot returns the container's members as a path→value map (a copy),
-// used by the WAL to persist activity outputs.
+// for instance snapshots and tools; the WAL takes Vector.
 func (c *Container) Snapshot() map[string]expr.Value {
 	vals := make(map[string]expr.Value, len(c.values))
 	for i, p := range c.lay.paths {
@@ -231,16 +232,29 @@ func (c *Container) Snapshot() map[string]expr.Value {
 	return vals
 }
 
-// Restore overwrites the container's members from a snapshot map; unknown
-// paths are rejected.
-func (c *Container) Restore(vals map[string]expr.Value) error {
-	for k, v := range vals {
-		if k == RCMember {
+// Vector returns what a WAL record carries: the layout's sorted paths, RC
+// included — one slice shared by every container of the type, which callers
+// must not write through — and, index-aligned, a copy of the values.
+func (c *Container) Vector() (paths []string, vals []expr.Value) {
+	return c.lay.paths, slices.Clone(c.values)
+}
+
+// Restore is the inverse of Vector: member paths[i] becomes vals[i]. When
+// paths are the layout's own, values of the member's kind go slot for slot;
+// anything else goes by name through Set, which rejects an unknown path and
+// coerces kinds. RC is restored as logged.
+func (c *Container) Restore(paths []string, vals []expr.Value) error {
+	aligned := slices.Equal(paths, c.lay.paths)
+	for i, v := range vals {
+		switch {
+		case paths[i] == RCMember:
 			c.values[c.lay.rc] = v
-			continue
-		}
-		if err := c.Set(k, v); err != nil {
-			return err
+		case aligned && v.Kind() == c.values[i].Kind():
+			c.values[i] = v
+		default:
+			if err := c.Set(paths[i], v); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -224,7 +224,7 @@ func TestContainerMatchesMapReference(t *testing.T) {
 				t.Fatalf("seed %d %s: Snapshot = %v, want %v", seed, name, snap, ref.vals)
 			}
 			restored := ts.MustContainer(name)
-			if err := restored.Restore(snap); err != nil {
+			if err := restored.Restore(c.Vector()); err != nil {
 				t.Fatalf("seed %d %s: Restore: %v", seed, name, err)
 			}
 			clone := c.Clone()
@@ -262,5 +262,74 @@ func TestContainerEqualAcrossRegistries(t *testing.T) {
 	b.MustSet("total.currency", expr.String_("CHF"))
 	if a.Equal(b) {
 		t.Fatal("different containers of two registries equal")
+	}
+}
+
+// restoreByName is what Restore did while records carried maps: every
+// member through Set, by name, except RC, which is taken as logged.
+func restoreByName(c *Container, paths []string, vals []expr.Value) error {
+	for i, p := range paths {
+		if p == RCMember {
+			c.values[c.lay.rc] = vals[i]
+			continue
+		}
+		if err := c.Set(p, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRestoreVectorMatchesByName: the slot-for-slot path of Restore (the
+// record's keys are the layout's paths) and its by-name path (any other
+// list: a subset, shuffled, a member repeated, a stranger among them)
+// leave the container restoreByName leaves and fail when it fails, over
+// random nested types with every slot drawn at random — the right kind, an
+// integer for a FLOAT member (widened), or a wrong kind (rejected; for RC,
+// restored as logged).
+func TestRestoreVectorMatchesByName(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ts, names := randomTypes(rng, 4)
+		name := names[rng.Intn(len(names))]
+		src := ts.MustContainer(name)
+		paths, vals := src.Vector()
+		for i := range vals {
+			switch rng.Intn(6) {
+			case 0:
+				vals[i] = expr.Int(int64(rng.Intn(9))) // widens into FLOAT, fits LONG
+			case 1:
+				vals[i] = randomValue(rng, []expr.Kind{expr.KindInt, expr.KindFloat, expr.KindString, expr.KindBool}[rng.Intn(4)])
+			default:
+				vals[i] = randomValue(rng, vals[i].Kind())
+			}
+		}
+		if rng.Intn(2) == 0 {
+			// Off the layout: drop, shuffle, repeat, and now and then add a
+			// member the type does not have.
+			paths = append([]string(nil), paths...)
+			rng.Shuffle(len(paths), func(i, j int) {
+				paths[i], paths[j] = paths[j], paths[i]
+				vals[i], vals[j] = vals[j], vals[i]
+			})
+			keep := 1 + rng.Intn(len(paths))
+			paths, vals = paths[:keep], vals[:keep]
+			if rng.Intn(2) == 0 {
+				at := rng.Intn(len(paths))
+				paths, vals = append(paths, paths[at]), append(vals, randomValue(rng, vals[at].Kind()))
+			}
+			if rng.Intn(4) == 0 {
+				paths, vals = append(paths, "stranger"), append(vals, expr.Int(1))
+			}
+		}
+		got, want := ts.MustContainer(name), ts.MustContainer(name)
+		gotErr, wantErr := got.Restore(paths, vals), restoreByName(want, paths, vals)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("seed %d %s: Restore(%v, %v): %v, by name: %v", seed, name, paths, vals, gotErr, wantErr)
+		}
+		// After an error both stopped at the same member, in the same order.
+		if !reflect.DeepEqual(got.values, want.values) {
+			t.Fatalf("seed %d %s: Restore(%v, %v) = %s, by name %s", seed, name, paths, vals, got, want)
+		}
 	}
 }

@@ -187,15 +187,14 @@ func TestContainerSnapshotRestore(t *testing.T) {
 	a := ts.MustContainer("Order")
 	a.MustSet("id", expr.Int(9))
 	a.SetRC(3)
-	snap := a.Snapshot()
 	b := ts.MustContainer("Order")
-	if err := b.Restore(snap); err != nil {
+	if err := b.Restore(a.Vector()); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Equal(b) {
 		t.Fatalf("restore mismatch: %s vs %s", a, b)
 	}
-	if err := b.Restore(map[string]expr.Value{"nope": expr.Int(1)}); err == nil {
+	if err := b.Restore([]string{"nope"}, []expr.Value{expr.Int(1)}); err == nil {
 		t.Error("restore of unknown path accepted")
 	}
 }

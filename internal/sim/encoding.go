@@ -17,12 +17,12 @@ import (
 func b13Record() wal.Record {
 	return wal.Record{
 		Type: wal.RecFinishedActivity, Instance: "inst-000042", Path: "Book/Flight", Iter: 1,
-		Values: map[string]expr.Value{
+		Values: wal.ValuesOf(map[string]expr.Value{
 			"RC":    expr.Int(0),
 			"PNR":   expr.String_("X4QZ81"),
 			"price": expr.Float(412.50),
 			"held":  expr.Bool(true),
-		},
+		}),
 	}
 }
 

@@ -130,17 +130,7 @@ func TestAppendBatchWritesTheSameBytes(t *testing.T) {
 					if appends != int64(len(recs)) {
 						t.Errorf("step %d: wal.file.appends = %d, want %d", step, appends, len(recs))
 					}
-					// A binary frame lays a record's values out in map
-					// order, so two encodings of one record agree in
-					// length and content but not byte for byte.
-					same := bytes.Equal(got, want)
-					if f == FormatBinary && len(got) == len(want) {
-						same = true
-						for i, r := range decode(got) {
-							same = same && recordsEqual(r, recs[i])
-						}
-					}
-					if !same {
+					if !bytes.Equal(got, want) {
 						t.Errorf("step %d: frames on disk differ from the per-record run", step)
 					}
 				}

@@ -99,9 +99,9 @@ func appendUstr(dst []byte, s string) []byte {
 
 // appendBinaryBody appends the frame body for rec: type code, the three
 // length-prefixed identity strings, the zigzag-varint iteration, and the
-// value map. The encodable value domain is exactly the text format's
-// (Null and non-finite floats are rejected), so a record marshals in one
-// format iff it marshals in the other.
+// members in rec.Values order (see Values). The encodable value domain is
+// exactly the text format's (Null and non-finite floats are rejected), so a
+// record marshals in one format iff it marshals in the other.
 func appendBinaryBody(dst []byte, rec Record) ([]byte, error) {
 	switch rec.Type {
 	case RecCreated:
@@ -120,8 +120,9 @@ func appendBinaryBody(dst []byte, rec Record) ([]byte, error) {
 	dst = appendUstr(dst, rec.Process)
 	dst = appendUstr(dst, rec.Path)
 	dst = binary.AppendVarint(dst, int64(rec.Iter))
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Values)))
-	for k, v := range rec.Values {
+	dst = binary.AppendUvarint(dst, uint64(rec.Values.Len()))
+	for i, k := range rec.Values.Keys {
+		v := rec.Values.Vals[i]
 		dst = appendUstr(dst, k)
 		switch v.Kind() {
 		case expr.KindInt:
@@ -257,6 +258,10 @@ type scan struct {
 	// log repeats a few paths, process names and member names thousands of
 	// times. Nil (UnmarshalBinary's one-record scan) interns nothing.
 	strs map[string]string
+	// keys interns whole key vectors by the raw bytes of a frame's member
+	// names, collected in keyb: records of one container type share Keys.
+	keys map[string][]string
+	keyb []byte
 }
 
 // maxInterned bounds a walk's intern table; past it strings are allocated
@@ -264,7 +269,7 @@ type scan struct {
 const maxInterned = 1 << 16
 
 func newScan(instance string) *scan {
-	return &scan{instance: instance, strs: make(map[string]string)}
+	return &scan{instance: instance, strs: make(map[string]string), keys: make(map[string][]string)}
 }
 
 // str returns b as a string, shared with every earlier equal string of the
@@ -278,6 +283,28 @@ func (s *scan) str(b []byte) string {
 		s.strs[v] = v
 	}
 	return v
+}
+
+// values pairs vals, decoded in frame order, with the key vector of the
+// member names the same frame left in keyb.
+func (s *scan) values(vals []expr.Value) Values {
+	keys, ok := s.keys[string(s.keyb)]
+	if !ok {
+		keys = make([]string, 0, len(vals))
+		for r := (binReader{b: s.keyb}); r.off < len(r.b); {
+			keys = append(keys, s.str(r.str()))
+		}
+		if s.keys != nil && len(s.keys) < maxInterned {
+			s.keys[string(s.keyb)] = keys
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			// A log written before members had an order, or by hand.
+			return ValuesOf(Values{Keys: keys, Vals: vals}.Map())
+		}
+	}
+	return Values{Keys: keys, Vals: vals}
 }
 
 // body walks one binary frame body — the only function that knows the
@@ -321,12 +348,18 @@ func (s *scan) body(b []byte, rec *Record) (instance []byte, keep bool, err erro
 			typ = RecordType(s.str(other))
 		}
 		*rec = Record{Type: typ, Instance: s.str(instance), Process: s.str(process), Path: s.str(path), Iter: int(iter)}
-		if nvals > 0 {
-			rec.Values = make(map[string]expr.Value, nvals)
-		}
+	}
+	var vals []expr.Value
+	if keep && nvals > 0 {
+		vals = make([]expr.Value, nvals)
+		s.keyb = s.keyb[:0]
 	}
 	for i := uint64(0); i < nvals; i++ {
+		at := r.off
 		k := r.str()
+		if keep {
+			s.keyb = append(s.keyb, b[at:r.off]...)
+		}
 		var v expr.Value
 		switch kind := r.byteVal(); kind {
 		case binKindInt:
@@ -350,7 +383,7 @@ func (s *scan) body(b []byte, rec *Record) (instance []byte, keep bool, err erro
 			return nil, false, fmt.Errorf("wal: member %q: unknown value kind %q", k, kind)
 		}
 		if keep {
-			rec.Values[s.str(k)] = v
+			vals[i] = v
 		}
 	}
 	if r.bad {
@@ -358,6 +391,9 @@ func (s *scan) body(b []byte, rec *Record) (instance []byte, keep bool, err erro
 	}
 	if r.off != len(b) {
 		return nil, false, fmt.Errorf("wal: %d trailing bytes after binary record body", len(b)-r.off)
+	}
+	if vals != nil {
+		rec.Values = s.values(vals)
 	}
 	return instance, keep, nil
 }

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,26 +21,26 @@ import (
 // plus negative iterations and a long field.
 func parityRecords() []Record {
 	return []Record{
-		{Type: RecCreated, Instance: "i1", Process: "Travel", Values: map[string]expr.Value{
+		{Type: RecCreated, Instance: "i1", Process: "Travel", Values: ValuesOf(map[string]expr.Value{
 			"FROM": expr.String_("SJC"), "N": expr.Int(3),
-		}},
+		})},
 		{Type: RecStartedActivity, Instance: "i1", Path: "Flight", Iter: 0},
-		{Type: RecFinishedActivity, Instance: "i1", Path: "Flight", Iter: 2, Values: map[string]expr.Value{
+		{Type: RecFinishedActivity, Instance: "i1", Path: "Flight", Iter: 2, Values: ValuesOf(map[string]expr.Value{
 			"RC": expr.Int(0), "price": expr.Float(412.5), "ok": expr.Bool(true), "note": expr.String_(""),
-		}},
-		{Type: RecDone, Instance: "i1", Values: map[string]expr.Value{"RC": expr.Int(0)}},
+		})},
+		{Type: RecDone, Instance: "i1", Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 		{Type: "probe", Instance: "probe"}, // non-standard type (E10's seal probe)
-		{Type: RecFinishedActivity, Instance: "i\r\n2", Path: "A\x00B", Iter: -7, Values: map[string]expr.Value{
+		{Type: RecFinishedActivity, Instance: "i\r\n2", Path: "A\x00B", Iter: -7, Values: ValuesOf(map[string]expr.Value{
 			"":     expr.String_(""),
 			"crlf": expr.String_("line1\r\nline2\rline3\nline4"),
 			"nul":  expr.String_("a\x00b"),
 			"neg":  expr.Int(-1 << 60),
 			"f":    expr.Float(-0.0),
-		}},
-		{Type: RecFinishedActivity, Instance: "long", Path: strings.Repeat("p/", 500), Iter: 1, Values: map[string]expr.Value{
+		})},
+		{Type: RecFinishedActivity, Instance: "long", Path: strings.Repeat("p/", 500), Iter: 1, Values: ValuesOf(map[string]expr.Value{
 			"big": expr.String_(strings.Repeat("x", 1<<16)),
-		}},
-		{Type: RecDone, Instance: "empty-values", Values: map[string]expr.Value{}},
+		})},
+		{Type: RecDone, Instance: "empty-values", Values: ValuesOf(map[string]expr.Value{})},
 	}
 }
 
@@ -104,7 +107,7 @@ func TestCrossFormatParity(t *testing.T) {
 // lossless.
 func TestEncodeDomainParity(t *testing.T) {
 	bad := []Record{
-		{Type: RecDone, Values: map[string]expr.Value{"n": expr.Value{}}}, // NULL value
+		{Type: RecDone, Values: ValuesOf(map[string]expr.Value{"n": expr.Value{}})}, // NULL value
 	}
 	for i, rec := range bad {
 		_, terr := Marshal(rec)
@@ -337,9 +340,9 @@ func TestStrictTolerantParityBothFormats(t *testing.T) {
 // buffer cap that the tolerant reader accepted, so a valid log could fail
 // its post-repair strict read-back. Both readers now share one scanner.
 func TestLargeRecordStrictRead(t *testing.T) {
-	big := Record{Type: RecFinishedActivity, Instance: "i", Path: "A", Values: map[string]expr.Value{
+	big := Record{Type: RecFinishedActivity, Instance: "i", Path: "A", Values: ValuesOf(map[string]expr.Value{
 		"blob": expr.String_(strings.Repeat("y", 17<<20)), // one ~17 MiB line
-	}}
+	})}
 	jb, err := Marshal(big)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +373,7 @@ func TestFileAppendIdleBusZeroAlloc(t *testing.T) {
 	}
 	defer l.Close()
 	rec := Record{Type: RecFinishedActivity, Instance: "inst-00042", Path: "Flight", Iter: 1,
-		Values: map[string]expr.Value{"RC": expr.Int(0)}}
+		Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})}
 	// Warm up so the encode scratch reaches steady-state capacity.
 	for i := 0; i < 64; i++ {
 		if err := l.Append(rec); err != nil {
@@ -399,7 +402,7 @@ func scanCorpus(t *testing.T, n int) (path string, distinct int) {
 	paths := []string{"Flight", "Hotel", "Car"}
 	for i := 0; i < n; i++ {
 		rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("inst-%05d", i%5), Path: paths[i%len(paths)], Iter: i,
-			Values: map[string]expr.Value{"RC": expr.Int(0), "N": expr.Int(int64(i))}}
+			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0), "N": expr.Int(int64(i))})}
 		if i < 5 {
 			rec = Record{Type: RecCreated, Instance: rec.Instance, Process: "Travel", Values: rec.Values}
 		}
@@ -413,9 +416,6 @@ func scanCorpus(t *testing.T, n int) (path string, distinct int) {
 	return path, 5 + 1 + len(paths) + 2
 }
 
-// valuesSink keeps the map TestScanAllocCeilings prices on the heap.
-var valuesSink map[string]expr.Value
-
 // TestScanAllocCeilings gates what reading a log allocates (CI runs it
 // beside the append gate). A walk that names an instance the log does not
 // hold validates every frame and materialises none: its allocations are
@@ -423,8 +423,11 @@ var valuesSink map[string]expr.Value
 // 500. A walk that keeps everything adds, on top of that, its record
 // slice — once, sized by hopping the length prefixes — one string per
 // distinct instance, process, path and value key (interned for the walk;
-// the slack is the intern table's own growth) and each record's Values
-// map, and nothing else per record.
+// the slack is the intern table's own growth), one Vals slice per record,
+// and per distinct container type one key vector (the Keys slice every
+// record of the type shares and its entry in the walk's table; the scratch
+// the member names are collected in is allocated once) — and nothing else
+// per record.
 func TestScanAllocCeilings(t *testing.T) {
 	const records = 500
 	small, _ := scanCorpus(t, records/5)
@@ -442,14 +445,109 @@ func TestScanAllocCeilings(t *testing.T) {
 		t.Fatalf("a filtered walk that keeps nothing allocates %.0f objects over %d records, %.0f over %d: want the same, and <= 20",
 			absent, records, few, records/5)
 	}
-	perMap := testing.AllocsPerRun(100, func() {
-		valuesSink = make(map[string]expr.Value, 2)
-		valuesSink["RC"], valuesSink["N"] = expr.Int(0), expr.Int(1)
-	})
-	const internSlack = 8
+	const (
+		internSlack    = 8
+		containerTypes = 1 // every record of the corpus carries {N, RC}
+		perKeyVector   = 2 // the Keys slice and the table entry's key
+		keyScratch     = 1
+	)
 	whole := walk(big, "", records)
-	if ceiling := absent + 1 + float64(distinct) + internSlack + records*perMap; whole > ceiling {
-		t.Fatalf("an unfiltered walk of %d records allocates %.0f objects, ceiling %.0f (bookkeeping %.0f + 1 slice + %d strings + %d table growth + %d maps of %.0f)",
-			records, whole, ceiling, absent, distinct, internSlack, records, perMap)
+	if ceiling := absent + 1 + float64(distinct) + internSlack + records + containerTypes*perKeyVector + keyScratch; whole > ceiling {
+		t.Fatalf("an unfiltered walk of %d records allocates %.0f objects, ceiling %.0f (bookkeeping %.0f + 1 slice + %d strings + %d table growth + %d Vals slices + %d key vectors of %d + %d scratch)",
+			records, whole, ceiling, absent, distinct, internSlack, records, containerTypes, perKeyVector, keyScratch)
+	}
+	t.Logf("absent %.0f, whole %.0f over %d records", absent, whole, records)
+}
+
+// TestDecodersAgreeOnAnyMemberOrder: whatever order a file names a record's
+// members in, and however often it names one, the text decoder, the binary
+// decoder of one body (UnmarshalBinary) and the binary decoder of a whole
+// walk (interned key vectors) return the same Values: keys sorted, each
+// once, the last occurrence's value — what reading into a map gave.
+func TestDecodersAgreeOnAnyMemberOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	names := []string{"RC", "N", "a", "a.b", "State_1", "State_2", "", "é"}
+	randomValue := func() expr.Value {
+		switch rng.Intn(4) {
+		case 0:
+			return expr.Int(rng.Int63() - rng.Int63())
+		case 1:
+			return expr.Float(rng.NormFloat64())
+		case 2:
+			return expr.String_(fmt.Sprintf("s%d", rng.Intn(9)))
+		}
+		return expr.Bool(rng.Intn(2) == 0)
+	}
+	var recs, want []Record
+	var log, text []byte
+	log = append(log, FileHeader(FormatBinary)...)
+	for i := 0; i < 300; i++ {
+		rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("i%d", i%3), Path: "A", Iter: i}
+		last := map[string]expr.Value{}
+		members := "" // the text body's "vals" object, in file order
+		for n := rng.Intn(7); n > 0; n-- {
+			k, v := names[rng.Intn(len(names))], randomValue() // repeats a name now and then
+			rec.Values.Keys, rec.Values.Vals = append(rec.Values.Keys, k), append(rec.Values.Vals, v)
+			last[k] = v
+			jv, err := encodeValue(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kb, _ := json.Marshal(k)
+			vb, _ := json.Marshal(jv)
+			members += "," + string(kb) + ":" + string(vb)
+		}
+		canon := rec
+		canon.Values = ValuesOf(last)
+
+		body, err := MarshalBinary(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBinary, err := UnmarshalBinary(body)
+		if err != nil || !reflect.DeepEqual(fromBinary, canon) {
+			t.Fatalf("record %d %v: binary decodes to %v (err=%v), want %v", i, rec.Values, fromBinary.Values, err, canon.Values)
+		}
+		line := fmt.Sprintf(`{"t":"activity","inst":%q,"path":"A","iter":%d`, rec.Instance, rec.Iter)
+		if members != "" {
+			line += `,"vals":{` + members[1:] + "}"
+		}
+		line += "}"
+		fromText, err := Unmarshal([]byte(line))
+		if err != nil || !reflect.DeepEqual(fromText, canon) {
+			t.Fatalf("record %d %s: text decodes to %v (err=%v), want %v", i, line, fromText.Values, err, canon.Values)
+		}
+		recs, want = append(recs, rec), append(want, canon)
+		if log, err = AppendRecordBinary(log, rec); err != nil {
+			t.Fatal(err)
+		}
+		text = append(appendTextFrame(text, []byte(line)), '\n')
+	}
+	for name, data := range map[string][]byte{"binary": log, "text": text} {
+		got, err := ReadAll(bytes.NewReader(data))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s walk: err=%v\n%v\nwant\n%v", name, err, got, want)
+		}
+	}
+	// Records whose frames name the same members, in the order the encoder
+	// writes them, share one Keys slice for the walk.
+	got, _ := ReadAll(bytes.NewReader(log))
+	shared := 0
+	for i := range got {
+		if len(got[i].Values.Keys) == 0 || !reflect.DeepEqual(recs[i].Values.Keys, want[i].Values.Keys) {
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if reflect.DeepEqual(recs[i].Values.Keys, recs[j].Values.Keys) {
+				if &got[i].Values.Keys[0] != &got[j].Values.Keys[0] {
+					t.Fatalf("records %d and %d name %v alike and do not share a key vector", j, i, recs[i].Values.Keys)
+				}
+				shared++
+				break
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two records of the corpus name the same members in the same order")
 	}
 }

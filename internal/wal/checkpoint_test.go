@@ -13,8 +13,8 @@ import (
 // finishes, i2 is mid-flight with a superseded started record, i3 is
 // mid-flight with a pending (half-executed) one.
 func fleetHistory() []Record {
-	v := func(n int64) map[string]expr.Value {
-		return map[string]expr.Value{"RC": expr.Int(n)}
+	v := func(n int64) Values {
+		return ValuesOf(map[string]expr.Value{"RC": expr.Int(n)})
 	}
 	return []Record{
 		{Type: RecCreated, Instance: "i1", Process: "P", Values: v(0)},
@@ -61,9 +61,9 @@ func TestBuildCheckpointCompactsAndDropsFinished(t *testing.T) {
 	// keeps i1 there.
 	more := []Record{
 		{Type: RecFinishedActivity, Instance: "i2", Path: "B",
-			Values: map[string]expr.Value{"RC": expr.Int(0)}},
+			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 		{Type: RecDone, Instance: "i2",
-			Values: map[string]expr.Value{"RC": expr.Int(0)}},
+			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 	}
 	cp2 := BuildCheckpoint(cp, more, 5)
 	if cp2.Seq != 2 || cp2.Cover != 5 {

@@ -8,11 +8,11 @@ import (
 
 func TestCompactDropsFinishedStarts(t *testing.T) {
 	recs := []Record{
-		{Type: RecCreated, Instance: "i", Process: "P", Values: map[string]expr.Value{"RC": expr.Int(0)}},
+		{Type: RecCreated, Instance: "i", Process: "P", Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 		{Type: RecStartedActivity, Instance: "i", Path: "A", Iter: 0}, // finished -> dropped
-		{Type: RecFinishedActivity, Instance: "i", Path: "A", Iter: 0, Values: map[string]expr.Value{"RC": expr.Int(0)}},
+		{Type: RecFinishedActivity, Instance: "i", Path: "A", Iter: 0, Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 		{Type: RecStartedActivity, Instance: "i", Path: "B", Iter: 0}, // finished -> dropped
-		{Type: RecFinishedActivity, Instance: "i", Path: "B", Iter: 0, Values: map[string]expr.Value{"RC": expr.Int(1)}},
+		{Type: RecFinishedActivity, Instance: "i", Path: "B", Iter: 0, Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(1)})},
 		{Type: RecStartedActivity, Instance: "i", Path: "B", Iter: 1}, // half-executed -> kept
 	}
 	out := Compact(recs)

@@ -14,7 +14,7 @@ import (
 func fuzzSeeds(f *testing.F) [][]byte {
 	rec := Record{
 		Type: RecFinishedActivity, Instance: "i1", Path: "A", Iter: 2,
-		Values: map[string]expr.Value{"RC": expr.Int(0), "s": expr.String_("x")},
+		Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0), "s": expr.String_("x")}),
 	}
 	b, err := Marshal(rec)
 	if err != nil {
@@ -36,7 +36,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	// empty strings), a torn frame, a torn header, and a bad format byte.
 	nasty := Record{
 		Type: RecFinishedActivity, Instance: "i\r\n1", Path: "A\x00B", Iter: -3,
-		Values: map[string]expr.Value{"": expr.String_(""), "crlf": expr.String_("a\r\nb\x00c")},
+		Values: ValuesOf(map[string]expr.Value{"": expr.String_(""), "crlf": expr.String_("a\r\nb\x00c")}),
 	}
 	binLog := FileHeader(FormatBinary)
 	binLog, err = AppendRecordBinary(binLog, rec)

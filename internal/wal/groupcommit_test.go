@@ -18,7 +18,7 @@ func gcRecord(inst string, i int) Record {
 		Instance: inst,
 		Path:     fmt.Sprintf("a%d", i),
 		Iter:     0,
-		Values:   map[string]expr.Value{"RC": expr.Int(int64(i))},
+		Values:   ValuesOf(map[string]expr.Value{"RC": expr.Int(int64(i))}),
 	}
 }
 

@@ -235,8 +235,9 @@ func fetched(name string, size int) {
 // earlier segments with an fsync, and a just-rotated empty segment after
 // the torn one is fine); a torn segment followed by records in a later
 // segment is mid-log corruption and is an error. With repair set the torn
-// tail is truncated (RepairFile semantics); without, no file is written.
-// Returns the torn bytes.
+// tail is truncated (RepairFile semantics) once the whole walk has passed —
+// a walk that fails leaves every file as it found it, so the next walk
+// fails the same way; without, no file is written. Returns the torn bytes.
 //
 // When store is non-nil the archived sealed segments supplement the
 // directory. A segment index present only in the archive (local copy
@@ -290,7 +291,7 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 		if err != nil {
 			return false
 		}
-		a := &scan{instance: s.instance, strs: s.strs}
+		a := &scan{instance: s.instance, strs: s.strs, keys: s.keys}
 		if _, _, err := a.log(data, true); err != nil {
 			return false // corrupt archived blob: CRC-reject, use local
 		}
@@ -301,6 +302,9 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 
 	torn := 0
 	tornAt := -1 // index of a segment that lost a tail
+	// repairs holds the repairLog call of every local segment the walk used,
+	// until no later segment can turn a torn tail into mid-log damage.
+	var repairs []func() error
 	for _, idx := range indexes {
 		recs, frames := len(s.recs), s.frames // where this segment starts
 		d := 0
@@ -323,9 +327,8 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 				}
 			}
 			if repair && !replaced {
-				if err := repairLog(path, validLen, d, s.frames-frames); err != nil {
-					return 0, err
-				}
+				n := s.frames - frames
+				repairs = append(repairs, func() error { return repairLog(path, validLen, d, n) })
 			}
 		} else if !fetch(idx, recs, frames) {
 			return 0, fmt.Errorf("wal: segment %d: archived copy missing or corrupt and no local file", idx)
@@ -337,6 +340,11 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 			tornAt = idx
 		}
 		torn += d
+	}
+	for _, fix := range repairs {
+		if err := fix(); err != nil {
+			return 0, err
+		}
 	}
 	return torn, nil
 }

@@ -27,7 +27,7 @@ func TestMemLogConcurrent(t *testing.T) {
 					Instance: "inst-1",
 					Path:     fmt.Sprintf("w%d/a%d", w, i),
 					Iter:     i,
-					Values:   map[string]expr.Value{"RC": expr.Int(0)},
+					Values:   ValuesOf(map[string]expr.Value{"RC": expr.Int(0)}),
 				})
 				if err != nil {
 					t.Errorf("append: %v", err)
@@ -55,7 +55,7 @@ func TestMemLogConcurrent(t *testing.T) {
 				}
 				for i := range recs {
 					// Mutate the copy: must not affect the log.
-					recs[i].Values["RC"] = expr.Int(99)
+					recs[i].Values.Vals[0] = expr.Int(99)
 				}
 			}
 		}()
@@ -71,7 +71,7 @@ func TestMemLogConcurrent(t *testing.T) {
 		t.Fatalf("Records = %d, want %d", len(recs), writers*perWriter)
 	}
 	for _, r := range recs {
-		if v, ok := r.Values["RC"]; !ok || v.AsInt() != 0 {
+		if v, ok := r.Values.Get("RC"); !ok || v.AsInt() != 0 {
 			t.Fatalf("record %s: values aliased or corrupted: %v", r.Path, r.Values)
 		}
 	}

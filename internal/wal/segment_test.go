@@ -12,7 +12,7 @@ func seqRecord(inst string, i int) Record {
 	return Record{
 		Type: RecFinishedActivity, Instance: inst,
 		Path: fmt.Sprintf("A%d", i), Iter: 0,
-		Values: map[string]expr.Value{"RC": expr.Int(int64(i))},
+		Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(int64(i))}),
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -75,7 +76,54 @@ type Record struct {
 	Process  string // RecCreated only
 	Path     string // activity path within the instance
 	Iter     int    // exit-condition iteration of the activity execution
-	Values   map[string]expr.Value
+	Values   Values
+}
+
+// Values is the data container a record carries, flattened: Vals[i] is the
+// value of member Keys[i]; the zero Values is "no members". The engine
+// fills it straight from a container — Keys is the layout's sorted path
+// slice, shared by every record of the type and never written through,
+// Vals one copy of the slots — and the encoders write members in that
+// order, so one run always writes the same bytes. The decoders accept any
+// order and return Keys sorted and unique; of a member a file names twice
+// the last occurrence wins, as it did when records carried a map.
+type Values struct {
+	Keys []string
+	Vals []expr.Value
+}
+
+// ValuesOf returns the members of m in sorted key order, the zero Values
+// for an empty map: the form the decoders return.
+func ValuesOf(m map[string]expr.Value) Values {
+	var v Values
+	for k := range m {
+		v.Keys = append(v.Keys, k)
+	}
+	slices.Sort(v.Keys)
+	for _, k := range v.Keys {
+		v.Vals = append(v.Vals, m[k])
+	}
+	return v
+}
+
+// Len reports the number of members.
+func (v Values) Len() int { return len(v.Keys) }
+
+// Get returns the value of the named member.
+func (v Values) Get(key string) (expr.Value, bool) {
+	if i := slices.Index(v.Keys, key); i >= 0 {
+		return v.Vals[i], true
+	}
+	return expr.Null, false
+}
+
+// Map returns the members as a fresh map; of a repeated key the last wins.
+func (v Values) Map() map[string]expr.Value {
+	m := make(map[string]expr.Value, len(v.Keys))
+	for i, k := range v.Keys {
+		m[k] = v.Vals[i]
+	}
+	return m
 }
 
 // Log is an append-only record sink.
@@ -148,14 +196,9 @@ func (l *MemLog) Len() int {
 	return len(l.records)
 }
 
+// cloneRecord copies the record's values; Keys stay shared (see Values).
 func cloneRecord(r Record) Record {
-	if r.Values != nil {
-		vals := make(map[string]expr.Value, len(r.Values))
-		for k, v := range r.Values {
-			vals[k] = v
-		}
-		r.Values = vals
-	}
+	r.Values.Vals = slices.Clone(r.Values.Vals)
 	return r
 }
 
@@ -541,10 +584,11 @@ func Marshal(rec Record) ([]byte, error) {
 		Type: rec.Type, Instance: rec.Instance, Process: rec.Process,
 		Path: rec.Path, Iter: rec.Iter,
 	}
-	if rec.Values != nil {
-		jr.Values = make(map[string]jsonValue, len(rec.Values))
-		for k, v := range rec.Values {
-			jv, err := encodeValue(v)
+	if rec.Values.Len() > 0 {
+		// encoding/json writes the object in sorted key order.
+		jr.Values = make(map[string]jsonValue, rec.Values.Len())
+		for i, k := range rec.Values.Keys {
+			jv, err := encodeValue(rec.Values.Vals[i])
 			if err != nil {
 				return nil, fmt.Errorf("wal: member %q: %w", k, err)
 			}
@@ -564,15 +608,16 @@ func Unmarshal(b []byte) (Record, error) {
 		Type: jr.Type, Instance: jr.Instance, Process: jr.Process,
 		Path: jr.Path, Iter: jr.Iter,
 	}
-	if jr.Values != nil {
-		rec.Values = make(map[string]expr.Value, len(jr.Values))
+	if len(jr.Values) > 0 {
+		vals := make(map[string]expr.Value, len(jr.Values))
 		for k, jv := range jr.Values {
 			v, err := decodeValue(jv)
 			if err != nil {
 				return Record{}, fmt.Errorf("wal: member %q: %w", k, err)
 			}
-			rec.Values[k] = v
+			vals[k] = v
 		}
+		rec.Values = ValuesOf(vals)
 	}
 	return rec, nil
 }

@@ -15,17 +15,17 @@ import (
 func sampleRecords() []Record {
 	return []Record{
 		{Type: RecCreated, Instance: "i1", Process: "Demo",
-			Values: map[string]expr.Value{"id": expr.Int(7), "RC": expr.Int(0)}},
+			Values: ValuesOf(map[string]expr.Value{"id": expr.Int(7), "RC": expr.Int(0)})},
 		{Type: RecStartedActivity, Instance: "i1", Path: "A", Iter: 0},
 		{Type: RecFinishedActivity, Instance: "i1", Path: "A", Iter: 0,
-			Values: map[string]expr.Value{
+			Values: ValuesOf(map[string]expr.Value{
 				"RC": expr.Int(0), "name": expr.String_("x"),
 				"score": expr.Float(1.25), "ok": expr.Bool(true),
-			}},
+			})},
 		{Type: RecFinishedActivity, Instance: "i1", Path: "B/step1", Iter: 2,
-			Values: map[string]expr.Value{"RC": expr.Int(-9223372036854775808)}},
+			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(-9223372036854775808)})},
 		{Type: RecDone, Instance: "i1",
-			Values: map[string]expr.Value{"RC": expr.Int(0)}},
+			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})},
 	}
 }
 
@@ -47,11 +47,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func recordsEqual(a, b Record) bool {
 	if a.Type != b.Type || a.Instance != b.Instance || a.Process != b.Process ||
-		a.Path != b.Path || a.Iter != b.Iter || len(a.Values) != len(b.Values) {
+		a.Path != b.Path || a.Iter != b.Iter || a.Values.Len() != b.Values.Len() {
 		return false
 	}
-	for k, v := range a.Values {
-		if !v.Equal(b.Values[k]) {
+	for i, k := range a.Values.Keys {
+		if bv, ok := b.Values.Get(k); !ok || !a.Values.Vals[i].Equal(bv) {
 			return false
 		}
 	}
@@ -59,7 +59,7 @@ func recordsEqual(a, b Record) bool {
 }
 
 func TestMarshalRejectsNull(t *testing.T) {
-	_, err := Marshal(Record{Type: RecDone, Values: map[string]expr.Value{"x": expr.Null}})
+	_, err := Marshal(Record{Type: RecDone, Values: ValuesOf(map[string]expr.Value{"x": expr.Null})})
 	if err == nil {
 		t.Fatal("null value marshaled")
 	}
@@ -92,8 +92,8 @@ func TestMemLog(t *testing.T) {
 		t.Fatal("Records mismatch")
 	}
 	// Returned slice is a copy.
-	recs[0].Values["id"] = expr.Int(999)
-	if l.Records()[0].Values["id"].AsInt() == 999 {
+	recs[0].Values.Vals[1] = expr.Int(999) // "id", after "RC"
+	if v, _ := l.Records()[0].Values.Get("id"); v.AsInt() == 999 {
 		t.Fatal("Records aliases internal state")
 	}
 }
@@ -181,7 +181,7 @@ func TestQuickValueCodec(t *testing.T) {
 		case 3:
 			v = expr.Bool(b)
 		}
-		rec := Record{Type: RecDone, Instance: "i", Values: map[string]expr.Value{"v": v}}
+		rec := Record{Type: RecDone, Instance: "i", Values: ValuesOf(map[string]expr.Value{"v": v})}
 		data, err := Marshal(rec)
 		if err != nil {
 			return false
@@ -190,7 +190,8 @@ func TestQuickValueCodec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Values["v"].Equal(v)
+		gv, _ := got.Values.Get("v")
+		return gv.Equal(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
