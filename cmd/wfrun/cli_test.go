@@ -58,6 +58,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"negative max-queue", []string{"-n", "4", "-max-queue", "-1", "x.fdl"}, "-max-queue must be >= 0"},
 		{"zero shards", []string{"-n", "4", "-shards", "0", "x.fdl"}, "-shards must be >= 1"},
 		{"shards without fleet", []string{"-shards", "4", "x.fdl"}, "-shards requires fleet mode (-n > 1) or -resume"},
+		{"shards with batch", []string{"-n", "4", "-shards", "2", "-wal", "w", "-group-commit", "-batch", "8", "x.fdl"}, "-flush-ms and -batch are incompatible with -shards"},
 		{"shards with checkpoint", []string{"-n", "4", "-shards", "2", "-wal", "w", "-checkpoint", "ck", "x.fdl"}, "-checkpoint is incompatible with -shards"},
 		{"archive without checkpoint or shards", []string{"-wal", "w", "-archive", "a", "x.fdl"}, "-archive requires -checkpoint or -shards"},
 		{"archive without wal", []string{"-n", "4", "-shards", "2", "-archive", "a", "x.fdl"}, "-archive requires -wal"},

@@ -91,7 +91,8 @@
 //
 // Flag misuse exits 2 (usage), runtime failures exit 1: -fsync,
 // -crash-at, -group-commit, -resume and -checkpoint require -wal;
-// -flush-ms and -batch require -group-commit; -crash-at is incompatible
+// -flush-ms and -batch require -group-commit and a single log (not
+// -shards); -crash-at is incompatible
 // with -group-commit, with -n > 1, with -resume and with -checkpoint
 // (crash injection is per-record and single-instance — the batch- and
 // checkpoint-boundary soaks live in wfbench E8/E9).
@@ -186,7 +187,7 @@ func main() {
 	case *fleetN < 1 || *parallel < 1:
 		usageError("-n and -parallel must be >= 1")
 	case *crashAt > 0 && *groupCommit:
-		usageError("-crash-at is incompatible with -group-commit (crash injection is per-record; see wfbench E8 for the batch-boundary soak)")
+		usageError("-crash-at is incompatible with -group-commit (crash injection is per-record; see wfbench E8 for the group-commit crash soak)")
 	case *crashAt > 0 && *fleetN > 1:
 		usageError("-crash-at is incompatible with fleet mode (-n > 1)")
 	case *resume && *walPath == "":
@@ -209,6 +210,8 @@ func main() {
 		usageError("-shards must be >= 1")
 	case *shardsN > 1 && *fleetN <= 1 && !*resume:
 		usageError("-shards requires fleet mode (-n > 1) or -resume")
+	case *shardsN > 1 && (explicit["flush-ms"] || explicit["batch"]):
+		usageError("-flush-ms and -batch are incompatible with -shards (a shard's group commit batches by commit pipelining alone)")
 	case *shardsN > 1 && *ckptDir != "":
 		usageError("-checkpoint is incompatible with -shards (each shard owns its checkpointer inside its shard directory)")
 	case *archiveDir != "" && *ckptDir == "" && *shardsN <= 1:
@@ -380,12 +383,13 @@ func main() {
 		// WAL/shard-NN itself, so the single-log setup below is skipped.
 		e, _ := build()
 		runSharded(e, name, *shardsN, *fleetN, *parallel, *maxQueue, *shed,
-			*walPath, *archiveDir, *groupCommit, *fsync, recFormat, *flushMs, *batch, stop, *metrics)
+			*walPath, *archiveDir, *groupCommit, *fsync, recFormat, stop, *metrics)
 		return
 	}
 
 	var log wal.Log
 	var flog *wal.FileLog
+	var crashLog *wal.MemLog // -crash-at: what the instance runs on
 	var slog *wal.SegmentedLog
 	var gclog *wal.GroupCommitLog
 	var ckpt *engine.Checkpointer
@@ -443,7 +447,11 @@ func main() {
 				log = gclog
 			}
 			if *crashAt > 0 {
-				log = wal.NewFaultLog(flog, *crashAt, false)
+				// A record-counted clean crash needs no file-level injector:
+				// the instance runs on a log that dies after N records, and
+				// what survived is written to the -wal file before recovery.
+				crashLog = &wal.MemLog{CrashAfter: *crashAt}
+				log = crashLog
 			}
 		}
 	}
@@ -518,6 +526,9 @@ func main() {
 	case *crashAt > 0:
 		if !errors.Is(err, wal.ErrCrash) {
 			fatal(fmt.Errorf("expected injected crash after %d records, got: %v", *crashAt, err))
+		}
+		if err := flog.AppendBatch(crashLog.Records()); err != nil {
+			fatal(err)
 		}
 		if err := flog.Close(); err != nil {
 			fatal(err)

@@ -26,7 +26,7 @@ import (
 // retention and never stalls the fleet.
 func runSharded(e *engine.Engine, process string, shards, fleetN, parallel, maxQueue int,
 	shed bool, walPath, archiveDir string, groupCommit, fsyncOn bool, format wal.Format,
-	flushMs, batch int, stop <-chan struct{}, metrics bool) {
+	stop <-chan struct{}, metrics bool) {
 	cfg := engine.FleetConfig{
 		Shards: shards, Dir: walPath, Parallel: parallel,
 		MaxQueue: maxQueue, HotQueue: parallel + maxQueue/2, Shed: shed,
@@ -37,14 +37,6 @@ func runSharded(e *engine.Engine, process string, shards, fleetN, parallel, maxQ
 		// so -archive switches sharded mode to checkpointed WALs too.
 		cfg.ArchiveDir = archiveDir
 		cfg.CheckpointEveryRecords = 64
-	}
-	if groupCommit {
-		cfg.GroupOpts = func(int) []wal.GroupOption {
-			return []wal.GroupOption{
-				wal.GroupWindow(time.Duration(flushMs) * time.Millisecond),
-				wal.GroupMaxBatch(batch),
-			}
-		}
 	}
 	f, err := engine.NewFleet(e, cfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -143,38 +144,53 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 // ladder recovery (newest checkpoint + tail) reproducing the crash-free
 // state while replaying far fewer records than the full history.
 func TestCheckpointerRetention(t *testing.T) {
-	dir := t.TempDir()
-	slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := NewCheckpointer(slog, CheckpointEveryRecords(4))
-
-	e, _ := newRecoveryEngine(t)
-	for i := 0; i < 5; i++ {
-		inst, err := e.CreateInstance("Rec", nil, slog)
+	// write runs five instances with a checkpoint pass after each, then a
+	// sixth, over a durable segmented log whose file system dies at byte b
+	// (0: never) — and returns how many bytes the log wrote in all, more
+	// than dir still holds once retention has pruned.
+	write := func(dir string, b int64) int64 {
+		reg := obs.NewRegistry()
+		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFsync(),
+			wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.SegmentMetricsRegistry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.Start(); err != nil {
+		defer slog.Close()
+		ck := NewCheckpointer(slog, CheckpointEveryRecords(4))
+
+		e, _ := newRecoveryEngine(t)
+		for i := 0; i < 5; i++ {
+			inst, err := e.CreateInstance("Rec", nil, slog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inst.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last, err := e.CreateInstance("Rec", nil, slog)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ck.CheckpointNow(); err != nil {
-			t.Fatal(err)
+		if err := last.Start(); (b > 0) != errors.Is(err, wal.ErrCrash) || (b == 0 && err != nil) {
+			t.Fatalf("crash at byte %d: got %v", b, err)
 		}
+		return reg.Counter("wal.file.bytes").Value()
 	}
-	// Crash a final instance mid-flight.
-	fl := wal.NewSegmentedFaultLog(slog, 3, true)
-	crashInst, err := e.CreateInstance("Rec", nil, fl)
-	if err != nil {
-		t.Fatal(err)
+	// Crash the final instance mid-flight: three records on disk, the
+	// fourth torn. The crash byte comes from a crash-free run, whose
+	// surviving segments end with the last instance's eleven records.
+	clean := t.TempDir()
+	wrote := write(clean, 0)
+	ends, err := wal.FrameEnds(clean)
+	if err != nil || len(ends) < 11 {
+		t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
 	}
-	if err := crashInst.Start(); !errors.Is(err, wal.ErrCrash) {
-		t.Fatalf("want crash, got %v", err)
-	}
-	if err := slog.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	write(dir, wrote-ends[len(ends)-1]+CrashCut(ends, len(ends)-11+3, true))
 
 	cps, err := wal.ListCheckpoints(dir)
 	if err != nil || len(cps) == 0 || len(cps) > 2 {
@@ -218,7 +234,7 @@ func TestCheckpointerRetention(t *testing.T) {
 		if !inst.Finished() {
 			t.Fatalf("recovered instance %s did not finish", inst.ID())
 		}
-		if inst.ID() == crashInst.ID() {
+		if inst.ID() == "inst-6" { // the crashed one
 			foundCrashed = true
 			if fmt.Sprint(trailStrings(inst)) != fmt.Sprint(want) {
 				t.Fatalf("trail diverges:\ngot:  %v\nwant: %v", trailStrings(inst), want)

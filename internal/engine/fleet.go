@@ -41,16 +41,10 @@ type Scheduler struct {
 	shed    atomic.Int64
 }
 
-// NewScheduler returns a pool of n workers with no admission queue
-// beyond the worker slots (n < 1 is treated as 1): Submit blocks while
-// all workers are busy, exactly the pre-admission-control behavior.
-func NewScheduler(n int) *Scheduler {
-	return NewBoundedScheduler(n, 0)
-}
-
 // NewBoundedScheduler returns a pool of workers execution slots whose
 // admission queue holds at most maxQueue tasks beyond the ones
-// executing. A full queue blocks Submit, rejects TrySubmit with
+// executing (workers < 1 is treated as 1; maxQueue 0 admits only what
+// can execute). A full queue blocks Submit, rejects TrySubmit with
 // ErrOverloaded, and leaves SubmitCtx waiting until space or
 // cancellation.
 func NewBoundedScheduler(workers, maxQueue int) *Scheduler {

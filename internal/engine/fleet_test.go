@@ -13,7 +13,7 @@ import (
 
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	s := NewScheduler(workers)
+	s := NewBoundedScheduler(workers, 0)
 	var active, peak atomic.Int64
 	var mu sync.Mutex
 	bumpPeak := func(n int64) {

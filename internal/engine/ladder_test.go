@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,8 +155,47 @@ func archivedTailSegment(t *testing.T, dir, arch string) string {
 }
 
 // writeLadderLog is the create → write → crash half of a row for one log:
-// it returns the ladder that names what was left behind.
+// it returns the ladder that names what was left behind. The history is
+// written twice — crash-free beside dir for the byte to die at, then over a
+// file system that dies there, inside the last instance's fourth record.
 func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix string) wal.Ladder {
+	t.Helper()
+	key := fmt.Sprint(row.name, format, prefix) // the same run writes the same bytes
+	b, ok := ladderCrashByte.Load(key)
+	if !ok {
+		clean := dir + ".clean"
+		if err := os.MkdirAll(clean, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		l, wrote := writeLadderRun(t, row, format, clean, prefix, 0)
+		ends, err := wal.FrameEnds(l.Path)
+		if err != nil || len(ends) < ladderRecords {
+			t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
+		}
+		// Checkpoint passes pruned the oldest segments: what is left ends with
+		// the last instance's records, wrote-ends[last] bytes into the run.
+		b = wrote - ends[len(ends)-1] + CrashCut(ends, len(ends)-ladderRecords+ladderCrashAt, true)
+		ladderCrashByte.Store(key, b)
+		for _, d := range []string{clean, clean + ".arch"} {
+			if err := os.RemoveAll(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l, _ := writeLadderRun(t, row, format, dir, prefix, b.(int64))
+	return l
+}
+
+// ladderCrashByte remembers writeLadderLog's crash byte per row, format and
+// instance prefix.
+var ladderCrashByte sync.Map
+
+// writeLadderRun writes a row's history through a log in dir whose file
+// system dies at byte b (0: never). The log is not fsynced, so the crash
+// surfaces when its write buffer next drains — in the last instance or on
+// Close — and leaves the same bytes. It returns the ladder and how many
+// bytes the log wrote.
+func writeLadderRun(t *testing.T, row ladderRow, format wal.Format, dir, prefix string, b int64) (wal.Ladder, int64) {
 	t.Helper()
 	e, _ := newRecoveryEngine(t)
 	run := func(i int, log wal.Log) error {
@@ -165,14 +205,23 @@ func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix 
 		}
 		return inst.Start()
 	}
-	crash := func(log wal.Log) {
-		if err := run(ladderInstances-1, log); !errors.Is(err, wal.ErrCrash) {
-			t.Fatalf("want injected crash, got %v", err)
+	reg := obs.NewRegistry()
+	fs := wal.NewFaultFS(wal.FaultCrash, b)
+	last := func(log interface {
+		wal.Log
+		Close() error
+	}) int64 {
+		if err := run(ladderInstances-1, log); err != nil && !errors.Is(err, wal.ErrCrash) {
+			t.Fatal(err)
 		}
+		if err := log.Close(); fs.Fired() != (b > 0) || (err != nil) != (b > 0) {
+			t.Fatalf("crash at byte %d: fired=%v, close: %v", b, fs.Fired(), err)
+		}
+		return reg.Counter("wal.file.bytes").Value()
 	}
 	if row.file {
 		path := filepath.Join(dir, "run.wal")
-		flog, err := wal.OpenFileLog(path, wal.WithFormat(format))
+		flog, err := wal.OpenFileLog(path, wal.WithFormat(format), wal.WithFS(fs), wal.WithMetricsRegistry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +230,11 @@ func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix 
 				t.Fatal(err)
 			}
 		}
-		crash(wal.NewFaultLog(flog, ladderCrashAt, true))
-		if err := flog.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return wal.Ladder{Path: path}
+		return wal.Ladder{Path: path}, last(flog)
 	}
 
-	slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(format))
+	slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(format),
+		wal.SegmentFS(fs), wal.SegmentMetricsRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +274,7 @@ func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix 
 			t.Fatal("archiver did not drain")
 		}
 	}
-	crash(wal.NewSegmentedFaultLog(slog, ladderCrashAt, true))
-	if err := slog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return l, last(slog)
 }
 
 // buildLadderCorpus is the create → write → crash → damage half of a row:

@@ -269,29 +269,51 @@ func TestRecoveryThroughFileLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterTornTail crashes the instance mid-append through a
-// short-writing FaultLog, repairs the torn file (truncate-and-resume), and
-// recovers from the surviving prefix: the crash-free trail and output must
-// be reproduced exactly.
+// CrashCut is the byte at which a wal.FaultCrash file system kills a rerun
+// of the run whose frames end at ends (wal.FrameEnds) after its first k
+// records: at record k's end — a clean crash — or, torn, half-way plus ten
+// bytes into record k+1. k == len(ends) is the end of the log: no crash.
+func CrashCut(ends []int64, k int, torn bool) int64 {
+	b := ends[k-1]
+	if torn && k < len(ends) {
+		n := ends[k] - b
+		b += min(n/2+10, n-2)
+	}
+	return b
+}
+
+// TestRecoveryAfterTornTail kills the server beneath a durable file log
+// inside the instance's sixth record, repairs the torn file (truncate-and-
+// resume), and recovers from the surviving prefix: the crash-free trail and
+// output must be reproduced exactly.
 func TestRecoveryAfterTornTail(t *testing.T) {
 	want := baselineTrail(t)
 	path := t.TempDir() + "/torn.wal"
 
-	e, _ := newRecoveryEngine(t)
-	flog, err := wal.OpenFileLog(path)
+	// run executes the instance over a file system that dies at byte b (0:
+	// never).
+	run := func(b int64) error {
+		e, _ := newRecoveryEngine(t)
+		flog, err := wal.OpenFileLog(path, wal.WithFsync(), wal.WithFS(wal.NewFaultFS(wal.FaultCrash, b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer flog.Close()
+		inst, err := e.CreateInstance("Rec", nil, flog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.Start()
+	}
+	if err := run(0); err != nil {
+		t.Fatal(err)
+	}
+	ends, err := wal.FrameEnds(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := wal.NewFaultLog(flog, 5, true) // torn 6th record lands on disk
-	inst, err := e.CreateInstance("Rec", nil, fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
+	if err := run(CrashCut(ends, 5, true)); !errors.Is(err, wal.ErrCrash) { // torn 6th record lands on disk
 		t.Fatalf("want crash, got %v", err)
-	}
-	if err := flog.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	records, truncated, err := wal.RepairFile(path)

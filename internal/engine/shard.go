@@ -139,10 +139,10 @@ type FleetConfig struct {
 	// ArchiveOpts supplies extra Archiver options per shard (timeouts,
 	// backoff, breaker thresholds; soaks pin seeds here).
 	ArchiveOpts func(shard int) []wal.ArchiverOption
-	// GroupOpts, when non-nil, supplies extra GroupCommitLog options for
-	// a shard — the fault-injection seam (the E11 soak crashes one
-	// shard's group commit with wal.GroupCrashAfter this way).
-	GroupOpts func(shard int) []wal.GroupOption
+	// FS, when non-nil, supplies the file system beneath a shard's
+	// segments (default wal.OSFS) — the fault-injection seam: the E11
+	// soak kills one shard at a byte with a wal.FaultFS this way.
+	FS func(shard int) wal.FS
 	// WrapLog, when non-nil, wraps the log a shard's instances append to
 	// — the observation seam (soaks interpose ack-tracking here). The
 	// wrapper sees the shard's outermost log (group commit when enabled).
@@ -247,6 +247,9 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 			if cfg.Fsync && !cfg.GroupCommit {
 				sopts = append(sopts, wal.SegmentFsync())
 			}
+			if cfg.FS != nil {
+				sopts = append(sopts, wal.SegmentFS(cfg.FS(i)))
+			}
 			slog, err := wal.OpenSegmentedLog(dir, sopts...)
 			if err != nil {
 				f.Close()
@@ -255,11 +258,7 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 			sh.slog = slog
 			sh.log = slog
 			if cfg.GroupCommit {
-				var gopts []wal.GroupOption
-				if cfg.GroupOpts != nil {
-					gopts = cfg.GroupOpts(i)
-				}
-				sh.glog = wal.NewGroupCommitSegmented(slog, gopts...)
+				sh.glog = wal.NewGroupCommitSegmented(slog)
 				sh.log = sh.glog
 			}
 			if cfg.CheckpointEveryRecords > 0 {

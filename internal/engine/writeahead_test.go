@@ -14,15 +14,16 @@ import (
 )
 
 // groupLogOn opens a group-commit log over a fresh FileLog in the test's
-// temp dir, both recording into reg.
-func groupLogOn(t *testing.T, reg *obs.Registry, opts ...wal.GroupOption) (*wal.GroupCommitLog, string) {
+// temp dir, both recording into reg, on a file system that kills the
+// server at byte b (0: never).
+func groupLogOn(t *testing.T, reg *obs.Registry, b int64) (*wal.GroupCommitLog, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	fl, err := wal.OpenFileLog(path, wal.WithMetricsRegistry(reg))
+	fl, err := wal.OpenFileLog(path, wal.WithMetricsRegistry(reg), wal.WithFS(wal.NewFaultFS(wal.FaultCrash, b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wal.NewGroupCommitLog(fl, append(opts, wal.GroupWithMetricsRegistry(reg))...), path
+	return wal.NewGroupCommitLog(fl, wal.GroupWithMetricsRegistry(reg)), path
 }
 
 // goldenScript returns the process and abort script of the named golden
@@ -58,7 +59,7 @@ func TestFlushCountPin(t *testing.T) {
 			script(inj)
 			e := atmEngine(t, inj)
 			walReg := obs.NewRegistry()
-			log, path := groupLogOn(t, walReg)
+			log, path := groupLogOn(t, walReg, 0)
 			inst, err := e.CreateInstance(process, nil, log)
 			if err == nil {
 				err = inst.Start()
@@ -135,9 +136,11 @@ func keysOf(recs []wal.Record) []recordKey {
 	return out
 }
 
-// TestWriteAheadUnderGroupCrash crashes the travel saga and the Figure 3
-// transaction at every batch boundary of a real group-commit log, with and
-// without a torn tail, in sequential and worker-pool mode, and checks the
+// TestWriteAheadUnderGroupCrash kills the server beneath a real
+// group-commit log under the travel saga and the Figure 3 transaction — at
+// every frame end of the crash-free run and, short, inside every frame, so
+// a cut falls between two barriers or in the middle of one's batch — in
+// sequential and worker-pool mode, and checks the
 // invariant the barrier exists for: a program body ran, or the instance
 // reported finished, only after every earlier record of the instance was
 // on disk — and what is on disk is always a prefix of the instance's
@@ -153,14 +156,19 @@ func TestWriteAheadUnderGroupCrash(t *testing.T) {
 			opts = append(opts, engine.WithClock(func() int64 { tick++; return tick }), engine.WithBus(obs.NewBus()))
 			return atmEngine(t, inj, opts...)
 		}
-		clean, err := newEngine().CreateInstanceID(process, "inst-1", nil, nil)
+		cleanLog, cleanPath := groupLogOn(t, obs.NewRegistry(), 0)
+		clean, err := newEngine().CreateInstanceID(process, "inst-1", nil, cleanLog)
 		if err == nil {
 			err = clean.Start()
 		}
-		if err != nil || !clean.Finished() {
-			t.Fatalf("%s: crash-free run: %v", golden, err)
+		if cerr := cleanLog.Close(); err != nil || cerr != nil || !clean.Finished() {
+			t.Fatalf("%s: crash-free run: %v, close: %v", golden, err, cerr)
 		}
 		total := len(recordsOfTrail(clean.Trail()))
+		ends, err := wal.FrameEnds(cleanPath)
+		if err != nil || len(ends) != total {
+			t.Fatalf("%s: crash-free run left %d frames for %d records, %v", golden, len(ends), total, err)
+		}
 
 		for _, workers := range []int{1, 4} {
 			for _, short := range []bool{false, true} {
@@ -168,7 +176,8 @@ func TestWriteAheadUnderGroupCrash(t *testing.T) {
 					name := fmt.Sprintf("%s/workers=%d/short=%v/k=%d", golden, workers, short, k)
 					t.Run(name, func(t *testing.T) {
 						e := newEngine(engine.WithConcurrency(workers))
-						log, path := groupLogOn(t, obs.NewRegistry(), wal.GroupCrashAfter(k, short))
+						// k == total is the end of the log: no crash.
+						log, path := groupLogOn(t, obs.NewRegistry(), engine.CrashCut(ends, k, short))
 						inst, err := e.CreateInstanceID(process, "inst-1", nil, log)
 						if err != nil {
 							t.Fatal(err)

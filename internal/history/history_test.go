@@ -327,12 +327,16 @@ func hashTree(t *testing.T, root string) map[string]string {
 // segment) survives being asked about. Recovery, not the query, truncates.
 func TestQueryLeavesTheWALAlone(t *testing.T) {
 	root := t.TempDir()
-	for s := 0; s < 2; s++ {
-		dir := filepath.Join(root, engine.ShardDirName(s))
-		seg, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4))
+	// write leaves shard s in dir: a finished instance under a checkpoint,
+	// then one whose run dies with the file system beneath the durable log
+	// at byte b (0: never).
+	write := func(dir string, s int, b int64) {
+		seg, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFsync(),
+			wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer seg.Close()
 		runChain(t, "done-"+engine.ShardDirName(s), seg, engine.WithMetrics(obs.NewRegistry()))
 		if err := engine.NewCheckpointer(seg).CheckpointNow(); err != nil {
 			t.Fatal(err)
@@ -341,16 +345,25 @@ func TestQueryLeavesTheWALAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := e.CreateInstanceID("Chain", "torn-"+engine.ShardDirName(s), nil, wal.NewSegmentedFaultLog(seg, 3, true))
+		inst, err := e.CreateInstanceID("Chain", "torn-"+engine.ShardDirName(s), nil, seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
-			t.Fatalf("want injected crash, got %v", err)
+		if err := inst.Start(); (b > 0) != errors.Is(err, wal.ErrCrash) || (b == 0 && err != nil) {
+			t.Fatalf("crash at byte %d: got %v", b, err)
 		}
-		if err := seg.Close(); err != nil {
-			t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		// The crash byte, from a crash-free run: three records of the second
+		// instance on disk and half of its fourth.
+		clean := filepath.Join(t.TempDir(), "clean")
+		write(clean, s, 0)
+		ends, err := wal.FrameEnds(clean)
+		if err != nil || len(ends)%2 != 0 {
+			t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
 		}
+		k := len(ends)/2 + 3
+		write(filepath.Join(root, engine.ShardDirName(s)), s, ends[k-1]+(ends[k]-ends[k-1])/2+10)
 	}
 	before := hashTree(t, root)
 	src := &Source{WAL: root}

@@ -102,8 +102,9 @@ func e12Recover(dir string, st wal.Store, baseTrail string, base *engine.Instanc
 // an Archiver copying every sealed segment and checkpoint into a Store,
 // with local pruning gated on verified archived copies. Three parts:
 //
-//   - Part A — WAL crash sweep × archive states: the server crashes at
-//     every WAL record boundary (clean and short-write) against a
+//   - Part A — WAL crash sweep × archive states: the server dies at a
+//     byte beneath the durable log (wal.FaultCrash) — at every frame end
+//     and torn cut of the crash-free run — against a
 //     healthy archive (DirStore), a flaky one (one typed transient
 //     fault, kind rotating over unavailable/timeout/partial-write/
 //     corrupt-read), and a down one (sticky unavailable from op 1).
@@ -130,7 +131,7 @@ func e12Recover(dir string, st wal.Store, baseTrail string, base *engine.Instanc
 func RunE12() *Report {
 	r := &Report{
 		ID:      "E12",
-		Title:   "archive-tier soak: crash + typed archive faults at every op boundary, gated pruning, archive-rung recovery",
+		Title:   "archive-tier soak: byte-offset crash at every frame end and torn cut + typed archive faults at every op boundary, gated pruning, archive-rung recovery",
 		Columns: []string{"case", "archive", "mode", "points", "archived", "retries", "recovered ok"},
 		Pass:    true,
 	}
@@ -168,57 +169,57 @@ func RunE12() *Report {
 	total := clean.Len()
 
 	// runCase executes one crashed-or-clean travel run against the given
-	// store: segmented WAL, checkpoint every 4 appends, archiver attached.
-	// crashAt 0 runs to completion. It returns the case directory and the
-	// archiver's metrics registry; the archiver is drained (bounded) and
-	// stopped, the log closed.
-	runCase := func(dir string, st wal.Store, crashAt int, shortWrite bool, drain time.Duration) (*obs.Registry, error) {
-		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4))
+	// store: durable segmented WAL on a file system that dies at byte b (0
+	// runs to completion), checkpoint every 4 records, archiver attached.
+	// It returns the registry the log and the archiver count in; the
+	// archiver is drained (bounded) and stopped, the log closed.
+	runCase := func(dir string, st wal.Store, b int64, drain time.Duration) (*obs.Registry, error) {
+		reg := obs.NewRegistry()
+		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFsync(),
+			wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.SegmentMetricsRegistry(reg))
 		if err != nil {
 			return nil, err
 		}
-		reg := obs.NewRegistry()
+		defer slog.Close() // a dead log reports its seal; nothing more is written
 		arch := wal.NewArchiver(st, e12ArchiverOpts(reg)...)
 		arch.Start()
+		defer arch.Stop()
 		ck := engine.NewCheckpointer(slog, engine.CheckpointArchive(arch))
-		var log wal.Log = &checkpointingLog{inner: slog, ck: ck, every: 4}
-		if crashAt > 0 {
-			log = &checkpointingLog{inner: wal.NewSegmentedFaultLog(slog, crashAt, shortWrite), ck: ck, every: 4}
-		}
 		e2, proc2 := travelWorkload()
-		inst, err := e2.CreateInstance(proc2, nil, log)
-		if err != nil {
-			arch.Stop()
-			slog.Close()
-			return nil, err
+		inst, err := e2.CreateInstance(proc2, nil, &checkpointingLog{inner: slog, ck: ck, every: 4})
+		if err == nil {
+			err = inst.Start()
 		}
-		err = inst.Start()
-		if crashAt > 0 {
-			if !errors.Is(err, wal.ErrCrash) {
-				arch.Stop()
-				slog.Close()
-				return nil, fmt.Errorf("crashAt %d: want crash, got %v", crashAt, err)
-			}
-		} else if err != nil || !inst.Finished() {
-			arch.Stop()
-			slog.Close()
+		if b > 0 && !errors.Is(err, wal.ErrCrash) {
+			return nil, fmt.Errorf("crash at byte %d: want crash, got %v", b, err)
+		} else if b == 0 && (err != nil || !inst.Finished()) {
 			return nil, fmt.Errorf("clean run: %v", err)
 		}
 		// Post-crash checkpoint pass: folds the segments sealed at crash
 		// time and gives gated retention one more chance to run.
 		if err := ck.CheckpointNow(); err != nil {
-			arch.Stop()
-			slog.Close()
 			return nil, err
 		}
 		if drain > 0 {
 			arch.Drain(drain)
 		}
-		arch.Stop()
-		if err := slog.Close(); err != nil {
-			return nil, err
-		}
 		return reg, nil
+	}
+
+	// The crash bytes: the frame ends of a crash-free run. Against a dead
+	// archive nothing is pruned, so every frame is still there to measure.
+	endsDir := caseDir("ends")
+	deadInner, err := wal.NewDirStore(caseDir("ends-arch"))
+	if err != nil {
+		return fail(err)
+	}
+	reg, err := runCase(endsDir, wal.NewFaultStore(deadInner, wal.StoreUnavailable, 1, wal.StoreSticky()), 0, 0)
+	if err != nil {
+		return fail(fmt.Errorf("E12 crash-free run: %w", err))
+	}
+	ends, err := wal.FrameEnds(endsDir)
+	if err != nil || len(ends) != total || !batchPathRan(reg) {
+		return fail(fmt.Errorf("E12 crash-free run: %d frames (%v), batch path ran: %v", len(ends), err, batchPathRan(reg)))
 	}
 
 	// Part A: WAL crash sweep × archive states.
@@ -240,10 +241,7 @@ func RunE12() *Report {
 		}, 0},
 	}
 	for _, state := range states {
-		for _, mode := range []struct {
-			name       string
-			shortWrite bool
-		}{{"clean crash", false}, {"short write", true}} {
+		for _, mode := range crashModes {
 			var archived, retries int64
 			var caseErr error
 			for crashAt := 1; crashAt < total && caseErr == nil; crashAt++ {
@@ -254,7 +252,7 @@ func RunE12() *Report {
 					break
 				}
 				st := state.mk(inner, crashAt)
-				reg, err := runCase(dir, st, crashAt, mode.shortWrite, state.drain)
+				reg, err := runCase(dir, st, crashCut(ends, crashAt, mode.torn), state.drain)
 				if err != nil {
 					caseErr = err
 					break
@@ -300,16 +298,14 @@ func RunE12() *Report {
 			if state.name == "down" && retries == 0 && caseErr == nil {
 				caseErr = errors.New("down archive recorded no retries")
 			}
-			verdict := "yes"
 			if caseErr != nil {
-				verdict = "NO"
 				r.Pass = false
 				if r.Err == nil {
 					r.Err = fmt.Errorf("E12 A %s/%s: %w", state.name, mode.name, caseErr)
 				}
 			}
 			r.AddRow("A crash sweep: travel saga", state.name, mode.name,
-				fmt.Sprint(total-1), fmt.Sprint(archived), fmt.Sprint(retries), verdict)
+				fmt.Sprint(total-1), fmt.Sprint(archived), fmt.Sprint(retries), yesNo(caseErr == nil))
 		}
 	}
 
@@ -320,7 +316,7 @@ func RunE12() *Report {
 		return fail(err)
 	}
 	counter := wal.NewFaultStore(inner, wal.StoreUnavailable, 0)
-	if _, err := runCase(caseDir("b"), counter, 0, false, 2*time.Second); err != nil {
+	if _, err := runCase(caseDir("b"), counter, 0, 2*time.Second); err != nil {
 		return fail(fmt.Errorf("E12 B sizing pass: %w", err))
 	}
 	opCount := counter.Ops()
@@ -339,7 +335,7 @@ func RunE12() *Report {
 				break
 			}
 			st := wal.NewFaultStore(binner, kind, k, wal.StoreTimeoutDelay(time.Millisecond))
-			reg, err := runCase(dir, st, 0, false, 2*time.Second)
+			reg, err := runCase(dir, st, 0, 2*time.Second)
 			if err != nil {
 				caseErr = fmt.Errorf("fault@%d: %w", k, err)
 				break
@@ -365,16 +361,14 @@ func RunE12() *Report {
 		if caseErr == nil && retries == 0 {
 			caseErr = errors.New("faults fired but the archiver never retried")
 		}
-		verdict := "yes"
 		if caseErr != nil {
-			verdict = "NO"
 			r.Pass = false
 			if r.Err == nil {
 				r.Err = fmt.Errorf("E12 B %s: %w", kind, caseErr)
 			}
 		}
 		r.AddRow("B archiver-op faults", kind.String(), "transient fault at each op",
-			fmt.Sprint(opCount), fmt.Sprint(archived), fmt.Sprint(retries), verdict)
+			fmt.Sprint(opCount), fmt.Sprint(archived), fmt.Sprint(retries), yesNo(caseErr == nil))
 	}
 
 	// Part C: the archive rung. A clean fully-archived run loses all its
@@ -386,7 +380,7 @@ func RunE12() *Report {
 		if err != nil {
 			return err
 		}
-		if _, err := runCase(dir, st, 0, false, 2*time.Second); err != nil {
+		if _, err := runCase(dir, st, 0, 2*time.Second); err != nil {
 			return err
 		}
 		cps, err := wal.ListCheckpoints(dir)
@@ -466,15 +460,13 @@ func RunE12() *Report {
 		}
 		return nil
 	}()
-	verdict := "yes"
 	if cErr != nil {
-		verdict = "NO"
 		r.Pass = false
 		if r.Err == nil {
 			r.Err = fmt.Errorf("E12 C: %w", cErr)
 		}
 	}
-	r.AddRow("C archive rung: local ckpts + tail segment lost, corrupt blob", "healthy", "-", "-", "-", "-", verdict)
+	r.AddRow("C archive rung: local ckpts + tail segment lost, corrupt blob", "healthy", "-", "-", "-", "-", yesNo(cErr == nil))
 	return r
 }
 

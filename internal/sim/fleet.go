@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -138,44 +139,125 @@ func RunB9() *Report {
 
 // ackTrackingLog wraps a Log and records every acknowledged append — the
 // ground truth for the E8 durability invariant: an append whose error was
-// nil must survive any later crash.
+// nil must survive any later crash. It takes a navigation step's records
+// the way the engine hands them over, as one batch — all acknowledged on
+// nil, none on error — so the log beneath sees the production path; calls
+// counts the acknowledged batches.
 type ackTrackingLog struct {
 	inner wal.Log
 	mu    sync.Mutex
 	acked []wal.Record
+	calls int
 }
 
 func (l *ackTrackingLog) Append(rec wal.Record) error {
-	err := l.inner.Append(rec)
+	return l.AppendBatch([]wal.Record{rec})
+}
+
+func (l *ackTrackingLog) AppendBatch(recs []wal.Record) error {
+	err := wal.AppendAll(l.inner, recs)
 	if err == nil {
 		l.mu.Lock()
-		l.acked = append(l.acked, rec)
+		l.acked = append(l.acked, recs...)
+		l.calls++
 		l.mu.Unlock()
 	}
 	return err
+}
+
+// batched reports whether some acknowledged call carried several records:
+// the soak drove the log's AppendBatch, not a per-record fallback.
+func (l *ackTrackingLog) batched() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.calls > 0 && len(l.acked) > l.calls
+}
+
+// engineWith returns a fresh engine that knows proc.
+func engineWith(proc *model.Process) *engine.Engine {
+	e := NewEngine()
+	if err := e.RegisterProcess(proc); err != nil {
+		panic(err) // a generated workload always registers
+	}
+	return e
+}
+
+// crashModes are the two ways a sweep kills the server after k records.
+var crashModes = []struct {
+	name string
+	torn bool
+}{{"clean crash", false}, {"short write", true}}
+
+// crashCut is the byte at which a rerun of the run whose frames end at ends
+// dies after its first k records (1 <= k < len(ends)): at record k's end —
+// a clean crash, record k+1 never reaches the file — or, torn, half-way
+// plus ten bytes into record k+1, short of its end.
+func crashCut(ends []int64, k int, torn bool) int64 {
+	b := ends[k-1]
+	if n := ends[k] - b; torn {
+		b += min(n/2+10, n-2)
+	}
+	return b
 }
 
 func recKey(r wal.Record) string {
 	return fmt.Sprintf("%s|%s|%s|%d", r.Instance, r.Type, r.Path, r.Iter)
 }
 
+// lost counts the acknowledged appends that are not among recovered.
+func (l *ackTrackingLog) lost(recovered []wal.Record) (n int) {
+	onDisk := make(map[string]bool, len(recovered))
+	for _, rec := range recovered {
+		onDisk[recKey(rec)] = true
+	}
+	for _, rec := range l.acked {
+		if !onDisk[recKey(rec)] {
+			n++
+		}
+	}
+	return n
+}
+
+// crashLeft checks that the crash at byte b left exactly b bytes in the log
+// file or segment directory at path, and reports whether b is a frame end
+// of what was written — the only cut after which recovery finds no torn
+// tail.
+func crashLeft(path string, b int64) (clean bool, err error) {
+	ends, err := wal.FrameEnds(path)
+	if err != nil {
+		return false, err
+	}
+	size := segmentBytes(path)
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		size = fi.Size()
+	}
+	if size != b {
+		return false, fmt.Errorf("crash at byte %d left %d bytes in %s", b, size, path)
+	}
+	return len(ends) > 0 && ends[len(ends)-1] == b, nil
+}
+
 // RunE8 is the group-commit counterpart of the E7 soak: a fleet of
-// concurrent chain instances shares one GroupCommitLog, and the server
-// is crashed at every batch boundary (GroupCrashAfter sweeping every
-// record count, clean and short-write). After each crash the file is
-// repaired and the fleet recovered with RecoverLadder. The soak proves the
-// group-commit durability contract:
+// concurrent chain instances shares one GroupCommitLog over a file system
+// that kills the server at a byte (wal.FaultCrash) — at every frame end of
+// the crash-free run and inside every frame. A concurrent run does not
+// write the same bytes twice, so a cut falls wherever the rerun's batches
+// put it: between two batches, between two frames of one, inside a frame.
+// After each crash the file is repaired and the fleet recovered with
+// RecoverLadder. The soak proves the group-commit durability contract:
 //
+//   - the crash leaves exactly the bytes below the cut, torn iff the cut is
+//     not a frame end of what was written;
 //   - no acknowledged append is ever missing from the repaired log
 //     (batch-granularity acks: a crashed batch acknowledges nothing);
-//   - unacknowledged complete lines from a torn batch may survive, and
+//   - unacknowledged complete frames from a torn batch may survive, and
 //     recovery replays them harmlessly;
 //   - every instance with surviving records recovers to the same output
 //     as the crash-free baseline.
 func RunE8() *Report {
 	r := &Report{
 		ID:      "E8",
-		Title:   "group-commit soak: crash + short-write at every batch boundary, no acknowledged append lost",
+		Title:   "group-commit soak: byte-offset crash at every frame end and torn cut, no acknowledged append lost",
 		Columns: []string{"mode", "fleet", "records", "crash points", "torn tails repaired", "acks lost", "recovered ok"},
 		Pass:    true,
 	}
@@ -186,113 +268,79 @@ func RunE8() *Report {
 
 	dir, err := os.MkdirTemp("", "wal-gc-soak")
 	if err != nil {
-		r.Pass = false
-		r.Err = err
+		r.fail(err)
 		return r
 	}
 	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "soak.wal")
 
-	// Crash-free baseline: the expected output container of every
-	// instance (all instances run the identical workload).
-	base := NewEngine()
-	if err := base.RegisterProcess(proc); err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
+	// run executes the fleet over a fresh group-committed log on a file
+	// system that dies at byte b (0: never).
+	run := func(b int64) (*ackTrackingLog, *engine.FleetResult, error) {
+		flog, err := wal.OpenFileLog(path, wal.WithFS(wal.NewFaultFS(wal.FaultCrash, b)))
+		if err != nil {
+			return nil, nil, err
+		}
+		g := wal.NewGroupCommitLog(flog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
+		track := &ackTrackingLog{inner: g}
+		res, err := engineWith(proc).RunFleet(engine.FleetOptions{
+			Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
+		})
+		g.Close() // a dead log reports its seal; the sweep reads the file
+		return track, res, err
 	}
-	baseRes, err := base.RunFleet(engine.FleetOptions{Process: proc.Name, N: 1})
-	if err != nil || baseRes.Finished != 1 {
-		r.Pass = false
-		r.Err = fmt.Errorf("E8 baseline: %v (%v)", err, baseRes)
+
+	// Crash-free baseline on the stack under test: the expected output of
+	// every instance (all run the identical workload) and the crash bytes.
+	track, baseRes, err := run(0)
+	if err != nil || baseRes.Finished != fleet {
+		r.fail(fmt.Errorf("E8 baseline: %v (%v)", err, baseRes))
 		return r
 	}
 	baseOut := baseRes.Instances[0].Output()
+	ends, err := wal.FrameEnds(path)
+	if err != nil || len(ends) != total || !track.batched() {
+		r.fail(fmt.Errorf("E8 baseline: %d frames (%v), batch path ran: %v", len(ends), err, track.batched()))
+		return r
+	}
 
-	for _, mode := range []struct {
-		name       string
-		shortWrite bool
-	}{{"clean crash", false}, {"short write", true}} {
+	for _, mode := range crashModes {
 		okAll := true
 		repaired := 0
 		acksLost := 0
 		for crashAt := 1; crashAt < total && okAll; crashAt++ {
-			path := filepath.Join(dir, "soak.wal")
-			flog, err := wal.OpenFileLog(path)
-			if err != nil {
-				okAll = false
-				break
-			}
-			g := wal.NewGroupCommitLog(flog,
-				wal.GroupCrashAfter(crashAt, mode.shortWrite),
-				wal.GroupWithMetricsRegistry(obs.NewRegistry()))
-			track := &ackTrackingLog{inner: g}
-			e := NewEngine()
-			if err := e.RegisterProcess(proc); err != nil {
-				okAll = false
-				break
-			}
-			res, err := e.RunFleet(engine.FleetOptions{
-				Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
-			})
-			if err != nil {
-				okAll = false
-				break
-			}
+			b := crashCut(ends, crashAt, mode.torn)
+			track, res, err := run(b)
 			// The crash must actually have fired and failed at least one
 			// instance with ErrCrash.
-			if res.Failed == 0 || !errors.Is(res.Err, wal.ErrCrash) {
+			if err != nil || res.Failed == 0 || !errors.Is(res.Err, wal.ErrCrash) {
 				okAll = false
 				break
 			}
-			if err := flog.Close(); err != nil {
-				okAll = false
-				break
-			}
-			e2 := NewEngine()
-			if err := e2.RegisterProcess(proc); err != nil {
-				okAll = false
-				break
-			}
-			insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: path}, nil)
-			if err != nil {
+			clean, cerr := crashLeft(path, b)
+			insts, h, err := engine.RecoverLadder(engineWith(proc), wal.Ladder{Path: path}, nil)
+			if cerr != nil || err != nil || (h.Torn == 0) != clean {
 				okAll = false
 				break
 			}
 			if h.Torn > 0 {
 				repaired++
 			}
-			onDisk := make(map[string]bool, len(h.Tail))
-			for _, rec := range h.Tail {
-				onDisk[recKey(rec)] = true
-			}
-			track.mu.Lock()
-			acked := append([]wal.Record(nil), track.acked...)
-			track.mu.Unlock()
-			for _, rec := range acked {
-				if !onDisk[recKey(rec)] {
-					acksLost++
-					okAll = false
-				}
-			}
-			if !okAll {
-				break
+			if n := track.lost(h.Tail); n > 0 {
+				acksLost += n
+				okAll = false
 			}
 			for _, inst := range insts {
 				if !inst.Finished() || !inst.Output().Equal(baseOut) {
 					okAll = false
-					break
 				}
 			}
 		}
 		if !okAll {
 			r.Pass = false
 		}
-		verdict := "yes"
-		if !okAll {
-			verdict = "NO"
-		}
 		r.AddRow(mode.name, fmt.Sprint(fleet), fmt.Sprint(total),
-			fmt.Sprint(total-1), fmt.Sprint(repaired), fmt.Sprint(acksLost), verdict)
+			fmt.Sprint(total-1), fmt.Sprint(repaired), fmt.Sprint(acksLost), yesNo(okAll))
 	}
 	return r
 }

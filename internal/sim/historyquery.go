@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -253,16 +252,9 @@ func RunE13() *Report {
 			}
 		}
 		r.AddRow(s.name, fmt.Sprint(len(s.evs)), fmt.Sprint(len(s.snaps)), fmt.Sprint(queries),
-			verdict(asOfOK), verdict(len(aggBad) == 0), verdict(contErr == nil))
+			yesNo(asOfOK), yesNo(len(aggBad) == 0), yesNo(contErr == nil))
 	}
 	return r
-}
-
-func verdict(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "NO"
 }
 
 // RunB16 measures what the checkpoint ladder buys a time-travel query on
@@ -309,48 +301,7 @@ func RunB16() *Report {
 	// after a crash), checkpointing every 64 appends when ckpt is set.
 	// It returns the crashed instance's ID.
 	run := func(dir string, ckpt bool) (string, error) {
-		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(64))
-		if err != nil {
-			return "", err
-		}
-		var log wal.Log = slog
-		var wl *checkpointingLog
-		if ckpt {
-			ck := engine.NewCheckpointer(slog, engine.CheckpointEveryRecords(64))
-			wl = &checkpointingLog{inner: slog, ck: ck, every: 64}
-			log = wl
-		}
-		e, err := build()
-		if err != nil {
-			return "", err
-		}
-		for i := 0; i < fleetN-1; i++ {
-			inst, err := e.CreateInstance(proc.Name, nil, log)
-			if err == nil {
-				err = inst.Start()
-			}
-			if err != nil {
-				return "", err
-			}
-		}
-		fl := wal.NewSegmentedFaultLog(slog, recsPerInst/2, true)
-		inst, err := e.CreateInstance(proc.Name, nil, fl)
-		if err != nil {
-			return "", err
-		}
-		id := inst.ID()
-		if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
-			return "", fmt.Errorf("want crash, got %v", err)
-		}
-		if wl != nil {
-			if wl.err != nil {
-				return "", wl.err
-			}
-			if err := wl.ck.CheckpointNow(); err != nil {
-				return "", err
-			}
-		}
-		return id, slog.Close()
+		return crashedFleet(func() (*engine.Engine, error) { return build() }, proc.Name, dir, fleetN, recsPerInst, ckpt)
 	}
 
 	// Full-history trail: no checkpoints exist, so the query must read

@@ -13,9 +13,11 @@ import (
 )
 
 // checkpointingLog wraps a Log and runs a synchronous checkpoint pass
-// every `every` acknowledged appends — a deterministic stand-in for the
+// every `every` acknowledged records — a deterministic stand-in for the
 // background Checkpointer, so soak iterations are reproducible down to
-// which records each checkpoint covers.
+// which records each checkpoint covers. A navigation step's records go
+// down as the one batch the engine hands over; a pass runs after the batch
+// that crosses a multiple of `every`.
 type checkpointingLog struct {
 	inner wal.Log
 	ck    *engine.Checkpointer
@@ -25,11 +27,16 @@ type checkpointingLog struct {
 }
 
 func (l *checkpointingLog) Append(rec wal.Record) error {
-	if err := l.inner.Append(rec); err != nil {
+	return l.AppendBatch([]wal.Record{rec})
+}
+
+func (l *checkpointingLog) AppendBatch(recs []wal.Record) error {
+	if err := wal.AppendAll(l.inner, recs); err != nil {
 		return err
 	}
-	l.n++
-	if l.every > 0 && l.n%l.every == 0 {
+	before := l.n
+	l.n += len(recs)
+	if l.every > 0 && l.n/l.every > before/l.every {
 		if err := l.ck.CheckpointNow(); err != nil && l.err == nil {
 			l.err = err
 		}
@@ -62,34 +69,36 @@ func segmentBytes(dir string) int64 {
 // segmented WAL and the checkpoint fallback ladder:
 //
 //   - both E7 workloads (travel saga on the compensation path, Figure 3
-//     flexible transaction) crash at every record boundary — clean and
-//     short-write, in both the text and the binary record framing — over a
-//     SegmentedLog; a checkpoint pass folds the segments sealed at crash
-//     time (the checkpointer reads only sealed, immutable files, so a
-//     post-crash pass is byte-identical to a background pass that ran just
-//     before the crash), and recovery seeds from the checkpoint plus the
-//     repaired tail. Crash points inside the compensation phase exercise
+//     flexible transaction) crash at every record boundary — a byte-offset
+//     crash (wal.FaultCrash) at every frame end and torn cut of the
+//     crash-free run, in both the text and the binary record framing —
+//     beneath a durable SegmentedLog; a checkpoint pass folds the segments
+//     sealed at crash time (the checkpointer reads only sealed, immutable
+//     files, so a post-crash pass is byte-identical to a background pass
+//     that ran just before the crash), and recovery seeds from the
+//     checkpoint plus the repaired tail. Crash points inside the compensation phase exercise
 //     checkpoints taken mid-compensation; crash points just after a
 //     rotation leave an empty or torn fresh segment behind.
 //   - a mixed-format handoff: a text-era segment directory is reopened
-//     with the binary format, crashed at every binary record boundary with
-//     a torn frame, and both the text-era and binary-era instances must
-//     recover across the framing switch.
+//     with the binary format, crashed inside every binary frame, and both
+//     the text-era and binary-era instances must recover across the
+//     framing switch.
 //   - the ladder cases: a leftover checkpoint .tmp file is ignored, a
 //     torn newest checkpoint falls back to the previous one, and a run
 //     whose only checkpoint is damaged (nothing pruned yet) falls all the
 //     way back to full replay.
 //   - a fleet of 4 chain instances shares one group-committed segmented
-//     log, crashed at every batch boundary; no acknowledged append may be
-//     lost and RecoverAllFromCheckpoint must restore or Done-account every
-//     instance.
+//     log, crashed at every frame end and torn cut of the crash-free run
+//     (a concurrent rerun puts other bytes there: any cut is fair); no
+//     acknowledged append may be lost and the ladder must restore or
+//     Done-account every instance.
 //
 // Every recovery must reproduce the baseline's audit trail and a
 // bit-identical output container.
 func RunE9() *Report {
 	r := &Report{
 		ID:      "E9",
-		Title:   "checkpointed recovery soak: segmented WAL + checkpoint ladder, identical outcome at every crash point",
+		Title:   "checkpointed recovery soak: byte-offset crash at every frame end and torn cut of a segmented WAL + checkpoint ladder, identical outcome",
 		Columns: []string{"case", "format", "mode", "records", "crash points", "ckpt recoveries", "torn tails", "recovered ok"},
 		Pass:    true,
 	}
@@ -128,54 +137,59 @@ func RunE9() *Report {
 		total := clean.Len()
 
 		for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
-			for _, mode := range []struct {
-				name       string
-				shortWrite bool
-			}{{"clean crash", false}, {"short write", true}} {
+			// run executes the workload over a fresh durable segmented log on
+			// a file system that dies at byte b (0: never).
+			dir := filepath.Join(root, "sweep")
+			reg := obs.NewRegistry()
+			run := func(b int64) (*wal.SegmentedLog, error) {
+				os.RemoveAll(dir)
+				slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(format), wal.SegmentFsync(),
+					wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.SegmentMetricsRegistry(reg))
+				if err != nil {
+					return nil, err
+				}
+				e2, proc2 := w.mk()
+				inst, err := e2.CreateInstance(proc2, nil, slog)
+				if err == nil {
+					err = inst.Start()
+				}
+				return slog, err
+			}
+			slog, err := run(0)
+			if err == nil {
+				err = slog.Close()
+			}
+			ends, ferr := wal.FrameEnds(dir)
+			if err != nil || ferr != nil || len(ends) != total {
+				r.fail(fmt.Errorf("E9 %s/%s crash-free run: %v, %d frames (%v)", w.name, format, err, len(ends), ferr))
+				return r
+			}
+			for _, mode := range crashModes {
 				okAll := true
 				ckptUsed := 0
 				repaired := 0
 				for crashAt := 1; crashAt < total && okAll; crashAt++ {
-					dir := caseDir("sweep")
-					slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(format))
-					if err != nil {
+					slog, err := run(crashCut(ends, crashAt, mode.torn))
+					if !errors.Is(err, wal.ErrCrash) {
 						okAll = false
 						break
 					}
-					fl := wal.NewSegmentedFaultLog(slog, crashAt, mode.shortWrite)
-					e2, proc2 := w.mk()
-					inst, err := e2.CreateInstance(proc2, nil, fl)
-					if err != nil {
-						okAll = false
-						break
-					}
-					if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
-						okAll = false
-						break
-					}
-					// Fold the segments sealed at crash time into a checkpoint,
-					// then flush the torn active segment to disk.
+					// Fold the segments sealed at crash time into a checkpoint
+					// (the dead log still lists them), then drop the handle.
 					ck := engine.NewCheckpointer(slog)
 					if err := ck.CheckpointNow(); err != nil {
 						okAll = false
 						break
 					}
-					if err := slog.Close(); err != nil {
-						okAll = false
-						break
-					}
+					slog.Close()
 					e3, _ := w.mk()
 					insts, h, err := engine.RecoverLadder(e3, wal.Ladder{Path: dir}, nil)
-					if err != nil || len(insts) != 1 {
-						okAll = false
+					if err != nil || len(insts) != 1 || mode.torn != (h.Torn > 0) {
+						okAll = false // a torn tail is detected, a clean cut leaves none
 						break
 					}
 					if h.Checkpoint != nil {
 						ckptUsed++
-					}
-					if mode.shortWrite && h.Torn == 0 {
-						okAll = false // the torn tail must have been detected
-						break
 					}
 					if h.Torn > 0 {
 						repaired++
@@ -192,12 +206,11 @@ func RunE9() *Report {
 				if !okAll {
 					r.Pass = false
 				}
-				verdict := "yes"
-				if !okAll {
-					verdict = "NO"
-				}
 				r.AddRow(w.name, format.String(), mode.name, fmt.Sprint(total), fmt.Sprint(total-1),
-					fmt.Sprint(ckptUsed), fmt.Sprint(repaired), verdict)
+					fmt.Sprint(ckptUsed), fmt.Sprint(repaired), yesNo(okAll))
+			}
+			if !batchPathRan(reg) {
+				r.fail(fmt.Errorf("E9 %s/%s: the sweep never drove SegmentedLog.AppendBatch with a multi-record barrier", w.name, format))
 			}
 		}
 	}
@@ -222,46 +235,61 @@ func RunE9() *Report {
 		baseTrail := fmt.Sprint(trailStrings(base))
 		total := clean.Len()
 
-		for crashAt := 1; crashAt < total; crashAt++ {
-			dir := caseDir("mixed")
+		// sessions runs both eras in a fresh directory, the second on a file
+		// system that dies at byte b of what that era writes (0: never). It
+		// returns the text era's size and what stopped the run: instance B's
+		// error, or a setup error.
+		dir := filepath.Join(root, "mixed")
+		sessions := func(b int64) (int64, error) {
+			os.RemoveAll(dir)
 
 			// Session one: text era. Instance A runs to completion.
 			slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4))
 			if err != nil {
-				return err
+				return 0, err
 			}
 			e1, proc1 := travelWorkload()
 			instA, err := e1.CreateInstance(proc1, nil, slog)
 			if err == nil {
 				err = instA.Start()
 			}
-			if err != nil || !instA.Finished() {
-				return fmt.Errorf("crashAt %d text era: %v", crashAt, err)
+			if cerr := slog.Close(); err == nil {
+				err = cerr
 			}
-			if err := slog.Close(); err != nil {
-				return err
+			if err != nil {
+				return 0, fmt.Errorf("text era: %v", err)
 			}
+			textBytes := segmentBytes(dir)
 
-			// Session two: reopen binary. Instance B crashes with a torn
-			// frame in a binary segment while the text history sits below.
-			slog2, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(wal.FormatBinary))
+			// Session two: reopen binary, durable. Instance B crashes with a
+			// torn frame in a binary segment while the text history sits below.
+			slog2, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFormat(wal.FormatBinary),
+				wal.SegmentFsync(), wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)))
 			if err != nil {
-				return err
+				return 0, err
 			}
-			fl := wal.NewSegmentedFaultLog(slog2, crashAt, true)
-			instB, err := e1.CreateInstance(proc1, nil, fl)
-			if err != nil {
-				return err
+			defer slog2.Close()
+			instB, err := e1.CreateInstance(proc1, nil, slog2)
+			if err == nil {
+				err = instB.Start()
 			}
-			if err := instB.Start(); !errors.Is(err, wal.ErrCrash) {
+			if cerr := engine.NewCheckpointer(slog2).CheckpointNow(); cerr != nil {
+				return 0, cerr
+			}
+			return textBytes, err
+		}
+		textBytes, err := sessions(0)
+		if err != nil {
+			return err
+		}
+		ends, err := wal.FrameEnds(dir)
+		if err != nil || len(ends) != 2*total {
+			return fmt.Errorf("crash-free run: %d frames, %v", len(ends), err)
+		}
+
+		for crashAt := 1; crashAt < total; crashAt++ {
+			if _, err := sessions(crashCut(ends, total+crashAt, true) - textBytes); !errors.Is(err, wal.ErrCrash) {
 				return fmt.Errorf("crashAt %d: want crash, got %v", crashAt, err)
-			}
-			ck := engine.NewCheckpointer(slog2)
-			if err := ck.CheckpointNow(); err != nil {
-				return err
-			}
-			if err := slog2.Close(); err != nil {
-				return err
 			}
 
 			e3, _ := travelWorkload()
@@ -284,16 +312,14 @@ func RunE9() *Report {
 		}
 		return nil
 	}()
-	mixedVerdict := "yes"
 	if mixedOK != nil {
-		mixedVerdict = "NO"
 		r.Pass = false
 		if r.Err == nil {
 			r.Err = fmt.Errorf("E9 mixed-format handoff: %w", mixedOK)
 		}
 	}
 	r.AddRow("mixed: text era then binary reopen, torn binary tail", "text+binary", "short write",
-		"-", "-", "-", "-", mixedVerdict)
+		"-", "-", "-", "-", yesNo(mixedOK == nil))
 
 	// Part 2: the fallback ladder. A clean travel run checkpointed every 4
 	// records leaves a chain of checkpoints (newest two retained); damaging
@@ -381,13 +407,11 @@ func RunE9() *Report {
 		}
 		return nil
 	}()
-	verdict := "yes"
 	if ladderOK != nil {
-		verdict = "NO"
 		r.Pass = false
 		r.Err = fmt.Errorf("E9 ladder: %w", ladderOK)
 	}
-	r.AddRow("ladder: .tmp ignored, torn newest -> previous", "text", "-", "-", "2", "1", "1", verdict)
+	r.AddRow("ladder: .tmp ignored, torn newest -> previous", "text", "-", "-", "2", "1", "1", yesNo(ladderOK == nil))
 
 	// Bottom rung: a run with a single checkpoint (nothing pruned yet)
 	// whose checkpoint is damaged must recover by full replay.
@@ -455,15 +479,13 @@ func RunE9() *Report {
 		}
 		return nil
 	}()
-	verdict = "yes"
 	if fullOK != nil {
-		verdict = "NO"
 		r.Pass = false
 		if r.Err == nil {
 			r.Err = fmt.Errorf("E9 full-replay rung: %w", fullOK)
 		}
 	}
-	r.AddRow("ladder: only ckpt damaged -> full replay", "text", "-", "-", "1", "0", "0", verdict)
+	r.AddRow("ladder: only ckpt damaged -> full replay", "text", "-", "-", "1", "0", "0", yesNo(fullOK == nil))
 
 	// Part 3: fleet over a group-committed segmented log, crashed at every
 	// batch boundary (the E8 durability contract, extended to checkpoints).
@@ -472,46 +494,44 @@ func RunE9() *Report {
 	proc := Chain("e9", chainN)
 	total := fleet * (2*chainN + 2)
 
-	baseE := NewEngine()
-	if err := baseE.RegisterProcess(proc); err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
+	// run executes the fleet over a fresh group-committed segmented log on
+	// a file system that dies at byte b (0: never).
+	dir := filepath.Join(root, "fleet")
+	run := func(b int64) (*ackTrackingLog, *wal.SegmentedLog, *engine.FleetResult, error) {
+		os.RemoveAll(dir)
+		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(8), wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		g := wal.NewGroupCommitSegmented(slog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
+		track := &ackTrackingLog{inner: g}
+		res, err := engineWith(proc).RunFleet(engine.FleetOptions{
+			Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
+		})
+		return track, slog, res, err
 	}
-	baseRes, err := baseE.RunFleet(engine.FleetOptions{Process: proc.Name, N: 1})
-	if err != nil || baseRes.Finished != 1 {
-		r.Pass = false
-		r.Err = fmt.Errorf("E9 fleet baseline: %v (%v)", err, baseRes)
+	track, slog, baseRes, err := run(0)
+	if err == nil {
+		err = slog.Close()
+	}
+	if err != nil || baseRes.Finished != fleet {
+		r.fail(fmt.Errorf("E9 fleet baseline: %v (%v)", err, baseRes))
 		return r
 	}
 	baseOut := baseRes.Instances[0].Output()
+	ends, err := wal.FrameEnds(dir)
+	if err != nil || len(ends) != total || !track.batched() {
+		r.fail(fmt.Errorf("E9 fleet baseline: %d frames (%v), batch path ran: %v", len(ends), err, track.batched()))
+		return r
+	}
 
-	for _, mode := range []struct {
-		name       string
-		shortWrite bool
-	}{{"clean crash", false}, {"short write", true}} {
+	for _, mode := range crashModes {
 		okAll := true
 		ckptUsed := 0
 		repaired := 0
 		for crashAt := 1; crashAt < total && okAll; crashAt++ {
-			dir := caseDir("fleet")
-			slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(8))
-			if err != nil {
-				okAll = false
-				break
-			}
-			g := wal.NewGroupCommitSegmented(slog,
-				wal.GroupCrashAfter(crashAt, mode.shortWrite),
-				wal.GroupWithMetricsRegistry(obs.NewRegistry()))
-			track := &ackTrackingLog{inner: g}
-			e := NewEngine()
-			if err := e.RegisterProcess(proc); err != nil {
-				okAll = false
-				break
-			}
-			res, err := e.RunFleet(engine.FleetOptions{
-				Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
-			})
+			b := crashCut(ends, crashAt, mode.torn)
+			track, slog, res, err := run(b)
 			if err != nil || res.Failed == 0 || !errors.Is(res.Err, wal.ErrCrash) {
 				okAll = false
 				break
@@ -524,41 +544,25 @@ func RunE9() *Report {
 				okAll = false
 				break
 			}
-			if err := slog.Close(); err != nil {
-				okAll = false
-				break
-			}
+			slog.Close()
+			clean, cerr := crashLeft(dir, b)
 			whole, err := wal.Ladder{Path: dir, Full: true}.Recover()
-			if err != nil {
+			if cerr != nil || err != nil || (whole.Torn == 0) != clean {
 				okAll = false
 				break
 			}
 			if whole.Torn > 0 {
 				repaired++
 			}
-			onDisk := make(map[string]bool, len(whole.Tail))
 			started := make(map[string]bool)
 			for _, rec := range whole.Tail {
-				onDisk[recKey(rec)] = true
 				started[rec.Instance] = true
 			}
-			track.mu.Lock()
-			acked := append([]wal.Record(nil), track.acked...)
-			track.mu.Unlock()
-			for _, rec := range acked {
-				if !onDisk[recKey(rec)] {
-					okAll = false // an acknowledged append was lost
-				}
-			}
-			if !okAll {
+			if track.lost(whole.Tail) > 0 {
+				okAll = false // an acknowledged append was lost
 				break
 			}
-			e2 := NewEngine()
-			if err := e2.RegisterProcess(proc); err != nil {
-				okAll = false
-				break
-			}
-			insts, h, err := engine.RecoverLadder(e2, wal.Ladder{Path: dir}, nil)
+			insts, h, err := engine.RecoverLadder(engineWith(proc), wal.Ladder{Path: dir}, nil)
 			if err != nil || len(insts)+len(h.Done()) != len(started) {
 				okAll = false
 				break
@@ -576,14 +580,75 @@ func RunE9() *Report {
 		if !okAll {
 			r.Pass = false
 		}
-		verdict := "yes"
-		if !okAll {
-			verdict = "NO"
-		}
 		r.AddRow(fmt.Sprintf("fleet %dx chain(%d) group commit", fleet, chainN), "text", mode.name,
-			fmt.Sprint(total), fmt.Sprint(total-1), fmt.Sprint(ckptUsed), fmt.Sprint(repaired), verdict)
+			fmt.Sprint(total), fmt.Sprint(total-1), fmt.Sprint(ckptUsed), fmt.Sprint(repaired), yesNo(okAll))
 	}
 	return r
+}
+
+// crashedFleet leaves in dir what a server leaves that dies half-way
+// through the last of n instances of proc, run one after another over a
+// segmented log (with a checkpoint pass every 64 records when ckpt is
+// set): n-1 whole instances, half of the last and a torn record after it.
+// mk builds the engine of one run. The run happens twice — crash-free in
+// dir+".clean" for the byte to die at, then over wal.FaultCrash — on the
+// log as B10 and B16 measure it, without fsync: the crash surfaces when
+// the write buffer next drains, at the latest on Close, and leaves the
+// same bytes. It returns the crashed instance's ID.
+func crashedFleet(mk func() (*engine.Engine, error), proc, dir string, n, recsPerInst int, ckpt bool) (string, error) {
+	run := func(dir string, ckpt bool, b int64) (string, error) {
+		fs := wal.NewFaultFS(wal.FaultCrash, b)
+		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(64), wal.SegmentFS(fs))
+		if err != nil {
+			return "", err
+		}
+		var log wal.Log = slog
+		var wl *checkpointingLog
+		if ckpt {
+			ck := engine.NewCheckpointer(slog, engine.CheckpointEveryRecords(64))
+			wl = &checkpointingLog{inner: slog, ck: ck, every: 64}
+			log = wl
+		}
+		e, err := mk()
+		if err != nil {
+			return "", err
+		}
+		id := ""
+		for i := 0; i < n; i++ {
+			inst, err := e.CreateInstance(proc, nil, log)
+			if err == nil {
+				id, err = inst.ID(), inst.Start()
+			}
+			if err != nil && !(i == n-1 && errors.Is(err, wal.ErrCrash)) {
+				return "", err
+			}
+		}
+		if wl != nil {
+			if wl.err != nil {
+				return "", wl.err
+			}
+			// A final pass folds the last sealed segments, as the
+			// background checkpointer would have before the crash — without
+			// the record trigger: a dead log rotates nothing.
+			if err := engine.NewCheckpointer(slog).CheckpointNow(); err != nil {
+				return "", err
+			}
+		}
+		if err := slog.Close(); (err != nil) != fs.Fired() || fs.Fired() != (b > 0) {
+			return "", fmt.Errorf("crash at byte %d: fired=%v, close: %v", b, fs.Fired(), err)
+		}
+		return id, nil
+	}
+	clean := dir + ".clean"
+	if _, err := run(clean, false, 0); err != nil {
+		return "", err
+	}
+	ends, err := wal.FrameEnds(clean)
+	os.RemoveAll(clean)
+	if err != nil || len(ends) != n*recsPerInst {
+		return "", fmt.Errorf("crash-free run: %d frames, %v", len(ends), err)
+	}
+	return run(dir, ckpt, crashCut(ends, (n-1)*recsPerInst+recsPerInst/2, true))
 }
 
 // RunB10 measures what checkpoints buy at restart: recovery wall time and
@@ -615,63 +680,18 @@ func RunB10() *Report {
 	}
 	defer os.RemoveAll(root)
 
-	// run executes n instances sequentially (crashing mid-way through the
-	// last) over a fresh segmented log in dir, checkpointing every
-	// ckptEvery appends when > 0.
-	run := func(dir string, n, ckptEvery int) error {
-		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(64))
-		if err != nil {
-			return err
-		}
-		var log wal.Log = slog
-		var wl *checkpointingLog
-		if ckptEvery > 0 {
-			ck := engine.NewCheckpointer(slog, engine.CheckpointEveryRecords(64))
-			wl = &checkpointingLog{inner: slog, ck: ck, every: ckptEvery}
-			log = wl
-		}
-		e := NewEngine()
-		if err := e.RegisterProcess(proc); err != nil {
-			return err
-		}
-		for i := 0; i < n-1; i++ {
-			inst, err := e.CreateInstance(proc.Name, nil, log)
-			if err == nil {
-				err = inst.Start()
-			}
-			if err != nil {
-				return err
-			}
-		}
-		fl := wal.NewSegmentedFaultLog(slog, recsPerInst/2, true)
-		inst, err := e.CreateInstance(proc.Name, nil, fl)
-		if err != nil {
-			return err
-		}
-		if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
-			return fmt.Errorf("want crash, got %v", err)
-		}
-		if wl != nil {
-			if wl.err != nil {
-				return wl.err
-			}
-			// A final pass folds the last sealed segments, as the
-			// background checkpointer would have before the crash.
-			if err := wl.ck.CheckpointNow(); err != nil {
-				return err
-			}
-		}
-		return slog.Close()
+	// run executes n instances sequentially, crashing mid-way through the
+	// last, over a fresh segmented log in dir.
+	run := func(dir string, n int, ckpt bool) error {
+		_, err := crashedFleet(func() (*engine.Engine, error) { return engineWith(proc), nil },
+			proc.Name, dir, n, recsPerInst, ckpt)
+		return err
 	}
 
 	// recoverTimed restarts a fresh engine from dir through the ladder.
 	recoverTimed := func(dir string) ([]*engine.Instance, *wal.History, time.Duration, error) {
 		start := time.Now()
-		e := NewEngine()
-		if err := e.RegisterProcess(proc); err != nil {
-			return nil, nil, 0, err
-		}
-		insts, h, err := engine.RecoverLadder(e, wal.Ladder{Path: dir}, nil)
+		insts, h, err := engine.RecoverLadder(engineWith(proc), wal.Ladder{Path: dir}, nil)
 		return insts, h, time.Since(start), err
 	}
 
@@ -680,7 +700,7 @@ func RunB10() *Report {
 
 		// Without checkpoints: full replay of the whole history.
 		dirA := filepath.Join(root, fmt.Sprintf("full-%d", n))
-		if err := run(dirA, n, 0); err != nil {
+		if err := run(dirA, n, false); err != nil {
 			r.Pass = false
 			r.Err = fmt.Errorf("B10 n=%d full: %w", n, err)
 			return r
@@ -695,7 +715,7 @@ func RunB10() *Report {
 
 		// With checkpoints: newest checkpoint + segment tail.
 		dirB := filepath.Join(root, fmt.Sprintf("ckpt-%d", n))
-		if err := run(dirB, n, 64); err != nil {
+		if err := run(dirB, n, true); err != nil {
 			r.Pass = false
 			r.Err = fmt.Errorf("B10 n=%d ckpt: %w", n, err)
 			return r

@@ -243,20 +243,20 @@ func RunB14() *Report {
 }
 
 // e11Fleet builds the E11 sharded travel-saga fleet over root. victim <
-// 0 runs crash-free; otherwise that shard's group commit crashes after
-// crashAt records (short-write mode tears the batch). track receives
-// each shard's ack-tracking wrapper.
-func e11Fleet(root string, victim, crashAt int, shortWrite bool, track []*ackTrackingLog) (*engine.Fleet, string, error) {
+// 0 runs crash-free; otherwise the file system beneath that shard's
+// segments dies at byte b. track receives each shard's ack-tracking
+// wrapper.
+func e11Fleet(root string, victim int, b int64, track []*ackTrackingLog) (*engine.Fleet, string, error) {
 	e, proc := travelWorkload()
 	f, err := engine.NewFleet(e, engine.FleetConfig{
 		Shards: e11Shards, Dir: root, Parallel: 2, MaxQueue: e11FleetN,
 		NoRebalance: true, // placement must be pure hash: the sweep relies on a stable victim
 		GroupCommit: true, SegmentMaxRecords: 8,
-		GroupOpts: func(shard int) []wal.GroupOption {
+		FS: func(shard int) wal.FS {
 			if shard == victim {
-				return []wal.GroupOption{wal.GroupCrashAfter(crashAt, shortWrite)}
+				return wal.NewFaultFS(wal.FaultCrash, b)
 			}
-			return nil
+			return wal.OSFS{}
 		},
 		WrapLog: func(shard int, log wal.Log) wal.Log {
 			track[shard] = &ackTrackingLog{inner: log}
@@ -274,12 +274,16 @@ const (
 
 // RunE11 is the shard-crash soak: a sharded fleet runs the travel saga
 // (book_car aborts, so every instance takes the compensation path) with
-// one shard's group-commit WAL crashed at every batch boundary — clean
-// and short-write — while the other shards keep serving. After each
-// crash the fleet directory is recovered with RecoverFleet (per-shard
-// repair + checkpoint ladder). The soak passes only if, at every crash
-// point:
+// the file system beneath one shard's group-commit WAL killed at a byte
+// (FleetConfig.FS, wal.FaultCrash) — at every frame end and torn cut of
+// the victim's crash-free run — while the other shards keep serving. The
+// victim's two workers share batches, so a rerun puts other bytes at the
+// cut: any cut is fair. After each crash the fleet directory is recovered
+// with RecoverFleet (per-shard repair + checkpoint ladder). The soak
+// passes only if, at every crash point:
 //
+//   - the crash left exactly the bytes below the cut in the victim's
+//     directory, torn iff the cut is not a frame end of what was written;
 //   - every instance placed on a surviving shard still finishes during
 //     the crashed run (shard isolation: one shard's storage death does
 //     not take the fleet down);
@@ -293,7 +297,7 @@ const (
 func RunE11() *Report {
 	r := &Report{
 		ID:      "E11",
-		Title:   "shard-crash soak: one shard dies at every batch boundary, survivors serve, recovery exact",
+		Title:   "shard-crash soak: byte-offset crash of one shard at every frame end and torn cut, survivors serve, recovery exact",
 		Columns: []string{"mode", "shards", "fleet", "victim", "crash points", "survivors ok", "acks lost", "recovered ok", "oracle ok"},
 		Pass:    true,
 	}
@@ -323,7 +327,7 @@ func RunE11() *Report {
 	// Clean fleet run: find the victim (the shard carrying the most
 	// records) and its batch-boundary count, and pin down placement.
 	track := make([]*ackTrackingLog, e11Shards)
-	f, proc, err := e11Fleet(filepath.Join(root, "clean"), -1, 0, false, track)
+	f, proc, err := e11Fleet(filepath.Join(root, "clean"), -1, 0, track)
 	if err != nil {
 		r.Pass = false
 		r.Err = err
@@ -347,6 +351,12 @@ func RunE11() *Report {
 			victim, boundaries = s, n
 		}
 	}
+	ends, err := wal.FrameEnds(filepath.Join(root, "clean", engine.ShardDirName(victim)))
+	if err != nil || len(ends) != boundaries || !track[victim].batched() {
+		r.fail(fmt.Errorf("E11 clean run: victim wrote %d frames for %d acks (%v), batch path ran: %v",
+			len(ends), boundaries, err, track[victim].batched()))
+		return r
+	}
 	// Instances homed on the victim vs. survivors (placement is pure
 	// hash with NoRebalance, so it is identical in every run).
 	onVictim := make(map[string]bool)
@@ -364,16 +374,14 @@ func RunE11() *Report {
 		return r
 	}
 
-	for _, mode := range []struct {
-		name       string
-		shortWrite bool
-	}{{"clean crash", false}, {"short write", true}} {
+	for _, mode := range crashModes {
 		okSurvivors, okAcks, okRecovered, okOracle := true, true, true, true
 		acksLost := 0
 		for crashAt := 1; crashAt < boundaries; crashAt++ {
 			runRoot := filepath.Join(root, fmt.Sprintf("%s-%d", mode.name[:5], crashAt))
 			tr := make([]*ackTrackingLog, e11Shards)
-			f, proc, err := e11Fleet(runRoot, victim, crashAt, mode.shortWrite, tr)
+			b := crashCut(ends, crashAt, mode.torn)
+			f, proc, err := e11Fleet(runRoot, victim, b, tr)
 			if err != nil {
 				r.fail(fmt.Errorf("E11 %s@%d: %w", mode.name, crashAt, err))
 				return r
@@ -394,20 +402,15 @@ func RunE11() *Report {
 			}
 			// Zero acked-append loss on the repaired victim directory.
 			vdir := filepath.Join(runRoot, engine.ShardDirName(victim))
+			clean, cerr := crashLeft(vdir, b)
 			whole, err := wal.Ladder{Path: vdir, Full: true}.Recover()
-			if err != nil {
-				r.fail(fmt.Errorf("E11 %s@%d repair: %w", mode.name, crashAt, err))
+			if cerr != nil || err != nil || (whole.Torn == 0) != clean {
+				r.fail(fmt.Errorf("E11 %s@%d repair after a clean=%v cut: %v, %v", mode.name, crashAt, clean, cerr, err))
 				return r
 			}
-			onDisk := make(map[string]bool, len(whole.Tail))
-			for _, rec := range whole.Tail {
-				onDisk[recKey(rec)] = true
-			}
-			for _, rec := range tr[victim].acked {
-				if !onDisk[recKey(rec)] {
-					okAcks = false
-					acksLost++
-				}
+			if n := tr[victim].lost(whole.Tail); n > 0 {
+				okAcks = false
+				acksLost += n
 			}
 			// Recover the whole fleet directory; every recovered instance
 			// must reproduce the baseline exactly and satisfy the oracle.

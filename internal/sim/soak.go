@@ -9,6 +9,7 @@ import (
 	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/fmtm"
+	"repro/internal/obs"
 	"repro/internal/rm"
 	"repro/internal/wal"
 )
@@ -89,16 +90,20 @@ func flexibleWorkloadOpts(opts ...engine.Option) (*engine.Engine, string) {
 // RunE7 is the crash-point soak for the file-backed WAL: run the travel
 // saga and the Figure 3 flexible transaction to completion over a real
 // FileLog — in both the text and the binary record framing — then re-run
-// each workload with a FaultLog that kills the server at every record
-// boundary, both as a clean crash (the record never reaches the file) and
-// as a short write (a torn partial frame lands on disk). Each crashed log
-// is repaired with RepairFile (truncate-and-resume) and recovered; the
-// soak passes only if every recovery reproduces the baseline's audit
-// trail and a bit-identical final output container.
+// each workload over a file system that kills the server at a byte
+// (wal.FaultCrash): at every frame end of the crash-free run, a clean crash
+// (the next record never reaches the file), and inside every frame, a
+// short write (a torn partial frame lands on disk). The same run writes the
+// same bytes, so byte ends[k-1] is record boundary k. The log is the
+// durable stack itself (fsync on), so every write-ahead barrier reaches the
+// file system as one AppendBatch and the crash surfaces in the barrier that
+// hit it. Each crashed log is repaired with RepairFile (truncate-and-
+// resume) and recovered; the soak passes only if every recovery reproduces
+// the baseline's audit trail and a bit-identical final output container.
 func RunE7() *Report {
 	r := &Report{
 		ID:      "E7",
-		Title:   "WAL soak: crash + short-write at every file-log record boundary, repair, identical outcome",
+		Title:   "WAL soak: byte-offset crash at every frame end and torn cut of a file log, repair, identical outcome",
 		Columns: []string{"workload", "format", "mode", "log records", "crash points", "torn tails repaired", "recovered ok"},
 		Pass:    true,
 	}
@@ -156,41 +161,39 @@ func (r *Report) addE7Rows(dir, name string, format wal.Format, mk func() (*engi
 		return
 	}
 	total := len(records)
+	ends, err := wal.FrameEnds(path)
+	if err != nil || len(ends) != total {
+		r.fail(fmt.Errorf("E7 %s/%s frame ends: %d of %d, %v", name, format, len(ends), total, err))
+		return
+	}
 
-	for _, mode := range []struct {
-		name       string
-		shortWrite bool
-	}{{"clean crash", false}, {"short write", true}} {
+	reg := obs.NewRegistry() // the sweep's file logs: appends and fsyncs
+	for _, mode := range crashModes {
 		okAll := true
 		repaired := 0
 		for crashAt := 1; crashAt < total; crashAt++ {
-			flog, err := wal.OpenFileLog(path, wal.WithFormat(format))
+			b := crashCut(ends, crashAt, mode.torn)
+			flog, err := wal.OpenFileLog(path, wal.WithFsync(), wal.WithFormat(format),
+				wal.WithFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.WithMetricsRegistry(reg))
 			if err != nil {
 				okAll = false
 				break
 			}
-			fl := wal.NewFaultLog(flog, crashAt, mode.shortWrite)
 			e2, proc2 := mk()
-			inst, err := e2.CreateInstance(proc2, nil, fl)
+			inst, err := e2.CreateInstance(proc2, nil, flog)
 			if err != nil {
 				okAll = false
 				break
 			}
-			if err := inst.Start(); !errors.Is(err, wal.ErrCrash) {
-				okAll = false
-				break
-			}
-			if err := flog.Close(); err != nil {
-				okAll = false
+			err = inst.Start()
+			flog.Close() // the dead log reports its seal; nothing more is written
+			if fi, serr := os.Stat(path); !errors.Is(err, wal.ErrCrash) || serr != nil || fi.Size() != b {
+				okAll = false // the crash leaves exactly the bytes below the cut
 				break
 			}
 			recs, dropped, err := wal.RepairFile(path)
-			if err != nil || len(recs) != crashAt {
-				okAll = false
-				break
-			}
-			if mode.shortWrite && dropped == 0 {
-				okAll = false // the torn tail must have been detected
+			if err != nil || len(recs) != crashAt || mode.torn != (dropped > 0) {
+				okAll = false // k records kept; a torn tail detected, a clean cut leaves none
 				break
 			}
 			if dropped > 0 {
@@ -203,11 +206,7 @@ func (r *Report) addE7Rows(dir, name string, format wal.Format, mk func() (*engi
 			}
 			e3, _ := mk()
 			rec, err := engine.Recover(e3, recs, nil)
-			if err != nil || !rec.Finished() {
-				okAll = false
-				break
-			}
-			if fmt.Sprint(trailStrings(rec)) != baseTrail || !rec.Output().Equal(base.Output()) {
+			if err != nil || !rec.Finished() || fmt.Sprint(trailStrings(rec)) != baseTrail || !rec.Output().Equal(base.Output()) {
 				okAll = false
 				break
 			}
@@ -215,10 +214,17 @@ func (r *Report) addE7Rows(dir, name string, format wal.Format, mk func() (*engi
 		if !okAll {
 			r.Pass = false
 		}
-		verdict := "yes"
-		if !okAll {
-			verdict = "NO"
-		}
-		r.AddRow(name, format.String(), mode.name, fmt.Sprint(total), fmt.Sprint(total-1), fmt.Sprint(repaired), verdict)
+		r.AddRow(name, format.String(), mode.name, fmt.Sprint(total), fmt.Sprint(total-1), fmt.Sprint(repaired), yesNo(okAll))
 	}
+	if !batchPathRan(reg) {
+		r.fail(fmt.Errorf("E7 %s/%s: the sweep never drove FileLog.AppendBatch with a multi-record barrier", name, format))
+	}
+}
+
+// batchPathRan reports whether the file logs counted in reg made records
+// durable in batches: some fsyncs, fewer than records — a write-ahead
+// barrier's records went down in one AppendBatch, not one Append each.
+func batchPathRan(reg *obs.Registry) bool {
+	fsyncs := reg.Histogram("wal.fsync_ns").Count()
+	return fsyncs > 0 && fsyncs < reg.Counter("wal.file.appends").Value()
 }

@@ -262,6 +262,10 @@ type scan struct {
 	// names, collected in keyb: records of one container type share Keys.
 	keys map[string][]string
 	keyb []byte
+	// ends, when non-nil, collects the offset at which every clean frame
+	// ends, counted from base bytes before the data being walked (FrameEnds).
+	ends []int64
+	base int64
 }
 
 // maxInterned bounds a walk's intern table; past it strings are allocated
@@ -270,6 +274,14 @@ const maxInterned = 1 << 16
 
 func newScan(instance string) *scan {
 	return &scan{instance: instance, strs: make(map[string]string), keys: make(map[string][]string)}
+}
+
+// frame counts one clean frame that ends at off.
+func (s *scan) frame(off int) {
+	s.frames++
+	if s.ends != nil {
+		s.ends = append(s.ends, s.base+int64(off))
+	}
 }
 
 // str returns b as a string, shared with every earlier equal string of the
@@ -503,11 +515,11 @@ func (s *scan) binary(data []byte, off int, strict bool) (validLen, droppedBytes
 			}
 			return validLen, len(data) - validLen, nil
 		}
-		s.frames++
+		off += end
+		s.frame(off)
 		if keep {
 			s.recs = append(s.recs, rec)
 		}
-		off += end
 		validLen = off
 	}
 	return validLen, 0, nil
@@ -545,7 +557,9 @@ func (s *scan) log(data []byte, strict bool) (validLen, droppedBytes int, err er
 	}
 	switch Format(data[fileHeaderLen-1]) {
 	case FormatText:
+		s.base += fileHeaderLen
 		validLen, droppedBytes, err = s.text(data[fileHeaderLen:], strict)
+		s.base -= fileHeaderLen
 		return validLen + fileHeaderLen, droppedBytes, err
 	case FormatBinary:
 		return s.binary(data, fileHeaderLen, strict)
@@ -604,7 +618,7 @@ func (s *scan) text(data []byte, strict bool) (validLen, droppedBytes int, err e
 			}
 			return validLen, len(data) - validLen, nil
 		}
-		s.frames++
+		s.frame(next)
 		if s.instance == "" || rec.Instance == s.instance {
 			s.recs = append(s.recs, rec)
 		}

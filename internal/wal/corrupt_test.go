@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -182,69 +181,5 @@ func TestFsyncAppendIsImmediatelyDurable(t *testing.T) {
 	recs, err := ReadFile(path)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("after fsync append: %d records, %v", len(recs), err)
-	}
-}
-
-func TestFaultLogCleanCrash(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.wal")
-	inner, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := NewFaultLog(inner, 2, false)
-	recs := sampleRecords()
-	if err := fl.Append(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Append(recs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Append(recs[2]); !errors.Is(err, ErrCrash) {
-		t.Fatalf("want ErrCrash, got %v", err)
-	}
-	// Once crashed, the log stays dead.
-	if err := fl.Append(recs[3]); !errors.Is(err, ErrCrash) {
-		t.Fatalf("post-crash append: %v", err)
-	}
-	if err := inner.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("clean crash left %d records, %v", len(got), err)
-	}
-}
-
-func TestFaultLogShortWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.wal")
-	inner, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := NewFaultLog(inner, 2, true)
-	recs := sampleRecords()
-	for i := 0; i < 2; i++ {
-		if err := fl.Append(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fl.Append(recs[2]); !errors.Is(err, ErrCrash) {
-		t.Fatalf("want ErrCrash, got %v", err)
-	}
-	if err := inner.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A torn half-record is on disk: strict read fails, tolerant read and
-	// repair recover the 2-record prefix.
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("strict read accepted the torn record")
-	}
-	got, truncated, err := RepairFile(path)
-	if err != nil || len(got) != 2 || truncated == 0 {
-		t.Fatalf("repair: %d records, %d truncated, %v", len(got), truncated, err)
-	}
-	clean, err := ReadFile(path)
-	if err != nil || len(clean) != 2 {
-		t.Fatalf("log not clean after repair: %d records, %v", len(clean), err)
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -11,23 +12,86 @@ func faultRec(i int) Record {
 }
 
 // A FaultFS in count-only mode injects nothing and counts every
-// write/sync op.
+// write/sync op — whichever fault it would have injected, the crash at a
+// byte included.
 func TestFaultFSCountOnly(t *testing.T) {
-	fs := NewFaultFS(FaultEIO, 0)
-	l, err := OpenFileLog(filepath.Join(t.TempDir(), "w.log"), WithFsync(), WithFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(faultRec(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	for _, kind := range []FaultKind{FaultEIO, FaultCrash} {
+		fs := NewFaultFS(kind, 0)
+		l, err := OpenFileLog(filepath.Join(t.TempDir(), "w.log"), WithFsync(), WithFS(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := l.Append(faultRec(i)); err != nil {
+				t.Fatalf("%v: append %d: %v", kind, i, err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if fs.Ops() == 0 || fs.Fired() {
+			t.Fatalf("%v: ops=%d fired=%v, want counted ops and no fault", kind, fs.Ops(), fs.Fired())
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// Sealed errors keep their cause: after the append that hit the fault,
+// every later appender still learns what killed the log — errors.Is holds
+// for ErrLogFailed and for the cause, on all three log types.
+func TestSealedErrorsKeepCause(t *testing.T) {
+	type appender interface {
+		Append(Record) error
+		Close() error
 	}
-	if fs.Ops() == 0 || fs.Fired() {
-		t.Fatalf("ops=%d fired=%v, want counted ops and no fault", fs.Ops(), fs.Fired())
+	opens := map[string]func(t *testing.T, fs FS) appender{
+		"file": func(t *testing.T, fs FS) appender {
+			l, err := OpenFileLog(filepath.Join(t.TempDir(), "w.log"), WithFsync(), WithFS(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		},
+		"segmented": func(t *testing.T, fs FS) appender {
+			l, err := OpenSegmentedLog(t.TempDir(), SegmentFsync(), SegmentFS(fs), SegmentMaxRecords(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		},
+		"group": func(t *testing.T, fs FS) appender {
+			l, err := OpenFileLog(filepath.Join(t.TempDir(), "w.log"), WithFS(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewGroupCommitLog(l)
+		},
+	}
+	faults := []struct {
+		name  string
+		fs    func() *FaultFS
+		cause error
+	}{
+		{"ENOSPC", func() *FaultFS { return NewFaultFS(FaultENOSPC, 3) }, ErrDiskFull},
+		{"crash", func() *FaultFS { return NewFaultFS(FaultCrash, 100) }, ErrCrash},
+	}
+	for name, open := range opens {
+		for _, fault := range faults {
+			t.Run(name+"/"+fault.name, func(t *testing.T) {
+				l := open(t, fault.fs())
+				defer l.Close()
+				var first error
+				for i := 0; i < 10 && first == nil; i++ {
+					first = l.Append(faultRec(i))
+				}
+				if !errors.Is(first, fault.cause) {
+					t.Fatalf("first failure = %v, want %v", first, fault.cause)
+				}
+				second := l.Append(faultRec(99))
+				if !errors.Is(second, ErrLogFailed) || !errors.Is(second, fault.cause) {
+					t.Fatalf("second append = %v, want ErrLogFailed wrapping %v", second, fault.cause)
+				}
+			})
+		}
 	}
 }
 
@@ -189,4 +253,39 @@ func TestFaultFSSticky(t *testing.T) {
 		t.Fatal("Fired() = false after injection")
 	}
 	f.Close()
+
+	// A crash is sticky by nature: the write that crosses the byte keeps
+	// what lies below it, and from then on the file system is gone — no
+	// write, no sync, no new file (a dead process rotates no segment), no
+	// rename (it publishes no checkpoint).
+	dir := t.TempDir()
+	fs = NewFaultFS(FaultCrash, 5)
+	if f, err = fs.Create(filepath.Join(dir, "x")); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n, err := f.Write([]byte("abc")); n != 3 || err != nil || fs.Fired() {
+		t.Fatalf("write below the crash byte = %d, %v (fired=%v)", n, err, fs.Fired())
+	}
+	if n, err := f.Write([]byte("defg")); n != 2 || !errors.Is(err, ErrCrash) || !fs.Fired() {
+		t.Fatalf("write across the crash byte = %d, %v (fired=%v), want 2, ErrCrash", n, err, fs.Fired())
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "x")); err != nil || string(data) != "abcde" {
+		t.Fatalf("the crash left %q, %v", data, err)
+	}
+	if _, err := f.Write([]byte("h")); !errors.Is(err, ErrCrash) {
+		t.Fatalf("write after the crash = %v", err)
+	}
+	if err := f.Sync(); !errors.Is(err, ErrCrash) {
+		t.Fatalf("sync after the crash = %v", err)
+	}
+	if _, err := fs.Create(filepath.Join(dir, "y")); !errors.Is(err, ErrCrash) {
+		t.Fatalf("create after the crash = %v", err)
+	}
+	if err := fs.Rename(filepath.Join(dir, "x"), filepath.Join(dir, "z")); !errors.Is(err, ErrCrash) {
+		t.Fatalf("rename after the crash = %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "z")); !os.IsNotExist(err) {
+		t.Fatalf("the dead file system renamed a file: %v", err)
+	}
 }

@@ -84,6 +84,13 @@ const (
 	// FaultFsync fails a Sync with ErrFsyncFailed after the preceding
 	// writes succeeded.
 	FaultFsync
+	// FaultCrash kills the server beneath the log: failAt counts bytes, not
+	// operations. The Write that would cross it persists the bytes up to it
+	// and fails with ErrCrash, and so does every Create, Write, Sync and
+	// Rename after that — a dead process rotates no segment and publishes
+	// no checkpoint. What the crash leaves is a byte prefix of what the run
+	// would have written, across its files in write order.
+	FaultCrash
 )
 
 // String names the fault for reports.
@@ -95,6 +102,8 @@ func (k FaultKind) String() string {
 		return "ENOSPC"
 	case FaultFsync:
 		return "fsync-fail"
+	case FaultCrash:
+		return "crash"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -111,6 +120,11 @@ func (k FaultKind) String() string {
 // turns the FaultFS into a pure operation counter, which chaos sweeps use
 // to size their schedules.
 //
+// A FaultCrash is scheduled in bytes: a crash sweep runs its workload once
+// crash-free and kills the rerun at one of the FrameEnds of what it wrote
+// (clean) or between two (torn). Under fsync or group commit every append
+// reaches the FS, so the crash surfaces in the append that hit it.
+//
 // FaultFS is safe for concurrent use.
 type FaultFS struct {
 	inner FS
@@ -120,6 +134,7 @@ type FaultFS struct {
 	failAt int64
 	sticky bool
 	ops    int64
+	bytes  int64 // written so far; FaultCrash only
 	fired  bool
 }
 
@@ -135,7 +150,8 @@ func FaultSticky() FaultOption {
 
 // NewFaultFS returns a FaultFS over the real filesystem that fails the
 // first kind-matching operation at or past the failAt-th FS operation
-// (1-based). failAt <= 0 never fails (count-only mode).
+// (1-based) — for FaultCrash, the Write that crosses byte failAt. failAt
+// <= 0 never fails (count-only mode).
 func NewFaultFS(kind FaultKind, failAt int64, opts ...FaultOption) *FaultFS {
 	fs := &FaultFS{inner: OSFS{}, kind: kind, failAt: failAt}
 	for _, o := range opts {
@@ -158,8 +174,18 @@ func (fs *FaultFS) Fired() bool {
 	return fs.fired
 }
 
+// dead reports whether the injected crash has happened.
+func (fs *FaultFS) dead() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.kind == FaultCrash && fs.fired
+}
+
 // Create implements FS.
 func (fs *FaultFS) Create(path string) (File, error) {
+	if fs.dead() {
+		return nil, ErrCrash
+	}
 	f, err := fs.inner.Create(path)
 	if err != nil {
 		return nil, err
@@ -169,33 +195,50 @@ func (fs *FaultFS) Create(path string) (File, error) {
 
 // Rename implements FS.
 func (fs *FaultFS) Rename(oldpath, newpath string) error {
+	if fs.dead() {
+		return ErrCrash
+	}
 	return fs.inner.Rename(oldpath, newpath)
 }
 
-// step counts one operation and decides whether it is the scheduled
-// fault. isSync says whether the operation is a Sync (else a Write).
-func (fs *FaultFS) step(isSync bool) error {
+// step counts one operation — a Sync, or a Write of n bytes — and decides
+// whether it is the scheduled fault. It returns how many of the n bytes
+// reach the file: all, none under an injected error, the ones below the
+// crash byte under a crash.
+func (fs *FaultFS) step(isSync bool, n int) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.ops++
+	if fs.kind == FaultCrash {
+		if fs.fired {
+			return 0, ErrCrash
+		}
+		if fs.failAt <= 0 || fs.bytes+int64(n) <= fs.failAt {
+			fs.bytes += int64(n)
+			return n, nil
+		}
+		n = int(fs.failAt - fs.bytes)
+		fs.bytes, fs.fired = fs.failAt, true
+		return n, ErrCrash
+	}
 	if fs.failAt <= 0 || fs.ops < fs.failAt {
-		return nil
+		return n, nil
 	}
 	if fs.fired && !fs.sticky {
-		return nil
+		return n, nil
 	}
 	wantSync := fs.kind == FaultFsync
 	if isSync != wantSync {
-		return nil
+		return n, nil
 	}
 	fs.fired = true
 	switch fs.kind {
 	case FaultEIO:
-		return ErrDiskIO
+		return 0, ErrDiskIO
 	case FaultENOSPC:
-		return ErrDiskFull
+		return 0, ErrDiskFull
 	default:
-		return ErrFsyncFailed
+		return 0, ErrFsyncFailed
 	}
 }
 
@@ -206,19 +249,52 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	if err := f.fs.step(false); err != nil {
-		return 0, err
+	keep, err := f.fs.step(false, len(p))
+	if keep > 0 {
+		if n, werr := f.f.Write(p[:keep]); werr != nil {
+			return n, werr
+		}
 	}
-	return f.f.Write(p)
+	return keep, err
 }
 
 func (f *faultFile) Sync() error {
 	// The write already reached the file; only the barrier fails — the
 	// fsync-gate shape (data possibly dropped from the page cache).
-	if err := f.fs.step(true); err != nil {
+	if _, err := f.fs.step(true, 0); err != nil {
 		return err
 	}
 	return f.f.Sync()
 }
 
 func (f *faultFile) Close() error { return f.f.Close() }
+
+// FrameEnds returns the offset at which every whole frame of a log file —
+// or of a segment directory, its files end to end in index order — ends,
+// file headers counted: the crash bytes of a sweep. ends[k-1] kills a rerun
+// after its first k records; a byte between two ends tears record k+1.
+func FrameEnds(path string) ([]int64, error) {
+	paths := []string{path}
+	if fi, err := os.Stat(path); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	} else if fi.IsDir() {
+		segs, err := ListSegments(path)
+		if err != nil {
+			return nil, err
+		}
+		paths = paths[:0]
+		for _, seg := range segs {
+			paths = append(paths, seg.Path)
+		}
+	}
+	s := newScan("")
+	s.ends = []int64{}
+	for _, p := range paths {
+		validLen, dropped, err := s.file(p)
+		if err != nil {
+			return nil, err
+		}
+		s.base += int64(validLen + dropped)
+	}
+	return s.ends, nil
+}

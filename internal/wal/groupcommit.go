@@ -33,8 +33,8 @@ var ErrLogClosed = errors.New("wal: log closed")
 // lines or binary frames) — so ReadFileTolerant / RepairFile recover a
 // group-committed log exactly as a per-record one: a crash mid-flush
 // tears at most the final record, and only records of the torn batch
-// (none of which were acknowledged) can be lost. GroupCrashAfter injects
-// such crashes at batch boundaries for the E8 soak.
+// (none of which were acknowledged) can be lost. The E8 soak kills the
+// server beneath the inner log (FaultCrash) inside and between batches.
 //
 // GroupCommitLog is safe for concurrent use.
 type GroupCommitLog struct {
@@ -43,16 +43,11 @@ type GroupCommitLog struct {
 	window   time.Duration
 	maxBatch int
 
-	crashAfter int
-	shortWrite bool
-
-	mu        sync.Mutex // guards cur, closed, crashed, failed, committed, lastHerd
-	cur       *gcBatch
-	closed    bool
-	crashed   bool
-	failed    error // first batch storage error; non-nil seals the log
-	committed int   // records durably committed (crash-injection bookkeeping)
-	lastHerd  int   // appenders that waited on the last committed batch (herd estimate)
+	mu       sync.Mutex // guards cur, closed, failed, lastHerd
+	cur      *gcBatch
+	closed   bool
+	failed   error // first batch storage error; non-nil seals the log
+	lastHerd int   // appenders that waited on the last committed batch (herd estimate)
 
 	commitMu sync.Mutex // held while a batch's write+fsync is in flight
 
@@ -113,29 +108,11 @@ func GroupWithMetricsRegistry(reg *obs.Registry) GroupOption {
 	return func(l *GroupCommitLog) { l.bindMetrics(reg) }
 }
 
-// GroupCrashAfter injects a crash at the batch boundary where the
-// cumulative record count would exceed crashAfter: the first crashAfter
-// records may be durably committed, and the batch that would push past
-// the limit fails with ErrCrash before any of it is synced (so none of
-// its appends are acknowledged), as does every later Append. With
-// shortWrite the crashing batch first leaves a torn prefix of its framed
-// data in the file — complete lines plus a cut-off one — which tolerant
-// recovery must discard or keep line-by-line. crashAfter <= 0 never
-// crashes.
-func GroupCrashAfter(crashAfter int, shortWrite bool) GroupOption {
-	return func(l *GroupCommitLog) {
-		l.crashAfter = crashAfter
-		l.shortWrite = shortWrite
-	}
-}
-
 // batchLog is what group commit needs from its backing log: a durable
-// batched write, raw-byte injection for fault tests, fsync takeover, the
-// record framing to batch in, and Close. FileLog and SegmentedLog both
-// satisfy it.
+// batched write, fsync takeover, the record framing to batch in, and
+// Close. FileLog and SegmentedLog both satisfy it.
 type batchLog interface {
 	writeBatch(data []byte, records int) error
-	writeRaw(b []byte) error
 	setFsync(on bool)
 	recFormat() Format
 	Close() error
@@ -184,9 +161,9 @@ func (l *GroupCommitLog) Append(rec Record) error {
 // AppendBatch admits recs to the open batch together, in order, as one
 // waiter — what wal.AppendAll hands a navigation step's records to. It
 // returns only after the batch containing them has been written and
-// fsynced (nil), or has failed as a unit (the batch's error, ErrCrash
-// under injection, ErrLogClosed after Close, ErrLogFailed once a previous
-// batch's write or fsync failed and sealed the log). A record that cannot
+// fsynced (nil), or has failed as a unit (the batch's error, ErrLogClosed
+// after Close, ErrLogFailed wrapping the cause once a previous batch's
+// write or fsync failed and sealed the log). A record that cannot
 // be encoded fails the call before any of recs is admitted.
 func (l *GroupCommitLog) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
@@ -239,16 +216,14 @@ func (l *GroupCommitLog) admit(enc []byte, records int) (batch *gcBatch, leader 
 }
 
 // sealedErrLocked is the error every append to a log that no longer admits
-// records returns — closed, crashed under injection, or sealed by a failed
-// batch — and nil while the log is open.
+// records returns — closed, or sealed by a failed batch — and nil while the
+// log is open.
 func (l *GroupCommitLog) sealedErrLocked() error {
 	switch {
 	case l.closed:
 		return ErrLogClosed
-	case l.crashed:
-		return ErrCrash
 	case l.failed != nil:
-		return fmt.Errorf("%w: %v", ErrLogFailed, l.failed)
+		return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
 	}
 	return nil
 }
@@ -300,50 +275,29 @@ func (l *GroupCommitLog) commit(batch *gcBatch) {
 	l.mu.Lock()
 	l.cur = nil // later appends start a new batch behind this commit
 	l.lastHerd = batch.waiters
-	crash := l.crashed
-	if !crash && l.crashAfter > 0 && l.committed+batch.count > l.crashAfter {
-		l.crashed = true
-		crash = true
-	}
-	if !crash {
-		l.committed += batch.count
-	}
 	l.mu.Unlock()
 
-	if crash {
-		if l.shortWrite {
-			data := batch.buf
-			n := len(data)/2 + 10
-			if n >= len(data) {
-				n = len(data) - 1
-			}
-			l.inner.writeRaw(data[:n])
+	start := time.Now()
+	batch.err = l.inner.writeBatch(batch.buf, batch.count)
+	if batch.err != nil {
+		// A batch whose write or fsync failed must fail every append it
+		// carries — and seal the log: a later batch could sync fine while
+		// this batch's bytes were dropped from the page cache, which
+		// would ack records across a hole (acked-append loss on
+		// recovery). See ErrLogFailed.
+		l.mu.Lock()
+		if l.failed == nil {
+			l.failed = batch.err
 		}
-		batch.err = ErrCrash
+		l.mu.Unlock()
 	} else {
-		start := time.Now()
-		batch.err = l.inner.writeBatch(batch.buf, batch.count)
-		if batch.err != nil {
-			// A batch whose write or fsync failed must fail every append it
-			// carries — and seal the log: a later batch could sync fine while
-			// this batch's bytes were dropped from the page cache, which
-			// would ack records across a hole (acked-append loss on
-			// recovery). See ErrLogFailed.
-			l.mu.Lock()
-			if l.failed == nil {
-				l.failed = batch.err
-			}
-			l.mu.Unlock()
-		}
-		if batch.err == nil {
-			dur := time.Since(start).Nanoseconds()
-			l.flushNs.Observe(dur)
-			l.batches.Inc()
-			l.records.Add(int64(batch.count))
-			l.batchRecords.Observe(int64(batch.count))
-			if obs.DefaultBus.Active() {
-				obs.DefaultBus.Publish(obs.Event{Kind: obs.EvWalFlush, N: int64(batch.count), DurNs: dur})
-			}
+		dur := time.Since(start).Nanoseconds()
+		l.flushNs.Observe(dur)
+		l.batches.Inc()
+		l.records.Add(int64(batch.count))
+		l.batchRecords.Observe(int64(batch.count))
+		if obs.DefaultBus.Active() {
+			obs.DefaultBus.Publish(obs.Event{Kind: obs.EvWalFlush, N: int64(batch.count), DurNs: dur})
 		}
 	}
 	l.commitMu.Unlock()

@@ -178,121 +178,3 @@ func TestGroupCommitClose(t *testing.T) {
 		t.Fatalf("append after close: %v, want ErrLogClosed", err)
 	}
 }
-
-// TestGroupCrashAfter: the batch that would push past the crash point
-// fails whole — none of its appends are acknowledged — and every record
-// acknowledged before the crash is strictly readable from the repaired
-// file. Exercised in both clean-crash and short-write (torn tail) modes.
-func TestGroupCrashAfter(t *testing.T) {
-	for _, short := range []bool{false, true} {
-		name := "clean"
-		if short {
-			name = "short-write"
-		}
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "gc.wal")
-			flog, err := OpenFileLog(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const crashAt = 5
-			g := NewGroupCommitLog(flog,
-				GroupCrashAfter(crashAt, short),
-				GroupWithMetricsRegistry(obs.NewRegistry()))
-			var acked []int
-			var crashed bool
-			for i := 0; i < 20; i++ {
-				err := g.Append(gcRecord("i1", i))
-				switch {
-				case err == nil:
-					if crashed {
-						t.Fatalf("append %d succeeded after crash", i)
-					}
-					acked = append(acked, i)
-				case errors.Is(err, ErrCrash):
-					crashed = true
-				default:
-					t.Fatalf("append %d: %v", i, err)
-				}
-			}
-			if !crashed {
-				t.Fatal("crash never fired")
-			}
-			if len(acked) > crashAt {
-				t.Fatalf("%d appends acknowledged past crash point %d", len(acked), crashAt)
-			}
-			flog.Close()
-			recs, _, err := RepairFile(path)
-			if err != nil {
-				t.Fatalf("repair: %v", err)
-			}
-			// Sequential appends → one record per batch → on-disk records
-			// must be exactly the acknowledged prefix (short-write survivors
-			// would only appear with multi-record batches).
-			if len(recs) < len(acked) {
-				t.Fatalf("repaired log has %d records, %d were acknowledged", len(recs), len(acked))
-			}
-			for i := range acked {
-				if recs[i].Path != fmt.Sprintf("a%d", acked[i]) {
-					t.Fatalf("record %d: got %s, want a%d", i, recs[i].Path, acked[i])
-				}
-			}
-		})
-	}
-}
-
-// TestGroupCrashAfterConcurrent: under concurrent appenders a crashing
-// multi-record batch must not acknowledge any of its records, and every
-// acknowledged record must survive RepairFile. This is the unit-level
-// version of the E8 soak invariant.
-func TestGroupCrashAfterConcurrent(t *testing.T) {
-	for _, short := range []bool{false, true} {
-		name := "clean"
-		if short {
-			name = "short-write"
-		}
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "gc.wal")
-			flog, err := OpenFileLog(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := NewGroupCommitLog(flog,
-				GroupCrashAfter(40, short),
-				GroupWithMetricsRegistry(obs.NewRegistry()))
-			const writers = 8
-			const perWriter = 20
-			ackedCh := make(chan string, writers*perWriter)
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					inst := fmt.Sprintf("i%d", w)
-					for i := 0; i < perWriter; i++ {
-						if err := g.Append(gcRecord(inst, i)); err != nil {
-							return // crashed; later appends fail too
-						}
-						ackedCh <- inst + "/" + fmt.Sprintf("a%d", i)
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(ackedCh)
-			flog.Close()
-			recs, _, err := RepairFile(path)
-			if err != nil {
-				t.Fatalf("repair: %v", err)
-			}
-			onDisk := make(map[string]bool, len(recs))
-			for _, r := range recs {
-				onDisk[r.Instance+"/"+r.Path] = true
-			}
-			for key := range ackedCh {
-				if !onDisk[key] {
-					t.Fatalf("acknowledged append %s missing from repaired log", key)
-				}
-			}
-		})
-	}
-}

@@ -19,6 +19,9 @@ type SegmentInfo struct {
 	Path  string
 }
 
+// segmentMaxBytes rotates the active segment at 1 MiB, however few records.
+const segmentMaxBytes = 1 << 20
+
 // segLayout names segment files (and archived segment blobs) so lexical
 // order equals index order.
 const segLayout = "wal-%06d.seg"
@@ -47,13 +50,13 @@ func syncDir(dir string) error {
 // (text-framed lines or, with SegmentFormat(FormatBinary), headered
 // binary frames — the format travels in each file's header, so a
 // directory may mix formats across process generations), and RepairFile
-// works per segment verbatim; a
-// crash can tear at most the tail of the highest-index (active) segment,
-// because rotation seals a segment with a flush+fsync before the next one
-// is created. Rotation happens when the active segment exceeds a record
-// or byte threshold. Sealed segments are immutable, which is what lets a
-// background checkpointer read and later delete them while appenders keep
-// writing — see Checkpoint and engine.Checkpointer.
+// works per segment verbatim; a crash can tear at most the tail of the
+// highest-index (active) segment, because rotation seals a segment with a
+// flush+fsync before the next one is created. Rotation happens when the
+// active segment reaches SegmentMaxRecords records or 1 MiB. Sealed
+// segments are immutable, which is what lets a background checkpointer read
+// and later delete them while appenders keep writing — see Checkpoint and
+// engine.Checkpointer.
 //
 // SegmentedLog is safe for concurrent use and implements Log. It also
 // serves as the inner log of a GroupCommitLog (NewGroupCommitSegmented),
@@ -66,7 +69,6 @@ type SegmentedLog struct {
 	fsync      bool
 	format     Format
 	maxRecords int
-	maxBytes   int64
 	reg        *obs.Registry
 	enc        []byte // record encode scratch, reused under mu
 	failed     error  // first storage error; non-nil seals the log
@@ -90,15 +92,6 @@ func SegmentMaxRecords(n int) SegmentOption {
 	return func(l *SegmentedLog) {
 		if n > 0 {
 			l.maxRecords = n
-		}
-	}
-}
-
-// SegmentMaxBytes rotates the active segment after n bytes (default 1 MiB).
-func SegmentMaxBytes(n int64) SegmentOption {
-	return func(l *SegmentedLog) {
-		if n > 0 {
-			l.maxBytes = n
 		}
 	}
 }
@@ -138,7 +131,7 @@ func OpenSegmentedLog(dir string, opts ...SegmentOption) (*SegmentedLog, error) 
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &SegmentedLog{dir: dir, fs: OSFS{}, maxRecords: 1024, maxBytes: 1 << 20, reg: obs.Default}
+	l := &SegmentedLog{dir: dir, fs: OSFS{}, maxRecords: 1024, reg: obs.Default}
 	for _, o := range opts {
 		o(l)
 	}
@@ -190,7 +183,7 @@ func (l *SegmentedLog) sealLocked(err error) error {
 }
 
 func (l *SegmentedLog) sealedErrLocked() error {
-	return fmt.Errorf("%w: %v", ErrLogFailed, l.failed)
+	return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
 }
 
 // Failed reports the storage error that sealed the log, or nil.
@@ -256,16 +249,6 @@ func (l *SegmentedLog) writeBatch(data []byte, records int) error {
 	return l.maybeRotateLocked()
 }
 
-// writeRaw plants raw bytes in the active segment (fault injection).
-func (l *SegmentedLog) writeRaw(b []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active == nil {
-		return ErrLogClosed
-	}
-	return l.active.writeRaw(b)
-}
-
 // setFsync flips per-append fsync on the log and its active segment;
 // GroupCommitLog uses it to take over durability at batch granularity.
 func (l *SegmentedLog) setFsync(on bool) {
@@ -278,7 +261,7 @@ func (l *SegmentedLog) setFsync(on bool) {
 }
 
 func (l *SegmentedLog) maybeRotateLocked() error {
-	if l.activeRecords >= l.maxRecords || l.activeBytes >= l.maxBytes {
+	if l.activeRecords >= l.maxRecords || l.activeBytes >= segmentMaxBytes {
 		return l.rotateLocked()
 	}
 	return nil

@@ -124,44 +124,6 @@ func TestSegmentedLogReopenStartsFreshSegment(t *testing.T) {
 	}
 }
 
-func TestSegmentedFaultLogTornTailRepaired(t *testing.T) {
-	for _, short := range []bool{false, true} {
-		dir := t.TempDir()
-		l, err := OpenSegmentedLog(dir, SegmentMaxRecords(3), SegmentFsync())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl := NewSegmentedFaultLog(l, 5, short)
-		var appended int
-		for i := 0; i < 10; i++ {
-			if err := fl.Append(seqRecord("i1", i)); err != nil {
-				if err != ErrCrash {
-					t.Fatal(err)
-				}
-				break
-			}
-			appended++
-		}
-		if appended != 5 {
-			t.Fatalf("short=%v: appended %d, want 5", short, appended)
-		}
-		l.Close()
-		recs, dropped, err := RepairSegments(dir, 0)
-		if err != nil {
-			t.Fatalf("short=%v: %v", short, err)
-		}
-		if len(recs) != 5 {
-			t.Fatalf("short=%v: recovered %d records, want 5", short, len(recs))
-		}
-		if short && dropped == 0 {
-			t.Fatalf("short write left no torn tail to drop")
-		}
-		if !short && dropped != 0 {
-			t.Fatalf("clean crash dropped %d bytes", dropped)
-		}
-	}
-}
-
 func TestRepairSegmentsRejectsMidLogTear(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenSegmentedLog(dir, SegmentMaxRecords(2), SegmentFsync())

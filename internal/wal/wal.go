@@ -27,9 +27,9 @@
 // crash mid-append leaves behind — by truncating to the valid prefix;
 // corruption in the middle of the log (valid records after a bad line) is
 // reported as an error because it means lost history, not a torn tail.
-// FaultLog injects crashes and short writes at scripted record boundaries
-// so the whole story is testable (see the crash-point soak experiment E7
-// in internal/sim).
+// A FaultFS beneath the log (WithFS) kills the server at a scripted byte,
+// so the whole story is testable on the path production takes (see the
+// crash-point soak experiment E7 in internal/sim).
 package wal
 
 import (
@@ -134,10 +134,9 @@ type Log interface {
 // AppendAll appends recs to log in order and returns once all of them are
 // as durable as log makes an Append. A log with an AppendBatch method
 // (FileLog, SegmentedLog, GroupCommitLog) takes them in one call — one
-// write, one durable wait; any other Log gets one Append per record,
-// stopping at the first error, so a crash-injecting log or an Append-only
-// wrapper sees exactly the record boundaries it always did. Either way
-// what reaches the log is a prefix of recs in order.
+// write, one durable wait; any other Log (MemLog, an Append-only wrapper)
+// gets one Append per record, stopping at the first error. Either way what
+// reaches the log is a prefix of recs in order.
 func AppendAll(log Log, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -153,8 +152,9 @@ func AppendAll(log Log, recs []Record) error {
 	return nil
 }
 
-// ErrCrash is returned by a crash-injecting log when the configured crash
-// point is reached; the engine treats it as a hard stop.
+// ErrCrash is the injected death of the workflow server: MemLog returns it
+// at its CrashAfter record, a FaultCrash FaultFS from the write that crosses
+// its byte and from everything after. The engine treats it as a hard stop.
 var ErrCrash = errors.New("wal: injected crash")
 
 // MemLog is an in-memory log. CrashAfter > 0 makes the log return ErrCrash
@@ -357,7 +357,7 @@ func (l *FileLog) sealLocked(err error) error {
 // sealedErrLocked is the error every operation on a sealed log returns:
 // ErrLogFailed wrapping the original cause.
 func (l *FileLog) sealedErrLocked() error {
-	return fmt.Errorf("%w: %v", ErrLogFailed, l.failed)
+	return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
 }
 
 // Failed reports the storage error that sealed the log, or nil.
@@ -453,20 +453,6 @@ func (l *FileLog) setFsync(on bool) {
 	l.mu.Unlock()
 }
 
-// writeRaw writes bytes to the file without framing or a trailing newline;
-// FaultLog uses it to plant torn records.
-func (l *FileLog) writeRaw(b []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.w.Write(b); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
-}
-
 // Close flushes buffered records, syncs, and closes the underlying file.
 // Closing a sealed log closes the file handle but still reports the
 // sealed state — buffered data past the fault is not trustworthy and is
@@ -489,74 +475,6 @@ func (l *FileLog) Close() error {
 		return l.sealedErrLocked()
 	}
 	return l.f.Close()
-}
-
-// rawLog is the injection surface FaultLog needs: a real append, the
-// ability to plant raw torn bytes, and the record framing to tear. FileLog
-// and SegmentedLog both satisfy it.
-type rawLog interface {
-	Append(rec Record) error
-	writeRaw(b []byte) error
-	recFormat() Format
-}
-
-// FaultLog wraps a FileLog (or SegmentedLog) and injects a crash at a
-// scripted record boundary, mirroring MemLog.CrashAfter for on-disk logs:
-// the first CrashAfter appends succeed, every later Append returns
-// ErrCrash. With ShortWrite the crashing append first writes a torn prefix
-// of the framed record (no newline) to the file — the on-disk signature of
-// a process dying mid-write — which tolerant recovery must discard.
-type FaultLog struct {
-	mu         sync.Mutex
-	inner      rawLog
-	crashAfter int
-	shortWrite bool
-	appended   int
-	crashed    bool
-}
-
-// NewFaultLog wraps inner. crashAfter <= 0 never crashes.
-func NewFaultLog(inner *FileLog, crashAfter int, shortWrite bool) *FaultLog {
-	return &FaultLog{inner: inner, crashAfter: crashAfter, shortWrite: shortWrite}
-}
-
-// NewSegmentedFaultLog wraps a SegmentedLog with the same crash injection
-// as NewFaultLog; the torn prefix lands in the active segment, so per-
-// segment repair must discard it (the E9 soak in internal/sim).
-func NewSegmentedFaultLog(inner *SegmentedLog, crashAfter int, shortWrite bool) *FaultLog {
-	return &FaultLog{inner: inner, crashAfter: crashAfter, shortWrite: shortWrite}
-}
-
-// Append implements Log.
-func (l *FaultLog) Append(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCrash
-	}
-	if l.crashAfter > 0 && l.appended >= l.crashAfter {
-		l.crashed = true
-		if l.shortWrite {
-			if enc, err := EncodeRecord(nil, rec, l.inner.recFormat()); err == nil {
-				if l.inner.recFormat() == FormatText {
-					// Drop the newline so the planted prefix is always a
-					// strict prefix of the framed line, never a complete
-					// record that merely lacks a terminator.
-					enc = enc[:len(enc)-1]
-				}
-				// Half a record, mid-body: enough bytes that the frame
-				// header is intact but the checksum cannot match.
-				n := len(enc)/2 + 10
-				if n >= len(enc) {
-					n = len(enc) - 1
-				}
-				l.inner.writeRaw(enc[:n])
-			}
-		}
-		return ErrCrash
-	}
-	l.appended++
-	return l.inner.Append(rec)
 }
 
 // jsonValue is the wire form of an expr.Value. Integers travel as strings
