@@ -58,7 +58,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"negative max-queue", []string{"-n", "4", "-max-queue", "-1", "x.fdl"}, "-max-queue must be >= 0"},
 		{"zero shards", []string{"-n", "4", "-shards", "0", "x.fdl"}, "-shards must be >= 1"},
 		{"shards without fleet", []string{"-shards", "4", "x.fdl"}, "-shards requires fleet mode (-n > 1) or -resume"},
-		{"shards with batch", []string{"-n", "4", "-shards", "2", "-wal", "w", "-group-commit", "-batch", "8", "x.fdl"}, "-flush-ms and -batch are incompatible with -shards"},
 		{"shards with checkpoint", []string{"-n", "4", "-shards", "2", "-wal", "w", "-checkpoint", "ck", "x.fdl"}, "-checkpoint is incompatible with -shards"},
 		{"archive without checkpoint or shards", []string{"-wal", "w", "-archive", "a", "x.fdl"}, "-archive requires -checkpoint or -shards"},
 		{"archive without wal", []string{"-n", "4", "-shards", "2", "-archive", "a", "x.fdl"}, "-archive requires -wal"},
@@ -328,6 +327,29 @@ func TestShardedFleetRunAndResume(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "recovered 24 instances from 3 shard directories: finished=24 failed=0") {
 		t.Errorf("sharded resume summary missing:\n%s", out)
+	}
+}
+
+// TestShardedFleetTakesGroupCommitTuning: -flush-ms and -batch reach every
+// shard's group commit. Each flush of a shard waits out its window, so the
+// run cannot finish sooner than one of them.
+func TestShardedFleetTakesGroupCommitTuning(t *testing.T) {
+	bin := buildWfrun(t)
+	dir := t.TempDir()
+	out, err := exec.Command(bin, "-wal", filepath.Join(dir, "fleet"), "-group-commit",
+		"-flush-ms", "60", "-batch", "8", "-n", "4", "-shards", "2", demoFDL(t, dir)).CombinedOutput()
+	if err != nil {
+		t.Fatalf("sharded run: %v\n%s", err, out)
+	}
+	s := string(out)
+	_, rest, ok := strings.Cut(s, "finished=4 failed=0 shed=0")
+	if !ok {
+		t.Fatalf("sharded summary missing:\n%s", s)
+	}
+	_, rest, _ = strings.Cut(rest, "elapsed=")
+	elapsed, err := time.ParseDuration(strings.Fields(rest)[0])
+	if err != nil || elapsed < 60*time.Millisecond {
+		t.Fatalf("elapsed %v (%v): the 60ms group-commit window did not reach the shards\n%s", elapsed, err, s)
 	}
 }
 

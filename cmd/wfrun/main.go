@@ -91,8 +91,7 @@
 //
 // Flag misuse exits 2 (usage), runtime failures exit 1: -fsync,
 // -crash-at, -group-commit, -resume and -checkpoint require -wal;
-// -flush-ms and -batch require -group-commit and a single log (not
-// -shards); -crash-at is incompatible
+// -flush-ms and -batch require -group-commit; -crash-at is incompatible
 // with -group-commit, with -n > 1, with -resume and with -checkpoint
 // (crash injection is per-record and single-instance — the batch- and
 // checkpoint-boundary soaks live in wfbench E8/E9).
@@ -210,8 +209,6 @@ func main() {
 		usageError("-shards must be >= 1")
 	case *shardsN > 1 && *fleetN <= 1 && !*resume:
 		usageError("-shards requires fleet mode (-n > 1) or -resume")
-	case *shardsN > 1 && (explicit["flush-ms"] || explicit["batch"]):
-		usageError("-flush-ms and -batch are incompatible with -shards (a shard's group commit batches by commit pipelining alone)")
 	case *shardsN > 1 && *ckptDir != "":
 		usageError("-checkpoint is incompatible with -shards (each shard owns its checkpointer inside its shard directory)")
 	case *archiveDir != "" && *ckptDir == "" && *shardsN <= 1:
@@ -383,7 +380,7 @@ func main() {
 		// WAL/shard-NN itself, so the single-log setup below is skipped.
 		e, _ := build()
 		runSharded(e, name, *shardsN, *fleetN, *parallel, *maxQueue, *shed,
-			*walPath, *archiveDir, *groupCommit, *fsync, recFormat, stop, *metrics)
+			*walPath, *archiveDir, *groupCommit, *fsync, recFormat, *flushMs, *batch, stop, *metrics)
 		return
 	}
 

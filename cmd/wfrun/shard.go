@@ -26,11 +26,12 @@ import (
 // retention and never stalls the fleet.
 func runSharded(e *engine.Engine, process string, shards, fleetN, parallel, maxQueue int,
 	shed bool, walPath, archiveDir string, groupCommit, fsyncOn bool, format wal.Format,
-	stop <-chan struct{}, metrics bool) {
+	flushMs, batch int, stop <-chan struct{}, metrics bool) {
 	cfg := engine.FleetConfig{
 		Shards: shards, Dir: walPath, Parallel: parallel,
 		MaxQueue: maxQueue, HotQueue: parallel + maxQueue/2, Shed: shed,
 		GroupCommit: groupCommit, Fsync: fsyncOn, Format: format, Stop: stop,
+		GroupWindow: time.Duration(flushMs) * time.Millisecond, GroupMaxBatch: batch,
 	}
 	if archiveDir != "" {
 		// The fleet validates that an archive tier rides on a checkpointer,

@@ -190,7 +190,7 @@ func TestCheckpointerRetention(t *testing.T) {
 		t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
 	}
 	dir := t.TempDir()
-	write(dir, wrote-ends[len(ends)-1]+CrashCut(ends, len(ends)-11+3, true))
+	write(dir, wrote-ends[len(ends)-1]+wal.CrashCut(ends, len(ends)-11+3, true))
 
 	cps, err := wal.ListCheckpoints(dir)
 	if err != nil || len(cps) == 0 || len(cps) > 2 {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -160,35 +159,26 @@ func archivedTailSegment(t *testing.T, dir, arch string) string {
 // file system that dies there, inside the last instance's fourth record.
 func writeLadderLog(t *testing.T, row ladderRow, format wal.Format, dir, prefix string) wal.Ladder {
 	t.Helper()
-	key := fmt.Sprint(row.name, format, prefix) // the same run writes the same bytes
-	b, ok := ladderCrashByte.Load(key)
-	if !ok {
-		clean := dir + ".clean"
-		if err := os.MkdirAll(clean, 0o755); err != nil {
+	clean := dir + ".clean"
+	if err := os.MkdirAll(clean, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, wrote := writeLadderRun(t, row, format, clean, prefix, 0)
+	ends, err := wal.FrameEnds(l.Path)
+	if err != nil || len(ends) < ladderRecords {
+		t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
+	}
+	// Checkpoint passes pruned the oldest segments: what is left ends with
+	// the last instance's records, wrote-ends[last] bytes into the run.
+	b := wrote - ends[len(ends)-1] + wal.CrashCut(ends, len(ends)-ladderRecords+ladderCrashAt, true)
+	for _, d := range []string{clean, clean + ".arch"} {
+		if err := os.RemoveAll(d); err != nil {
 			t.Fatal(err)
 		}
-		l, wrote := writeLadderRun(t, row, format, clean, prefix, 0)
-		ends, err := wal.FrameEnds(l.Path)
-		if err != nil || len(ends) < ladderRecords {
-			t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
-		}
-		// Checkpoint passes pruned the oldest segments: what is left ends with
-		// the last instance's records, wrote-ends[last] bytes into the run.
-		b = wrote - ends[len(ends)-1] + CrashCut(ends, len(ends)-ladderRecords+ladderCrashAt, true)
-		ladderCrashByte.Store(key, b)
-		for _, d := range []string{clean, clean + ".arch"} {
-			if err := os.RemoveAll(d); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	l, _ := writeLadderRun(t, row, format, dir, prefix, b.(int64))
+	l, _ = writeLadderRun(t, row, format, dir, prefix, b)
 	return l
 }
-
-// ladderCrashByte remembers writeLadderLog's crash byte per row, format and
-// instance prefix.
-var ladderCrashByte sync.Map
 
 // writeLadderRun writes a row's history through a log in dir whose file
 // system dies at byte b (0: never). The log is not fsynced, so the crash

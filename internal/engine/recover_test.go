@@ -269,19 +269,6 @@ func TestRecoveryThroughFileLog(t *testing.T) {
 	}
 }
 
-// CrashCut is the byte at which a wal.FaultCrash file system kills a rerun
-// of the run whose frames end at ends (wal.FrameEnds) after its first k
-// records: at record k's end — a clean crash — or, torn, half-way plus ten
-// bytes into record k+1. k == len(ends) is the end of the log: no crash.
-func CrashCut(ends []int64, k int, torn bool) int64 {
-	b := ends[k-1]
-	if torn && k < len(ends) {
-		n := ends[k] - b
-		b += min(n/2+10, n-2)
-	}
-	return b
-}
-
 // TestRecoveryAfterTornTail kills the server beneath a durable file log
 // inside the instance's sixth record, repairs the torn file (truncate-and-
 // resume), and recovers from the surviving prefix: the crash-free trail and
@@ -312,7 +299,7 @@ func TestRecoveryAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(CrashCut(ends, 5, true)); !errors.Is(err, wal.ErrCrash) { // torn 6th record lands on disk
+	if err := run(wal.CrashCut(ends, 5, true)); !errors.Is(err, wal.ErrCrash) { // torn 6th record lands on disk
 		t.Fatalf("want crash, got %v", err)
 	}
 

@@ -113,6 +113,10 @@ type FleetConfig struct {
 	// GroupCommit layers a GroupCommitLog over each shard's segmented log
 	// so concurrent appenders within the shard share fsyncs. Requires Dir.
 	GroupCommit bool
+	// GroupWindow and GroupMaxBatch tune each shard's group commit
+	// (wal.GroupWindow, wal.GroupMaxBatch; 0 = the wal package default).
+	GroupWindow   time.Duration
+	GroupMaxBatch int
 	// Fsync makes each shard's log durable: per-record fsync on the
 	// segmented log, or batch-level fsync when GroupCommit is set.
 	Fsync bool
@@ -258,7 +262,8 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 			sh.slog = slog
 			sh.log = slog
 			if cfg.GroupCommit {
-				sh.glog = wal.NewGroupCommitSegmented(slog)
+				sh.glog = wal.NewGroupCommitSegmented(slog,
+					wal.GroupWindow(cfg.GroupWindow), wal.GroupMaxBatch(cfg.GroupMaxBatch))
 				sh.log = sh.glog
 			}
 			if cfg.CheckpointEveryRecords > 0 {

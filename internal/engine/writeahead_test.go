@@ -177,7 +177,7 @@ func TestWriteAheadUnderGroupCrash(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						e := newEngine(engine.WithConcurrency(workers))
 						// k == total is the end of the log: no crash.
-						log, path := groupLogOn(t, obs.NewRegistry(), engine.CrashCut(ends, k, short))
+						log, path := groupLogOn(t, obs.NewRegistry(), wal.CrashCut(ends, k, short))
 						inst, err := e.CreateInstanceID(process, "inst-1", nil, log)
 						if err != nil {
 							t.Fatal(err)

@@ -363,7 +363,7 @@ func TestQueryLeavesTheWALAlone(t *testing.T) {
 			t.Fatalf("crash-free run: %d frames, %v", len(ends), err)
 		}
 		k := len(ends)/2 + 3
-		write(filepath.Join(root, engine.ShardDirName(s)), s, ends[k-1]+(ends[k]-ends[k-1])/2+10)
+		write(filepath.Join(root, engine.ShardDirName(s)), s, wal.CrashCut(ends, k, true))
 	}
 	before := hashTree(t, root)
 	src := &Source{WAL: root}

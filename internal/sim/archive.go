@@ -173,17 +173,22 @@ func RunE12() *Report {
 	// runs to completion), checkpoint every 4 records, archiver attached.
 	// It returns the registry the log and the archiver count in; the
 	// archiver is drained (bounded) and stopped, the log closed.
-	runCase := func(dir string, st wal.Store, b int64, drain time.Duration) (*obs.Registry, error) {
-		reg := obs.NewRegistry()
+	runCase := func(dir string, st wal.Store, b int64, drain time.Duration) (reg *obs.Registry, err error) {
+		reg = obs.NewRegistry()
 		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(4), wal.SegmentFsync(),
 			wal.SegmentFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.SegmentMetricsRegistry(reg))
 		if err != nil {
 			return nil, err
 		}
-		defer slog.Close() // a dead log reports its seal; nothing more is written
 		arch := wal.NewArchiver(st, e12ArchiverOpts(reg)...)
 		arch.Start()
-		defer arch.Stop()
+		defer func() {
+			arch.Stop()
+			// A dead log only reports its seal; a crash-free one must close.
+			if cerr := slog.Close(); b == 0 && err == nil {
+				err = cerr
+			}
+		}()
 		ck := engine.NewCheckpointer(slog, engine.CheckpointArchive(arch))
 		e2, proc2 := travelWorkload()
 		inst, err := e2.CreateInstance(proc2, nil, &checkpointingLog{inner: slog, ck: ck, every: 4})
@@ -252,7 +257,7 @@ func RunE12() *Report {
 					break
 				}
 				st := state.mk(inner, crashAt)
-				reg, err := runCase(dir, st, crashCut(ends, crashAt, mode.torn), state.drain)
+				reg, err := runCase(dir, st, wal.CrashCut(ends, crashAt, mode.torn), state.drain)
 				if err != nil {
 					caseErr = err
 					break

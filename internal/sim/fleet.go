@@ -188,18 +188,6 @@ var crashModes = []struct {
 	torn bool
 }{{"clean crash", false}, {"short write", true}}
 
-// crashCut is the byte at which a rerun of the run whose frames end at ends
-// dies after its first k records (1 <= k < len(ends)): at record k's end —
-// a clean crash, record k+1 never reaches the file — or, torn, half-way
-// plus ten bytes into record k+1, short of its end.
-func crashCut(ends []int64, k int, torn bool) int64 {
-	b := ends[k-1]
-	if n := ends[k] - b; torn {
-		b += min(n/2+10, n-2)
-	}
-	return b
-}
-
 func recKey(r wal.Record) string {
 	return fmt.Sprintf("%s|%s|%s|%d", r.Instance, r.Type, r.Path, r.Iter)
 }
@@ -286,7 +274,10 @@ func RunE8() *Report {
 		res, err := engineWith(proc).RunFleet(engine.FleetOptions{
 			Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
 		})
-		g.Close() // a dead log reports its seal; the sweep reads the file
+		// A dead log only reports its seal; a crash-free one must close.
+		if cerr := g.Close(); b == 0 && err == nil {
+			err = cerr
+		}
 		return track, res, err
 	}
 
@@ -309,7 +300,7 @@ func RunE8() *Report {
 		repaired := 0
 		acksLost := 0
 		for crashAt := 1; crashAt < total && okAll; crashAt++ {
-			b := crashCut(ends, crashAt, mode.torn)
+			b := wal.CrashCut(ends, crashAt, mode.torn)
 			track, res, err := run(b)
 			// The crash must actually have fired and failed at least one
 			// instance with ErrCrash.

@@ -169,7 +169,7 @@ func RunE9() *Report {
 				ckptUsed := 0
 				repaired := 0
 				for crashAt := 1; crashAt < total && okAll; crashAt++ {
-					slog, err := run(crashCut(ends, crashAt, mode.torn))
+					slog, err := run(wal.CrashCut(ends, crashAt, mode.torn))
 					if !errors.Is(err, wal.ErrCrash) {
 						okAll = false
 						break
@@ -288,7 +288,7 @@ func RunE9() *Report {
 		}
 
 		for crashAt := 1; crashAt < total; crashAt++ {
-			if _, err := sessions(crashCut(ends, total+crashAt, true) - textBytes); !errors.Is(err, wal.ErrCrash) {
+			if _, err := sessions(wal.CrashCut(ends, total+crashAt, true) - textBytes); !errors.Is(err, wal.ErrCrash) {
 				return fmt.Errorf("crashAt %d: want crash, got %v", crashAt, err)
 			}
 
@@ -530,7 +530,7 @@ func RunE9() *Report {
 		ckptUsed := 0
 		repaired := 0
 		for crashAt := 1; crashAt < total && okAll; crashAt++ {
-			b := crashCut(ends, crashAt, mode.torn)
+			b := wal.CrashCut(ends, crashAt, mode.torn)
 			track, slog, res, err := run(b)
 			if err != nil || res.Failed == 0 || !errors.Is(res.Err, wal.ErrCrash) {
 				okAll = false
@@ -648,7 +648,7 @@ func crashedFleet(mk func() (*engine.Engine, error), proc, dir string, n, recsPe
 	if err != nil || len(ends) != n*recsPerInst {
 		return "", fmt.Errorf("crash-free run: %d frames, %v", len(ends), err)
 	}
-	return run(dir, ckpt, crashCut(ends, (n-1)*recsPerInst+recsPerInst/2, true))
+	return run(dir, ckpt, wal.CrashCut(ends, (n-1)*recsPerInst+recsPerInst/2, true))
 }
 
 // RunB10 measures what checkpoints buy at restart: recovery wall time and

@@ -380,7 +380,7 @@ func RunE11() *Report {
 		for crashAt := 1; crashAt < boundaries; crashAt++ {
 			runRoot := filepath.Join(root, fmt.Sprintf("%s-%d", mode.name[:5], crashAt))
 			tr := make([]*ackTrackingLog, e11Shards)
-			b := crashCut(ends, crashAt, mode.torn)
+			b := wal.CrashCut(ends, crashAt, mode.torn)
 			f, proc, err := e11Fleet(runRoot, victim, b, tr)
 			if err != nil {
 				r.fail(fmt.Errorf("E11 %s@%d: %w", mode.name, crashAt, err))

@@ -172,7 +172,7 @@ func (r *Report) addE7Rows(dir, name string, format wal.Format, mk func() (*engi
 		okAll := true
 		repaired := 0
 		for crashAt := 1; crashAt < total; crashAt++ {
-			b := crashCut(ends, crashAt, mode.torn)
+			b := wal.CrashCut(ends, crashAt, mode.torn)
 			flog, err := wal.OpenFileLog(path, wal.WithFsync(), wal.WithFormat(format),
 				wal.WithFS(wal.NewFaultFS(wal.FaultCrash, b)), wal.WithMetricsRegistry(reg))
 			if err != nil {

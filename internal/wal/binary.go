@@ -262,10 +262,9 @@ type scan struct {
 	// names, collected in keyb: records of one container type share Keys.
 	keys map[string][]string
 	keyb []byte
-	// ends, when non-nil, collects the offset at which every clean frame
-	// ends, counted from base bytes before the data being walked (FrameEnds).
+	// ends, when non-nil, collects the offset in its file at which every
+	// clean frame ends (FrameEnds).
 	ends []int64
-	base int64
 }
 
 // maxInterned bounds a walk's intern table; past it strings are allocated
@@ -280,7 +279,7 @@ func newScan(instance string) *scan {
 func (s *scan) frame(off int) {
 	s.frames++
 	if s.ends != nil {
-		s.ends = append(s.ends, s.base+int64(off))
+		s.ends = append(s.ends, int64(off))
 	}
 }
 
@@ -539,7 +538,7 @@ func (s *scan) log(data []byte, strict bool) (validLen, droppedBytes int, err er
 		return 0, 0, nil
 	}
 	if data[0] != binaryMagic[0] {
-		return s.text(data, strict)
+		return s.text(data, 0, strict)
 	}
 	if len(data) < fileHeaderLen {
 		if bytes.Equal(data, binaryMagic[:len(data)]) {
@@ -557,10 +556,7 @@ func (s *scan) log(data []byte, strict bool) (validLen, droppedBytes int, err er
 	}
 	switch Format(data[fileHeaderLen-1]) {
 	case FormatText:
-		s.base += fileHeaderLen
-		validLen, droppedBytes, err = s.text(data[fileHeaderLen:], strict)
-		s.base -= fileHeaderLen
-		return validLen + fileHeaderLen, droppedBytes, err
+		return s.text(data, fileHeaderLen, strict)
 	case FormatBinary:
 		return s.binary(data, fileHeaderLen, strict)
 	default:
@@ -568,12 +564,12 @@ func (s *scan) log(data []byte, strict bool) (validLen, droppedBytes int, err er
 	}
 }
 
-// text walks text-framed log bytes; see log. Only the final non-empty line
-// may be torn or corrupt in tolerant mode; strict mode errors on any bad
-// line. Every line is parsed in full; an instance filter applies to the
-// parsed record.
-func (s *scan) text(data []byte, strict bool) (validLen, droppedBytes int, err error) {
-	off := 0
+// text walks text-framed log bytes starting at off; see log. Only the final
+// non-empty line may be torn or corrupt in tolerant mode; strict mode errors
+// on any bad line. Every line is parsed in full; an instance filter applies
+// to the parsed record.
+func (s *scan) text(data []byte, off int, strict bool) (validLen, droppedBytes int, err error) {
+	validLen = off
 	lineNo := 0
 	for off < len(data) {
 		end := len(data)

@@ -161,17 +161,6 @@ func strictRead(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// tornCut is the byte inside frame k+1 (0-based: the frame after ends[k-1])
-// at which a sweep tears it: past the frame's own header, short of its end.
-func tornCut(ends []int64, k int) int64 {
-	from := int64(0)
-	if k > 0 {
-		from = ends[k-1]
-	}
-	n := ends[k] - from
-	return from + min(n/2+10, n-2)
-}
-
 // checkCrash crashes a rerun of the table's workload at byte b and holds
 // what is left to the contract: the file is exactly b bytes; every
 // acknowledged record is in it, and acknowledged means the whole batches
@@ -295,7 +284,7 @@ func TestCrashTable(t *testing.T) {
 				// and only then does the strict reader accept the log.
 				t.Run("every torn cut", func(t *testing.T) {
 					for k := 0; k < crashTotal; k++ {
-						st.checkCrash(t, f, ends, tornCut(ends, k))
+						st.checkCrash(t, f, ends, CrashCut(ends, k, true))
 					}
 				})
 				// A crash inside a file's first bytes — a binary log's 8-byte
@@ -390,7 +379,7 @@ func TestCrashTableConcurrent(t *testing.T) {
 		check(t, ends[99])
 	})
 	t.Run("short-write", func(t *testing.T) {
-		check(t, tornCut(ends, 40))
-		check(t, tornCut(ends, 100))
+		check(t, CrashCut(ends, 40, true))
+		check(t, CrashCut(ends, 100, true))
 	})
 }

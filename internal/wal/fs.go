@@ -174,16 +174,9 @@ func (fs *FaultFS) Fired() bool {
 	return fs.fired
 }
 
-// dead reports whether the injected crash has happened.
-func (fs *FaultFS) dead() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.kind == FaultCrash && fs.fired
-}
-
 // Create implements FS.
 func (fs *FaultFS) Create(path string) (File, error) {
-	if fs.dead() {
+	if fs.kind == FaultCrash && fs.Fired() {
 		return nil, ErrCrash
 	}
 	f, err := fs.inner.Create(path)
@@ -195,7 +188,7 @@ func (fs *FaultFS) Create(path string) (File, error) {
 
 // Rename implements FS.
 func (fs *FaultFS) Rename(oldpath, newpath string) error {
-	if fs.dead() {
+	if fs.kind == FaultCrash && fs.Fired() {
 		return ErrCrash
 	}
 	return fs.inner.Rename(oldpath, newpath)
@@ -250,10 +243,8 @@ type faultFile struct {
 
 func (f *faultFile) Write(p []byte) (int, error) {
 	keep, err := f.fs.step(false, len(p))
-	if keep > 0 {
-		if n, werr := f.f.Write(p[:keep]); werr != nil {
-			return n, werr
-		}
+	if n, werr := f.f.Write(p[:keep]); werr != nil {
+		return n, werr
 	}
 	return keep, err
 }
@@ -271,30 +262,43 @@ func (f *faultFile) Close() error { return f.f.Close() }
 
 // FrameEnds returns the offset at which every whole frame of a log file —
 // or of a segment directory, its files end to end in index order — ends,
-// file headers counted: the crash bytes of a sweep. ends[k-1] kills a rerun
-// after its first k records; a byte between two ends tears record k+1.
+// file headers counted: the crash bytes of a sweep (CrashCut).
 func FrameEnds(path string) ([]int64, error) {
-	paths := []string{path}
-	if fi, err := os.Stat(path); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	} else if fi.IsDir() {
-		segs, err := ListSegments(path)
+	segs, err := ListSegments(path)
+	if err != nil { // not a directory: one log file
+		segs = []SegmentInfo{{Path: path}}
+	}
+	var ends []int64
+	base := int64(0)
+	for _, seg := range segs {
+		s := newScan("")
+		s.ends = []int64{}
+		validLen, dropped, err := s.file(seg.Path)
 		if err != nil {
 			return nil, err
 		}
-		paths = paths[:0]
-		for _, seg := range segs {
-			paths = append(paths, seg.Path)
+		for _, e := range s.ends {
+			ends = append(ends, base+e)
 		}
+		base += int64(validLen + dropped)
 	}
-	s := newScan("")
-	s.ends = []int64{}
-	for _, p := range paths {
-		validLen, dropped, err := s.file(p)
-		if err != nil {
-			return nil, err
-		}
-		s.base += int64(validLen + dropped)
+	return ends, nil
+}
+
+// CrashCut returns the byte at which a FaultCrash kills a rerun of the run
+// whose frames end at ends after its first k records (0 <= k <= len(ends)):
+// record k's end — a clean crash, record k+1 never reaches the file — or,
+// torn, half of record k+1 plus ten bytes, short of its last two (a text
+// frame's last byte is its newline, and a line that lacks only that still
+// parses). Past the last record there is nothing to tear.
+func CrashCut(ends []int64, k int, torn bool) int64 {
+	var b int64
+	if k > 0 {
+		b = ends[k-1]
 	}
-	return s.ends, nil
+	if torn && k < len(ends) {
+		n := ends[k] - b - 1
+		b += min(n/2+10, n-1)
+	}
+	return b
 }

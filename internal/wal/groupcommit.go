@@ -223,7 +223,7 @@ func (l *GroupCommitLog) sealedErrLocked() error {
 	case l.closed:
 		return ErrLogClosed
 	case l.failed != nil:
-		return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
+		return sealedErr(l.failed)
 	}
 	return nil
 }
@@ -339,7 +339,7 @@ func (l *FileLog) writeBatch(data []byte, records int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	if _, err := l.w.Write(data); err != nil {
 		return l.sealLocked(fmt.Errorf("wal: %w", err))

@@ -182,10 +182,6 @@ func (l *SegmentedLog) sealLocked(err error) error {
 	return err
 }
 
-func (l *SegmentedLog) sealedErrLocked() error {
-	return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
-}
-
 // Failed reports the storage error that sealed the log, or nil.
 func (l *SegmentedLog) Failed() error {
 	l.mu.Lock()
@@ -211,7 +207,7 @@ func (l *SegmentedLog) AppendBatch(recs []Record) error {
 		return ErrLogClosed
 	}
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	var err error
 	if l.enc, err = encodeRecords(l.enc[:0], recs, l.format); err != nil {
@@ -239,7 +235,7 @@ func (l *SegmentedLog) writeBatch(data []byte, records int) error {
 		return ErrLogClosed
 	}
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	if err := l.active.writeBatch(data, records); err != nil {
 		return l.sealLocked(err)
@@ -309,11 +305,11 @@ func (l *SegmentedLog) Close() error {
 	err := l.active.Close()
 	l.active = nil
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	if err != nil {
 		l.sealLocked(err)
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	return nil
 }

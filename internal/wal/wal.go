@@ -354,10 +354,10 @@ func (l *FileLog) sealLocked(err error) error {
 	return err
 }
 
-// sealedErrLocked is the error every operation on a sealed log returns:
+// sealedErr is the error every operation on a sealed log returns:
 // ErrLogFailed wrapping the original cause.
-func (l *FileLog) sealedErrLocked() error {
-	return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
+func sealedErr(cause error) error {
+	return fmt.Errorf("%w: %w", ErrLogFailed, cause)
 }
 
 // Failed reports the storage error that sealed the log, or nil.
@@ -385,7 +385,7 @@ func (l *FileLog) AppendBatch(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	var err error
 	if l.enc, err = encodeRecords(l.enc[:0], recs, l.format); err != nil {
@@ -416,7 +416,7 @@ func (l *FileLog) appendEncoded(data []byte, records int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	return l.appendEncodedLocked(data, records)
 }
@@ -462,17 +462,17 @@ func (l *FileLog) Close() error {
 	defer l.mu.Unlock()
 	if l.failed != nil {
 		l.f.Close()
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	if err := l.w.Flush(); err != nil {
 		l.sealLocked(fmt.Errorf("wal: %w", err))
 		l.f.Close()
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	if err := l.f.Sync(); err != nil {
 		l.sealLocked(fmt.Errorf("wal: %w", err))
 		l.f.Close()
-		return l.sealedErrLocked()
+		return sealedErr(l.failed)
 	}
 	return l.f.Close()
 }
