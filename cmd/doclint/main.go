@@ -1,9 +1,10 @@
 // Command doclint is the repository's documentation linter, run by the
-// CI docs job. It has three checks, all standard library only:
+// CI docs job. It has four checks, all standard library only:
 //
 //	doclint -md .                         # relative markdown links resolve
 //	doclint -xref .                       # DESIGN.md index <-> EXPERIMENTS.md agree
 //	doclint internal/wal internal/engine  # exported symbols have doc comments
+//	doclint -refs . internal/wal          # ... and every exported function has a caller elsewhere
 //
 // The -md check walks the tree for *.md files and verifies that every
 // relative link target exists (external http(s)/mailto links and pure
@@ -11,7 +12,10 @@
 // check). The package check parses each listed directory with go/doc and
 // requires a package comment plus a doc comment on every exported
 // package-level type, function, method, and const/var group — the same
-// contract go vet's stdlib analyzers assume but do not enforce.
+// contract go vet's stdlib analyzers assume but do not enforce. With
+// -refs, each listed package must also export no top-level function that
+// no other package under the -refs directory calls (see
+// checkDocComments).
 //
 // The -xref check keeps the two experiment documents from drifting: every
 // measurement table (B1, B2, ...) and correctness experiment / soak (E1,
@@ -44,6 +48,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -56,8 +61,9 @@ import (
 func main() {
 	mdRoot := flag.String("md", "", "walk this directory and check relative links in every *.md file")
 	xrefRoot := flag.String("xref", "", "cross-check the B/E experiment identifiers of DESIGN.md and EXPERIMENTS.md in this directory")
+	refsRoot := flag.String("refs", "", "also require every exported top-level function of each package-dir to be called by another package under this directory")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: doclint [-md dir] [-xref dir] [package-dir]...\n")
+		fmt.Fprintf(os.Stderr, "usage: doclint [-md dir] [-xref dir] [-refs dir] [package-dir]...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -93,7 +99,15 @@ func main() {
 		}
 	}
 	for _, dir := range flag.Args() {
-		if err := checkDocComments(dir, report); err != nil {
+		var called map[string]bool
+		var err error
+		if *refsRoot != "" {
+			called, err = callsInto(*refsRoot, dir)
+		}
+		if err == nil {
+			err = checkDocComments(dir, called, report)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
 			os.Exit(2)
 		}
@@ -318,8 +332,13 @@ func sortedXrefIDs(m map[string]int) []string {
 }
 
 // checkDocComments parses one package directory and reports every
-// exported package-level symbol without a doc comment.
-func checkDocComments(dir string, report func(pos, msg string)) error {
+// exported package-level symbol without a doc comment. With called
+// non-nil (-refs) it also reports every exported top-level function no
+// other package calls: an export with no caller outside its own package
+// is surface nobody uses, to unexport or delete. Types, constants and
+// variables are not held to that: callers reach them through values (a
+// returned stats struct, a sentinel error) without having to name them.
+func checkDocComments(dir string, called map[string]bool, report func(pos, msg string)) error {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -336,11 +355,17 @@ func checkDocComments(dir string, report func(pos, msg string)) error {
 			p := fset.Position(n.Pos())
 			return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 		}
-		for _, f := range d.Funcs {
-			if strings.TrimSpace(f.Doc) == "" {
-				report(pos(f.Decl), fmt.Sprintf("exported function %s has no doc comment", f.Name))
+		checkFuncs := func(funcs []*doc.Func) {
+			for _, f := range funcs {
+				if strings.TrimSpace(f.Doc) == "" {
+					report(pos(f.Decl), fmt.Sprintf("exported function %s has no doc comment", f.Name))
+				}
+				if called != nil && !called[f.Name] {
+					report(pos(f.Decl), fmt.Sprintf("exported function %s is called by no other package", f.Name))
+				}
 			}
 		}
+		checkFuncs(d.Funcs)
 		checkValues := func(kind string, vals []*doc.Value) {
 			for _, v := range vals {
 				if strings.TrimSpace(v.Doc) == "" && len(v.Names) > 0 {
@@ -354,11 +379,7 @@ func checkDocComments(dir string, report func(pos, msg string)) error {
 			if strings.TrimSpace(t.Doc) == "" {
 				report(pos(t.Decl), fmt.Sprintf("exported type %s has no doc comment", t.Name))
 			}
-			for _, f := range t.Funcs {
-				if strings.TrimSpace(f.Doc) == "" {
-					report(pos(f.Decl), fmt.Sprintf("exported function %s has no doc comment", f.Name))
-				}
-			}
+			checkFuncs(t.Funcs)
 			for _, m := range t.Methods {
 				if strings.TrimSpace(m.Doc) == "" {
 					report(pos(m.Decl), fmt.Sprintf("exported method %s.%s has no doc comment", t.Name, m.Name))
@@ -369,4 +390,59 @@ func checkDocComments(dir string, report func(pos, msg string)) error {
 		}
 	}
 	return nil
+}
+
+// moduleLine finds the module path in a go.mod file.
+var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
+// callsInto returns the names every Go file under root outside dir —
+// tests and nested modules included — selects from the package in dir (a
+// directory under root, whose go.mod names the module).
+func callsInto(root, dir string) (map[string]bool, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	rel, err := filepath.Rel(root, dir)
+	m := moduleLine.FindSubmatch(mod)
+	if err != nil || m == nil {
+		return nil, fmt.Errorf("%s: no module path for a package under %s", dir, root)
+	}
+	importPath, ownDir := pathpkg.Join(string(m[1]), filepath.ToSlash(rel)), filepath.Join(root, rel)
+	fset := token.NewFileSet()
+	called := make(map[string]bool)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || filepath.Dir(path) == ownDir {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value != strconv.Quote(importPath) {
+				continue
+			}
+			name := pathpkg.Base(importPath)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						called[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	return called, err
 }

@@ -141,11 +141,45 @@ func TestDoclintCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-md", root, "-xref", root,
+	cmd := exec.Command(bin, "-md", root, "-xref", root, "-refs", root,
 		filepath.Join(root, "internal", "wal"),
-		filepath.Join(root, "internal", "engine"))
+		filepath.Join(root, "internal", "engine"),
+		filepath.Join(root, "internal", "history"))
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("doclint on the repository failed: %v\n%s", err, out)
+	}
+}
+
+// TestDoclintOrphanExports pins the -refs check: an exported function
+// that only its own package (tests included) calls is a finding; one that
+// another package calls, and anything unexported, is not.
+func TestDoclintOrphanExports(t *testing.T) {
+	bin := buildDoclint(t)
+	root := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod":          "module m\n\ngo 1.22\n",
+		"pkg/pkg.go":      "// Package pkg is documented.\npackage pkg\n\n// Used is called by cmd.\nfunc Used() {}\n\n// Orphan is called only by its own test.\nfunc Orphan() {}\n\nfunc unexported() {}\n",
+		"pkg/pkg_test.go": "package pkg\n\nimport \"testing\"\n\nfunc TestOrphan(t *testing.T) { Orphan(); unexported() }\n",
+		"cmd/main.go":     "package main\n\nimport \"m/pkg\"\n\nfunc main() { pkg.Used() }\n",
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command(bin, "-refs", root, filepath.Join(root, "pkg")).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("expected exit 1, got %v\n%s", err, out)
+	}
+	s := string(out)
+	if !strings.Contains(s, "exported function Orphan is called by no other package") {
+		t.Errorf("orphan not reported:\n%s", s)
+	}
+	if strings.Contains(s, "Used") || strings.Contains(s, "unexported") {
+		t.Errorf("false positive:\n%s", s)
 	}
 }
 

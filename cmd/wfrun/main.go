@@ -487,13 +487,21 @@ func main() {
 	e, rec := build()
 
 	if *fleetN > 1 {
-		res, err := e.RunFleet(engine.FleetOptions{
-			Process: name, N: *fleetN, Parallel: *parallel, Log: log,
-			MaxQueue: *maxQueue, Shed: *shed, Stop: stop,
-		})
+		// One shard, no directory: every instance appends to the one -wal
+		// log, which closeLog releases (the fleet closes only what it opened).
+		cfg := engine.FleetConfig{Shards: 1, Parallel: *parallel, MaxQueue: *maxQueue, Shed: *shed, Stop: stop}
+		if log != nil {
+			cfg.WrapLog = func(int, wal.Log) wal.Log { return log }
+		}
+		f, err := engine.NewFleet(e, cfg)
 		if err != nil {
 			fatal(err)
 		}
+		res, err := f.Run(name, *fleetN, nil)
+		if err != nil {
+			fatal(err)
+		}
+		f.Close()
 		if err := closeLog(); err != nil {
 			fatal(err)
 		}

@@ -243,15 +243,15 @@ func TestFleetPublishWithSubscriberChurn(t *testing.T) {
 			}
 		}()
 	}
-	res, err := e.RunFleet(FleetOptions{Process: "Chain", N: 24, Parallel: 4})
+	res := runOneShard(t, e, FleetConfig{Parallel: 4}, "Chain", 24, nil)
 	close(stop)
 	wg.Wait()
-	if err != nil || res.Finished != 24 {
-		t.Fatalf("fleet under churn: res=%+v err=%v", res, err)
+	if res.Finished != 24 {
+		t.Fatalf("fleet under churn: res=%+v", res)
 	}
 }
 
-// TestFleetQueueTransitionEvents pins the fleet.* taxonomy: every
+// TestFleetQueueTransitionEvents pins the shard.* taxonomy: every
 // instance is enqueued, activated and released exactly once.
 func TestFleetQueueTransitionEvents(t *testing.T) {
 	bus := obs.NewBus()
@@ -261,14 +261,12 @@ func TestFleetQueueTransitionEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	if _, err := e.RunFleet(FleetOptions{Process: "Chain", N: n, Parallel: 2}); err != nil {
-		t.Fatal(err)
-	}
+	runOneShard(t, e, FleetConfig{Parallel: 2}, "Chain", n, nil)
 	counts := map[string]int{}
 	for _, ev := range collectEvents(sub, bus) {
 		counts[ev.Kind]++
 	}
-	for _, kind := range []string{obs.EvFleetEnqueue, obs.EvFleetActive, obs.EvFleetDone} {
+	for _, kind := range []string{obs.EvShardEnqueue, obs.EvShardActive, obs.EvShardDone} {
 		if counts[kind] != n {
 			t.Fatalf("%s events = %d, want %d (all: %v)", kind, counts[kind], n, counts)
 		}

@@ -38,9 +38,9 @@ type Checkpointer struct {
 // CheckpointerOption configures a Checkpointer.
 type CheckpointerOption func(*Checkpointer)
 
-// CheckpointInterval sets how often the background loop runs a pass
+// checkpointInterval sets how often the background loop runs a pass
 // (default 100ms).
-func CheckpointInterval(d time.Duration) CheckpointerOption {
+func checkpointInterval(d time.Duration) CheckpointerOption {
 	return func(c *Checkpointer) {
 		if d > 0 {
 			c.interval = d

@@ -261,13 +261,13 @@ func TestCheckpointerBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	gl := wal.NewGroupCommitSegmented(slog)
-	ck := NewCheckpointer(slog, CheckpointInterval(time.Millisecond), CheckpointEveryRecords(8))
+	ck := NewCheckpointer(slog, checkpointInterval(time.Millisecond), CheckpointEveryRecords(8))
 	ck.Start()
 
 	e, _ := newRecoveryEngine(t)
-	res, err := e.RunFleet(FleetOptions{Process: "Rec", N: 12, Parallel: 4, Log: gl})
-	if err != nil || res.Err != nil || res.Finished != 12 {
-		t.Fatalf("fleet: %+v (%v)", res, err)
+	res := runOneShard(t, e, FleetConfig{Parallel: 4}, "Rec", 12, gl)
+	if res.Err != nil || res.Finished != 12 {
+		t.Fatalf("fleet: %+v", res)
 	}
 	if err := ck.Stop(); err != nil {
 		t.Fatal(err)

@@ -36,9 +36,9 @@ func Transient(err error) error {
 	return &transientError{err: err}
 }
 
-// IsTransient reports whether the error is classified transient: wrapped
+// isTransient reports whether the error is classified transient: wrapped
 // with Transient, or a deadline miss.
-func IsTransient(err error) bool {
+func isTransient(err error) bool {
 	if errors.Is(err, ErrDeadlineExceeded) {
 		return true
 	}

@@ -167,7 +167,7 @@ func TestTransientRetryExhausted(t *testing.T) {
 		t.Fatal("exhausted retries did not fail the instance")
 	}
 	af := inst.Failure()
-	if af == nil || af.Attempts != 2 || !IsTransient(af.Cause) {
+	if af == nil || af.Attempts != 2 || !isTransient(af.Cause) {
 		t.Fatalf("failure = %+v", af)
 	}
 	if !strings.Contains(af.Error(), "after 2 attempts") {

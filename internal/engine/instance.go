@@ -931,7 +931,7 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 				}
 			}
 		}
-		if !IsTransient(lastErr) || attempt == budget {
+		if !isTransient(lastErr) || attempt == budget {
 			break
 		}
 		if rb := inst.eng.retryBudget; rb != nil {

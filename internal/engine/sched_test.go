@@ -1,180 +1,74 @@
 package engine
 
 import (
-	"context"
-	"errors"
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// A bounded scheduler rejects the newest work once the admission queue
-// (workers + MaxQueue) is full, and counts the rejections.
-func TestSchedulerTrySubmitSheds(t *testing.T) {
-	s := NewBoundedScheduler(1, 1)
-	gate := make(chan struct{})
-	if err := s.TrySubmit(func() { <-gate }); err != nil {
-		t.Fatalf("first admission: %v", err)
-	}
-	if err := s.TrySubmit(func() { <-gate }); err != nil {
-		t.Fatalf("queued admission: %v", err)
-	}
-	if err := s.TrySubmit(func() { t.Error("shed task ran") }); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("overloaded TrySubmit = %v, want ErrOverloaded", err)
-	}
-	if got := s.Sheds(); got != 1 {
-		t.Fatalf("Sheds = %d, want 1", got)
-	}
-	close(gate)
-	s.Wait()
-}
-
-// SubmitCtx abandons the admission wait on cancellation without starting
-// the task or leaking a goroutine.
-func TestSchedulerSubmitCtxCancel(t *testing.T) {
-	s := NewBoundedScheduler(1, 0)
-	gate := make(chan struct{})
-	s.Submit(func() { <-gate })
-
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- s.SubmitCtx(ctx, func() { t.Error("canceled task ran") })
-	}()
-	time.Sleep(10 * time.Millisecond) // let SubmitCtx block on admission
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitCtx = %v, want context.Canceled", err)
-	}
-	close(gate)
-	s.Wait()
-	// The canceled submission must leave nothing behind: goroutine count
-	// settles back to (at most) the pre-cancel level.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
-	}
-
-	// A SubmitCtx that is admitted runs normally.
-	ran := make(chan struct{})
-	if err := s.SubmitCtx(context.Background(), func() { close(ran) }); err != nil {
-		t.Fatal(err)
-	}
-	<-ran
-	s.Wait()
-}
-
-// Backpressure under cancellation at the fleet level: closing the Stop
-// channel while the producer is blocked in admission drains the fleet —
-// in-flight instances finish, no new ones are created, and the
-// fleet.queue gauge returns to zero.
-func TestRunFleetStopDrains(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := newTestEngine(t, WithMetrics(reg))
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	if err := e.RegisterProgram("block", ProgramFunc(func(inv *Invocation) error {
-		select {
-		case started <- struct{}{}:
-		default:
+func TestSchedulerBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	s := newScheduler(workers, 0)
+	var active, peak atomic.Int64
+	var mu sync.Mutex
+	bumpPeak := func(n int64) {
+		mu.Lock()
+		if n > peak.Load() {
+			peak.Store(n)
 		}
-		<-gate
-		inv.Out.SetRC(0)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
+		mu.Unlock()
 	}
-	if err := e.RegisterProcess(chainProcess("Block", "block", "ok", "ok")); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	resCh := make(chan *FleetResult, 1)
-	go func() {
-		res, err := e.RunFleet(FleetOptions{
-			Process: "Block", N: 1000, Parallel: 2, Stop: stop,
+	done := make(chan struct{})
+	for i := 0; i < 20; i++ {
+		s.Admit()
+		s.Go(func() {
+			n := active.Add(1)
+			bumpPeak(n)
+			<-done
+			active.Add(-1)
 		})
-		if err != nil {
-			t.Error(err)
+		if i == workers-1 {
+			// The pool is saturated: the next Admit must block until a
+			// worker frees, which close(done) triggers below.
+			go func() {
+				close(done)
+			}()
 		}
-		resCh <- res
-	}()
-	<-started // at least one instance is executing; producer is piling up
-	close(stop)
-	close(gate)
-	res := <-resCh
-	if !res.Stopped {
-		t.Fatal("Stopped = false after drain")
 	}
-	if res.Launched >= 1000 {
-		t.Fatalf("drain admitted the whole fleet (%d)", res.Launched)
-	}
-	if res.Launched != res.Finished+res.Failed {
-		t.Fatalf("accounting broken: %+v", res)
-	}
-	snap := reg.Snapshot()
-	if q := snap.Gauges["engine.fleet.queue.depth"]; q.Value != 0 {
-		t.Fatalf("fleet.queue.depth = %+v, want 0 after drain", q)
-	}
-	if a := snap.Gauges["engine.fleet.active"]; a.Value != 0 {
-		t.Fatalf("fleet.active = %+v, want 0 after drain", a)
+	s.Wait()
+	if p := peak.Load(); p > workers {
+		t.Fatalf("peak concurrency %d exceeds pool size %d", p, workers)
 	}
 }
 
-// Load shedding in RunFleet: rejected instances are counted (result,
-// metric, event) and never created — no WAL records, no instance IDs.
-func TestRunFleetShed(t *testing.T) {
-	reg := obs.NewRegistry()
-	bus := obs.NewBus()
-	e := newTestEngine(t, WithMetrics(reg), WithBus(bus))
-	var shedEvents atomic.Int64
-	detach := bus.Attach(func(ev obs.Event) {
-		if ev.Kind == obs.EvFleetShed {
-			shedEvents.Add(1)
+// A bounded scheduler refuses admission once its queue (workers +
+// maxQueue) is full, and admits again when a reservation is returned —
+// the two halves of Fleet.Submit's shedding path.
+func TestSchedulerTryAdmitRefusesWhenFull(t *testing.T) {
+	s := newScheduler(1, 1)
+	gate := make(chan struct{})
+	for i := 0; i < 2; i++ { // one executing, one queued
+		if !s.TryAdmit() {
+			t.Fatalf("admission %d refused below the bound", i)
 		}
-	})
-	defer detach()
-	if err := e.RegisterProgram("slow", ProgramFunc(func(inv *Invocation) error {
-		time.Sleep(2 * time.Millisecond)
-		inv.Out.SetRC(0)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
+		s.Go(func() { <-gate })
 	}
-	if err := e.RegisterProcess(chainProcess("Slow", "slow", "slow", "slow")); err != nil {
-		t.Fatal(err)
+	if s.TryAdmit() {
+		t.Fatal("TryAdmit granted past workers + maxQueue")
 	}
-	const n = 40
-	res, err := e.RunFleet(FleetOptions{
-		Process: "Slow", N: n, Parallel: 1, MaxQueue: 0, Shed: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	close(gate)
+	s.Wait()
+	for i := 0; i < 2; i++ {
+		if !s.TryAdmit() {
+			t.Fatalf("admission %d refused on a drained scheduler", i)
+		}
 	}
-	if res.Shed == 0 {
-		t.Fatal("no instances shed at 0-queue admission with a slow program")
+	// Full again: a closed stop channel ends AdmitStop's wait.
+	stop := make(chan struct{})
+	close(stop)
+	if s.AdmitStop(stop) {
+		t.Fatal("AdmitStop granted past the bound")
 	}
-	if res.Shed+res.Launched != n {
-		t.Fatalf("accounting broken: shed %d + launched %d != %d", res.Shed, res.Launched, n)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("shed fleet failed instances: %+v", res)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["engine.fleet.shed"]; got != int64(res.Shed) {
-		t.Fatalf("fleet.shed counter = %d, want %d", got, res.Shed)
-	}
-	if got := snap.Counters["engine.instances.created"]; got != int64(res.Launched) {
-		t.Fatalf("created counter = %d, want %d (shed instances must not be created)", got, res.Launched)
-	}
-	if got := shedEvents.Load(); got != int64(res.Shed) {
-		t.Fatalf("fleet.shed events = %d, want %d", got, res.Shed)
-	}
+	s.Unadmit()
+	s.Unadmit()
 }

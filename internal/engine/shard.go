@@ -150,6 +150,10 @@ type FleetConfig struct {
 	// WrapLog, when non-nil, wraps the log a shard's instances append to
 	// — the observation seam (soaks interpose ack-tracking here). The
 	// wrapper sees the shard's outermost log (group commit when enabled).
+	// With Dir empty it may instead return a caller-owned log: one shard
+	// over a shared FileLog or GroupCommitLog is a plain fleet on one WAL,
+	// and the caller closes that log (Close releases only what the fleet
+	// opened).
 	WrapLog func(shard int, log wal.Log) wal.Log
 	// Stop, when non-nil, is a graceful-drain signal: once closed, Submit
 	// admits no new instances (ErrFleetStopped) and Run returns after
@@ -166,7 +170,7 @@ type Shard struct {
 	// ID is the shard index (0-based); its directory is ShardDirName(ID).
 	ID int
 
-	sched *Scheduler
+	sched *scheduler
 	slog  *wal.SegmentedLog
 	glog  *wal.GroupCommitLog
 	log   wal.Log // outermost log instances append to (after WrapLog)
@@ -201,7 +205,7 @@ func (sh *Shard) Archiver() *wal.Archiver { return sh.arch }
 // instance is created, so every instance's records still land wholly
 // inside one shard directory and per-shard recovery stays exact.
 //
-// A Fleet is one-shot like the Scheduler underneath: Submit until done,
+// A Fleet is one-shot like the scheduler underneath: Submit until done,
 // then Drain (or use Run), then Close.
 type Fleet struct {
 	e   *Engine
@@ -234,7 +238,7 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &Shard{
 			ID:     i,
-			sched:  NewBoundedScheduler(cfg.Parallel, cfg.MaxQueue),
+			sched:  newScheduler(cfg.Parallel, cfg.MaxQueue),
 			queue:  reg.Gauge(fmt.Sprintf("engine.shard.%02d.queue.depth", i)),
 			active: reg.Gauge(fmt.Sprintf("engine.shard.%02d.active", i)),
 		}
@@ -462,10 +466,13 @@ func (f *Fleet) Submit(process string, input map[string]expr.Value, done func(*I
 	return inst, nil
 }
 
-// Run executes n instances of process through the sharded fleet and
-// blocks until it drains — the sharded counterpart of RunFleet,
-// aggregated into the same FleetResult shape. input, when non-nil,
-// supplies the i-th instance's input container values.
+// Run executes n instances of process through the fleet and blocks until
+// it drains — the throughput shape of the paper's Figure 5 pipeline,
+// "many concurrent instances of an executable template", as one call.
+// input, when non-nil, supplies the i-th instance's input container
+// values. The returned error reports configuration problems (unknown
+// process, bad n); per-instance failures land in FleetResult.Failed / Err
+// with the fleet running to completion regardless.
 func (f *Fleet) Run(process string, n int, input func(i int) map[string]expr.Value) (*FleetResult, error) {
 	if _, ok := f.e.Process(process); !ok {
 		return nil, fmt.Errorf("engine: unknown process %q", process)
@@ -475,43 +482,38 @@ func (f *Fleet) Run(process string, n int, input func(i int) map[string]expr.Val
 	}
 	res := &FleetResult{Instances: make([]*Instance, 0, n)}
 	var mu sync.Mutex
+	tally := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
+			res.Finished++
+			return
+		}
+		res.Failed++
+		if res.Err == nil {
+			res.Err = err
+		}
+	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		var in map[string]expr.Value
 		if input != nil {
 			in = input(i)
 		}
-		inst, err := f.Submit(process, in, func(_ *Instance, err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				res.Finished++
-				return
-			}
-			res.Failed++
-			if res.Err == nil {
-				res.Err = err
-			}
-		})
-		switch {
-		case errors.Is(err, ErrOverloaded):
+		inst, err := f.Submit(process, in, func(_ *Instance, err error) { tally(err) })
+		if errors.Is(err, ErrOverloaded) {
 			res.Shed++
 			continue
-		case errors.Is(err, ErrFleetStopped):
-			res.Stopped = true
-		case err != nil:
-			mu.Lock()
-			res.Failed++
-			if res.Err == nil {
-				res.Err = err
-			}
-			mu.Unlock()
-			continue
 		}
-		if res.Stopped {
+		if errors.Is(err, ErrFleetStopped) {
+			res.Stopped = true
 			break
 		}
 		res.Launched++
+		if err != nil {
+			tally(err) // admitted, but creation failed
+			continue
+		}
 		res.Instances = append(res.Instances, inst)
 	}
 	f.Drain()

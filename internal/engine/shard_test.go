@@ -170,9 +170,7 @@ func TestRecoverFleetMatchesSingleLogRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := wal.NewGroupCommitSegmented(slog)
-	if _, err := e1.RunFleet(FleetOptions{Process: "Chain", N: n, Parallel: 4, Log: g}); err != nil {
-		t.Fatal(err)
-	}
+	runOneShard(t, e1, FleetConfig{Parallel: 4}, "Chain", n, g)
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +290,7 @@ func TestFleetPlaceRebalance(t *testing.T) {
 	}
 }
 
-// TestFleetSubmitShedLeavesNoRecords mirrors the RunFleet guarantee: a
+// TestFleetSubmitShedLeavesNoRecords pins the shedding guarantee: a
 // shed submission never creates an instance, so it leaves no WAL
 // records and no engine ID hole visible to recovery.
 func TestFleetSubmitShedLeavesNoRecords(t *testing.T) {

@@ -114,7 +114,7 @@ func (c *Continuous) Feed(ev Event) {
 		c.agg.Compensations++
 	case obs.EvActivityRetry:
 		c.agg.Retries++
-	case obs.EvFleetShed, obs.EvShardShed:
+	case obs.EvShardShed:
 		c.agg.Sheds++
 	case obs.EvBreakerOpen:
 		c.agg.BreakerTrips++
@@ -173,21 +173,11 @@ func (c *Continuous) dropInstance(inst string) {
 	}
 }
 
-// Inflight reports the current number of unpaired dispatches;
-// MaxInflight the high-water mark over the whole feed.
-func (c *Continuous) Inflight() int    { return c.inflightLen }
-func (c *Continuous) MaxInflight() int { return c.maxInflight }
+// Inflight reports the current number of unpaired dispatches.
+func (c *Continuous) Inflight() int { return c.inflightLen }
 
-// PairHistogram exposes one program's pair-latency histogram snapshot —
-// the satellite test pins its buckets against the registry's
-// engine.program.ns histogram on the same run.
-func (c *Continuous) PairHistogram(program string) (obs.HistogramSnapshot, bool) {
-	h, ok := c.programs[program]
-	if !ok {
-		return obs.HistogramSnapshot{}, false
-	}
-	return h.SnapshotNow(), true
-}
+// MaxInflight reports the high-water mark of Inflight over the whole feed.
+func (c *Continuous) MaxInflight() int { return c.maxInflight }
 
 // Result digests the current state into an Aggregate. It may be called
 // after every Feed — an aggregation over a prefix of the stream equals

@@ -215,9 +215,9 @@ func (b *Bus) Subscribers() int {
 }
 
 // The event taxonomy. Instance lifecycle and activity events are
-// published by the engine; wal.* by the log implementations; fleet.* by
-// engine.RunFleet; shard.* by the sharded engine.Fleet. DESIGN.md
-// "Observability" documents each kind's payload fields.
+// published by the engine; wal.* by the log implementations; shard.* by
+// engine.Fleet. DESIGN.md "Observability" documents each kind's payload
+// fields.
 const (
 	EvInstanceCreated  = "instance.created"  // CreateInstance returned; Program = template name
 	EvInstanceStarted  = "instance.started"  // Start began navigating
@@ -239,11 +239,6 @@ const (
 	EvWalCheckpoint         = "wal.checkpoint"          // checkpoint written; N = sequence, DurNs = write time
 	EvWalCheckpointFallback = "wal.checkpoint_fallback" // damaged checkpoint skipped on load
 	EvWalFailed             = "wal.failed"              // storage error sealed the log; Cause set
-
-	EvFleetEnqueue = "fleet.enqueue" // instance admitted, awaiting a worker; N = queue depth
-	EvFleetActive  = "fleet.active"  // instance began executing; N = active count
-	EvFleetDone    = "fleet.done"    // instance released its worker; N = active count
-	EvFleetShed    = "fleet.shed"    // admission queue full, work rejected; N = sheds so far
 
 	EvShardEnqueue   = "shard.enqueue"   // instance admitted to a shard; Shard set, N = shard queue depth
 	EvShardActive    = "shard.active"    // instance began executing on its shard; Shard set, N = shard active count

@@ -77,14 +77,14 @@ func TestBusSynchronousTapSeesEverything(t *testing.T) {
 func TestBusUnsubscribeClosesChannel(t *testing.T) {
 	b := NewBus()
 	sub := b.Subscribe(1)
-	b.Publish(Event{Kind: EvFleetDone})
+	b.Publish(Event{Kind: EvShardDone})
 	b.Unsubscribe(sub)
 	b.Unsubscribe(sub) // idempotent
 	var kinds []string
 	for ev := range sub.Events() {
 		kinds = append(kinds, ev.Kind)
 	}
-	if len(kinds) != 1 || kinds[0] != EvFleetDone {
+	if len(kinds) != 1 || kinds[0] != EvShardDone {
 		t.Fatalf("drained %v", kinds)
 	}
 	if b.Subscribers() != 0 {

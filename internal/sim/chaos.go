@@ -171,9 +171,7 @@ func e10Run(log wal.Log) (*engine.FleetResult, error) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := e.RunFleet(engine.FleetOptions{
-			Process: proc, N: e10Fleet, Parallel: 1, Log: log,
-		})
+		res, err := runFleet(e, proc, e10Fleet, 1, log)
 		ch <- outcome{res, err}
 	}()
 	select {
@@ -228,7 +226,7 @@ func RunE10() *Report {
 	// be vacuous before we trust it on faulted runs).
 	spec := TravelSaga()
 	baseE, baseProc := travelWorkload()
-	baseRes, err := baseE.RunFleet(engine.FleetOptions{Process: baseProc, N: 1})
+	baseRes, err := runFleet(baseE, baseProc, 1, 1, nil)
 	if err != nil || baseRes.Finished != 1 {
 		r.Pass = false
 		r.Err = fmt.Errorf("E10 baseline: %v (%v)", err, baseRes)

@@ -18,7 +18,7 @@ import (
 const b9Chain = 20
 
 // RunB9 measures fleet throughput on the durable path: N instances of a
-// chain workload executed by engine.RunFleet against a shared on-disk
+// chain workload executed by a one-shard engine.Fleet against a shared on-disk
 // WAL, comparing per-record fsync (FileLog+WithFsync — every record
 // waits out its own disk sync) with group commit (GroupCommitLog — one
 // sync per batch, batch size self-tuned to the fsync latency by commit
@@ -66,9 +66,7 @@ func RunB9() *Report {
 		if err := e.RegisterProcess(proc); err != nil {
 			return outcome{}, err
 		}
-		res, err := e.RunFleet(engine.FleetOptions{
-			Process: proc.Name, N: fleet, Parallel: parallel, Log: log,
-		})
+		res, err := runFleet(e, proc.Name, fleet, parallel, log)
 		if err == nil && res.Failed > 0 {
 			err = fmt.Errorf("%d of %d instances failed: %v", res.Failed, fleet, res.Err)
 		}
@@ -182,6 +180,22 @@ func engineWith(proc *model.Process) *engine.Engine {
 	return e
 }
 
+// runFleet runs n instances of process on a one-shard engine.Fleet whose
+// instances all append to log (nil: the fleet's own in-memory log). The
+// caller still owns log and closes it.
+func runFleet(e *engine.Engine, process string, n, parallel int, log wal.Log) (*engine.FleetResult, error) {
+	cfg := engine.FleetConfig{Shards: 1, Parallel: parallel}
+	if log != nil {
+		cfg.WrapLog = func(int, wal.Log) wal.Log { return log }
+	}
+	f, err := engine.NewFleet(e, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return f.Run(process, n, nil)
+}
+
 // crashModes are the two ways a sweep kills the server after k records.
 var crashModes = []struct {
 	name string
@@ -271,9 +285,7 @@ func RunE8() *Report {
 		}
 		g := wal.NewGroupCommitLog(flog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
 		track := &ackTrackingLog{inner: g}
-		res, err := engineWith(proc).RunFleet(engine.FleetOptions{
-			Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
-		})
+		res, err := runFleet(engineWith(proc), proc.Name, fleet, fleet, track)
 		// A dead log only reports its seal; a crash-free one must close.
 		if cerr := g.Close(); b == 0 && err == nil {
 			err = cerr

@@ -83,20 +83,24 @@ func TestPairQuantilesAgreeWithRegistryHistogram(t *testing.T) {
 	for _, ev := range evs {
 		c.Feed(history.FromObs(ev))
 	}
-	pair, ok := c.PairHistogram("ok")
+	pair, ok := c.Result().Latency["ok"]
 	if !ok {
-		t.Fatal("no pair histogram for program ok")
+		t.Fatal("no pair latency for program ok")
 	}
 	progNs := reg.Histogram("engine.program.ns").SnapshotNow()
 	if pair.Count != progNs.Count || pair.Count != steps {
 		t.Fatalf("pair count %d, engine.program.ns count %d, want %d", pair.Count, progNs.Count, steps)
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		pi := bucketIndex(pair, pair.Quantile(q))
-		ri := bucketIndex(progNs, progNs.Quantile(q))
+	regQ := obs.QuantilesOf(progNs)
+	for _, q := range []struct {
+		name           string
+		pair, registry int64
+	}{{"q50", pair.P50, regQ.P50}, {"q95", pair.P95, regQ.P95}, {"q99", pair.P99, regQ.P99}} {
+		// Both histograms share the registry's decade buckets.
+		pi, ri := bucketIndex(progNs, q.pair), bucketIndex(progNs, q.registry)
 		if d := pi - ri; d < -1 || d > 1 {
-			t.Errorf("q%.0f: pair bucket %d vs registry bucket %d (pair=%dns registry=%dns) — more than one decade apart",
-				q*100, pi, ri, pair.Quantile(q), progNs.Quantile(q))
+			t.Errorf("%s: pair bucket %d vs registry bucket %d (pair=%dns registry=%dns) — more than one decade apart",
+				q.name, pi, ri, q.pair, q.registry)
 		}
 	}
 }

@@ -81,9 +81,7 @@ func RunB11() *Report {
 		if err := e.RegisterProcess(proc); err != nil {
 			return outcome{}, err
 		}
-		res, err := e.RunFleet(engine.FleetOptions{
-			Process: proc.Name, N: fleet, Parallel: parallel, Log: g,
-		})
+		res, err := runFleet(e, proc.Name, fleet, parallel, g)
 		if err == nil && res.Failed > 0 {
 			err = fmt.Errorf("%d of %d instances failed: %v", res.Failed, fleet, res.Err)
 		}

@@ -27,64 +27,97 @@ func b12Percentile(lat []time.Duration, p float64) time.Duration {
 	return s[idx]
 }
 
-// b12Outcome is one scheduler configuration's measured behavior under a
-// fixed offered load.
-type b12Outcome struct {
-	accepted int
-	shed     int
-	wall     time.Duration
-	lat      []time.Duration // arrival -> completion, accepted tasks only
+// offered is what one offered-load run through a fleet measured (B12,
+// B14).
+type offered struct {
+	accepted   int
+	shed       int
+	failed     int // Submit errors other than a shed
+	rebalanced int64
+	wall       time.Duration
+	lat        []time.Duration // arrival -> completion, accepted instances only
 }
 
-// b12Offered drives an open-loop arrival process: n tasks of the given
-// service time, paced at the given inter-arrival interval, each admitted
-// with TrySubmit (shedding on a full queue). interval <= 0 degenerates to
-// a closed loop using blocking Submit — the no-overload baseline.
-func b12Offered(sched *engine.Scheduler, n int, service, interval time.Duration) b12Outcome {
-	lat := make([]time.Duration, n) // slot per task; only accepted slots written
-	accepted := make([]bool, n)
+// offerLoad submits n instances of process to f and waits for the fleet
+// to drain. interval > 0 is an open loop on an absolute schedule: arrival
+// i fires at start + i*interval regardless of how the fleet is coping
+// (that independence is what makes the load "offered" rather than
+// self-throttled), and latency is measured from the scheduled arrival, so
+// pacing overshoot counts against the fleet, not for it — coordinated
+// omission cannot flatter the numbers. interval <= 0 is a closed loop:
+// each arrival is the moment Submit is called. Whether a full fleet
+// blocks or sheds is its FleetConfig.Shed.
+func offerLoad(f *engine.Fleet, process string, n int, interval time.Duration) (offered, error) {
+	lat := make([]time.Duration, n) // slot per arrival; written on completion
+	var out offered
 	start := time.Now()
 	for i := 0; i < n; i++ {
+		arrive := time.Now()
 		if interval > 0 {
-			// Open loop: arrivals keep their own clock, independent of how
-			// the scheduler is coping (that independence is what makes the
-			// load "offered" rather than self-throttled).
-			if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
+			arrive = start.Add(time.Duration(i) * interval)
+			if d := time.Until(arrive); d > 0 {
 				time.Sleep(d)
 			}
 		}
 		i := i
-		arrived := time.Now()
-		task := func() {
-			time.Sleep(service)
-			lat[i] = time.Since(arrived)
-		}
-		if interval <= 0 {
-			sched.Submit(task)
-			accepted[i] = true
-			continue
-		}
-		if err := sched.TrySubmit(task); err == nil {
-			accepted[i] = true
-		}
-	}
-	sched.Wait()
-	out := b12Outcome{wall: time.Since(start), shed: int(sched.Sheds())}
-	for i, ok := range accepted {
-		if ok {
+		_, err := f.Submit(process, nil, func(_ *engine.Instance, err error) {
+			if err == nil {
+				lat[i] = time.Since(arrive)
+			}
+		})
+		if err == nil {
 			out.accepted++
-			out.lat = append(out.lat, lat[i])
+		} else if !errors.Is(err, engine.ErrOverloaded) {
+			out.failed++
 		}
 	}
-	return out
+	f.Drain()
+	out.wall = time.Since(start)
+	st := f.Stats()
+	out.shed, out.rebalanced = int(st.Shed), st.Rebalanced
+	for _, d := range lat {
+		if d > 0 {
+			out.lat = append(out.lat, d)
+		}
+	}
+	if len(out.lat) != out.accepted {
+		return out, fmt.Errorf("accepted %d instances but %d completed", out.accepted, len(out.lat))
+	}
+	return out, nil
 }
 
-// RunB12 measures overload behavior of the bounded admission scheduler.
-// A fleet of W workers serves fixed-cost tasks; capacity is W/service
-// tasks per second. The no-overload baseline runs closed-loop at exactly
-// that capacity. The overload rows then offer 2x capacity open-loop:
+// b12Offered runs n one-activity instances, whose program takes the given
+// service time, through a one-shard fleet of workers worker slots and a
+// maxQueue admission queue, paced at interval (see offerLoad). Open-loop
+// arrivals that meet a full queue are shed; the closed-loop baseline
+// (interval <= 0) blocks in Submit instead.
+func b12Offered(workers, maxQueue, n int, service, interval time.Duration) (offered, error) {
+	e := engine.New()
+	mustRegister(e, "ok", engine.ProgramFunc(func(inv *engine.Invocation) error {
+		time.Sleep(service)
+		return OKProgram(inv)
+	}))
+	proc := Chain("b12", 1)
+	if err := e.RegisterProcess(proc); err != nil {
+		return offered{}, err
+	}
+	f, err := engine.NewFleet(e, engine.FleetConfig{
+		Shards: 1, Parallel: workers, MaxQueue: maxQueue, Shed: interval > 0,
+	})
+	if err != nil {
+		return offered{}, err
+	}
+	defer f.Close()
+	return offerLoad(f, proc.Name, n, interval)
+}
+
+// RunB12 measures overload behavior of the fleet's bounded admission.
+// A one-shard fleet of W workers serves fixed-cost one-activity
+// instances; capacity is W/service instances per second. The no-overload
+// baseline runs closed-loop at exactly that capacity. The overload rows
+// then offer 2x capacity open-loop:
 //
-//   - with a bounded queue (2W) and shedding, the scheduler must keep
+//   - with a bounded queue (2W) and shedding, the fleet must keep
 //     accepted-work latency bounded — queue wait can never exceed the
 //     queue drain time — and keep goodput within 10% of the baseline
 //     (shedding rejects work instead of destroying throughput);
@@ -113,13 +146,13 @@ func RunB12() *Report {
 	)
 	interval := service / (2 * workers) // 2x capacity inter-arrival gap
 
-	row := func(mode string, queue string, offered string, out b12Outcome, vsBase float64) {
+	row := func(mode, queue, load string, out offered, vsBase float64) {
 		tps := float64(out.accepted) / out.wall.Seconds()
 		vs := "-"
 		if vsBase > 0 {
 			vs = fmt.Sprintf("%.2f", vsBase)
 		}
-		r.AddRow(mode, fmt.Sprint(workers), queue, offered,
+		r.AddRow(mode, fmt.Sprint(workers), queue, load,
 			fmt.Sprint(out.accepted), fmt.Sprint(out.shed),
 			fmt.Sprintf("%.0f", tps),
 			fmtNs(float64(b12Percentile(out.lat, 0.50).Nanoseconds())),
@@ -130,19 +163,20 @@ func RunB12() *Report {
 	}
 
 	// No-overload baseline: closed loop at capacity.
-	base := b12Offered(engine.NewBoundedScheduler(workers, 0), baseN, service, 0)
-	baseTps := float64(base.accepted) / base.wall.Seconds()
-	row("baseline closed-loop", "0", "capacity", base, 0)
-
+	base, err := b12Offered(workers, 0, baseN, service, 0)
 	// 2x overload, bounded queue, shedding.
-	shed := b12Offered(engine.NewBoundedScheduler(workers, maxQueue), overN, service, interval)
-	shedTps := float64(shed.accepted) / shed.wall.Seconds()
-	goodput := shedTps / baseTps
-	row("shed bounded-queue", fmt.Sprint(maxQueue), "2x capacity", shed, goodput)
-
+	shed, serr := b12Offered(workers, maxQueue, overN, service, interval)
 	// 2x overload, effectively unbounded queue: every arrival is accepted
 	// and the backlog turns into latency.
-	unbounded := b12Offered(engine.NewBoundedScheduler(workers, overN), overN, service, interval)
+	unbounded, uerr := b12Offered(workers, overN, overN, service, interval)
+	if err := errors.Join(err, serr, uerr); err != nil {
+		r.fail(fmt.Errorf("B12: %w", err))
+		return r
+	}
+	baseTps := float64(base.accepted) / base.wall.Seconds()
+	goodput := float64(shed.accepted) / shed.wall.Seconds() / baseTps
+	row("baseline closed-loop", "0", "capacity", base, 0)
+	row("shed bounded-queue", fmt.Sprint(maxQueue), "2x capacity", shed, goodput)
 	row("unbounded queue", fmt.Sprint(overN), "2x capacity", unbounded, 0)
 
 	var errs []error

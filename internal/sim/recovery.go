@@ -505,9 +505,7 @@ func RunE9() *Report {
 		}
 		g := wal.NewGroupCommitSegmented(slog, wal.GroupWithMetricsRegistry(obs.NewRegistry()))
 		track := &ackTrackingLog{inner: g}
-		res, err := engineWith(proc).RunFleet(engine.FleetOptions{
-			Process: proc.Name, N: fleet, Parallel: fleet, Log: track,
-		})
+		res, err := runFleet(engineWith(proc), proc.Name, fleet, fleet, track)
 		return track, slog, res, err
 	}
 	track, slog, baseRes, err := run(0)

@@ -58,24 +58,10 @@ func b14Workload() (*engine.Engine, *model.Process) {
 	return e, p
 }
 
-// b14Outcome is one shard count's measured behavior at the offered load.
-type b14Outcome struct {
-	accepted   int
-	shed       int
-	failed     int
-	rebalanced int64
-	wall       time.Duration
-	lat        []time.Duration // scheduled arrival -> completion, accepted only
-}
-
-// b14Offered drives the open-loop arrival process against a sharded
-// fleet: n arrivals paced at the given rate on an absolute schedule
-// (arrival i fires at start + i/rate regardless of how the fleet is
-// coping — coordinated omission cannot flatter the numbers, and latency
-// is measured from the scheduled arrival, so pacing overshoot counts
-// against the fleet, not for it). Every arrival is admitted with the
-// shedding policy; accepted work records arrival-to-completion latency.
-func b14Offered(shards int, rate float64, n int, dir string) (b14Outcome, error) {
+// b14Offered drives n arrivals at the given rate (see offerLoad) through
+// a shards-wide fleet rooted at dir, every arrival admitted with the
+// shedding policy.
+func b14Offered(shards int, rate float64, n int, dir string) (offered, error) {
 	e, p := b14Workload()
 	f, err := engine.NewFleet(e, engine.FleetConfig{
 		Shards: shards, Dir: dir, Parallel: b14Parallel,
@@ -83,52 +69,10 @@ func b14Offered(shards int, rate float64, n int, dir string) (b14Outcome, error)
 		Shed: true, GroupCommit: true,
 	})
 	if err != nil {
-		return b14Outcome{}, err
+		return offered{}, err
 	}
-	interval := time.Duration(float64(time.Second) / rate)
-	lat := make([]time.Duration, n)
-	done := make([]bool, n)
-	accepted := 0
-	failed := 0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		arrive := start.Add(time.Duration(i) * interval)
-		if d := time.Until(arrive); d > 0 {
-			time.Sleep(d)
-		}
-		i := i
-		_, err := f.Submit(p.Name, nil, func(_ *engine.Instance, err error) {
-			if err == nil {
-				lat[i] = time.Since(arrive)
-				done[i] = true
-			}
-		})
-		if err == nil {
-			accepted++
-		} else if !errors.Is(err, engine.ErrOverloaded) {
-			failed++
-		}
-	}
-	f.Drain()
-	out := b14Outcome{
-		accepted:   accepted,
-		failed:     failed,
-		wall:       time.Since(start),
-		rebalanced: f.Stats().Rebalanced,
-		shed:       int(f.Stats().Shed),
-	}
-	if err := f.Close(); err != nil {
-		return out, err
-	}
-	for i := range done {
-		if done[i] {
-			out.lat = append(out.lat, lat[i])
-		}
-	}
-	if len(out.lat) != accepted {
-		return out, fmt.Errorf("accepted %d instances but %d completed", accepted, len(out.lat))
-	}
-	return out, nil
+	out, err := offerLoad(f, p.Name, n, time.Duration(float64(time.Second)/rate))
+	return out, errors.Join(err, f.Close())
 }
 
 // RunB14 measures sharded-fleet scaling under a fixed open-loop offered

@@ -152,12 +152,12 @@ func appendBinaryBody(dst []byte, rec Record) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendRecordBinary appends one complete binary frame (length prefix,
+// appendRecordBinary appends one complete binary frame (length prefix,
 // CRC-32C, body) for rec to dst and returns the extended slice. It
 // allocates nothing when dst has spare capacity — the zero-allocation
 // hot path FileLog and GroupCommitLog batch buffers rely on. On error
 // dst is returned truncated to its original length.
-func AppendRecordBinary(dst []byte, rec Record) ([]byte, error) {
+func appendRecordBinary(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	bodyStart := len(dst)
@@ -169,12 +169,6 @@ func AppendRecordBinary(dst []byte, rec Record) ([]byte, error) {
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
 	return dst, nil
-}
-
-// MarshalBinary encodes rec as one binary frame body (without the length
-// and CRC prefix) — the binary analogue of Marshal.
-func MarshalBinary(rec Record) ([]byte, error) {
-	return appendBinaryBody(nil, rec)
 }
 
 // binReader is a cursor over a frame body with sticky out-of-bounds
@@ -410,9 +404,9 @@ func (s *scan) body(b []byte, rec *Record) (instance []byte, keep bool, err erro
 }
 
 // UnmarshalBinary decodes one binary frame body into a record — the
-// inverse of MarshalBinary, and the body walk of every scan with nothing
-// filtered. The accepted domain matches the text decoder: a record
-// UnmarshalBinary accepts always re-marshals in both formats.
+// inverse of the binary frame encoder, and the body walk of every scan
+// with nothing filtered. The accepted domain matches the text decoder:
+// a record UnmarshalBinary accepts always re-marshals in both formats.
 func UnmarshalBinary(b []byte) (Record, error) {
 	var s scan
 	var rec Record
@@ -429,7 +423,7 @@ func UnmarshalBinary(b []byte) (Record, error) {
 // capacity.
 func EncodeRecord(dst []byte, rec Record, f Format) ([]byte, error) {
 	if f == FormatBinary {
-		return AppendRecordBinary(dst, rec)
+		return appendRecordBinary(dst, rec)
 	}
 	b, err := Marshal(rec)
 	if err != nil {

@@ -44,13 +44,13 @@ func parityRecords() []Record {
 	}
 }
 
-// TestBinaryRoundTrip checks MarshalBinary/UnmarshalBinary invert each
+// TestBinaryRoundTrip checks appendBinaryBody/UnmarshalBinary invert each
 // other over the full parity corpus.
 func TestBinaryRoundTrip(t *testing.T) {
 	for i, rec := range parityRecords() {
-		body, err := MarshalBinary(rec)
+		body, err := appendBinaryBody(nil, rec)
 		if err != nil {
-			t.Fatalf("record %d: MarshalBinary: %v", i, err)
+			t.Fatalf("record %d: appendBinaryBody: %v", i, err)
 		}
 		got, err := UnmarshalBinary(body)
 		if err != nil {
@@ -72,13 +72,13 @@ func TestCrossFormatParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: Marshal: %v", i, err)
 		}
-		fromText, err := Unmarshal(jb)
+		fromText, err := unmarshal(jb)
 		if err != nil {
-			t.Fatalf("record %d: Unmarshal: %v", i, err)
+			t.Fatalf("record %d: unmarshal: %v", i, err)
 		}
-		bb, err := MarshalBinary(fromText) // text → binary conversion
+		bb, err := appendBinaryBody(nil, fromText) // text → binary conversion
 		if err != nil {
-			t.Fatalf("record %d: MarshalBinary(text-decoded): %v", i, err)
+			t.Fatalf("record %d: appendBinaryBody(nil, text-decoded): %v", i, err)
 		}
 		fromBinary, err := UnmarshalBinary(bb)
 		if err != nil {
@@ -92,9 +92,9 @@ func TestCrossFormatParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: Marshal(binary-decoded): %v", i, err)
 		}
-		back, err := Unmarshal(jb2)
+		back, err := unmarshal(jb2)
 		if err != nil {
-			t.Fatalf("record %d: Unmarshal(round 2): %v", i, err)
+			t.Fatalf("record %d: unmarshal(round 2): %v", i, err)
 		}
 		if !recordsEqual(back, fromBinary) {
 			t.Fatalf("record %d: binary→text conversion drifted: %+v vs %+v", i, back, fromBinary)
@@ -111,7 +111,7 @@ func TestEncodeDomainParity(t *testing.T) {
 	}
 	for i, rec := range bad {
 		_, terr := Marshal(rec)
-		_, berr := MarshalBinary(rec)
+		_, berr := appendBinaryBody(nil, rec)
 		if (terr == nil) != (berr == nil) {
 			t.Fatalf("record %d: encode domains diverge: text err %v, binary err %v", i, terr, berr)
 		}
@@ -125,7 +125,7 @@ func buildBinaryLog(t *testing.T, recs []Record) ([]byte, []int) {
 	bounds := []int{len(data)} // byte offset after the header and each frame
 	for _, r := range recs {
 		var err error
-		data, err = AppendRecordBinary(data, r)
+		data, err = appendRecordBinary(data, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestBinaryFileHeaderNegotiation(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader(FileHeader(9))); err == nil {
 		t.Fatal("unsupported format byte read strictly without error")
 	}
-	if _, _, err := ReadAllTolerant(bytes.NewReader(FileHeader(9))); err == nil {
+	if _, _, err := readAllTolerant(bytes.NewReader(FileHeader(9))); err == nil {
 		t.Fatal("unsupported format byte read tolerantly without error")
 	}
 	bogus := append([]byte{0xF5, 'X'}, textLog...)
@@ -188,7 +188,7 @@ func TestBinaryTornTailSweep(t *testing.T) {
 	}
 	for cut := 0; cut <= len(data); cut++ {
 		part := data[:cut]
-		got, dropped, err := ReadAllTolerant(bytes.NewReader(part))
+		got, dropped, err := readAllTolerant(bytes.NewReader(part))
 		if err != nil {
 			t.Fatalf("cut %d: tolerant read failed: %v", cut, err)
 		}
@@ -237,7 +237,7 @@ func TestBinaryMidLogCorruption(t *testing.T) {
 	// Flip a byte in the FINAL frame's body: torn tail, dropped.
 	tail := append([]byte{}, data...)
 	tail[bounds[3]-1] ^= 0xFF
-	got, dropped, err := ReadAllTolerant(bytes.NewReader(tail))
+	got, dropped, err := readAllTolerant(bytes.NewReader(tail))
 	if err != nil {
 		t.Fatalf("corrupt tail: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestBinaryMidLogCorruption(t *testing.T) {
 	// Flip a byte in the FIRST frame's body: mid-log corruption, error.
 	mid := append([]byte{}, data...)
 	mid[bounds[1]-1] ^= 0xFF
-	if _, _, err := ReadAllTolerant(bytes.NewReader(mid)); err == nil {
+	if _, _, err := readAllTolerant(bytes.NewReader(mid)); err == nil {
 		t.Fatal("mid-log corruption read tolerantly without error")
 	}
 	if _, err := ReadAll(bytes.NewReader(mid)); err == nil {
@@ -316,7 +316,7 @@ func TestStrictTolerantParityBothFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			strict, serr := ReadFile(path)
-			tol, dropped, terr := ReadFileTolerant(path)
+			tol, dropped, terr := readLog(path, false)
 			if serr != nil || terr != nil {
 				t.Fatalf("read errors: strict %v tolerant %v", serr, terr)
 			}
@@ -349,7 +349,7 @@ func TestLargeRecordStrictRead(t *testing.T) {
 	}
 	data := append(frameLine(jb), '\n')
 	strict, serr := ReadAll(bytes.NewReader(data))
-	tol, dropped, terr := ReadAllTolerant(bytes.NewReader(data))
+	tol, dropped, terr := readAllTolerant(bytes.NewReader(data))
 	if serr != nil || terr != nil {
 		t.Fatalf("read errors: strict %v tolerant %v", serr, terr)
 	}
@@ -500,7 +500,7 @@ func TestDecodersAgreeOnAnyMemberOrder(t *testing.T) {
 		canon := rec
 		canon.Values = ValuesOf(last)
 
-		body, err := MarshalBinary(rec)
+		body, err := appendBinaryBody(nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,12 +513,12 @@ func TestDecodersAgreeOnAnyMemberOrder(t *testing.T) {
 			line += `,"vals":{` + members[1:] + "}"
 		}
 		line += "}"
-		fromText, err := Unmarshal([]byte(line))
+		fromText, err := unmarshal([]byte(line))
 		if err != nil || !reflect.DeepEqual(fromText, canon) {
 			t.Fatalf("record %d %s: text decodes to %v (err=%v), want %v", i, line, fromText.Values, err, canon.Values)
 		}
 		recs, want = append(recs, rec), append(want, canon)
-		if log, err = AppendRecordBinary(log, rec); err != nil {
+		if log, err = appendRecordBinary(log, rec); err != nil {
 			t.Fatal(err)
 		}
 		text = append(appendTextFrame(text, []byte(line)), '\n')

@@ -193,14 +193,14 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return ParseCheckpoint(data, filepath.Base(path))
+	return parseCheckpoint(data, filepath.Base(path))
 }
 
-// ParseCheckpoint strictly decodes checkpoint bytes (see ReadCheckpoint)
+// parseCheckpoint strictly decodes checkpoint bytes (see ReadCheckpoint)
 // — the shared core for local files and archive-fetched blobs, so a
 // blob corrupted in the archive is CRC-rejected exactly like a damaged
 // local file. name labels errors.
-func ParseCheckpoint(data []byte, name string) (*Checkpoint, error) {
+func parseCheckpoint(data []byte, name string) (*Checkpoint, error) {
 	lines := bytes.Split(data, []byte("\n"))
 	// A well-formed file ends with a newline, so the final split element is
 	// empty; any other empty line is malformed enough to reject implicitly

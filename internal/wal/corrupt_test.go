@@ -1,11 +1,31 @@
 package wal
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// readAllTolerant decodes a log stream in either on-disk format,
+// tolerating a torn or corrupt final record by dropping it — the
+// non-mutating read of what RepairFile would keep. It returns the
+// surviving records and the number of trailing bytes discarded (0 when
+// the log is clean). Corruption anywhere but the tail is still an error.
+func readAllTolerant(r io.Reader) ([]Record, int, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: %w", err)
+	}
+	s := newScan("")
+	_, dropped, err := s.log(data, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.recs, dropped, nil
+}
 
 // writeFileLog writes the sample records to path through a FileLog.
 func writeFileLog(t *testing.T, path string, recs []Record, opts ...FileOption) {
@@ -60,7 +80,7 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 		t.Fatalf("bit rot not detected: %v", err)
 	}
 	// As tail corruption it is tolerated, dropping only the last record.
-	recs, dropped, err := ReadFileTolerant(path)
+	recs, dropped, err := readLog(path, false)
 	if err != nil || len(recs) != len(sampleRecords())-1 || dropped == 0 {
 		t.Fatalf("tolerant read: %d records, %d dropped, %v", len(recs), dropped, err)
 	}
@@ -82,7 +102,7 @@ func TestTornTailToleratedAndRepaired(t *testing.T) {
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("strict read accepted a torn tail")
 	}
-	recs, dropped, err := ReadFileTolerant(path)
+	recs, dropped, err := readLog(path, false)
 	if err != nil || len(recs) != len(sampleRecords())-1 || dropped == 0 {
 		t.Fatalf("tolerant read: %d records, %d dropped, %v", len(recs), dropped, err)
 	}
@@ -114,7 +134,7 @@ func TestMidLogCorruptionRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFileTolerant(path); err == nil {
+	if _, _, err := readLog(path, false); err == nil {
 		t.Fatal("mid-log corruption tolerated")
 	}
 	if _, _, err := RepairFile(path); err == nil {
@@ -130,7 +150,7 @@ func TestEmptyLogFile(t *testing.T) {
 	if recs, err := ReadFile(path); err != nil || len(recs) != 0 {
 		t.Fatalf("strict: %d records, %v", len(recs), err)
 	}
-	if recs, dropped, err := ReadFileTolerant(path); err != nil || len(recs) != 0 || dropped != 0 {
+	if recs, dropped, err := readLog(path, false); err != nil || len(recs) != 0 || dropped != 0 {
 		t.Fatalf("tolerant: %d records, %d dropped, %v", len(recs), dropped, err)
 	}
 	if _, truncated, err := RepairFile(path); err != nil || truncated != 0 {
@@ -156,7 +176,7 @@ func TestLegacyPlainJSONLinesAccepted(t *testing.T) {
 	if err != nil || len(recs) != len(sampleRecords()) {
 		t.Fatalf("strict: %d records, %v", len(recs), err)
 	}
-	recs, dropped, err := ReadFileTolerant(path)
+	recs, dropped, err := readLog(path, false)
 	if err != nil || len(recs) != len(sampleRecords()) || dropped != 0 {
 		t.Fatalf("tolerant: %d records, %d dropped, %v", len(recs), dropped, err)
 	}

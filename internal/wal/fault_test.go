@@ -239,7 +239,7 @@ func TestWriteCheckpointFSFault(t *testing.T) {
 
 // A sticky fault keeps failing matching operations; Fired reports it.
 func TestFaultFSSticky(t *testing.T) {
-	fs := NewFaultFS(FaultEIO, 1, FaultSticky())
+	fs := NewFaultFS(FaultEIO, 1, faultSticky())
 	f, err := fs.Create(filepath.Join(t.TempDir(), "x"))
 	if err != nil {
 		t.Fatal(err)

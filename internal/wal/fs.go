@@ -141,10 +141,10 @@ type FaultFS struct {
 // FaultOption configures a FaultFS.
 type FaultOption func(*FaultFS)
 
-// FaultSticky makes every matching operation from the scheduled one
+// faultSticky makes every matching operation from the scheduled one
 // onward fail, modeling a disk that stays broken rather than a transient
 // fault.
-func FaultSticky() FaultOption {
+func faultSticky() FaultOption {
 	return func(fs *FaultFS) { fs.sticky = true }
 }
 

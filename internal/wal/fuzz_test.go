@@ -39,11 +39,11 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		Values: ValuesOf(map[string]expr.Value{"": expr.String_(""), "crlf": expr.String_("a\r\nb\x00c")}),
 	}
 	binLog := FileHeader(FormatBinary)
-	binLog, err = AppendRecordBinary(binLog, rec)
+	binLog, err = appendRecordBinary(binLog, rec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	binLog, err = AppendRecordBinary(binLog, nasty)
+	binLog, err = appendRecordBinary(binLog, nasty)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	seeds = append(seeds, append(FileHeader(FormatText), clean...), append(frameLine(nb), '\n'))
 
 	for _, r := range []Record{rec, nasty, {Type: "custom", Instance: "i2", Process: "P"}} {
-		body, err := MarshalBinary(r)
+		body, err := appendBinaryBody(nil, r)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func FuzzReadRecords(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, serr := ReadAll(bytes.NewReader(data))
-		tol, dropped, terr := ReadAllTolerant(bytes.NewReader(data))
+		tol, dropped, terr := readAllTolerant(bytes.NewReader(data))
 		if serr == nil {
 			if terr != nil {
 				t.Fatalf("strict read ok but tolerant failed: %v", terr)
@@ -97,7 +97,7 @@ func FuzzReadRecords(f *testing.F) {
 			if _, err := Marshal(r); err != nil {
 				t.Fatalf("accepted record does not re-marshal as text: %v", err)
 			}
-			if _, err := MarshalBinary(r); err != nil {
+			if _, err := appendBinaryBody(nil, r); err != nil {
 				t.Fatalf("accepted record does not re-marshal as binary: %v", err)
 			}
 		}

@@ -30,7 +30,7 @@ var ErrLogClosed = errors.New("wal: log closed")
 //
 // The on-disk format is unchanged — batches carry exactly the frames the
 // inner log would have written itself, in the inner log's format (text
-// lines or binary frames) — so ReadFileTolerant / RepairFile recover a
+// lines or binary frames) — so RepairFile recovers a
 // group-committed log exactly as a per-record one: a crash mid-flush
 // tears at most the final record, and only records of the torn batch
 // (none of which were acknowledged) can be lost. The E8 soak kills the

@@ -199,7 +199,7 @@ func loadCheckpoint(dir string, store Store) (*Checkpoint, string, error) {
 		data, err := store.Get(b.Path)
 		if err == nil {
 			var cp *Checkpoint
-			if cp, err = ParseCheckpoint(data, b.Path); err == nil {
+			if cp, err = parseCheckpoint(data, b.Path); err == nil {
 				fetched(b.Path, len(data))
 				return cp, SourceArchiveCheckpoint, nil
 			}

@@ -22,8 +22,8 @@
 // the action it must precede (the classic WAL contract — slower, but a
 // kernel or power failure can lose at most the records being written).
 // Without fsync a crash can lose the buffered tail; either way Close
-// flushes and syncs. Recovery reads with ReadFileTolerant or
-// RepairFile tolerate a torn or corrupt *final* record — the signature a
+// flushes and syncs. Recovery (RepairFile, and the Ladder that calls it)
+// tolerates a torn or corrupt *final* record — the signature a
 // crash mid-append leaves behind — by truncating to the valid prefix;
 // corruption in the middle of the log (valid records after a bad line) is
 // reported as an error because it means lost history, not a torn tail.
@@ -240,7 +240,7 @@ func crc32Checksum(body []byte) uint32 { return crc32.Checksum(body, crcTable) }
 // unverified so pre-checksum logs stay readable.
 func parseLine(line []byte) (Record, error) {
 	if len(line) > 0 && line[0] == '{' {
-		return Unmarshal(line)
+		return unmarshal(line)
 	}
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, errors.New("wal: malformed record frame")
@@ -253,7 +253,7 @@ func parseLine(line []byte) (Record, error) {
 	if got := crc32Checksum(body); got != want {
 		return Record{}, fmt.Errorf("wal: record checksum mismatch (want %08x, got %08x)", want, got)
 	}
-	return Unmarshal(body)
+	return unmarshal(body)
 }
 
 // FileLog appends CRC-framed JSON-line records to a file. It is safe for
@@ -516,8 +516,8 @@ func Marshal(rec Record) ([]byte, error) {
 	return json.Marshal(jr)
 }
 
-// Unmarshal decodes one JSON line into a record.
-func Unmarshal(b []byte) (Record, error) {
+// unmarshal decodes one JSON line into a record.
+func unmarshal(b []byte) (Record, error) {
 	var jr jsonRecord
 	if err := json.Unmarshal(b, &jr); err != nil {
 		return Record{}, fmt.Errorf("wal: %w", err)
@@ -578,8 +578,8 @@ func decodeValue(jv jsonValue) (expr.Value, error) {
 // on-disk format: the file header (or its absence) selects the framing —
 // CRC-framed text lines (legacy plain-JSON lines are also accepted) or
 // length-prefixed binary frames. Any undecodable or checksum-failing
-// record is an error — use ReadAllTolerant to accept a log with a torn
-// tail. Strict and tolerant reads share one scanning core (scan.log), so
+// record is an error — RepairFile (or the Ladder) cuts a torn tail.
+// Strict and tolerant reads share one scanning core (scan.log), so
 // a log RepairFile pronounces clean always reads back strictly.
 func ReadAll(r io.Reader) ([]Record, error) {
 	data, err := io.ReadAll(r)
@@ -601,30 +601,6 @@ func ReadFile(path string) ([]Record, error) {
 	}
 	defer f.Close()
 	return ReadAll(f)
-}
-
-// ReadAllTolerant decodes a log stream in either on-disk format,
-// tolerating a torn or corrupt final record by dropping it. It returns
-// the surviving records and the number of trailing bytes discarded (0
-// when the log is clean). Corruption anywhere but the tail is still an
-// error.
-func ReadAllTolerant(r io.Reader) ([]Record, int, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	s := newScan("")
-	_, dropped, err := s.log(data, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.recs, dropped, nil
-}
-
-// ReadFileTolerant reads a file-backed log, tolerating a torn tail (see
-// ReadAllTolerant); the file is not modified.
-func ReadFileTolerant(path string) ([]Record, int, error) {
-	return readLog(path, false)
 }
 
 // RepairFile implements truncate-and-resume recovery for a file log in

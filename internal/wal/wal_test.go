@@ -35,9 +35,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Marshal(%+v): %v", rec, err)
 		}
-		got, err := Unmarshal(b)
+		got, err := unmarshal(b)
 		if err != nil {
-			t.Fatalf("Unmarshal(%s): %v", b, err)
+			t.Fatalf("unmarshal(%s): %v", b, err)
 		}
 		if !recordsEqual(rec, got) {
 			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", rec, got)
@@ -66,13 +66,13 @@ func TestMarshalRejectsNull(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte("{not json")); err == nil {
+	if _, err := unmarshal([]byte("{not json")); err == nil {
 		t.Error("bad json accepted")
 	}
-	if _, err := Unmarshal([]byte(`{"t":"done","inst":"i","vals":{"x":{"k":"Z"}}}`)); err == nil {
+	if _, err := unmarshal([]byte(`{"t":"done","inst":"i","vals":{"x":{"k":"Z"}}}`)); err == nil {
 		t.Error("unknown value kind accepted")
 	}
-	if _, err := Unmarshal([]byte(`{"t":"done","inst":"i","vals":{"x":{"k":"I","i":"abc"}}}`)); err == nil {
+	if _, err := unmarshal([]byte(`{"t":"done","inst":"i","vals":{"x":{"k":"I","i":"abc"}}}`)); err == nil {
 		t.Error("bad integer accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestQuickValueCodec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(data)
+		got, err := unmarshal(data)
 		if err != nil {
 			return false
 		}
