@@ -33,9 +33,10 @@ type ladderRow struct {
 	// the recovering one included — may change a byte on disk.
 	fails bool
 
-	rung string // rung every walk must report
-	read int    // records a walk reads, checkpoint plus tail, per log
-	done int    // instances the chosen checkpoint already marks finished, per log
+	rung      string // rung every walk must report
+	read      int    // records a walk reads, checkpoint plus tail, per log
+	done      int    // instances the chosen checkpoint already marks finished, per log
+	fallbacks int64  // damaged checkpoints a walk skips (recover.checkpoint_fallbacks), per log
 }
 
 const (
@@ -51,9 +52,9 @@ func ladderRows() []ladderRow {
 		{name: "segment dir without checkpoint", rung: wal.SourceFullReplay, read: whole},
 		{name: "newest checkpoint", passes: 3, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
 		{name: "damaged newest -> previous", passes: 3, damage: damageNewestCheckpoint,
-			rung: wal.SourcePreviousCheckpoint, read: 25, done: 2},
+			rung: wal.SourcePreviousCheckpoint, read: 25, done: 2, fallbacks: 1},
 		{name: "every checkpoint damaged -> full replay", passes: 1, damage: damageNewestCheckpoint,
-			rung: wal.SourceFullReplay, read: whole},
+			rung: wal.SourceFullReplay, read: whole, fallbacks: 1},
 		{name: "leftover .tmp", passes: 3, damage: func(t *testing.T, dir, _ string) {
 			writeFile(t, filepath.Join(dir, "ckpt-999999.ckpt.tmp"), []byte("garbage"))
 		}, rung: wal.SourceNewestCheckpoint, read: 22, done: 2},
@@ -327,12 +328,13 @@ func readTree(t *testing.T, root string) map[string]string {
 // create → write → crash → (damage) → reopen through the ladder → compare
 // with the crash-free run, for every row × {text, binary} × {the
 // recovering walk, the non-mutating walk}. Each cell asserts the rung, the
-// records read, the torn tail, and that every instance is either marked
-// finished by the checkpoint or recovered to the crash-free trail, output
-// and snapshot; the non-mutating walk must in addition leave every file
-// byte-identical and wal.recovery.* untouched. A row marked fails asserts
-// the opposite contract: both walks fail, twice with one error, and the
-// recovering walk repairs nothing it met on the way to that error.
+// records read, the damaged checkpoints skipped, the torn tail, and that
+// every instance is either marked finished by the checkpoint or recovered
+// to the crash-free trail, output and snapshot; the non-mutating walk must
+// in addition leave every file byte-identical and wal.recovery.*
+// untouched. A row marked fails asserts the opposite contract: both walks
+// fail, twice with one error, and the recovering walk repairs nothing it
+// met on the way to that error.
 func TestLadderTable(t *testing.T) {
 	// The crash-free run: every instance has the same trail and output.
 	wantTrail := fmt.Sprint(baselineTrail(t))
@@ -348,6 +350,7 @@ func TestLadderTable(t *testing.T) {
 
 	repairs := obs.Default.Counter("wal.recovery.repairs")
 	repaired := obs.Default.Counter("wal.recovery.records")
+	fallbacks := obs.Default.Counter("recover.checkpoint_fallbacks")
 	for _, row := range ladderRows() {
 		for _, format := range []wal.Format{wal.FormatText, wal.FormatBinary} {
 			for _, mutate := range []bool{true, false} {
@@ -385,6 +388,7 @@ func TestLadderTable(t *testing.T) {
 						var h *wal.History
 						var got []*Instance
 						var err error
+						fallbacks0 := fallbacks.Value()
 						if mutate {
 							got, h, err = RecoverLadder(e, l, nil)
 						} else if h, err = l.Read(); err == nil {
@@ -396,6 +400,9 @@ func TestLadderTable(t *testing.T) {
 						if h.Rung != row.rung || h.Len() != row.read || len(h.Done()) != row.done {
 							t.Fatalf("%s: rung %q read %d done %d, want %q %d %d",
 								l.Path, h.Rung, h.Len(), len(h.Done()), row.rung, row.read, row.done)
+						}
+						if d := fallbacks.Value() - fallbacks0; d != row.fallbacks {
+							t.Fatalf("%s: %d damaged checkpoints skipped, want %d", l.Path, d, row.fallbacks)
 						}
 						if h.Torn == 0 {
 							t.Fatalf("%s: the crash's torn record went unnoticed", l.Path)

@@ -13,8 +13,8 @@ func TestE12ArchiveSoak(t *testing.T) {
 	if !rep.Pass {
 		t.Fatalf("E12 failed:\n%s", rep)
 	}
-	if len(rep.Rows) != 11 {
-		t.Errorf("E12: rows=%d, want 11 (6 crash-sweep + 4 fault-kind + 1 rung)", len(rep.Rows))
+	if len(rep.Rows) != 10 {
+		t.Errorf("E12: rows=%d, want 10 (6 crash-sweep + 4 fault-kind)", len(rep.Rows))
 	}
 }
 

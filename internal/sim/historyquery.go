@@ -137,7 +137,7 @@ func runE13Fleet(dir string, n int) (*e13Scenario, error) {
 	})
 	defer detach()
 
-	e, proc := travelWorkloadOpts(
+	e, proc := travelWorkload(
 		engine.WithMetrics(s.reg),
 		engine.WithBus(bus),
 		engine.WithTrailObserver(func(inst *engine.Instance, _ engine.Event) {
@@ -161,7 +161,7 @@ func runE13Fleet(dir string, n int) (*e13Scenario, error) {
 		return nil, fmt.Errorf("fleet: finished %d of %d (failed %d: %v)", res.Finished, n, res.Failed, res.Err)
 	}
 	s.build = func(opts ...engine.Option) (*engine.Engine, error) {
-		e, _ := travelWorkloadOpts(opts...)
+		e, _ := travelWorkload(opts...)
 		return e, nil
 	}
 	s.onDisk = &history.Source{WAL: dir}
@@ -208,13 +208,13 @@ func RunE13() *Report {
 	defer os.RemoveAll(dir)
 
 	scenarios := make([]*e13Scenario, 0, 3)
-	if s, err := runE13Single("travel saga abort@book_car", travelWorkloadOpts); err == nil {
+	if s, err := runE13Single("travel saga abort@book_car", travelWorkload); err == nil {
 		scenarios = append(scenarios, s)
 	} else {
 		r.Pass, r.Err = false, err
 		return r
 	}
-	if s, err := runE13Single("flexible Fig.3 abort@T6", flexibleWorkloadOpts); err == nil {
+	if s, err := runE13Single("flexible Fig.3 abort@T6", flexibleWorkload); err == nil {
 		scenarios = append(scenarios, s)
 	} else {
 		r.Pass, r.Err = false, err

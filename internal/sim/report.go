@@ -95,3 +95,16 @@ func (r *Report) String() string {
 	}
 	return sb.String()
 }
+
+// fail marks the report failed with err.
+func (r *Report) fail(err error) {
+	r.Pass = false
+	r.Err = err
+}
+
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
+	}
+	return "NO"
+}

@@ -7,11 +7,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/model"
-	"repro/internal/wal"
 )
 
 // B14 workload shape: a chain of b14Chain activities whose program
@@ -184,221 +182,4 @@ func RunB14() *Report {
 		r.Err = errors.Join(errs...)
 	}
 	return r
-}
-
-// e11Fleet builds the E11 sharded travel-saga fleet over root. victim <
-// 0 runs crash-free; otherwise the file system beneath that shard's
-// segments dies at byte b. track receives each shard's ack-tracking
-// wrapper.
-func e11Fleet(root string, victim int, b int64, track []*ackTrackingLog) (*engine.Fleet, string, error) {
-	e, proc := travelWorkload()
-	f, err := engine.NewFleet(e, engine.FleetConfig{
-		Shards: e11Shards, Dir: root, Parallel: 2, MaxQueue: e11FleetN,
-		NoRebalance: true, // placement must be pure hash: the sweep relies on a stable victim
-		GroupCommit: true, SegmentMaxRecords: 8,
-		FS: func(shard int) wal.FS {
-			if shard == victim {
-				return wal.NewFaultFS(wal.FaultCrash, b)
-			}
-			return wal.OSFS{}
-		},
-		WrapLog: func(shard int, log wal.Log) wal.Log {
-			track[shard] = &ackTrackingLog{inner: log}
-			return track[shard]
-		},
-	})
-	return f, proc, err
-}
-
-// E11 scale: e11FleetN saga instances over e11Shards shards.
-const (
-	e11Shards = 3
-	e11FleetN = 6
-)
-
-// RunE11 is the shard-crash soak: a sharded fleet runs the travel saga
-// (book_car aborts, so every instance takes the compensation path) with
-// the file system beneath one shard's group-commit WAL killed at a byte
-// (FleetConfig.FS, wal.FaultCrash) — at every frame end and torn cut of
-// the victim's crash-free run — while the other shards keep serving. The
-// victim's two workers share batches, so a rerun puts other bytes at the
-// cut: any cut is fair. After each crash the fleet directory is recovered
-// with RecoverFleet (per-shard repair + checkpoint ladder). The soak
-// passes only if, at every crash point:
-//
-//   - the crash left exactly the bytes below the cut in the victim's
-//     directory, torn iff the cut is not a frame end of what was written;
-//   - every instance placed on a surviving shard still finishes during
-//     the crashed run (shard isolation: one shard's storage death does
-//     not take the fleet down);
-//   - no append acknowledged by the victim shard is missing after its
-//     directory is repaired (zero acked-append loss);
-//   - every recovered instance — the victim's partial instances resumed
-//     and re-driven — finishes with the crash-free baseline's output and
-//     audit trail (output-identical recovery);
-//   - the compensation-ordering oracle (saga.CheckGuarantee) holds on
-//     every recovered instance's program history.
-func RunE11() *Report {
-	r := &Report{
-		ID:      "E11",
-		Title:   "shard-crash soak: byte-offset crash of one shard at every frame end and torn cut, survivors serve, recovery exact",
-		Columns: []string{"mode", "shards", "fleet", "victim", "crash points", "survivors ok", "acks lost", "recovered ok", "oracle ok"},
-		Pass:    true,
-	}
-	spec := TravelSaga()
-	root, err := os.MkdirTemp("", "wfsoak-shard")
-	if err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	defer os.RemoveAll(root)
-
-	// Crash-free baseline: one instance's output and trail (every
-	// instance runs the identical workload).
-	be, bproc := travelWorkload()
-	base, err := be.CreateInstance(bproc, nil, nil)
-	if err == nil {
-		err = base.Start()
-	}
-	if err != nil || !base.Finished() {
-		r.Pass = false
-		r.Err = fmt.Errorf("E11 baseline: %v", err)
-		return r
-	}
-	baseTrail := fmt.Sprint(trailStrings(base))
-
-	// Clean fleet run: find the victim (the shard carrying the most
-	// records) and its batch-boundary count, and pin down placement.
-	track := make([]*ackTrackingLog, e11Shards)
-	f, proc, err := e11Fleet(filepath.Join(root, "clean"), -1, 0, track)
-	if err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	res, err := f.Run(proc, e11FleetN, nil)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && res.Finished != e11FleetN {
-		err = fmt.Errorf("clean run finished %d of %d: %v", res.Finished, e11FleetN, res.Err)
-	}
-	if err != nil {
-		r.Pass = false
-		r.Err = fmt.Errorf("E11 clean run: %w", err)
-		return r
-	}
-	victim, boundaries := 0, 0
-	for s, tr := range track {
-		if n := len(tr.acked); n > boundaries {
-			victim, boundaries = s, n
-		}
-	}
-	ends, err := wal.FrameEnds(filepath.Join(root, "clean", engine.ShardDirName(victim)))
-	if err != nil || len(ends) != boundaries || !track[victim].batched() {
-		r.fail(fmt.Errorf("E11 clean run: victim wrote %d frames for %d acks (%v), batch path ran: %v",
-			len(ends), boundaries, err, track[victim].batched()))
-		return r
-	}
-	// Instances homed on the victim vs. survivors (placement is pure
-	// hash with NoRebalance, so it is identical in every run).
-	onVictim := make(map[string]bool)
-	for i := 1; i <= e11FleetN; i++ {
-		id := fmt.Sprintf("inst-%d", i)
-		if engine.ShardFor(id, e11Shards) == victim {
-			onVictim[id] = true
-		}
-	}
-	survivors := e11FleetN - len(onVictim)
-	if len(onVictim) == 0 || survivors == 0 {
-		r.Pass = false
-		r.Err = fmt.Errorf("E11: degenerate placement, %d of %d instances on victim shard %d",
-			len(onVictim), e11FleetN, victim)
-		return r
-	}
-
-	for _, mode := range crashModes {
-		okSurvivors, okAcks, okRecovered, okOracle := true, true, true, true
-		acksLost := 0
-		for crashAt := 1; crashAt < boundaries; crashAt++ {
-			runRoot := filepath.Join(root, fmt.Sprintf("%s-%d", mode.name[:5], crashAt))
-			tr := make([]*ackTrackingLog, e11Shards)
-			b := wal.CrashCut(ends, crashAt, mode.torn)
-			f, proc, err := e11Fleet(runRoot, victim, b, tr)
-			if err != nil {
-				r.fail(fmt.Errorf("E11 %s@%d: %w", mode.name, crashAt, err))
-				return r
-			}
-			res, err := f.Run(proc, e11FleetN, nil)
-			f.Close() // the victim's crashed log seals with ErrCrash; tolerated
-			if err != nil {
-				r.fail(fmt.Errorf("E11 %s@%d run: %w", mode.name, crashAt, err))
-				return r
-			}
-			// The crash must have fired on the victim...
-			if res.Failed == 0 || !errors.Is(res.Err, wal.ErrCrash) {
-				okSurvivors = false
-			}
-			// ...while every survivor-shard instance finished.
-			if res.Finished < survivors {
-				okSurvivors = false
-			}
-			// Zero acked-append loss on the repaired victim directory.
-			vdir := filepath.Join(runRoot, engine.ShardDirName(victim))
-			clean, cerr := crashLeft(vdir, b)
-			whole, err := wal.Ladder{Path: vdir, Full: true}.Recover()
-			if cerr != nil || err != nil || (whole.Torn == 0) != clean {
-				r.fail(fmt.Errorf("E11 %s@%d repair after a clean=%v cut: %v, %v", mode.name, crashAt, clean, cerr, err))
-				return r
-			}
-			if n := tr[victim].lost(whole.Tail); n > 0 {
-				okAcks = false
-				acksLost += n
-			}
-			// Recover the whole fleet directory; every recovered instance
-			// must reproduce the baseline exactly and satisfy the oracle.
-			re, _ := travelWorkload()
-			insts, err := engine.RecoverFleet(re, runRoot, nil)
-			if err != nil || len(insts) < survivors {
-				okRecovered = false
-			}
-			for _, inst := range insts {
-				if !inst.Finished() || !inst.Output().Equal(base.Output()) ||
-					fmt.Sprint(trailStrings(inst)) != baseTrail {
-					okRecovered = false
-				}
-				if err := saga.CheckGuarantee(spec, sagaEventsFromRuns(spec, inst)); err != nil {
-					okOracle = false
-				}
-			}
-			os.RemoveAll(runRoot)
-		}
-		ok := okSurvivors && okAcks && okRecovered && okOracle
-		if !ok {
-			r.Pass = false
-			if r.Err == nil {
-				r.Err = fmt.Errorf("E11 %s: survivors=%v acks=%v recovered=%v oracle=%v",
-					mode.name, okSurvivors, okAcks, okRecovered, okOracle)
-			}
-		}
-		r.AddRow(mode.name, fmt.Sprint(e11Shards), fmt.Sprint(e11FleetN),
-			fmt.Sprintf("shard-%02d (%d inst)", victim, len(onVictim)),
-			fmt.Sprint(boundaries-1), yesNo(okSurvivors), fmt.Sprint(acksLost),
-			yesNo(okRecovered), yesNo(okOracle))
-	}
-	return r
-}
-
-// fail marks the report failed with err.
-func (r *Report) fail(err error) {
-	r.Pass = false
-	r.Err = err
-}
-
-func yesNo(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "NO"
 }

@@ -13,7 +13,9 @@ import (
 	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/fmtm"
 	"repro/internal/model"
+	"repro/internal/rm"
 )
 
 // OKProgram commits immediately.
@@ -138,6 +140,66 @@ func NStepSaga(name string, n int) *saga.Spec {
 		})
 	}
 	return s
+}
+
+// TravelSaga is the running example of the paper's §4.1: book a flight, a
+// hotel and a car, with a cancellation compensating each booking.
+func TravelSaga() *saga.Spec {
+	return &saga.Spec{
+		Name: "travel",
+		Steps: []saga.Step{
+			{Name: "book_flight", Compensation: "cancel_flight"},
+			{Name: "book_hotel", Compensation: "cancel_hotel"},
+			{Name: "book_car", Compensation: "cancel_car"},
+		},
+	}
+}
+
+// travelWorkload builds an engine with opts running the travel saga with
+// book_car aborting, so every execution takes the compensation path.
+func travelWorkload(opts ...engine.Option) (*engine.Engine, string) {
+	spec := TravelSaga()
+	e := engine.New(opts...)
+	if err := fmtm.RegisterRuntime(e); err != nil {
+		panic(err)
+	}
+	inj := rm.NewInjector()
+	inj.AbortAlways("book_car") // forces the compensation path
+	if err := fmtm.RegisterSaga(e, spec, fmtm.PureSagaBinding(spec), inj, &rm.Recorder{}); err != nil {
+		panic(err)
+	}
+	p, err := fmtm.TranslateSaga(spec, fmtm.SagaOptions{})
+	if err != nil {
+		panic(err)
+	}
+	if err := e.RegisterProcess(p); err != nil {
+		panic(err)
+	}
+	return e, spec.Name
+}
+
+// flexibleWorkload builds an engine with opts running the Figure 3
+// flexible transaction with T6 aborting (C5 compensates, alternate path
+// via T7).
+func flexibleWorkload(opts ...engine.Option) (*engine.Engine, string) {
+	spec := Fig3Flexible()
+	e := engine.New(opts...)
+	if err := fmtm.RegisterRuntime(e); err != nil {
+		panic(err)
+	}
+	inj := rm.NewInjector()
+	inj.AbortAlways("T6")
+	if err := fmtm.RegisterFlexible(e, spec, fmtm.PureFlexibleBinding(spec), inj, &rm.Recorder{}); err != nil {
+		panic(err)
+	}
+	p, err := fmtm.TranslateFlexible(spec)
+	if err != nil {
+		panic(err)
+	}
+	if err := e.RegisterProcess(p); err != nil {
+		panic(err)
+	}
+	return e, spec.Name
 }
 
 // Fig3Flexible is the paper's Figure 3 example.
