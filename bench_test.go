@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/atm/flexible"
+	"repro/internal/atm/gen"
 	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/fdl"
@@ -228,9 +229,9 @@ func BenchmarkTranslateSaga(b *testing.B) {
 }
 
 func BenchmarkTranslateFlexible(b *testing.B) {
-	for _, pivots := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("pivots=%d", pivots), func(b *testing.B) {
-			spec := sim.RandomFlexible("f", rand.New(rand.NewSource(1)), pivots)
+	for _, subs := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			spec := gen.New(gen.Flexible, 1, gen.Config{MaxSteps: subs, MaxDepth: subs, MaxBranch: 3}).Flexible
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fmtm.TranslateFlexible(spec); err != nil {

@@ -1,10 +1,8 @@
 package flexible
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rm"
 )
@@ -399,146 +397,33 @@ func TestSegmentsFrom(t *testing.T) {
 	}
 }
 
-// TestQuickAtomicity: for randomly generated well-formed specs and random
-// abort scripts, execution either commits along some declared path or
-// aborts with every committed compensatable compensated (checked through
-// the history: commits of compensatables not on the final path must be
-// followed by their compensation).
-func TestQuickAtomicity(t *testing.T) {
-	f := func(seed int64) bool {
-		spec, inj := genSpec(seed)
-		trie, err := BuildTrie(spec)
-		if err != nil {
-			return true // generator made an invalid spec; skip
-		}
-		if err := trie.CheckWellFormed(); err != nil {
-			return true // skip ill-formed
-		}
-		rec := &rm.Recorder{}
-		ex := &Executor{Decider: inj, MaxRetries: 100}
-		res, err := ex.Execute(spec, bindPure(spec), rec)
-		if err != nil {
-			// The random script may abort a retriable subtransaction
-			// forever; the bounded retry loop surfaces that as an error by
-			// design. Such runs prove nothing about atomicity — skip.
-			if strings.Contains(err.Error(), "did not commit after") {
-				return true
-			}
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		// Atomicity over the observable history.
-		onPath := map[string]bool{}
-		for _, n := range res.Path {
-			onPath[n] = true
-		}
-		compensated := map[string]bool{}
-		committed := map[string]bool{}
-		for _, e := range rec.Events() {
-			if e.Kind != rm.EvCommit {
-				continue
-			}
-			if sub := spec.Sub(e.Name); sub != nil {
-				committed[e.Name] = true
-			} else {
-				// a compensation committed: find its subject
-				for _, s := range spec.Subs {
-					if s.Compensation == e.Name {
-						compensated[s.Name] = true
-					}
-				}
-			}
-		}
-		for name := range committed {
-			if onPath[name] || compensated[name] {
-				continue
-			}
-			sub := spec.Sub(name)
-			if sub.Compensatable {
-				t.Logf("seed %d: committed %s neither on final path nor compensated\nhistory: %s",
-					seed, name, history(rec))
-				return false
-			}
-			// Non-compensatable committed off the final path can only be
-			// an ancestor shared with the final path... which IS on the
-			// path. So this is a violation too — unless the transaction
-			// aborted, which well-formedness forbids after a pivot commit.
-			if res.Committed {
-				t.Logf("seed %d: pivot %s committed off the committed path", seed, name)
-				return false
-			}
-			t.Logf("seed %d: aborted with committed pivot %s", seed, name)
-			return false
-		}
-		return true
+func TestCheckHistoryRejects(t *testing.T) {
+	ev := func(name string, kind rm.EventKind) rm.Event { return rm.Event{Name: name, Kind: kind} }
+	c, a := rm.EvCommit, rm.EvAbort
+	bad := [][]rm.Event{
+		// unknown subject.
+		{ev("T1", c), ev("zz", c)},
+		// committed twice.
+		{ev("T1", c), ev("T1", c)},
+		// compensation of a subtransaction that is not the latest commit.
+		{ev("T1", c), ev("T2", c), ev("C1", c)},
+		// compensation of a subtransaction that never committed.
+		{ev("C5", c)},
+		// ends committed on no declared path.
+		{ev("T1", c), ev("T2", c), ev("T4", a)},
+		// a pivot left committed after compensation around it.
+		{ev("T1", c), ev("T2", c), ev("T4", c), ev("T5", c), ev("C5", c), ev("T3", c)},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	for i, events := range bad {
+		if err := CheckHistory(Fig3(), events); err == nil {
+			t.Errorf("case %d accepted: %v", i, events)
+		}
+	}
+	// The appendix's T8 scenario: C6 and C5 (C5 retried once) undo the
+	// latest commits, and T7 completes p2.
+	ok := []rm.Event{ev("T1", c), ev("T2", c), ev("T4", c), ev("T5", c), ev("T6", c), ev("T8", a),
+		ev("C6", c), ev("C5", a), ev("C5", c), ev("T7", a), ev("T7", c)}
+	if err := CheckHistory(Fig3(), ok); err != nil {
+		t.Fatal(err)
 	}
 }
-
-// genSpec builds a random spec (sometimes ill-formed; callers skip those)
-// and a random abort script.
-func genSpec(seed int64) (*Spec, *rm.Injector) {
-	r := newRand(seed)
-	nSubs := 3 + r.Intn(6)
-	spec := &Spec{Name: fmt.Sprintf("gen%d", seed)}
-	for i := 0; i < nSubs; i++ {
-		sub := SubSpec{Name: fmt.Sprintf("S%d", i)}
-		switch r.Intn(3) {
-		case 0:
-			sub.Compensatable = true
-			sub.Compensation = fmt.Sprintf("CS%d", i)
-		case 1:
-			sub.Retriable = true
-		}
-		spec.Subs = append(spec.Subs, sub)
-	}
-	// Random paths: permutation prefixes sharing a common start.
-	nPaths := 1 + r.Intn(3)
-	for p := 0; p < nPaths; p++ {
-		var path []string
-		used := map[int]bool{}
-		ln := 1 + r.Intn(nSubs)
-		for i := 0; i < ln; i++ {
-			k := r.Intn(nSubs)
-			if used[k] {
-				continue
-			}
-			used[k] = true
-			path = append(path, fmt.Sprintf("S%d", k))
-		}
-		if len(path) > 0 {
-			spec.Paths = append(spec.Paths, path)
-		}
-	}
-	inj := rm.NewInjector()
-	for i := 0; i < nSubs; i++ {
-		name := fmt.Sprintf("S%d", i)
-		switch r.Intn(4) {
-		case 0:
-			inj.AbortAlways(name)
-		case 1:
-			inj.AbortN(name, 1+r.Intn(2))
-		}
-	}
-	return spec, inj
-}
-
-func newRand(seed int64) *quickRand {
-	return &quickRand{state: uint64(seed)*2862933555777941757 + 3037000493}
-}
-
-// quickRand is a tiny splitmix-style generator to avoid importing math/rand
-// twice with conflicting names in this file.
-type quickRand struct{ state uint64 }
-
-func (q *quickRand) next() uint64 {
-	q.state += 0x9e3779b97f4a7c15
-	z := q.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (q *quickRand) Intn(n int) int { return int(q.next() % uint64(n)) }

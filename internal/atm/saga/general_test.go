@@ -1,10 +1,8 @@
 package saga
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rm"
 )
@@ -169,53 +167,5 @@ func TestCheckGeneralGuaranteeRejects(t *testing.T) {
 	}
 	if err := CheckGeneralGuarantee(spec, okHist); err != nil {
 		t.Fatalf("legal concurrent history rejected: %v", err)
-	}
-}
-
-// TestQuickGeneralGuarantee: random DAG sagas with random aborts always
-// satisfy the generalized guarantee under the native executor.
-func TestQuickGeneralGuarantee(t *testing.T) {
-	f := func(nRaw uint8, edges uint16, victimRaw uint8) bool {
-		n := 2 + int(nRaw%7)
-		spec := &GeneralSpec{Name: "q", Deps: map[string][]string{}}
-		for i := 0; i < n; i++ {
-			spec.Steps = append(spec.Steps, Step{
-				Name: fmt.Sprintf("s%d", i), Compensation: fmt.Sprintf("cs%d", i),
-			})
-		}
-		// Random forward edges i -> j (i < j) from the bits of edges.
-		bit := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if edges&(1<<(bit%16)) != 0 {
-					spec.Deps[fmt.Sprintf("s%d", j)] = append(spec.Deps[fmt.Sprintf("s%d", j)], fmt.Sprintf("s%d", i))
-				}
-				bit++
-			}
-		}
-		if err := spec.Validate(); err != nil {
-			t.Logf("generator produced invalid spec: %v", err)
-			return false
-		}
-		inj := rm.NewInjector()
-		victim := int(victimRaw) % (n + 2)
-		if victim < n {
-			inj.AbortAlways(fmt.Sprintf("s%d", victim))
-		}
-		rec := &rm.Recorder{}
-		ex := &Executor{Decider: inj}
-		res, err := ex.ExecuteGeneral(spec, bindGeneral(spec), rec)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if err := CheckGeneralGuarantee(spec, rec.Events()); err != nil {
-			t.Logf("guarantee violated: %v\nhistory: %s", err, historyOf(rec))
-			return false
-		}
-		return res.Committed == (victim >= n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
 	}
 }

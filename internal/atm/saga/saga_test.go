@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rm"
 	"repro/internal/txdb"
@@ -229,44 +228,5 @@ func TestCheckGuaranteeRejects(t *testing.T) {
 		if err := CheckGuarantee(spec, events); err == nil {
 			t.Errorf("case %d accepted: %v", i, events)
 		}
-	}
-}
-
-// TestQuickGuaranteeHolds: for random saga sizes and abort scripts, the
-// native executor always produces a history satisfying the guarantee.
-func TestQuickGuaranteeHolds(t *testing.T) {
-	f := func(nRaw uint8, abortAtRaw uint8, compFailsRaw uint8) bool {
-		n := 1 + int(nRaw%10)
-		spec := &Spec{Name: "q"}
-		for i := 1; i <= n; i++ {
-			spec.Steps = append(spec.Steps, Step{
-				Name:         fmt.Sprintf("T%d", i),
-				Compensation: fmt.Sprintf("C%d", i),
-			})
-		}
-		inj := rm.NewInjector()
-		abortAt := int(abortAtRaw % uint8(n+2)) // may exceed n: no abort
-		if abortAt >= 1 && abortAt <= n {
-			inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
-			// Some compensations fail a few times before committing.
-			inj.AbortN(fmt.Sprintf("C%d", 1+int(compFailsRaw)%n), int(compFailsRaw%3))
-		}
-		rec := &rm.Recorder{}
-		ex := &Executor{Decider: inj}
-		res, err := ex.Execute(spec, bindPure(spec), rec)
-		if err != nil {
-			return false
-		}
-		if err := CheckGuarantee(spec, rec.Events()); err != nil {
-			t.Logf("guarantee violated: %v", err)
-			return false
-		}
-		if abortAt >= 1 && abortAt <= n {
-			return !res.Committed && res.AbortedAt == abortAt
-		}
-		return res.Committed
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
 	}
 }

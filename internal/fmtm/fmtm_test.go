@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/atm/flexible"
 	"repro/internal/atm/saga"
@@ -119,28 +118,26 @@ func TestSagaTranslationStructure(t *testing.T) {
 	}
 }
 
-// TestSagaTranslationGuarantee is experiment E1: the workflow encoding of
-// a saga produces, for every abort point, exactly the history the saga
-// guarantee requires — and it is identical to the native executor's.
+// TestSagaTranslationGuarantee: the workflow encoding of a saga produces,
+// for every abort point, exactly the history the saga guarantee requires,
+// and its output records the aborted step. (Equality with the native
+// executor is the four-way check of experiment E1, internal/sim.)
 func TestSagaTranslationGuarantee(t *testing.T) {
 	for _, n := range []int{1, 3, 5, 10} {
 		for abortAt := 0; abortAt <= n; abortAt++ { // 0 = no abort
 			name := fmt.Sprintf("n%d_abort%d", n, abortAt)
 			t.Run(name, func(t *testing.T) {
 				spec := nStepSaga("s", n)
-				mkInj := func() *rm.Injector {
-					inj := rm.NewInjector()
-					if abortAt > 0 {
-						inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
-						// One transient compensation failure to exercise
-						// the retriable exit condition.
-						if abortAt > 1 {
-							inj.AbortN(fmt.Sprintf("C%d", abortAt-1), 1)
-						}
+				inj := rm.NewInjector()
+				if abortAt > 0 {
+					inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
+					// One transient compensation failure to exercise the
+					// retriable exit condition.
+					if abortAt > 1 {
+						inj.AbortN(fmt.Sprintf("C%d", abortAt-1), 1)
 					}
-					return inj
 				}
-				inst, rec := runSagaWorkflow(t, spec, mkInj(), SagaOptions{})
+				inst, rec := runSagaWorkflow(t, spec, inj, SagaOptions{})
 				if err := saga.CheckGuarantee(spec, rec.Events()); err != nil {
 					t.Fatalf("workflow history violates the saga guarantee: %v\nhistory: %s",
 						err, historyString(rec))
@@ -153,15 +150,6 @@ func TestSagaTranslationGuarantee(t *testing.T) {
 					}
 				} else if out.MustGet(stateMember(abortAt)).AsInt() != 1 {
 					t.Fatalf("State_%d = %v, want 1 (aborted)", abortAt, out.MustGet(stateMember(abortAt)))
-				}
-				// Native baseline produces the identical history.
-				nativeRec := &rm.Recorder{}
-				ex := &saga.Executor{Decider: mkInj()}
-				if _, err := ex.Execute(spec, PureSagaBinding(spec), nativeRec); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := historyString(rec), historyString(nativeRec); got != want {
-					t.Fatalf("workflow and native histories diverge:\nworkflow: %s\nnative:   %s", got, want)
 				}
 			})
 		}
@@ -247,9 +235,10 @@ func TestFlexibleTranslationStructure(t *testing.T) {
 	}
 }
 
-// TestFlexibleFig3 is experiment E2: every appendix scenario of the
-// paper's Figure 3/4 example, executed through the generated workflow
-// process, yields exactly the native executor's history and outcome.
+// TestFlexibleFig3: every appendix scenario of the paper's Figure 3/4
+// example, executed through the generated workflow process, yields the
+// appendix's history and outcome. (Equality with the native executor is
+// the four-way check of experiment E2, internal/sim.)
 func TestFlexibleFig3(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -287,53 +276,6 @@ func TestFlexibleFig3(t *testing.T) {
 			if got := inst.Output().MustGet("Result").AsInt(); got != c.result {
 				t.Fatalf("Result = %d, want %d", got, c.result)
 			}
-			// Native baseline equality.
-			inj2 := rm.NewInjector()
-			c.inject(inj2)
-			nativeRec := &rm.Recorder{}
-			ex := &flexible.Executor{Decider: inj2}
-			if _, err := ex.Execute(spec, PureFlexibleBinding(spec), nativeRec); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := historyString(rec), historyString(nativeRec); got != want {
-				t.Fatalf("workflow and native diverge:\nworkflow: %s\nnative:   %s", got, want)
-			}
 		})
-	}
-}
-
-// TestQuickSagaEquivalence: the workflow encoding and the native executor
-// produce identical histories for random sagas and abort scripts.
-func TestQuickSagaEquivalence(t *testing.T) {
-	f := func(nRaw, abortRaw, flakyRaw uint8) bool {
-		n := 1 + int(nRaw%8)
-		spec := nStepSaga("q", n)
-		mkInj := func() *rm.Injector {
-			inj := rm.NewInjector()
-			abortAt := int(abortRaw % uint8(n+2))
-			if abortAt >= 1 && abortAt <= n {
-				inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
-				inj.AbortN(fmt.Sprintf("C%d", 1+int(flakyRaw)%n), int(flakyRaw%3))
-			}
-			return inj
-		}
-		_, rec := runSagaWorkflow(t, spec, mkInj(), SagaOptions{})
-		nativeRec := &rm.Recorder{}
-		ex := &saga.Executor{Decider: mkInj()}
-		if _, err := ex.Execute(spec, PureSagaBinding(spec), nativeRec); err != nil {
-			return false
-		}
-		if historyString(rec) != historyString(nativeRec) {
-			t.Logf("diverged:\nworkflow: %s\nnative:   %s", historyString(rec), historyString(nativeRec))
-			return false
-		}
-		if err := saga.CheckGuarantee(spec, rec.Events()); err != nil {
-			t.Log(err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,15 +1,10 @@
 package fmtm
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/atm/saga"
-	"repro/internal/engine"
 	"repro/internal/fdl"
 	"repro/internal/model"
-	"repro/internal/rm"
 )
 
 // exportOne wraps a generated process into a one-process FDL file with its
@@ -55,71 +50,4 @@ func TestGeneratedFDLRoundTripStable(t *testing.T) {
 			t.Fatalf("%s: export not stable", p.Name)
 		}
 	}
-}
-
-// TestQuickSagaFDLBehaviouralEquivalence: for random sagas, the process
-// executed from the re-imported FDL behaves identically to the directly
-// translated one.
-func TestQuickSagaFDLBehaviouralEquivalence(t *testing.T) {
-	f := func(nRaw, abortRaw uint8) bool {
-		n := 1 + int(nRaw%7)
-		spec := nStepSaga("q", n)
-		direct, err := TranslateSaga(spec, SagaOptions{})
-		if err != nil {
-			return false
-		}
-		text := fdl.Export(exportOne(direct))
-		re, err := fdl.Parse(text)
-		if err != nil {
-			t.Logf("re-parse: %v", err)
-			return false
-		}
-		if err := re.Check(); err != nil {
-			t.Logf("re-check: %v", err)
-			return false
-		}
-		mkInj := func() *rm.Injector {
-			inj := rm.NewInjector()
-			if at := int(abortRaw % uint8(n+2)); at >= 1 && at <= n {
-				inj.AbortAlways(spec.Steps[at-1].Name)
-			}
-			return inj
-		}
-		// Run the re-imported template and the direct one.
-		recA := runSagaProcess(t, re.Processes[0], spec, mkInj())
-		recB := runSagaProcess(t, direct, spec, mkInj())
-		return historyString(recA) == historyString(recB)
-	}
-	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(5))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// runSagaProcess executes an arbitrary saga process template (direct or
-// re-imported) with injector-driven step programs.
-func runSagaProcess(t *testing.T, p *model.Process, spec *saga.Spec, dec rm.Decider) *rm.Recorder {
-	t.Helper()
-	e := engine.New()
-	if err := RegisterRuntime(e); err != nil {
-		t.Fatal(err)
-	}
-	rec := &rm.Recorder{}
-	if err := RegisterSaga(e, spec, PureSagaBinding(spec), dec, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterProcess(p); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := e.CreateInstance(p.Name, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if !inst.Finished() {
-		t.Fatal("not finished")
-	}
-	return rec
 }

@@ -1,207 +1,17 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"repro/internal/atm/flexible"
-	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/fmtm"
-	"repro/internal/model"
 	"repro/internal/rm"
-	"repro/internal/wal"
 )
 
 // RunAllExperiments runs E1–E13 and returns their reports.
 func RunAllExperiments() []*Report {
 	return []*Report{RunE1(), RunE2(), RunE3(), RunE4(), RunE5(), RunE6(), RunE7(), RunE8(), RunE9(), RunE10(), RunE11(), RunE12(), RunE13()}
-}
-
-// historyString renders a recorder history as a compact string.
-func historyString(rec *rm.Recorder) string {
-	var parts []string
-	for _, e := range rec.Events() {
-		parts = append(parts, e.String())
-	}
-	return strings.Join(parts, " ")
-}
-
-// runSagaAsWorkflow translates and executes a saga on a fresh engine.
-func runSagaAsWorkflow(spec *saga.Spec, dec rm.Decider) (*engine.Instance, *rm.Recorder, error) {
-	e := engine.New()
-	if err := fmtm.RegisterRuntime(e); err != nil {
-		return nil, nil, err
-	}
-	rec := &rm.Recorder{}
-	if err := fmtm.RegisterSaga(e, spec, fmtm.PureSagaBinding(spec), dec, rec); err != nil {
-		return nil, nil, err
-	}
-	p, err := fmtm.TranslateSaga(spec, fmtm.SagaOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e.RegisterProcess(p); err != nil {
-		return nil, nil, err
-	}
-	inst, err := e.CreateInstance(spec.Name, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := inst.Start(); err != nil {
-		return inst, rec, err
-	}
-	return inst, rec, nil
-}
-
-// runFlexibleAsWorkflow translates and executes a flexible transaction.
-func runFlexibleAsWorkflow(spec *flexible.Spec, dec rm.Decider) (*engine.Instance, *rm.Recorder, error) {
-	e := engine.New()
-	if err := fmtm.RegisterRuntime(e); err != nil {
-		return nil, nil, err
-	}
-	rec := &rm.Recorder{}
-	if err := fmtm.RegisterFlexible(e, spec, fmtm.PureFlexibleBinding(spec), dec, rec); err != nil {
-		return nil, nil, err
-	}
-	p, err := fmtm.TranslateFlexible(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e.RegisterProcess(p); err != nil {
-		return nil, nil, err
-	}
-	inst, err := e.CreateInstance(spec.Name, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := inst.Start(); err != nil {
-		return inst, rec, err
-	}
-	return inst, rec, nil
-}
-
-// RunE1 reproduces Figure 2 and the appendix saga trace: for several saga
-// sizes and every abort point, the workflow encoding's history satisfies
-// the saga guarantee and equals the native executor's history.
-func RunE1() *Report {
-	r := &Report{
-		ID:    "E1",
-		Title: "saga as workflow (Fig. 2): guarantee T1..Tn or T1..Tj;Cj..C1 under every abort point",
-		Columns: []string{
-			"n", "abort at", "guarantee", "history = native", "history",
-		},
-		Pass: true,
-	}
-	for _, n := range []int{3, 5, 10} {
-		for abortAt := 0; abortAt <= n; abortAt++ {
-			spec := NStepSaga("s", n)
-			mkInj := func() *rm.Injector {
-				inj := rm.NewInjector()
-				if abortAt > 0 {
-					inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
-				}
-				return inj
-			}
-			_, rec, err := runSagaAsWorkflow(spec, mkInj())
-			if err != nil {
-				r.Pass = false
-				r.Err = err
-				return r
-			}
-			guarantee := "ok"
-			if err := saga.CheckGuarantee(spec, rec.Events()); err != nil {
-				guarantee = "VIOLATED"
-				r.Pass = false
-			}
-			nativeRec := &rm.Recorder{}
-			ex := &saga.Executor{Decider: mkInj()}
-			if _, err := ex.Execute(spec, fmtm.PureSagaBinding(spec), nativeRec); err != nil {
-				r.Pass = false
-				r.Err = err
-				return r
-			}
-			same := "yes"
-			if historyString(rec) != historyString(nativeRec) {
-				same = "NO"
-				r.Pass = false
-			}
-			at := "-"
-			if abortAt > 0 {
-				at = fmt.Sprintf("T%d", abortAt)
-			}
-			hist := historyString(rec)
-			if n > 3 && abortAt != 2 {
-				hist = fmt.Sprintf("(%d events)", len(rec.Events()))
-			}
-			r.AddRow(fmt.Sprint(n), at, guarantee, same, hist)
-		}
-	}
-	return r
-}
-
-// RunE2 reproduces Figures 3–4 and the appendix flexible-transaction
-// trace: every abort scenario of the appendix, executed through the
-// generated workflow process, matches the described behaviour and the
-// native executor.
-func RunE2() *Report {
-	r := &Report{
-		ID:      "E2",
-		Title:   "flexible transaction as workflow (Figs. 3-4): appendix abort scenarios",
-		Columns: []string{"scenario", "result", "matches native", "history"},
-		Pass:    true,
-	}
-	scenarios := []struct {
-		name   string
-		inject func(*rm.Injector)
-	}{
-		{"all commit (p1)", func(*rm.Injector) {}},
-		{"T1 aborts (clean abort)", func(i *rm.Injector) { i.AbortAlways("T1") }},
-		{"T2 aborts (compensate T1)", func(i *rm.Injector) { i.AbortAlways("T2") }},
-		{"T4 aborts (T3 retried, p3)", func(i *rm.Injector) { i.AbortAlways("T4"); i.AbortN("T3", 2) }},
-		{"T5 aborts (T7, p2)", func(i *rm.Injector) { i.AbortAlways("T5") }},
-		{"T6 aborts (C5 then T7)", func(i *rm.Injector) { i.AbortAlways("T6") }},
-		{"T8 aborts (C6 C5 then T7)", func(i *rm.Injector) { i.AbortAlways("T8") }},
-	}
-	for _, sc := range scenarios {
-		spec := Fig3Flexible()
-		inj := rm.NewInjector()
-		sc.inject(inj)
-		inst, rec, err := runFlexibleAsWorkflow(spec, inj)
-		if err != nil {
-			r.Pass = false
-			r.Err = err
-			return r
-		}
-		inj2 := rm.NewInjector()
-		sc.inject(inj2)
-		nativeRec := &rm.Recorder{}
-		ex := &flexible.Executor{Decider: inj2}
-		res, err := ex.Execute(spec, fmtm.PureFlexibleBinding(spec), nativeRec)
-		if err != nil {
-			r.Pass = false
-			r.Err = err
-			return r
-		}
-		same := "yes"
-		if historyString(rec) != historyString(nativeRec) {
-			same = "NO"
-			r.Pass = false
-		}
-		outcome := "aborted"
-		if res.Committed {
-			outcome = "committed " + strings.Join(res.Path, ",")
-		}
-		wfResult := inst.Output().MustGet("Result").AsInt()
-		if res.Committed != (wfResult == 0) {
-			r.Pass = false
-			outcome += " (workflow disagrees)"
-		}
-		r.AddRow(sc.name, outcome, same, historyString(rec))
-	}
-	return r
 }
 
 // e3Spec is the mixed specification the E3 pipeline run compiles.
@@ -293,102 +103,6 @@ func RunE3() *Report {
 	return r
 }
 
-// RunE4 reproduces the §3.3 forward-recovery guarantee: crash the engine
-// at every log record of a saga-as-workflow execution, recover, and
-// require the identical history and final output.
-func RunE4() *Report {
-	r := &Report{
-		ID:      "E4",
-		Title:   "forward recovery (§3.3): crash at every navigation point, resume, identical outcome",
-		Columns: []string{"workload", "log records", "crash points", "recovered ok"},
-		Pass:    true,
-	}
-	type workload struct {
-		name string
-		mk   func() (*engine.Engine, string)
-	}
-	mkSagaEngine := func() (*engine.Engine, string) {
-		spec := NStepSaga("s", 5)
-		e := engine.New()
-		if err := fmtm.RegisterRuntime(e); err != nil {
-			panic(err)
-		}
-		inj := rm.NewInjector()
-		inj.AbortAlways("T4")
-		if err := fmtm.RegisterSaga(e, spec, fmtm.PureSagaBinding(spec), inj, &rm.Recorder{}); err != nil {
-			panic(err)
-		}
-		p, err := fmtm.TranslateSaga(spec, fmtm.SagaOptions{})
-		if err != nil {
-			panic(err)
-		}
-		if err := e.RegisterProcess(p); err != nil {
-			panic(err)
-		}
-		return e, spec.Name
-	}
-	mkChainEngine := func() (*engine.Engine, string) {
-		e := NewEngine()
-		if err := e.RegisterProcess(Chain("chain", 20)); err != nil {
-			panic(err)
-		}
-		return e, "chain"
-	}
-	for _, w := range []workload{{"saga n=5 abort@T4", mkSagaEngine}, {"chain n=20", mkChainEngine}} {
-		// Baseline.
-		e, proc := w.mk()
-		clean := &wal.MemLog{}
-		inst, err := e.CreateInstance(proc, nil, clean)
-		if err == nil {
-			err = inst.Start()
-		}
-		if err != nil {
-			r.Pass = false
-			r.Err = err
-			return r
-		}
-		baseline := fmt.Sprint(trailStrings(inst))
-		total := clean.Len()
-		okAll := true
-		for crashAt := 1; crashAt < total; crashAt++ {
-			e2, proc2 := w.mk()
-			log := &wal.MemLog{CrashAfter: crashAt}
-			inst2, err := e2.CreateInstance(proc2, nil, log)
-			if err != nil {
-				okAll = false
-				break
-			}
-			if err := inst2.Start(); !errors.Is(err, wal.ErrCrash) {
-				okAll = false
-				break
-			}
-			e3, _ := w.mk()
-			rec, err := engine.Recover(e3, log.Records(), nil)
-			if err != nil || !rec.Finished() || fmt.Sprint(trailStrings(rec)) != baseline {
-				okAll = false
-				break
-			}
-		}
-		if !okAll {
-			r.Pass = false
-		}
-		verdict := "yes"
-		if !okAll {
-			verdict = "NO"
-		}
-		r.AddRow(w.name, fmt.Sprint(total), fmt.Sprint(total-1), verdict)
-	}
-	return r
-}
-
-func trailStrings(inst *engine.Instance) []string {
-	var out []string
-	for _, ev := range inst.Trail() {
-		out = append(out, ev.String())
-	}
-	return out
-}
-
 // RunE5 checks the §3.2 navigation semantics properties on random DAGs:
 // every instance terminates with all activities terminated (DPE guarantees
 // progress; the synchronizing or-join never deadlocks).
@@ -434,74 +148,5 @@ func RunE5() *Report {
 		r.Pass = false
 	}
 	r.AddRow(fmt.Sprintf("0..%d", trials-1), fmt.Sprint(trials), fmt.Sprint(stuck), fmt.Sprint(violations))
-	return r
-}
-
-// RunE6 checks the generalized (parallel) saga extension the paper's §4.1
-// references: for a diamond-shaped saga, every abort point produces a
-// history satisfying the generalized guarantee (committed steps all
-// compensated, compensation after the compensations of committed
-// dependents), including the concurrent in-flight-sibling behaviour linear
-// sagas cannot exhibit.
-func RunE6() *Report {
-	r := &Report{
-		ID:      "E6",
-		Title:   "generalized (parallel) saga as workflow: guarantee under every abort point",
-		Columns: []string{"abort at", "guarantee", "history"},
-		Pass:    true,
-	}
-	spec := &saga.GeneralSpec{
-		Name: "diamond",
-		Steps: []saga.Step{
-			{Name: "a", Compensation: "ca"},
-			{Name: "b", Compensation: "cb"},
-			{Name: "c", Compensation: "cc"},
-			{Name: "d", Compensation: "cd"},
-		},
-		Deps: map[string][]string{"b": {"a"}, "c": {"a"}, "d": {"b", "c"}},
-	}
-	for _, victim := range []string{"", "a", "b", "c", "d"} {
-		inj := rm.NewInjector()
-		if victim != "" {
-			inj.AbortAlways(victim)
-		}
-		e := engine.New()
-		rec := &rm.Recorder{}
-		err := fmtm.RegisterRuntime(e)
-		if err == nil {
-			err = fmtm.RegisterGeneralSaga(e, spec, fmtm.PureGeneralBinding(spec), inj, rec)
-		}
-		if err == nil {
-			var proc *model.Process
-			proc, err = fmtm.TranslateGeneralSaga(spec, fmtm.SagaOptions{})
-			if err == nil {
-				err = e.RegisterProcess(proc)
-			}
-		}
-		if err != nil {
-			r.Pass = false
-			r.Err = err
-			return r
-		}
-		inst, err := e.CreateInstance(spec.Name, nil, nil)
-		if err == nil {
-			err = inst.Start()
-		}
-		if err != nil || !inst.Finished() {
-			r.Pass = false
-			r.Err = err
-			return r
-		}
-		verdict := "ok"
-		if err := saga.CheckGeneralGuarantee(spec, rec.Events()); err != nil {
-			verdict = "VIOLATED: " + err.Error()
-			r.Pass = false
-		}
-		at := victim
-		if at == "" {
-			at = "-"
-		}
-		r.AddRow(at, verdict, historyString(rec))
-	}
 	return r
 }

@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/atm/flexible"
+	"repro/internal/atm/gen"
 	"repro/internal/atm/saga"
-	"repro/internal/fmtm"
 	"repro/internal/model"
-	"repro/internal/rm"
 	"repro/internal/wal"
 )
 
@@ -65,64 +64,12 @@ func TestRandomDAGGeneratorValid(t *testing.T) {
 	}
 }
 
-func TestRandomFlexibleWellFormed(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		spec := RandomFlexible("rf", r, 1+r.Intn(4))
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		trie, err := flexible.BuildTrie(spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := trie.CheckWellFormed(); err != nil {
-			t.Fatalf("seed %d: generator made an ill-formed spec: %v", seed, err)
-		}
-		// And it translates and runs.
-		p, err := fmtm.TranslateFlexible(spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		_ = p
-	}
-}
-
-// TestRandomFlexibleEquivalence: the generated random flexible specs run
-// identically as workflows and natively under random failure scripts.
+// TestRandomFlexibleEquivalence: generated flexible transactions with
+// wide decision points and frequent failures agree four ways.
 func TestRandomFlexibleEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		spec := RandomFlexible("rf", r, 1+r.Intn(3))
-		mkInj := func() *rm.Injector {
-			rr := rand.New(rand.NewSource(seed * 77))
-			inj := rm.NewInjector()
-			for _, sub := range spec.Subs {
-				if sub.Retriable {
-					if rr.Intn(3) == 0 {
-						inj.AbortN(sub.Name, 1+rr.Intn(2))
-					}
-					continue
-				}
-				if rr.Intn(3) == 0 {
-					inj.AbortAlways(sub.Name)
-				}
-			}
-			return inj
-		}
-		_, rec, err := runFlexibleAsWorkflow(spec, mkInj())
-		if err != nil {
-			t.Fatalf("seed %d: workflow: %v", seed, err)
-		}
-		nativeRec := &rm.Recorder{}
-		ex := &flexible.Executor{Decider: mkInj()}
-		if _, err := ex.Execute(spec, fmtm.PureFlexibleBinding(spec), nativeRec); err != nil {
-			t.Fatalf("seed %d: native: %v", seed, err)
-		}
-		if historyString(rec) != historyString(nativeRec) {
-			t.Fatalf("seed %d histories diverge:\nworkflow: %s\nnative:   %s",
-				seed, historyString(rec), historyString(nativeRec))
-		}
+	wide := gen.Config{MaxSteps: 10, MaxDepth: 6, MaxBranch: 4, PAbort: 0.5}
+	if rep := equiv("E2", "wide flexible", generated(gen.Flexible, 1, 200, wide)); !rep.Pass {
+		t.Fatal(rep)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package sim provides workload generators, experiment runners and timing
-// harnesses for the reproduction's evaluation (EXPERIMENTS.md): process
-// topologies for navigation benchmarks, random saga and flexible
-// transaction specifications, and the E1–E5 correctness experiments with
-// their printable reports.
+// Package sim provides workloads, experiment runners and timing harnesses
+// for the reproduction's evaluation (EXPERIMENTS.md): process topologies for
+// navigation benchmarks, the paper's example specifications, the E-series
+// correctness experiments and the B-series measurements with their
+// printable reports.
 package sim
 
 import (
@@ -222,44 +222,4 @@ func Fig3Flexible() *flexible.Spec {
 			{"T1", "T2", "T3"},
 		},
 	}
-}
-
-// RandomFlexible generates a well-formed flexible transaction by
-// construction, mirroring the shape of the paper's Figure 3: the primary
-// path is seg_1 p_1 seg_2 p_2 ... seg_N p_N tail where each seg_k is a
-// compensatable segment, each p_k a pivot and tail is retriable; for each
-// pivot p_k an alternative path diverges immediately *after* p_k into a
-// retriable rescue subtransaction. A failure anywhere after p_k commits is
-// then absorbed by rescue_k after compensating only compensatable work —
-// exactly the ZNBB94 well-formedness discipline. A failure before p_1
-// commits unwinds to a clean global abort.
-func RandomFlexible(name string, r *rand.Rand, pivots int) *flexible.Spec {
-	spec := &flexible.Spec{Name: name}
-	var primary []string
-	sub := 0
-	newSub := func(s flexible.SubSpec) string {
-		sub++
-		s.Name = fmt.Sprintf("S%d", sub)
-		if s.Compensatable {
-			s.Compensation = fmt.Sprintf("CS%d", sub)
-		}
-		spec.Subs = append(spec.Subs, s)
-		return s.Name
-	}
-	var alts [][]string
-	for k := 0; k < pivots; k++ {
-		for i := 0; i < 1+r.Intn(3); i++ {
-			primary = append(primary, newSub(flexible.SubSpec{Compensatable: true}))
-		}
-		primary = append(primary, newSub(flexible.SubSpec{})) // pivot p_k
-		// Rescue path diverging right after p_k.
-		rescue := newSub(flexible.SubSpec{Retriable: true})
-		alts = append(alts, append(append([]string(nil), primary...), rescue))
-	}
-	// Terminal retriable so the primary path is guaranteed past p_N.
-	primary = append(primary, newSub(flexible.SubSpec{Retriable: true}))
-	// Most preferred first, then the rescues of the deepest pivots first
-	// (preference among disjoint divergences is immaterial).
-	spec.Paths = append([][]string{primary}, alts...)
-	return spec
 }
