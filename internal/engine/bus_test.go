@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/org"
 )
 
 // collectEvents drains a subscription after the run has completed.
@@ -69,18 +71,105 @@ func TestBusPublishesInstanceLifecycle(t *testing.T) {
 		}
 		prevAt = ev.At
 	}
-	// Latency attribution: dispatches carry the queue wait, finishes the
-	// program wall time; both are non-negative and the finish of A names
-	// its path and program.
+	// Latency attribution: dispatches carry the queue wait since the
+	// activity became ready (the subscriber was attached before Start, so
+	// every ready was stamped), finishes the program wall time; both are
+	// non-negative and the finish of A names its path and program.
 	fin := evs[3]
 	if fin.Path != "A" || fin.Program != "ok" || fin.DurNs < 0 || fin.RC != 0 {
 		t.Fatalf("activity.finished = %+v", fin)
 	}
-	if disp := evs[2]; disp.Path != "A" || disp.DurNs < 0 {
+	if disp := evs[2]; disp.Path != "A" {
 		t.Fatalf("activity.dispatch = %+v", disp)
+	}
+	waited := 0
+	for _, ev := range evs {
+		if ev.Kind != obs.EvActivityDispatch {
+			continue
+		}
+		if ev.DurNs < 0 {
+			t.Fatalf("dispatch of %s carries a negative wait %d", ev.Path, ev.DurNs)
+		}
+		if ev.DurNs > 0 {
+			waited++
+		}
+	}
+	if waited == 0 {
+		t.Fatal("no dispatch carries a queue wait")
 	}
 	if bus.Dropped() != 0 {
 		t.Fatalf("dropped = %d", bus.Dropped())
+	}
+}
+
+// TestReadyStampOnlyWhileBusListens checks that the ready stamp is taken
+// only while the bus is active, and cleared otherwise: a manual activity
+// that loops while nothing listens is dispatched, to a subscriber that
+// attached in between, without the wait its first iteration began.
+func TestReadyStampOnlyWhileBusListens(t *testing.T) {
+	dir := org.NewDirectory()
+	if err := dir.AddPerson(org.Person{Name: "alice", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus()
+	e := New(WithOrganization(dir), WithMetrics(obs.NewRegistry()), WithBus(bus))
+	if err := e.RegisterProgram("flaky", &flakyProgram{failures: map[string]int{"M": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	p := model.NewProcess("Loop")
+	p.Activities = []*model.Activity{{
+		Name: "M", Kind: model.KindProgram, Program: "flaky",
+		Start: model.StartManual, Staff: model.Staff{Role: "clerk"},
+		Exit: expr.MustParse("RC = 0"),
+	}}
+	if err := e.RegisterProcess(p); err != nil {
+		t.Fatal(err)
+	}
+	var heard []obs.Event
+	detach := bus.Attach(func(ev obs.Event) { heard = append(heard, ev) })
+	inst, err := e.CreateInstance("Loop", nil, nil)
+	if err == nil {
+		err = inst.Start()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := inst.lookup("M")
+	if m.readyNs == 0 {
+		t.Fatal("no ready stamp while the bus listened")
+	}
+	detach()
+	selectM := func() {
+		t.Helper()
+		items := e.Worklists().List("alice")
+		if len(items) != 1 {
+			t.Fatalf("alice's worklist holds %d items, want 1", len(items))
+		}
+		if err := inst.SelectWork("alice", items[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	selectM() // iteration 0 aborts, so M loops and is ready again
+	if m.iter != 1 || m.readyNs != 0 {
+		t.Fatalf("after a loop with nothing listening: iter %d, readyNs %d; want 1, 0", m.iter, m.readyNs)
+	}
+	heard = nil
+	defer bus.Attach(func(ev obs.Event) { heard = append(heard, ev) })()
+	selectM()
+	if !inst.Finished() {
+		t.Fatal("not finished after the second iteration")
+	}
+	dispatches := 0
+	for _, ev := range heard {
+		if ev.Kind == obs.EvActivityDispatch {
+			dispatches++
+			if ev.DurNs != 0 {
+				t.Fatalf("dispatch of iteration %d carries a stale wait of %d ns", ev.Iter, ev.DurNs)
+			}
+		}
+	}
+	if dispatches != 1 {
+		t.Fatalf("heard %d dispatches of the second iteration, want 1", dispatches)
 	}
 }
 

@@ -114,8 +114,12 @@ func WithOrganization(dir *org.Directory) Option {
 	}
 }
 
-// WithClock replaces the engine clock (seconds) used for work item
-// deadlines; the default is wall-clock time.
+// WithClock replaces the engine clock (seconds; the default is wall-clock
+// time), which stamps the audit trail (Event.At) and work items' ReadyAt.
+// An instance reads it on entry to Start, SelectWork, ForceFinish and
+// Cancel, once per navigation step, and once per program completion —
+// run inline, replayed from the log, or folded in from the worker pool —
+// and every event and work item until the next read shares that stamp.
 func WithClock(clock func() int64) Option {
 	return func(e *Engine) { e.clock = clock }
 }

@@ -72,9 +72,11 @@ type Event struct {
 	To      string // connector target (EvConnector)
 	Value   bool   // connector truth value (EvConnector)
 	Cause   string // failure cause message (EvFailed)
-	// At is the engine clock (seconds) when the event was recorded; with
-	// the default clock it is wall time, tests inject logical clocks. The
-	// accounting package derives activity and instance durations from it.
+	// At is the engine clock (seconds) at the start of the navigation step
+	// that recorded the event, or when its program returned (see
+	// WithClock); with the default clock it is wall time, tests inject
+	// logical clocks. The accounting package derives activity and
+	// instance durations from it.
 	At int64
 }
 

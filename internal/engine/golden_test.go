@@ -44,7 +44,9 @@ END 'fig3'
 
 // goldenCases fix the abort decisions of each run. The golden files were
 // captured on the commit before templates were compiled into plans, so
-// they pin the refactored navigator to the original one byte for byte.
+// they pin the refactored navigator to the original one byte for byte —
+// except the clock stamps, re-recorded once when trail events began to
+// share one clock read per navigation step (DESIGN.md §4.1).
 var goldenCases = []struct {
 	name    string
 	process string

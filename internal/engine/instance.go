@@ -72,7 +72,8 @@ type actState struct {
 
 	// Monotonic phase stamps for live latency attribution (obs.Now
 	// nanoseconds): readyNs is when the activity last became ready, so
-	// dispatch events carry the queue wait; progNs is the last program
+	// dispatch events carry the queue wait — stamped only while the bus is
+	// active, 0 ("no wait") otherwise; progNs is the last program
 	// invocation's wall time, carried on the finish event. progNs is
 	// written by executeAttempts (a worker goroutine in concurrent mode)
 	// and read by finishActivity after the completion channel
@@ -118,6 +119,13 @@ type Instance struct {
 	queue    []*actState
 	trail    []trailRec
 	failures []Event // the EvFailed events of the trail, whole (see trailRec)
+
+	// now is the engine clock as last read, the stamp of every trail event
+	// and work item until the next read. It is read on entry to a
+	// navigating call, per navigation step pump dequeues and per program
+	// completion (run, replayed or folded in from the pool) — the same
+	// points in a live run and in its replay.
+	now int64
 
 	// replay indexes the completed activity executions of the log being
 	// recovered; the records stay where Recover's caller put them.
@@ -348,6 +356,7 @@ func (inst *Instance) Start() error {
 		return errors.New("engine: instance already started")
 	}
 	inst.markStarted()
+	inst.tick()
 	inst.appendLog(wal.Record{
 		Type: wal.RecCreated, Instance: inst.id, Process: inst.tpl.proc.Name,
 		Values: recordValues(inst.root.input),
@@ -382,6 +391,7 @@ func (inst *Instance) SelectWork(person string, itemID int64) error {
 		return fmt.Errorf("engine: work item %d targets activity %q in state %v", itemID, item.Activity, as.state)
 	}
 	inst.addPending(-1)
+	inst.tick()
 	inst.event(trailRec{kind: EvWorkSelected, as: as})
 	inst.enqueue(as)
 	inst.pump()
@@ -410,6 +420,7 @@ func (inst *Instance) ForceFinish(path string, rc int64) error {
 		return err
 	}
 	inst.addPending(-1)
+	inst.tick()
 	inst.event(trailRec{kind: EvForced, as: as, rc: rc})
 	out := as.plan.out.Clone()
 	out.SetRC(rc)
@@ -436,6 +447,7 @@ func (inst *Instance) Cancel() error {
 	if !inst.started {
 		return errors.New("engine: instance not started")
 	}
+	inst.tick()
 	inst.event(trailRec{kind: EvCanceled})
 	inst.eng.metrics.instCanceled.Inc()
 	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
@@ -603,11 +615,14 @@ func (inst *Instance) materialize(r *trailRec) Event {
 	return ev
 }
 
-// event appends one record to the audit trail, stamping the engine clock
-// and the activity's current iteration, and hands the materialized Event
-// to whoever listens.
+// tick reads the engine clock into inst.now.
+func (inst *Instance) tick() { inst.now = inst.eng.clock() }
+
+// event appends one record to the audit trail, stamping inst.now and the
+// activity's current iteration, and hands the materialized Event to
+// whoever listens.
 func (inst *Instance) event(r trailRec) {
-	r.at = inst.eng.clock()
+	r.at = inst.now
 	if r.as != nil {
 		r.iter = int32(r.as.iter)
 	}
@@ -697,6 +712,7 @@ func (inst *Instance) pump() {
 				continue // stale entry (e.g. scope was reset)
 			}
 			inst.eng.metrics.navSteps.Inc()
+			inst.tick()
 			inst.runActivity(as)
 		}
 		if inst.inflight == 0 {
@@ -712,6 +728,7 @@ func (inst *Instance) pump() {
 		if inst.err != nil {
 			continue
 		}
+		inst.tick()
 		if c.err != nil {
 			var af *ActivityFailure
 			if errors.As(c.err, &af) {
@@ -740,7 +757,10 @@ func (inst *Instance) startScope(sc *scope) {
 
 func (inst *Instance) setReady(as *actState) {
 	as.state = StateReady
-	as.readyNs = obs.Now()
+	as.readyNs = 0
+	if inst.eng.bus.Active() {
+		as.readyNs = obs.Now()
+	}
 	inst.event(trailRec{kind: EvReady, as: as})
 	if as.plan.act.Start == model.StartManual {
 		inst.postWork(as)
@@ -760,7 +780,7 @@ func (inst *Instance) postWork(as *actState) {
 	}
 	item, err := inst.eng.worklists.Post(org.WorkItem{
 		Activity: as.path(), Instance: inst.id,
-		ReadyAt:     inst.eng.clock(),
+		ReadyAt:     inst.now,
 		NotifyAfter: as.plan.act.NotifySeconds, NotifyRole: as.plan.act.NotifyRole,
 	}, as.plan.act.Staff.Role, as.plan.act.Staff.Person)
 	if err != nil {
@@ -783,6 +803,7 @@ func (inst *Instance) runActivity(as *actState) {
 		// member completions replay individually), so a recovered run
 		// produces the identical audit trail.
 		if rec := inst.replayHit(as); rec != nil {
+			inst.tick()
 			out := as.plan.out.Clone()
 			if err := out.Restore(rec.Values.Keys, rec.Values.Vals); err != nil {
 				inst.fail(err)
@@ -847,6 +868,7 @@ func (inst *Instance) runProgram(as *actState) {
 		return
 	}
 	final, err := inst.executeAttempts(as, in)
+	inst.tick()
 	if err != nil {
 		var af *ActivityFailure
 		if errors.As(err, &af) {

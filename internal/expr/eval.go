@@ -14,21 +14,12 @@ func (e *EvalError) Error() string {
 	return fmt.Sprintf("expr: evaluating %q: %s", e.Expr, e.Msg)
 }
 
-// Eval evaluates the node against the environment and returns the resulting
-// value. Conditions evaluate to booleans; atoms may evaluate to any kind.
-func Eval(n Node, env Env) (Value, error) {
+// EvalBool evaluates a condition against the environment and requires a
+// boolean result.
+func EvalBool(n Node, env Env) (bool, error) {
 	v, err := eval(n, env)
 	if err != nil {
-		return Null, &EvalError{Expr: n.String(), Msg: err.Error()}
-	}
-	return v, nil
-}
-
-// EvalBool evaluates a condition and requires a boolean result.
-func EvalBool(n Node, env Env) (bool, error) {
-	v, err := Eval(n, env)
-	if err != nil {
-		return false, err
+		return false, &EvalError{Expr: n.String(), Msg: err.Error()}
 	}
 	if v.Kind() != KindBool {
 		return false, &EvalError{Expr: n.String(), Msg: fmt.Sprintf("condition yields %s, want BOOL", v.Kind())}

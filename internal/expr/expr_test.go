@@ -218,8 +218,8 @@ func TestQuickRoundTrip(t *testing.T) {
 			"RC":      Int(int64(rr.Intn(3))),
 			"State_1": Int(int64(rr.Intn(3) - 1)),
 		}
-		v1, err1 := Eval(n, env)
-		v2, err2 := Eval(n2, env)
+		v1, err1 := EvalBool(n, env)
+		v2, err2 := EvalBool(n2, env)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("eval divergence for %q: %v vs %v", src, err1, err2)
 			return false
@@ -227,7 +227,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err1 != nil {
 			return true // both error: fine
 		}
-		if !v1.Equal(v2) {
+		if v1 != v2 {
 			t.Logf("value divergence for %q: %v vs %v", src, v1, v2)
 			return false
 		}

@@ -118,7 +118,7 @@ func (v Value) String() string {
 		}
 		return s
 	case KindString:
-		return QuoteString(v.s)
+		return quoteString(v.s)
 	case KindBool:
 		if v.n != 0 {
 			return "TRUE"
@@ -129,9 +129,9 @@ func (v Value) String() string {
 	}
 }
 
-// QuoteString renders s as a double-quoted condition-language string
+// quoteString renders s as a double-quoted condition-language string
 // literal using only the escapes the lexer accepts.
-func QuoteString(s string) string {
+func quoteString(s string) string {
 	b := make([]byte, 0, len(s)+2)
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {

@@ -147,22 +147,17 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	return nil
 }
 
-// WriteJSON renders the registry snapshot as indented JSON — the
-// expvar-style view of the same data.
-func WriteJSON(w io.Writer, r *Registry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
 // Handler serves the registry over HTTP: Prometheus text format by
-// default, the JSON snapshot with ?format=json. Mount it wherever the
-// embedding process wants its /metrics endpoint (cmd/wfrun -metrics-addr).
+// default, the snapshot as indented JSON (the expvar-style view of the
+// same data) with ?format=json. Mount it wherever the embedding process
+// wants its /metrics endpoint (cmd/wfrun -metrics-addr).
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
-			_ = WriteJSON(w, r)
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(r.Snapshot())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -43,7 +43,7 @@ func (s BreakerState) String() string {
 }
 
 // BreakerConfig parameterizes a Breaker. The zero value is usable:
-// defaults are filled in by NewBreaker.
+// defaults are filled in by newBreaker.
 type BreakerConfig struct {
 	// Window is how many recent outcomes the failure rate is computed
 	// over (default 10).
@@ -91,8 +91,8 @@ type Breaker struct {
 	probing  bool // a half-open probe is in flight
 }
 
-// NewBreaker returns a closed breaker with cfg's unset fields defaulted.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+// newBreaker returns a closed breaker with cfg's unset fields defaulted.
+func newBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Window <= 0 {
 		cfg.Window = 10
 	}

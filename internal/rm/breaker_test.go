@@ -13,7 +13,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testBreaker(clk *fakeClock, trace *[]string) *Breaker {
-	return NewBreaker(BreakerConfig{
+	return newBreaker(BreakerConfig{
 		Window: 4, FailureRate: 0.5, MinSamples: 4, Cooldown: time.Second,
 		Now: clk.now,
 		OnTransition: func(from, to BreakerState) {
@@ -101,7 +101,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 func TestBreakerMinSamples(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(BreakerConfig{Window: 10, FailureRate: 0.5, MinSamples: 5, Now: clk.now})
+	b := newBreaker(BreakerConfig{Window: 10, FailureRate: 0.5, MinSamples: 5, Now: clk.now})
 	// Early failures below MinSamples never trip, even at 100% rate.
 	for i := 0; i < 4; i++ {
 		b.Record(true)
@@ -116,7 +116,7 @@ func TestBreakerMinSamples(t *testing.T) {
 }
 
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
+	b := newBreaker(BreakerConfig{})
 	if err := b.Allow(); err != nil {
 		t.Fatalf("zero-config breaker refused: %v", err)
 	}

@@ -58,7 +58,7 @@ func (s *BreakerSet) For(program string) *Breaker {
 	}
 	cfg := s.cfg
 	cfg.OnTransition = func(from, to BreakerState) { s.onTransition(program, from, to) }
-	b := NewBreaker(cfg)
+	b := newBreaker(cfg)
 	s.m[program] = b
 	return b
 }

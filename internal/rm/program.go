@@ -22,13 +22,3 @@ func Program(sub Subtransaction, dec Decider, rec *Recorder) engine.Program {
 		return nil
 	})
 }
-
-// RegisterAll registers one program per subtransaction under its name.
-func RegisterAll(e *engine.Engine, subs []Subtransaction, dec Decider, rec *Recorder) error {
-	for _, sub := range subs {
-		if err := e.RegisterProgram(sub.Name, Program(sub, dec, rec)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

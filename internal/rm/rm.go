@@ -3,7 +3,6 @@ package rm
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/txdb"
@@ -94,29 +93,6 @@ func (i *Injector) Attempts(name string) int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.attempts[name]
-}
-
-// RandomDecider aborts each attempt independently with probability P,
-// deterministically from the seed.
-type RandomDecider struct {
-	mu sync.Mutex
-	r  *rand.Rand
-	P  float64
-}
-
-// NewRandomDecider returns a seeded random decider.
-func NewRandomDecider(seed int64, p float64) *RandomDecider {
-	return &RandomDecider{r: rand.New(rand.NewSource(seed)), P: p}
-}
-
-// Decide implements Decider.
-func (d *RandomDecider) Decide(string) Outcome {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.r.Float64() < d.P {
-		return Abort
-	}
-	return Commit
 }
 
 // EventKind classifies history events.

@@ -44,24 +44,6 @@ func TestInjectorAbortAlwaysAndAbortN(t *testing.T) {
 	}
 }
 
-func TestRandomDeciderDeterminism(t *testing.T) {
-	a := NewRandomDecider(7, 0.5)
-	b := NewRandomDecider(7, 0.5)
-	var aborts int
-	for i := 0; i < 200; i++ {
-		oa, ob := a.Decide("x"), b.Decide("x")
-		if oa != ob {
-			t.Fatal("same seed diverged")
-		}
-		if oa == Abort {
-			aborts++
-		}
-	}
-	if aborts == 0 || aborts == 200 {
-		t.Fatalf("aborts = %d, want a mix at p=0.5", aborts)
-	}
-}
-
 func TestExecCommitAndAbort(t *testing.T) {
 	store := txdb.Open("db")
 	rec := &Recorder{}
@@ -147,10 +129,10 @@ func TestProgramAdapter(t *testing.T) {
 	rec := &Recorder{}
 
 	e := engine.New()
-	subs := []Subtransaction{{Name: "work", Store: store, Work: func(tx *txdb.Tx) error {
+	sub := Subtransaction{Name: "work", Store: store, Work: func(tx *txdb.Tx) error {
 		return tx.Put("done", "yes")
-	}}}
-	if err := RegisterAll(e, subs, inj, rec); err != nil {
+	}}
+	if err := e.RegisterProgram(sub.Name, Program(sub, inj, rec)); err != nil {
 		t.Fatal(err)
 	}
 	p := model.NewProcess("P")
