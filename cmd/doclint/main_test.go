@@ -141,10 +141,12 @@ func TestDoclintCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-md", root, "-xref", root, "-refs", root,
-		filepath.Join(root, "internal", "wal"),
-		filepath.Join(root, "internal", "engine"),
-		filepath.Join(root, "internal", "history"))
+	args := []string{"-md", root, "-xref", root, "-refs", root}
+	for _, pkg := range []string{"wal", "engine", "history", "obs", "expr", "rm", "model", "fmtm", "fdl", "org",
+		"account", "txdb", "atm", "atm/saga", "atm/flexible", "atm/gen", "sim"} {
+		args = append(args, filepath.Join(root, "internal", pkg))
+	}
+	cmd := exec.Command(bin, args...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("doclint on the repository failed: %v\n%s", err, out)
 	}

@@ -63,9 +63,6 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	if err := trie.CheckWellFormed(); err != nil {
-		return Result{}, err
-	}
 	if err := spec.Bind(b); err != nil {
 		return Result{}, err
 	}
@@ -82,7 +79,7 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 		if committed {
 			if len(n.Children) == 0 {
 				res.Committed = true
-				res.Path = PathTo(n)
+				res.Path = pathTo(n)
 				return res, nil
 			}
 			next = n.Children[0]
@@ -93,7 +90,7 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 		// globally).
 		alt, toComp := Fallback(n)
 		for _, c := range toComp {
-			if err := e.compensate(spec, b, c, rec); err != nil {
+			if _, err := e.execSub(b[spec.Sub(c.Sub).Compensation], true, rec); err != nil {
 				return Result{}, err
 			}
 		}
@@ -107,6 +104,8 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 	return res, nil
 }
 
+// execSub runs sub once, or until it commits when it is retriable (as
+// every compensation is).
 func (e *Executor) execSub(sub rm.Subtransaction, retriable bool, rec *rm.Recorder) (bool, error) {
 	for attempt := 0; ; attempt++ {
 		committed, err := rm.Exec(sub, e.Decider, rec)
@@ -120,24 +119,7 @@ func (e *Executor) execSub(sub rm.Subtransaction, retriable bool, rec *rm.Record
 			return false, nil
 		}
 		if attempt >= e.maxRetries() {
-			return false, fmt.Errorf("flexible: retriable %q did not commit after %d attempts", sub.Name, attempt+1)
-		}
-	}
-}
-
-func (e *Executor) compensate(spec *Spec, b Binding, n *Node, rec *rm.Recorder) error {
-	sub := spec.Sub(n.Sub)
-	comp := b[sub.Compensation]
-	for attempt := 0; ; attempt++ {
-		committed, err := rm.Exec(comp, e.Decider, rec)
-		if err != nil {
-			return err
-		}
-		if committed {
-			return nil
-		}
-		if attempt >= e.maxRetries() {
-			return fmt.Errorf("flexible: compensation %q did not commit after %d attempts", comp.Name, attempt+1)
+			return false, fmt.Errorf("flexible: %q did not commit after %d attempts", sub.Name, attempt+1)
 		}
 	}
 }

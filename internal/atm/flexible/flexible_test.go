@@ -1,9 +1,12 @@
 package flexible
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/rm"
 )
 
@@ -55,38 +58,42 @@ func history(rec *rm.Recorder) string {
 	return strings.Join(parts, " ")
 }
 
+// violates asserts that err is the violation of constraint.
+func violates(t *testing.T, what string, err error, constraint string) {
+	t.Helper()
+	var v *atm.Violation
+	if !errors.As(err, &v) || v.Constraint != constraint {
+		t.Errorf("%s: got %v, want a violation of %s", what, err, constraint)
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
-	if err := Fig3().Validate(); err != nil {
+	if _, err := BuildTrie(Fig3()); err != nil {
 		t.Fatal(err)
 	}
-	mutations := []func(s *Spec){
-		func(s *Spec) { s.Name = "" },
-		func(s *Spec) { s.Subs = nil },
-		func(s *Spec) { s.Paths = nil },
-		func(s *Spec) { s.Subs[0].Name = "" },
-		func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "T1"}) },
-		func(s *Spec) { s.Subs[0].Compensation = "" },                     // compensatable without compensation
-		func(s *Spec) { s.Subs[1].Compensation = "Cx" },                   // compensation on non-compensatable
-		func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "C1"}) },    // clash with compensation name
-		func(s *Spec) { s.Paths = append(s.Paths, []string{}) },           // empty path
-		func(s *Spec) { s.Paths = append(s.Paths, []string{"ghost"}) },    // undeclared
-		func(s *Spec) { s.Paths = append(s.Paths, []string{"T1", "T1"}) }, // repeat in path
-		func(s *Spec) { s.Paths = append(s.Paths, []string{"T1", "T2"}) }, // prefix of p1
-		func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "unused", Retriable: true}) },
+	mutations := []struct {
+		constraint string
+		mut        func(s *Spec)
+	}{
+		{"flexible.named", func(s *Spec) { s.Name = "" }},
+		{"flexible.has-subs", func(s *Spec) { s.Subs = nil }},
+		{"flexible.has-paths", func(s *Spec) { s.Paths = nil }},
+		{"flexible.sub-named", func(s *Spec) { s.Subs[0].Name = "" }},
+		{"flexible.unique-names", func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "T1"}) }},
+		{"flexible.compensation-iff-compensatable", func(s *Spec) { s.Subs[0].Compensation = "" }},
+		{"flexible.compensation-iff-compensatable", func(s *Spec) { s.Subs[1].Compensation = "Cx" }},
+		{"flexible.unique-names", func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "C1"}) }},
+		{"flexible.paths-nonempty", func(s *Spec) { s.Paths = append(s.Paths, []string{}) }},
+		{"flexible.paths-declared", func(s *Spec) { s.Paths = append(s.Paths, []string{"ghost"}) }},
+		{"flexible.path-no-repeat", func(s *Spec) { s.Paths = append(s.Paths, []string{"T1", "T1"}) }},
+		{"flexible.no-prefix-path", func(s *Spec) { s.Paths = append(s.Paths, []string{"T1", "T2"}) }},
+		{"flexible.subs-used", func(s *Spec) { s.Subs = append(s.Subs, SubSpec{Name: "unused", Retriable: true}) }},
 	}
-	for i, mut := range mutations {
+	for i, m := range mutations {
 		s := Fig3()
-		mut(s)
-		if err := s.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-	// A compensation on a non-compensatable sub is caught by the iff rule.
-	s := Fig3()
-	s.Subs[1].Compensatable = false
-	s.Subs[1].Compensation = "CX"
-	if err := s.Validate(); err == nil {
-		t.Error("compensation on pivot accepted")
+		m.mut(s)
+		_, err := BuildTrie(s)
+		violates(t, fmt.Sprintf("mutation %d", i), err, m.constraint)
 	}
 }
 
@@ -133,10 +140,10 @@ func TestTrieShape(t *testing.T) {
 	if got := len(trie.Nodes()); got != 9 { // root + 8 subs
 		t.Fatalf("nodes = %d", got)
 	}
-	// PathTo reconstructs the chain.
+	// pathTo reconstructs the chain.
 	t8 := t4.Children[0].Children[0].Children[0]
-	if got := strings.Join(PathTo(t8), " "); got != "T1 T2 T4 T5 T6 T8" {
-		t.Fatalf("PathTo(T8) = %s", got)
+	if got := strings.Join(pathTo(t8), " "); got != "T1 T2 T4 T5 T6 T8" {
+		t.Fatalf("pathTo(T8) = %s", got)
 	}
 }
 
@@ -190,63 +197,25 @@ func TestFallback(t *testing.T) {
 }
 
 func TestWellFormed(t *testing.T) {
-	trie, err := BuildTrie(Fig3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trie.CheckWellFormed(); err != nil {
+	if _, err := BuildTrie(Fig3()); err != nil {
 		t.Fatalf("Fig3 should be well-formed: %v", err)
 	}
 	// Make T5 non-compensatable: T8's abort would need to undo it.
 	bad := Fig3()
 	bad.Subs[4] = SubSpec{Name: "T5"} // pivot now
-	trie2, err := BuildTrie(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trie2.CheckWellFormed(); err == nil {
-		t.Fatal("ill-formed spec accepted")
-	}
+	_, err := BuildTrie(bad)
+	violates(t, "T5 a pivot", err, "flexible.well-formed")
 	// A lone pivot with no alternatives is fine (clean abort, nothing
 	// committed before it).
 	lone := &Spec{Name: "lone", Subs: []SubSpec{{Name: "P"}}, Paths: [][]string{{"P"}}}
-	trie3, err := BuildTrie(lone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trie3.CheckWellFormed(); err != nil {
+	if _, err := BuildTrie(lone); err != nil {
 		t.Fatalf("lone pivot: %v", err)
 	}
 	// Two pivots in sequence with no alternative: the second pivot's abort
 	// would require compensating the first — ill-formed.
 	two := &Spec{Name: "two", Subs: []SubSpec{{Name: "P1"}, {Name: "P2"}}, Paths: [][]string{{"P1", "P2"}}}
-	trie4, err := BuildTrie(two)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trie4.CheckWellFormed(); err == nil {
-		t.Fatal("two sequential pivots accepted")
-	}
-}
-
-func TestCheckStrict(t *testing.T) {
-	// Fig3 violates MRSK92 (multiple pivots per path) but satisfies
-	// ZNBB94; the paper explains exactly this relaxation.
-	if err := Fig3().CheckStrict(); err == nil {
-		t.Fatal("Fig3 satisfies the strict MRSK92 rules unexpectedly")
-	}
-	ok := &Spec{
-		Name: "strictOK",
-		Subs: []SubSpec{
-			{Name: "A", Compensatable: true, Compensation: "CA"},
-			{Name: "P"},
-			{Name: "R", Retriable: true},
-		},
-		Paths: [][]string{{"A", "P", "R"}},
-	}
-	if err := ok.CheckStrict(); err != nil {
-		t.Fatal(err)
-	}
+	_, err = BuildTrie(two)
+	violates(t, "two sequential pivots", err, "flexible.well-formed")
 }
 
 // appendix scenarios: inject each abort of the appendix and compare the
@@ -370,30 +339,6 @@ func TestBindMissing(t *testing.T) {
 	delete(b, "T2")
 	if err := spec.Bind(b); err == nil {
 		t.Fatal("missing sub binding accepted")
-	}
-}
-
-func TestSegmentsFrom(t *testing.T) {
-	trie, err := BuildTrie(Fig3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From T5: [T5 T6] form one compensatable segment, then T8 alone.
-	var t5 *Node
-	for _, n := range trie.Nodes() {
-		if n.Sub == "T5" {
-			t5 = n
-		}
-	}
-	segs := SegmentsFrom(trie.Spec, t5)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %d", len(segs))
-	}
-	if got := strings.Join(subNames(segs[0].Nodes), " "); got != "T5 T6" {
-		t.Fatalf("segment 0 = %s", got)
-	}
-	if got := strings.Join(subNames(segs[1].Nodes), " "); got != "T8" {
-		t.Fatalf("segment 1 = %s", got)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // nothing (the transaction aborted) or exactly one declared execution path
 // (it committed there). Aborted attempts — of retriable subtransactions,
 // of compensations, and the failures that switch paths — commit nothing and
-// are permitted anywhere. The check knows nothing of preference order or of
-// the path trie, so it judges an executor independently of Fallback.
+// are permitted anywhere. Past checking the spec (BuildTrie), the check
+// knows nothing of preference order or of the path trie, so it judges an
+// executor independently of Fallback.
 func CheckHistory(spec *Spec, events []rm.Event) error {
-	if err := spec.Validate(); err != nil {
+	if _, err := BuildTrie(spec); err != nil {
 		return err
 	}
 	undoes := make(map[string]string, len(spec.Subs))

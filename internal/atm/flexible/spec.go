@@ -1,9 +1,5 @@
 package flexible
 
-import (
-	"fmt"
-)
-
 // SubSpec declares one subtransaction. Pivot subtransactions are those
 // that are neither compensatable nor retriable; a subtransaction may be
 // both compensatable and retriable (§4.2).
@@ -47,118 +43,6 @@ func (s *Spec) Sub(name string) *SubSpec {
 	for i := range s.Subs {
 		if s.Subs[i].Name == name {
 			return &s.Subs[i]
-		}
-	}
-	return nil
-}
-
-// Validate checks structural sanity: unique names, compensations declared
-// exactly for compensatable subtransactions, non-empty paths over declared
-// subtransactions, no duplicate subtransaction within a path, every
-// declared subtransaction used by some path, and no path a proper prefix
-// of another (a prefix path would make "success" ambiguous at a
-// divergence). It does not check well-formedness; see CheckWellFormed.
-func (s *Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("flexible: empty transaction name")
-	}
-	if len(s.Subs) == 0 {
-		return fmt.Errorf("flexible %s: no subtransactions", s.Name)
-	}
-	if len(s.Paths) == 0 {
-		return fmt.Errorf("flexible %s: no execution paths", s.Name)
-	}
-	names := make(map[string]bool, 2*len(s.Subs))
-	for _, sub := range s.Subs {
-		if sub.Name == "" {
-			return fmt.Errorf("flexible %s: subtransaction with empty name", s.Name)
-		}
-		if names[sub.Name] {
-			return fmt.Errorf("flexible %s: duplicate name %q", s.Name, sub.Name)
-		}
-		names[sub.Name] = true
-		if sub.Compensatable != (sub.Compensation != "") {
-			return fmt.Errorf("flexible %s: subtransaction %q must declare a compensation iff compensatable", s.Name, sub.Name)
-		}
-		if sub.Compensation != "" {
-			if names[sub.Compensation] {
-				return fmt.Errorf("flexible %s: duplicate name %q", s.Name, sub.Compensation)
-			}
-			names[sub.Compensation] = true
-		}
-	}
-	used := make(map[string]bool)
-	for pi, path := range s.Paths {
-		if len(path) == 0 {
-			return fmt.Errorf("flexible %s: path %d is empty", s.Name, pi+1)
-		}
-		inPath := make(map[string]bool, len(path))
-		for _, n := range path {
-			if s.Sub(n) == nil {
-				return fmt.Errorf("flexible %s: path %d uses undeclared subtransaction %q", s.Name, pi+1, n)
-			}
-			if inPath[n] {
-				return fmt.Errorf("flexible %s: path %d repeats subtransaction %q", s.Name, pi+1, n)
-			}
-			inPath[n] = true
-			used[n] = true
-		}
-	}
-	for _, sub := range s.Subs {
-		if !used[sub.Name] {
-			return fmt.Errorf("flexible %s: subtransaction %q appears in no path", s.Name, sub.Name)
-		}
-	}
-	for i, a := range s.Paths {
-		for j, b := range s.Paths {
-			if i == j {
-				continue
-			}
-			if isPrefix(a, b) {
-				return fmt.Errorf("flexible %s: path %d is a prefix of path %d", s.Name, i+1, j+1)
-			}
-		}
-	}
-	return nil
-}
-
-func isPrefix(a, b []string) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckStrict applies the original MRSK92 restrictions, stricter than
-// ZNBB94 well-formedness: each path contains at most one pivot, every
-// subtransaction before the pivot is compensatable, and every
-// subtransaction after the pivot is retriable.
-func (s *Spec) CheckStrict() error {
-	for pi, path := range s.Paths {
-		pivotAt := -1
-		for i, n := range path {
-			sub := s.Sub(n)
-			if sub == nil {
-				return fmt.Errorf("flexible %s: path %d uses undeclared %q", s.Name, pi+1, n)
-			}
-			if sub.Pivot() {
-				if pivotAt >= 0 {
-					return fmt.Errorf("flexible %s: path %d has more than one pivot (%s)", s.Name, pi+1, n)
-				}
-				pivotAt = i
-				continue
-			}
-			if pivotAt < 0 && !sub.Compensatable {
-				return fmt.Errorf("flexible %s: path %d: %q before the pivot is not compensatable", s.Name, pi+1, n)
-			}
-			if pivotAt >= 0 && !sub.Retriable {
-				return fmt.Errorf("flexible %s: path %d: %q after the pivot is not retriable", s.Name, pi+1, n)
-			}
 		}
 	}
 	return nil

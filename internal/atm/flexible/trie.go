@@ -1,7 +1,5 @@
 package flexible
 
-import "fmt"
-
 // Node is a position in the path trie of a flexible transaction: the state
 // after the subtransactions on the root-to-node chain have committed.
 // Children are ordered by path preference — the first child is the
@@ -21,19 +19,17 @@ type Node struct {
 
 // Trie is the path trie plus its specification.
 type Trie struct {
-	Spec *Spec
+	*Spec
 	Root *Node
 	// nodes in preorder.
 	nodes []*Node
 }
 
-// BuildTrie folds the preference-ordered paths into a trie. Children at
-// each divergence appear in the order the paths introduce them, which is
-// exactly the preference order.
+// BuildTrie folds the preference-ordered paths into a trie and checks it
+// against Constraints, so no caller holds the trie of an ill-formed spec.
+// Children at each divergence appear in the order the paths introduce
+// them, which is exactly the preference order.
 func BuildTrie(spec *Spec) (*Trie, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	root := &Node{}
 	for _, path := range spec.Paths {
 		cur := root
@@ -54,6 +50,9 @@ func BuildTrie(spec *Spec) (*Trie, error) {
 	}
 	t := &Trie{Spec: spec, Root: root}
 	t.number(root)
+	if err := Constraints.Check(t); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -68,8 +67,8 @@ func (t *Trie) number(n *Node) {
 // Nodes returns the trie nodes in preorder (root first).
 func (t *Trie) Nodes() []*Node { return t.nodes }
 
-// PathTo returns the subtransaction names on the chain root → n.
-func PathTo(n *Node) []string {
+// pathTo returns the subtransaction names on the chain root → n.
+func pathTo(n *Node) []string {
 	var rev []string
 	for cur := n; cur != nil && cur.Parent != nil; cur = cur.Parent {
 		rev = append(rev, cur.Sub)
@@ -81,9 +80,9 @@ func PathTo(n *Node) []string {
 	return out
 }
 
-// NextSibling returns the next lower-preference alternative at n's
+// nextSibling returns the next lower-preference alternative at n's
 // decision point, or nil.
-func NextSibling(n *Node) *Node {
+func nextSibling(n *Node) *Node {
 	if n.Parent == nil {
 		return nil
 	}
@@ -108,7 +107,7 @@ func NextSibling(n *Node) *Node {
 func Fallback(n *Node) (next *Node, compensate []*Node) {
 	cur := n
 	for {
-		if s := NextSibling(cur); s != nil {
+		if s := nextSibling(cur); s != nil {
 			return s, compensate
 		}
 		cur = cur.Parent
@@ -119,83 +118,4 @@ func Fallback(n *Node) (next *Node, compensate []*Node) {
 		}
 		compensate = append(compensate, cur)
 	}
-}
-
-// CheckWellFormed verifies the ZNBB94-style atomicity condition on the
-// trie: for every node whose subtransaction can abort (it is not
-// retriable), every committed ancestor that its failure would force to be
-// undone must be compensatable. Because Fallback's compensation list
-// reaches the root exactly when no alternative remains, this single check
-// simultaneously guarantees (a) clean global abort is possible whenever it
-// can happen, and (b) once a pivot commits, every reachable failure still
-// leads to some alternative — so the transaction eventually commits.
-func (t *Trie) CheckWellFormed() error {
-	for _, n := range t.nodes {
-		if n.Parent == nil {
-			continue
-		}
-		sub := t.Spec.Sub(n.Sub)
-		if sub == nil {
-			return fmt.Errorf("flexible %s: trie references undeclared %q", t.Spec.Name, n.Sub)
-		}
-		if sub.Retriable {
-			continue // cannot abort for good
-		}
-		_, comp := Fallback(n)
-		for _, c := range comp {
-			cs := t.Spec.Sub(c.Sub)
-			if !cs.Compensatable {
-				return fmt.Errorf(
-					"flexible %s: not well-formed: abort of %q requires compensating %q (%s), which is not compensatable",
-					t.Spec.Name, n.Sub, c.Sub, cs.Kind())
-			}
-		}
-	}
-	return nil
-}
-
-// Segments groups the trie into maximal runs of consecutive compensatable
-// nodes along single-child chains — §4.2 rule 5: "all compensatable
-// subtransactions in the path between two pivot subtransactions that are
-// not a bifurcation point [...] are grouped together into a single block".
-// The translator turns each segment into a forward block with a mirrored
-// compensation block. Every non-compensatable node (and every compensatable
-// node that is a bifurcation point start) forms its own single-node
-// segment with Compensatable=false handled by the caller via the spec.
-type Segment struct {
-	// Nodes of the segment in execution order. For a compensatable run
-	// len > 0; otherwise exactly one node.
-	Nodes []*Node
-}
-
-// SegmentsFrom partitions the children chain starting at n (which must
-// have exactly the nodes of interest downstream) — helper used by the
-// translator; exposed for testing. A segment extends while the node is
-// compensatable, has exactly one child, and that child is also
-// compensatable.
-func SegmentsFrom(spec *Spec, first *Node) []Segment {
-	var out []Segment
-	cur := first
-	for cur != nil {
-		sub := spec.Sub(cur.Sub)
-		if sub.Compensatable {
-			seg := Segment{Nodes: []*Node{cur}}
-			for len(cur.Children) == 1 {
-				next := cur.Children[0]
-				if !spec.Sub(next.Sub).Compensatable {
-					break
-				}
-				seg.Nodes = append(seg.Nodes, next)
-				cur = next
-			}
-			out = append(out, seg)
-		} else {
-			out = append(out, Segment{Nodes: []*Node{cur}})
-		}
-		if len(cur.Children) != 1 {
-			break // divergence or leaf: the caller recurses per child
-		}
-		cur = cur.Children[0]
-	}
-	return out
 }

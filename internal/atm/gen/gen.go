@@ -4,16 +4,18 @@
 // of every subtransaction.
 //
 // Generation is configuration (Config) and well-formedness holds by
-// construction, so every case New returns passes its model's Validate (and,
-// for flexible transactions, CheckWellFormed) and round-trips through the
-// FMTM specification language (Case.Text). Shrink proposes smaller cases
-// that keep those properties, so a failing case can be cut down to one a
-// reader can follow.
+// construction, so every case New returns passes its model's constraint
+// table (saga.Constraints, flexible.Constraints) and round-trips through
+// the FMTM specification language (Case.Text). Shrink proposes smaller
+// cases that keep those properties, so a failing case can be cut down to
+// one a reader can follow. Violate is the converse: a drawn case broken in
+// exactly one named constraint.
 package gen
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,8 +98,9 @@ func (p Plan) Injector() *rm.Injector {
 	return inj
 }
 
-// Case is one specification with its abort plan. Exactly one of Saga,
-// General and Flexible is set, as Family says.
+// Case is one specification with its abort plan: the one of Saga, General
+// and Flexible that Family says, plus Flexible in Violate's file that
+// repeats a transaction name.
 type Case struct {
 	Family   Family
 	Seed     int64
@@ -189,7 +192,8 @@ func (g *drawer) parallel(name string) *saga.GeneralSpec {
 // its parent: Fallback then compensates the parent and, if the parent has
 // no sibling either, goes on up. So a last child must be retriable exactly
 // when that walk would meet a node that is not compensatable — ZNBB94
-// well-formedness (flexible.Trie.CheckWellFormed), held by construction.
+// well-formedness (the flexible.well-formed constraint), held by
+// construction.
 func (g *drawer) grow(prefix []string, comp, stuck bool) {
 	root := len(prefix) == 0
 	room := g.cfg.MaxSteps - len(g.flex.Subs)
@@ -259,19 +263,9 @@ func (c *Case) Names() []string {
 // IsCompensation reports whether name is a compensation of the case.
 func (c *Case) IsCompensation(name string) bool {
 	if c.Family == Flexible {
-		for _, s := range c.Flexible.Subs {
-			if s.Compensation == name {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(c.Flexible.Subs, func(s flexible.SubSpec) bool { return s.Compensation == name })
 	}
-	for _, st := range c.steps() {
-		if st.Compensation == name {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(c.steps(), func(s saga.Step) bool { return s.Compensation == name })
 }
 
 // Size counts the subtransactions of the case, compensations not counted.
@@ -293,8 +287,7 @@ func (c *Case) steps() []saga.Step {
 // trailing comment.
 func (c *Case) Text() string {
 	var sb strings.Builder
-	switch c.Family {
-	case Linear, Parallel:
+	if c.Family != Flexible {
 		name, deps := "", map[string][]string(nil)
 		if c.Family == Linear {
 			name = c.Saga.Name
@@ -310,8 +303,8 @@ func (c *Case) Text() string {
 			sb.WriteByte('\n')
 		}
 		fmt.Fprintf(&sb, "END '%s'\n", name)
-	case Flexible:
-		f := c.Flexible
+	}
+	if f := c.Flexible; f != nil {
 		fmt.Fprintf(&sb, "FLEXIBLE '%s'\n", f.Name)
 		for _, s := range f.Subs {
 			fmt.Fprintf(&sb, "  SUB '%s'", s.Name)
@@ -330,7 +323,11 @@ func (c *Case) Text() string {
 			sb.WriteByte('\n')
 		}
 		for _, p := range f.Paths {
-			fmt.Fprintf(&sb, "  PATH '%s'\n", strings.Join(p, "' '"))
+			sb.WriteString("  PATH")
+			for _, n := range p {
+				fmt.Fprintf(&sb, " '%s'", n)
+			}
+			sb.WriteByte('\n')
 		}
 		fmt.Fprintf(&sb, "END '%s'\n", f.Name)
 	}
@@ -359,8 +356,8 @@ func (p Plan) String() string {
 	return strings.Join(names, ", ")
 }
 
-// Valid checks the case against its model's rules and the generator's
-// own constraints: a parallel saga has a dependency (or it would print as
+// Valid checks the case against its model's constraints and the
+// generator's own: a parallel saga has a dependency (or it would print as
 // a linear one), and a flexible subtransaction sits at one position of the
 // path trie (a plan counts attempts per name, so a name must not run in
 // two places).
@@ -390,7 +387,80 @@ func (c *Case) Valid() error {
 		}
 		seen[n.Sub] = true
 	}
-	return trie.CheckWellFormed()
+	return nil
+}
+
+// Violate draws the case of seed from the family that constraint — a row
+// of saga.Constraints, flexible.Constraints or the FMTM file table — is
+// about and breaks it, leaving every constraint checked before it intact,
+// so the check reports exactly that one. It returns nil for a constraint
+// it has no violation of.
+func Violate(constraint string, seed int64) *Case {
+	v, ok := violations[constraint]
+	if !ok {
+		return nil
+	}
+	c := New(v.family, seed, Default)
+	v.breaks(c)
+	return c
+}
+
+// violations maps each constraint to the family of the case Violate draws
+// and the mutation that breaks it. A drawn saga names its steps T1..Tn (a
+// parallel one has at least two, and T1 has no prerequisite), and a drawn
+// flexible transaction names its subtransactions T1..Tn.
+var violations = map[string]struct {
+	family Family
+	breaks func(c *Case)
+}{
+	"saga.named":                  {Linear, func(c *Case) { c.Saga.Name = "" }},
+	"saga.has-steps":              {Linear, func(c *Case) { c.Saga.Steps = nil }},
+	"saga.step-named":             {Linear, func(c *Case) { c.Saga.Steps[0].Name = "" }},
+	"saga.compensated":            {Linear, func(c *Case) { c.Saga.Steps[0].Compensation = "" }},
+	"saga.unique-names":           {Linear, func(c *Case) { c.Saga.Steps = append(c.Saga.Steps, c.Saga.Steps[0]) }},
+	"saga.deps-declared":          {Parallel, func(c *Case) { c.General.Deps["T1"] = []string{"ghost"} }},
+	"saga.no-self-dependency":     {Parallel, func(c *Case) { c.General.Deps["T1"] = []string{"T1"} }},
+	"saga.no-repeated-dependency": {Parallel, func(c *Case) { c.General.Deps["T2"] = []string{"T1", "T1"} }},
+	"saga.acyclic": {Parallel, func(c *Case) {
+		c.General.Deps["T1"], c.General.Deps["T2"] = []string{"T2"}, []string{"T1"}
+	}},
+	"flexible.named":        {Flexible, func(c *Case) { c.Flexible.Name = "" }},
+	"flexible.has-subs":     {Flexible, func(c *Case) { c.Flexible.Subs = nil }},
+	"flexible.has-paths":    {Flexible, func(c *Case) { c.Flexible.Paths = nil }},
+	"flexible.sub-named":    {Flexible, func(c *Case) { c.Flexible.Subs[0].Name = "" }},
+	"flexible.unique-names": {Flexible, func(c *Case) { c.Flexible.Subs = append(c.Flexible.Subs, c.Flexible.Subs[0]) }},
+	"flexible.compensation-iff-compensatable": {Flexible, func(c *Case) {
+		c.Flexible.Subs[0].Compensatable = !c.Flexible.Subs[0].Compensatable
+	}},
+	"flexible.paths-nonempty": {Flexible, func(c *Case) { c.Flexible.Paths = append(c.Flexible.Paths, nil) }},
+	"flexible.paths-declared": {Flexible, func(c *Case) { c.Flexible.Paths = append(c.Flexible.Paths, []string{"ghost"}) }},
+	"flexible.path-no-repeat": {Flexible, func(c *Case) {
+		p := c.Flexible.Paths[0]
+		c.Flexible.Paths = append(c.Flexible.Paths, append(p[:len(p):len(p)], p[0]))
+	}},
+	"flexible.subs-used":      {Flexible, func(c *Case) { c.fresh(flexible.SubSpec{Retriable: true}) }},
+	"flexible.no-prefix-path": {Flexible, func(c *Case) { c.Flexible.Paths = append(c.Flexible.Paths, c.Flexible.Paths[0]) }},
+	// Two pivots ahead of everything: the second one's abort must undo
+	// the first.
+	"flexible.well-formed": {Flexible, func(c *Case) {
+		head := []string{c.fresh(flexible.SubSpec{}), c.fresh(flexible.SubSpec{})}
+		for i, p := range c.Flexible.Paths {
+			c.Flexible.Paths[i] = append(head[:2:2], p...)
+		}
+	}},
+	"fmtm.unique-transaction-names": {Linear, func(c *Case) {
+		c.Flexible = New(Flexible, c.Seed, Default).Flexible
+		c.Flexible.Name = c.Saga.Name
+	}},
+	"fmtm.reserved-names": {Linear, func(c *Case) { c.Saga.Steps[0].Name = "NOP" }},
+}
+
+// fresh declares s as the next flexible subtransaction T<n+1> and returns
+// its name.
+func (c *Case) fresh(s flexible.SubSpec) string {
+	s.Name = fmt.Sprintf("T%d", len(c.Flexible.Subs)+1)
+	c.Flexible.Subs = append(c.Flexible.Subs, s)
+	return s.Name
 }
 
 // Shrink proposes every valid case one step smaller than c: a saga step

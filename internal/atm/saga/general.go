@@ -23,67 +23,8 @@ type GeneralSpec struct {
 	Deps map[string][]string
 }
 
-// Validate checks the specification: valid step/compensation naming (as in
-// linear sagas), dependency references resolve, and the dependency graph
-// is acyclic.
-func (s *GeneralSpec) Validate() error {
-	lin := &Spec{Name: s.Name, Steps: s.Steps}
-	if err := lin.Validate(); err != nil {
-		return err
-	}
-	steps := make(map[string]bool, len(s.Steps))
-	for _, st := range s.Steps {
-		steps[st.Name] = true
-	}
-	for step, deps := range s.Deps {
-		if !steps[step] {
-			return fmt.Errorf("saga %s: dependency declared for unknown step %q", s.Name, step)
-		}
-		seen := make(map[string]bool, len(deps))
-		for _, d := range deps {
-			if !steps[d] {
-				return fmt.Errorf("saga %s: step %q depends on unknown step %q", s.Name, step, d)
-			}
-			if d == step {
-				return fmt.Errorf("saga %s: step %q depends on itself", s.Name, step)
-			}
-			if seen[d] {
-				return fmt.Errorf("saga %s: step %q lists dependency %q twice", s.Name, step, d)
-			}
-			seen[d] = true
-		}
-	}
-	// Cycle check.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(s.Steps))
-	var visit func(n string) error
-	visit = func(n string) error {
-		switch color[n] {
-		case grey:
-			return fmt.Errorf("saga %s: dependency cycle through %q", s.Name, n)
-		case black:
-			return nil
-		}
-		color[n] = grey
-		for _, d := range s.Deps[n] {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		color[n] = black
-		return nil
-	}
-	for _, st := range s.Steps {
-		if err := visit(st.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Validate checks the specification against the saga's Constraints.
+func (s *GeneralSpec) Validate() error { return Constraints.Check(s) }
 
 // Linear reports whether the partial order is in fact the declaration
 // sequence (each step depending exactly on its predecessor), in which case
@@ -104,19 +45,9 @@ func (s *GeneralSpec) Linear() bool {
 	return true
 }
 
-// step returns the step with the given name, or nil.
-func (s *GeneralSpec) step(name string) *Step {
-	for i := range s.Steps {
-		if s.Steps[i].Name == name {
-			return &s.Steps[i]
-		}
-	}
-	return nil
-}
-
-// dependents returns the steps that list name as a prerequisite, in
+// Dependents returns the steps that list name as a prerequisite, in
 // declaration order.
-func (s *GeneralSpec) dependents(name string) []string {
+func (s *GeneralSpec) Dependents(name string) []string {
 	var out []string
 	for _, st := range s.Steps {
 		for _, d := range s.Deps[st.Name] {
@@ -157,8 +88,8 @@ func (e *Executor) ExecuteGeneral(spec *GeneralSpec, b Binding, rec *rm.Recorder
 		return GeneralResult{}, err
 	}
 	committed := make(map[string]bool, len(spec.Steps))
-	var completionOrder []string
-	for len(completionOrder) < len(spec.Steps) {
+	var done []Step // in completion order
+	for len(done) < len(spec.Steps) {
 		var next *Step
 		for i := range spec.Steps {
 			st := &spec.Steps[i]
@@ -185,39 +116,15 @@ func (e *Executor) ExecuteGeneral(spec *GeneralSpec, b Binding, rec *rm.Recorder
 			return GeneralResult{}, err
 		}
 		if !ok {
-			if err := e.compensateGeneral(spec, b, completionOrder, rec); err != nil {
+			if err := e.compensate(spec.Name, done, b, rec); err != nil {
 				return GeneralResult{}, err
 			}
 			return GeneralResult{Committed: false, Aborted: []string{next.Name}}, nil
 		}
 		committed[next.Name] = true
-		completionOrder = append(completionOrder, next.Name)
+		done = append(done, *next)
 	}
 	return GeneralResult{Committed: true}, nil
-}
-
-func (e *Executor) compensateGeneral(spec *GeneralSpec, b Binding, completionOrder []string, rec *rm.Recorder) error {
-	maxRetries := e.MaxCompensationRetries
-	if maxRetries <= 0 {
-		maxRetries = 1000
-	}
-	for i := len(completionOrder) - 1; i >= 0; i-- {
-		comp := spec.step(completionOrder[i]).Compensation
-		for attempt := 0; ; attempt++ {
-			ok, err := rm.Exec(b[comp], e.Decider, rec)
-			if err != nil {
-				return err
-			}
-			if ok {
-				break
-			}
-			if attempt >= maxRetries {
-				return fmt.Errorf("saga %s: compensation %q did not commit after %d attempts",
-					spec.Name, comp, attempt+1)
-			}
-		}
-	}
-	return nil
 }
 
 // CheckGeneralGuarantee verifies an observed history against the
@@ -285,7 +192,7 @@ func CheckGeneralGuarantee(spec *GeneralSpec, events []rm.Event) error {
 			continue // retriable compensation attempt
 		}
 		// Order: all committed dependents must already be compensated.
-		for _, dep := range spec.dependents(step) {
+		for _, dep := range spec.Dependents(step) {
 			if committed[dep] && !compensated[dep] {
 				return fmt.Errorf("saga %s: %s compensated before its dependent %s", spec.Name, step, dep)
 			}

@@ -1,6 +1,7 @@
 package saga
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,20 +37,21 @@ func TestGeneralValidate(t *testing.T) {
 	if err := diamondSpec().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mutations := []func(s *GeneralSpec){
-		func(s *GeneralSpec) { s.Deps["ghost"] = []string{"a"} },
-		func(s *GeneralSpec) { s.Deps["b"] = []string{"ghost"} },
-		func(s *GeneralSpec) { s.Deps["b"] = []string{"b"} },
-		func(s *GeneralSpec) { s.Deps["b"] = []string{"a", "a"} },
-		func(s *GeneralSpec) { s.Deps["a"] = []string{"d"} }, // cycle
-		func(s *GeneralSpec) { s.Steps[0].Compensation = "" },
+	mutations := []struct {
+		constraint string
+		mut        func(s *GeneralSpec)
+	}{
+		{"saga.deps-declared", func(s *GeneralSpec) { s.Deps["ghost"] = []string{"a"} }},
+		{"saga.deps-declared", func(s *GeneralSpec) { s.Deps["b"] = []string{"ghost"} }},
+		{"saga.no-self-dependency", func(s *GeneralSpec) { s.Deps["b"] = []string{"b"} }},
+		{"saga.no-repeated-dependency", func(s *GeneralSpec) { s.Deps["b"] = []string{"a", "a"} }},
+		{"saga.acyclic", func(s *GeneralSpec) { s.Deps["a"] = []string{"d"} }},
+		{"saga.compensated", func(s *GeneralSpec) { s.Steps[0].Compensation = "" }},
 	}
-	for i, mut := range mutations {
+	for i, m := range mutations {
 		s := diamondSpec()
-		mut(s)
-		if err := s.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
+		m.mut(s)
+		violates(t, fmt.Sprintf("mutation %d", i), s.Validate(), m.constraint)
 	}
 }
 

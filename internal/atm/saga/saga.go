@@ -21,31 +21,11 @@ type Spec struct {
 	Steps []Step
 }
 
-// Validate checks the specification: a name, at least one step, unique
-// non-empty step and compensation names.
+// Validate checks the specification against the saga's Constraints; a
+// linear saga has no dependencies, so only the rows of §4.1's T1..Tn with
+// C1..Cn can fail.
 func (s *Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("saga: empty saga name")
-	}
-	if len(s.Steps) == 0 {
-		return fmt.Errorf("saga %s: no steps", s.Name)
-	}
-	seen := make(map[string]bool, 2*len(s.Steps))
-	for i, st := range s.Steps {
-		if st.Name == "" {
-			return fmt.Errorf("saga %s: step %d has empty name", s.Name, i+1)
-		}
-		if st.Compensation == "" {
-			return fmt.Errorf("saga %s: step %q has no compensation", s.Name, st.Name)
-		}
-		for _, n := range []string{st.Name, st.Compensation} {
-			if seen[n] {
-				return fmt.Errorf("saga %s: duplicate subtransaction name %q", s.Name, n)
-			}
-			seen[n] = true
-		}
-	}
-	return nil
+	return Constraints.Check(&GeneralSpec{Name: s.Name, Steps: s.Steps})
 }
 
 // Binding maps every subtransaction name (steps and compensations) of a
@@ -96,20 +76,18 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 	if err := spec.Bind(b); err != nil {
 		return Result{}, err
 	}
-	committedPrefix := 0
 	for i, st := range spec.Steps {
 		ok, err := rm.Exec(b[st.Name], e.Decider, rec)
 		if err != nil {
 			return Result{}, err
 		}
 		if !ok {
-			// Step i+1 aborted: compensate T_j..T_1 for j = i.
-			if err := e.compensate(spec, b, committedPrefix, rec); err != nil {
+			// Step i+1 aborted: compensate T_i..T_1.
+			if err := e.compensate(spec.Name, spec.Steps[:i], b, rec); err != nil {
 				return Result{}, err
 			}
 			return Result{Committed: false, AbortedAt: i + 1}, nil
 		}
-		committedPrefix = i + 1
 	}
 	return Result{Committed: true}, nil
 }
@@ -124,17 +102,18 @@ func (e *Executor) Compensate(spec *Spec, b Binding, rec *rm.Recorder) error {
 	if err := spec.Bind(b); err != nil {
 		return err
 	}
-	return e.compensate(spec, b, len(spec.Steps), rec)
+	return e.compensate(spec.Name, spec.Steps, b, rec)
 }
 
-func (e *Executor) compensate(spec *Spec, b Binding, prefix int, rec *rm.Recorder) error {
+// compensate runs the compensations of the committed steps, last first,
+// each retried until it commits.
+func (e *Executor) compensate(name string, committed []Step, b Binding, rec *rm.Recorder) error {
 	maxRetries := e.MaxCompensationRetries
 	if maxRetries <= 0 {
 		maxRetries = 1000
 	}
-	for i := prefix - 1; i >= 0; i-- {
-		comp := spec.Steps[i].Compensation
-		// Compensations must succeed; retry until they commit.
+	for i := len(committed) - 1; i >= 0; i-- {
+		comp := committed[i].Compensation
 		for attempt := 0; ; attempt++ {
 			ok, err := rm.Exec(b[comp], e.Decider, rec)
 			if err != nil {
@@ -145,7 +124,7 @@ func (e *Executor) compensate(spec *Spec, b Binding, prefix int, rec *rm.Recorde
 			}
 			if attempt >= maxRetries {
 				return fmt.Errorf("saga %s: compensation %q did not commit after %d attempts",
-					spec.Name, comp, attempt+1)
+					name, comp, attempt+1)
 			}
 		}
 	}

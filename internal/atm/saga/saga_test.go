@@ -1,10 +1,12 @@
 package saga
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/rm"
 	"repro/internal/txdb"
 )
@@ -35,22 +37,32 @@ func historyString(rec *rm.Recorder) string {
 	return strings.Join(parts, " ")
 }
 
+// violates asserts that err is the violation of constraint.
+func violates(t *testing.T, what string, err error, constraint string) {
+	t.Helper()
+	var v *atm.Violation
+	if !errors.As(err, &v) || v.Constraint != constraint {
+		t.Errorf("%s: got %v, want a violation of %s", what, err, constraint)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := travelSpec().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []*Spec{
-		{},
-		{Name: "s"},
-		{Name: "s", Steps: []Step{{Name: "", Compensation: "c"}}},
-		{Name: "s", Steps: []Step{{Name: "t", Compensation: ""}}},
-		{Name: "s", Steps: []Step{{Name: "t", Compensation: "t"}}},
-		{Name: "s", Steps: []Step{{Name: "t", Compensation: "c"}, {Name: "t", Compensation: "c2"}}},
+	bad := []struct {
+		constraint string
+		spec       *Spec
+	}{
+		{"saga.named", &Spec{}},
+		{"saga.has-steps", &Spec{Name: "s"}},
+		{"saga.step-named", &Spec{Name: "s", Steps: []Step{{Name: "", Compensation: "c"}}}},
+		{"saga.compensated", &Spec{Name: "s", Steps: []Step{{Name: "t", Compensation: ""}}}},
+		{"saga.unique-names", &Spec{Name: "s", Steps: []Step{{Name: "t", Compensation: "t"}}}},
+		{"saga.unique-names", &Spec{Name: "s", Steps: []Step{{Name: "t", Compensation: "c"}, {Name: "t", Compensation: "c2"}}}},
 	}
-	for i, sp := range bad {
-		if err := sp.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
+	for i, c := range bad {
+		violates(t, fmt.Sprintf("case %d", i), c.spec.Validate(), c.constraint)
 	}
 }
 

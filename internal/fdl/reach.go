@@ -24,6 +24,7 @@ import (
 // terminated.
 type Outcome uint8
 
+// The outcomes a reach query can fix.
 const (
 	// OutcomeAny places no constraint on the anchor's return code.
 	OutcomeAny Outcome = iota
@@ -76,9 +77,9 @@ type ReachResult struct {
 	Target string `json:"target"`
 }
 
-// ActivityPaths lists every activity of the process as a dotted path,
+// activityPaths lists every activity of the process as a dotted path,
 // sorted — the vocabulary reach queries resolve names against.
-func ActivityPaths(p *model.Process) []string {
+func activityPaths(p *model.Process) []string {
 	var out []string
 	var walk func(g *model.Graph, prefix string)
 	walk = func(g *model.Graph, prefix string) {
@@ -232,7 +233,7 @@ func (an *analysis) resolve(name string) (*model.Activity, error) {
 		return an.path2act[hits[0]], nil
 	case 0:
 		return nil, fmt.Errorf("fdl: reach: no activity %q in process %s (activities: %s)",
-			name, an.proc.Name, strings.Join(ActivityPaths(an.proc), ", "))
+			name, an.proc.Name, strings.Join(activityPaths(an.proc), ", "))
 	default:
 		sort.Strings(hits)
 		return nil, fmt.Errorf("fdl: reach: ambiguous activity %q in process %s (matches %s)",

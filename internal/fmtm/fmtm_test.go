@@ -233,6 +233,21 @@ func TestFlexibleTranslationStructure(t *testing.T) {
 	if len(outs) != 2 {
 		t.Fatalf("T4 outgoing = %d", len(outs))
 	}
+	// Rule 5: T5 and T6 form one compensatable block, and T8 stands alone.
+	var run []string
+	for _, a := range p.Activities {
+		if a.Kind == model.KindBlock && a.Block.Activity("T5") != nil {
+			for _, b := range a.Block.Activities {
+				run = append(run, b.Name)
+			}
+		}
+	}
+	if got := strings.Join(run, " "); got != "T5 T6" {
+		t.Fatalf("block of T5 = [%s], want [T5 T6]", got)
+	}
+	if a := p.Graph.Activity("T8"); a == nil || a.Kind != model.KindProgram {
+		t.Fatalf("T8 = %+v, want a standalone program activity", a)
+	}
 }
 
 // TestFlexibleFig3: every appendix scenario of the paper's Figure 3/4

@@ -1,9 +1,13 @@
 package fmtm
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
+	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/rm"
 )
@@ -138,6 +142,44 @@ END 'f'`},
 				t.Fatalf("Pipeline accepted %q", c.src)
 			}
 		})
+	}
+}
+
+// TestPipelineRejectsAtSpecificationStage: a file that breaks a constraint
+// is rejected by the pre-processor's check naming the constraint, not
+// later by FDL generation or the semantic check; the saga translators
+// apply the reserved names too.
+func TestPipelineRejectsAtSpecificationStage(t *testing.T) {
+	sagaSrc := func(name string) string {
+		return "SAGA '" + name + "' STEP 'a' COMPENSATION 'ca' END '" + name + "'\n"
+	}
+	flexSrc := func(name string) string {
+		return "FLEXIBLE '" + name + "' SUB 'p' PIVOT PATH 'p' END '" + name + "'\n"
+	}
+	cases := []struct{ name, src, constraint string }{
+		{"two sagas s", sagaSrc("s") + sagaSrc("s"), "fmtm.unique-transaction-names"},
+		{"two flexible f", flexSrc("f") + flexSrc("f"), "fmtm.unique-transaction-names"},
+		{"saga and flexible x", sagaSrc("x") + flexSrc("x"), "fmtm.unique-transaction-names"},
+		{"reserved saga name", "SAGA 'x' STEP 'NOP' COMPENSATION 'c' END 'x'", "fmtm.reserved-names"},
+		{"reserved parallel saga name", "SAGA 'x' STEP 'a' COMPENSATION 'Forward' STEP 'b' COMPENSATION 'cb' AFTER 'a' END 'x'", "fmtm.reserved-names"},
+		{"empty path", "FLEXIBLE 'f' SUB 's' PIVOT PATH END 'f'", "flexible.paths-nonempty"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Pipeline(c.src)
+			var v *atm.Violation
+			if !strings.HasPrefix(fmt.Sprint(err), "fmtm: specification stage: ") || !errors.As(err, &v) || v.Constraint != c.constraint {
+				t.Fatalf("Pipeline = %v, want the specification stage to reject by %s", err, c.constraint)
+			}
+		})
+	}
+	var v *atm.Violation
+	steps := []saga.Step{{Name: "Compensation", Compensation: "c"}}
+	if _, err := TranslateSaga(&saga.Spec{Name: "x", Steps: steps}, SagaOptions{}); !errors.As(err, &v) || v.Constraint != "fmtm.reserved-names" {
+		t.Fatalf("TranslateSaga = %v", err)
+	}
+	if _, err := TranslateGeneralSaga(&saga.GeneralSpec{Name: "x", Steps: steps}, SagaOptions{}); !errors.As(err, &v) || v.Constraint != "fmtm.reserved-names" {
+		t.Fatalf("TranslateGeneralSaga = %v", err)
 	}
 }
 

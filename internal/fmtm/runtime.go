@@ -54,28 +54,13 @@ func RegisterSaga(e *engine.Engine, spec *saga.Spec, b saga.Binding, dec rm.Deci
 // RegisterGeneralSaga registers one engine program per step and
 // compensation of a generalized saga.
 func RegisterGeneralSaga(e *engine.Engine, spec *saga.GeneralSpec, b saga.Binding, dec rm.Decider, rec *rm.Recorder) error {
-	if err := spec.Bind(b); err != nil {
-		return err
-	}
-	for _, st := range spec.Steps {
-		for _, name := range []string{st.Name, st.Compensation} {
-			if err := e.RegisterProgram(name, rm.Program(b[name], dec, rec)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return RegisterSaga(e, &saga.Spec{Name: spec.Name, Steps: spec.Steps}, b, dec, rec)
 }
 
 // PureGeneralBinding binds every step and compensation of the generalized
 // saga to a storage-free subtransaction.
 func PureGeneralBinding(spec *saga.GeneralSpec) saga.Binding {
-	b := saga.Binding{}
-	for _, st := range spec.Steps {
-		b[st.Name] = rm.Subtransaction{Name: st.Name}
-		b[st.Compensation] = rm.Subtransaction{Name: st.Compensation}
-	}
-	return b
+	return PureSagaBinding(&saga.Spec{Steps: spec.Steps})
 }
 
 // RegisterFlexible registers one engine program per flexible

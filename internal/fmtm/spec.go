@@ -25,9 +25,11 @@ package fmtm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 
+	"repro/internal/atm"
 	"repro/internal/atm/flexible"
 	"repro/internal/atm/saga"
 )
@@ -41,13 +43,14 @@ type SpecFile struct {
 	Flexible []*flexible.Spec
 }
 
-// ParseSpec parses an FMTM specification file and checks each
-// specification against its model's rules (saga validation; flexible
-// validation + well-formedness), per the paper: "The pre-processor checks
-// that the user specification meets the format of the advanced transaction
-// model specified."
+// ParseSpec parses an FMTM specification file and checks it, per the
+// paper: "The pre-processor checks that the user specification meets the
+// format of the advanced transaction model specified." Every specification
+// is held to its model's constraint table (saga.Constraints,
+// flexible.Constraints), then the file to FileConstraints; a rejection
+// names the constraint it broke (atm.Violation).
 func ParseSpec(src string) (*SpecFile, error) {
-	p := &specParser{toks: nil}
+	p := &specParser{}
 	if err := p.scan(src); err != nil {
 		return nil, err
 	}
@@ -60,26 +63,13 @@ func ParseSpec(src string) (*SpecFile, error) {
 				return nil, err
 			}
 			if gen != nil {
-				if err := gen.Validate(); err != nil {
-					return nil, err
-				}
 				file.General = append(file.General, gen)
-				break
+			} else {
+				file.Sagas = append(file.Sagas, s)
 			}
-			if err := s.Validate(); err != nil {
-				return nil, err
-			}
-			file.Sagas = append(file.Sagas, s)
 		case p.peekKeyword("FLEXIBLE"):
 			f, err := p.parseFlexible()
 			if err != nil {
-				return nil, err
-			}
-			trie, err := flexible.BuildTrie(f)
-			if err != nil {
-				return nil, err
-			}
-			if err := trie.CheckWellFormed(); err != nil {
 				return nil, err
 			}
 			file.Flexible = append(file.Flexible, f)
@@ -90,7 +80,73 @@ func ParseSpec(src string) (*SpecFile, error) {
 	if len(file.Sagas) == 0 && len(file.General) == 0 && len(file.Flexible) == 0 {
 		return nil, fmt.Errorf("fmtm: empty specification")
 	}
+	if err := file.check(); err != nil {
+		return nil, err
+	}
 	return file, nil
+}
+
+// FileConstraints is the well-formedness of a specification file beyond
+// each transaction's own model. Every transaction becomes a process of one
+// FDL file, named after it and with state structures named after it, so
+// transaction names are unique in a file; and no saga subtransaction may
+// take an activity name the Figure 2 construction reserves.
+var FileConstraints = atm.Table[*SpecFile]{
+	{Name: "fmtm.unique-transaction-names", Section: "§5 (Fig. 5)", Check: func(f *SpecFile) error {
+		var names []string
+		for _, s := range f.sagas() {
+			names = append(names, s.Name)
+		}
+		for _, x := range f.Flexible {
+			names = append(names, x.Name)
+		}
+		for i, n := range names {
+			if slices.Contains(names[:i], n) {
+				return fmt.Errorf("fmtm: transaction name %q is used twice", n)
+			}
+		}
+		return nil
+	}},
+	{Name: "fmtm.reserved-names", Section: "§4.1 (Fig. 2)", Check: func(f *SpecFile) error {
+		for _, s := range f.sagas() {
+			for _, st := range s.Steps {
+				for _, n := range []string{st.Name, st.Compensation} {
+					switch n {
+					case forwardBlockName, compensationBlockName, nopActivityName:
+						return fmt.Errorf("fmtm: saga %s: %q is a reserved activity name", s.Name, n)
+					}
+				}
+			}
+		}
+		return nil
+	}},
+}
+
+// check is the pre-processor's check: every specification against its
+// model's constraints, then the file against FileConstraints. The saga
+// translators run it on a file of their one saga.
+func (f *SpecFile) check() error {
+	for _, s := range f.sagas() {
+		if err := s.Validate(); err != nil {
+			return err
+		}
+	}
+	for _, x := range f.Flexible {
+		if _, err := flexible.BuildTrie(x); err != nil {
+			return err
+		}
+	}
+	return FileConstraints.Check(f)
+}
+
+// sagas lists the file's sagas, linear ones as generalized sagas without
+// dependencies.
+func (f *SpecFile) sagas() []*saga.GeneralSpec {
+	out := slices.Clone(f.General)
+	for _, s := range f.Sagas {
+		out = append(out, &saga.GeneralSpec{Name: s.Name, Steps: s.Steps})
+	}
+	return out
 }
 
 type specTok struct {
@@ -313,9 +369,6 @@ func (p *specParser) parseFlexible() (*flexible.Spec, error) {
 			for !p.eof() && p.toks[p.pos].kw == "" {
 				n, _ := p.expectName()
 				path = append(path, n)
-			}
-			if len(path) == 0 {
-				return nil, p.errf("PATH without subtransactions")
 			}
 			f.Paths = append(f.Paths, path)
 		default:

@@ -40,9 +40,6 @@ func TranslateFlexible(spec *flexible.Spec) (*model.Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := trie.CheckWellFormed(); err != nil {
-		return nil, err
-	}
 	tr := &flexTranslator{
 		spec: spec, trie: trie,
 		p:          model.NewProcess(spec.Name),

@@ -27,73 +27,31 @@ import (
 //     every incoming connector has a value) provide the synchronization;
 //   - the blocks connect on the condition that some step aborted.
 func TranslateGeneralSaga(spec *saga.GeneralSpec, opts SagaOptions) (*model.Process, error) {
-	if err := spec.Validate(); err != nil {
+	if err := (&SpecFile{General: []*saga.GeneralSpec{spec}}).check(); err != nil {
 		return nil, err
-	}
-	for _, st := range spec.Steps {
-		for _, n := range []string{st.Name, st.Compensation} {
-			switch n {
-			case forwardBlockName, compensationBlockName, nopActivityName:
-				return nil, fmt.Errorf("fmtm: saga %s: %q is a reserved activity name", spec.Name, n)
-			}
-		}
 	}
 
 	n := len(spec.Steps)
-	statesType := spec.Name + "_States"
 	idx := make(map[string]int, n) // step name -> 1-based state index
 	for i, st := range spec.Steps {
 		idx[st.Name] = i + 1
 	}
-
-	p := model.NewProcess(spec.Name)
-	p.Description = fmt.Sprintf("generalized saga %s compiled by Exotica/FMTM (parallel Figure 2 construction)", spec.Name)
-	members := make([]model.Member, n)
-	for i := range members {
-		members[i] = model.Member{Name: stateMember(i + 1), Basic: model.Long, Default: expr.Int(-1)}
-	}
-	if err := p.Types.Register(&model.StructType{Name: statesType, Members: members}); err != nil {
+	p, fwd, comp, err := sagaProcess(spec.Name, fmt.Sprintf("generalized saga %s compiled by Exotica/FMTM (parallel Figure 2 construction)", spec.Name), spec.Steps)
+	if err != nil {
 		return nil, err
 	}
-	p.OutputType = statesType
-
-	// Forward block: the dependency DAG.
-	fwd := &model.Graph{OutputType: statesType}
-	for i, st := range spec.Steps {
-		fwd.Activities = append(fwd.Activities, &model.Activity{
-			Name: st.Name, Kind: model.KindProgram, Program: st.Name,
-		})
-		fwd.Data = append(fwd.Data, &model.DataConnector{
-			From: st.Name, To: model.ScopeRef,
-			Maps: []model.DataMap{{FromPath: model.RCMember, ToPath: stateMember(i + 1)}},
-		})
+	for _, st := range spec.Steps {
+		// Forward block: the dependency DAG.
 		for _, d := range spec.Deps[st.Name] {
 			fwd.Control = append(fwd.Control, &model.ControlConnector{
 				From: d, To: st.Name, Condition: expr.MustParse("RC = 0"),
 			})
 		}
-	}
-
-	// Compensation block: the reversed DAG.
-	comp := &model.Graph{InputType: statesType}
-	comp.Activities = append(comp.Activities, &model.Activity{
-		Name: nopActivityName, Kind: model.KindProgram, Program: CopyName,
-		InputType: statesType, OutputType: statesType,
-	})
-	comp.Data = append(comp.Data, &model.DataConnector{
-		From: model.ScopeRef, To: nopActivityName, Maps: stateMaps(n),
-	})
-	for _, st := range spec.Steps {
-		comp.Activities = append(comp.Activities, &model.Activity{
-			Name: st.Compensation, Kind: model.KindProgram, Program: st.Compensation,
-			Exit:  expr.MustParse("RC = 0"),
-			Retry: retriableRetry,
-			Join:  model.JoinOr,
-		})
-		// NOP fires this compensation when the step committed and none of
-		// its dependents did (it is a maximal committed step).
+		// Compensation block: the reversed DAG. NOP fires this compensation
+		// when the step committed and none of its dependents did (it is a
+		// maximal committed step).
 		conds := []string{fmt.Sprintf("%s = 0", stateMember(idx[st.Name]))}
-		for _, dep := range dependentsOf(spec, st.Name) {
+		for _, dep := range spec.Dependents(st.Name) {
 			conds = append(conds, fmt.Sprintf("%s <> 0", stateMember(idx[dep])))
 		}
 		comp.Control = append(comp.Control, &model.ControlConnector{
@@ -108,41 +66,16 @@ func TranslateGeneralSaga(spec *saga.GeneralSpec, opts SagaOptions) (*model.Proc
 			})
 		}
 	}
-
-	p.Activities = []*model.Activity{
-		{Name: forwardBlockName, Kind: model.KindBlock, Block: fwd, OutputType: statesType},
-		{Name: compensationBlockName, Kind: model.KindBlock, Block: comp, InputType: statesType},
-	}
-	entry := &model.ControlConnector{From: forwardBlockName, To: compensationBlockName}
 	if !opts.CompensateCompleted {
 		// The saga aborted iff some step aborted.
 		var aborts []string
 		for i := 1; i <= n; i++ {
 			aborts = append(aborts, fmt.Sprintf("%s = 1", stateMember(i)))
 		}
-		entry.Condition = expr.MustParse(strings.Join(aborts, " OR "))
-	}
-	p.Control = []*model.ControlConnector{entry}
-	p.Data = []*model.DataConnector{
-		{From: forwardBlockName, To: compensationBlockName, Maps: stateMaps(n)},
-		{From: forwardBlockName, To: model.ScopeRef, Maps: stateMaps(n)},
+		p.Control[0].Condition = expr.MustParse(strings.Join(aborts, " OR "))
 	}
 	if err := p.Validate(nil); err != nil {
 		return nil, fmt.Errorf("fmtm: generated general saga process invalid: %w", err)
 	}
 	return p, nil
-}
-
-// dependentsOf returns the steps depending on name, in declaration order.
-func dependentsOf(spec *saga.GeneralSpec, name string) []string {
-	var out []string
-	for _, st := range spec.Steps {
-		for _, d := range spec.Deps[st.Name] {
-			if d == name {
-				out = append(out, st.Name)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -15,10 +15,6 @@ const (
 	nopActivityName       = "NOP"
 )
 
-// sagaStatesType names the per-process state structure; prefixed with the
-// process name so several generated processes can share one FDL file.
-func sagaStatesType(spec *saga.Spec) string { return spec.Name + "_States" }
-
 // SagaOptions tune the Figure 2 construction.
 type SagaOptions struct {
 	// CompensateCompleted builds the variant the paper mentions where
@@ -45,64 +41,21 @@ type SagaOptions struct {
 //     compensating activity's exit condition "RC = 0" retries it until it
 //     commits.
 func TranslateSaga(spec *saga.Spec, opts SagaOptions) (*model.Process, error) {
-	if err := spec.Validate(); err != nil {
+	if err := (&SpecFile{Sagas: []*saga.Spec{spec}}).check(); err != nil {
 		return nil, err
-	}
-	for _, st := range spec.Steps {
-		for _, n := range []string{st.Name, st.Compensation} {
-			switch n {
-			case forwardBlockName, compensationBlockName, nopActivityName:
-				return nil, fmt.Errorf("fmtm: saga %s: %q is a reserved activity name", spec.Name, n)
-			}
-		}
 	}
 
 	n := len(spec.Steps)
-	p := model.NewProcess(spec.Name)
-	p.Description = fmt.Sprintf("linear saga %s compiled by Exotica/FMTM (Figure 2 construction)", spec.Name)
-
-	members := make([]model.Member, n)
-	for i := range members {
-		members[i] = model.Member{Name: stateMember(i + 1), Basic: model.Long, Default: expr.Int(-1)}
-	}
-	if err := p.Types.Register(&model.StructType{Name: sagaStatesType(spec), Members: members}); err != nil {
+	p, fwd, comp, err := sagaProcess(spec.Name, fmt.Sprintf("linear saga %s compiled by Exotica/FMTM (Figure 2 construction)", spec.Name), spec.Steps)
+	if err != nil {
 		return nil, err
 	}
-	p.OutputType = sagaStatesType(spec)
-
-	// Forward block.
-	fwd := &model.Graph{OutputType: sagaStatesType(spec)}
-	for i, st := range spec.Steps {
-		fwd.Activities = append(fwd.Activities, &model.Activity{
-			Name: st.Name, Kind: model.KindProgram, Program: st.Name,
+	for i := 1; i < n; i++ {
+		fwd.Control = append(fwd.Control, &model.ControlConnector{
+			From: spec.Steps[i-1].Name, To: spec.Steps[i].Name, Condition: expr.MustParse("RC = 0"),
 		})
-		fwd.Data = append(fwd.Data, &model.DataConnector{
-			From: st.Name, To: model.ScopeRef,
-			Maps: []model.DataMap{{FromPath: model.RCMember, ToPath: stateMember(i + 1)}},
-		})
-		if i > 0 {
-			fwd.Control = append(fwd.Control, &model.ControlConnector{
-				From: spec.Steps[i-1].Name, To: st.Name, Condition: expr.MustParse("RC = 0"),
-			})
-		}
 	}
-
-	// Compensation block.
-	comp := &model.Graph{InputType: sagaStatesType(spec)}
-	comp.Activities = append(comp.Activities, &model.Activity{
-		Name: nopActivityName, Kind: model.KindProgram, Program: CopyName,
-		InputType: sagaStatesType(spec), OutputType: sagaStatesType(spec),
-	})
-	comp.Data = append(comp.Data, &model.DataConnector{
-		From: model.ScopeRef, To: nopActivityName, Maps: stateMaps(n),
-	})
 	for i, st := range spec.Steps {
-		comp.Activities = append(comp.Activities, &model.Activity{
-			Name: st.Compensation, Kind: model.KindProgram, Program: st.Compensation,
-			Exit:  expr.MustParse("RC = 0"), // compensations are retriable
-			Retry: retriableRetry,
-			Join:  model.JoinOr,
-		})
 		// The NOP fires the compensation of the last executed step: step i
 		// committed but step i+1 did not run or aborted.
 		cond := fmt.Sprintf("%s = 0", stateMember(i+1))
@@ -119,25 +72,72 @@ func TranslateSaga(spec *saga.Spec, opts SagaOptions) (*model.Process, error) {
 			})
 		}
 	}
-
-	p.Activities = []*model.Activity{
-		{Name: forwardBlockName, Kind: model.KindBlock, Block: fwd, OutputType: sagaStatesType(spec)},
-		{Name: compensationBlockName, Kind: model.KindBlock, Block: comp, InputType: sagaStatesType(spec)},
-	}
-	entry := &model.ControlConnector{From: forwardBlockName, To: compensationBlockName}
 	if !opts.CompensateCompleted {
 		// The saga aborted iff its last step did not commit.
-		entry.Condition = expr.MustParse(fmt.Sprintf("%s <> 0", stateMember(n)))
-	}
-	p.Control = []*model.ControlConnector{entry}
-	p.Data = []*model.DataConnector{
-		{From: forwardBlockName, To: compensationBlockName, Maps: stateMaps(n)},
-		{From: forwardBlockName, To: model.ScopeRef, Maps: stateMaps(n)},
+		p.Control[0].Condition = expr.MustParse(fmt.Sprintf("%s <> 0", stateMember(n)))
 	}
 	if err := p.Validate(nil); err != nil {
 		return nil, fmt.Errorf("fmtm: generated saga process invalid: %w", err)
 	}
 	return p, nil
+}
+
+// sagaProcess builds what the linear and the parallel construction share,
+// leaving the control connectors inside the blocks and the entry condition
+// to the caller: the <name>_States structure with one State_i per step
+// (default -1 = never executed); a Forward block with one activity per
+// step mapping its RC to its state; a Compensation block receiving the
+// states, with the NOP start activity and one retriable compensating
+// activity per step; and the Forward -> Compensation connector.
+func sagaProcess(name, description string, steps []saga.Step) (p *model.Process, fwd, comp *model.Graph, err error) {
+	n := len(steps)
+	statesType := name + "_States"
+	p = model.NewProcess(name)
+	p.Description = description
+	members := make([]model.Member, n)
+	for i := range members {
+		members[i] = model.Member{Name: stateMember(i + 1), Basic: model.Long, Default: expr.Int(-1)}
+	}
+	if err := p.Types.Register(&model.StructType{Name: statesType, Members: members}); err != nil {
+		return nil, nil, nil, err
+	}
+	p.OutputType = statesType
+
+	fwd = &model.Graph{OutputType: statesType}
+	comp = &model.Graph{InputType: statesType}
+	comp.Activities = append(comp.Activities, &model.Activity{
+		Name: nopActivityName, Kind: model.KindProgram, Program: CopyName,
+		InputType: statesType, OutputType: statesType,
+	})
+	comp.Data = append(comp.Data, &model.DataConnector{
+		From: model.ScopeRef, To: nopActivityName, Maps: stateMaps(n),
+	})
+	for i, st := range steps {
+		fwd.Activities = append(fwd.Activities, &model.Activity{
+			Name: st.Name, Kind: model.KindProgram, Program: st.Name,
+		})
+		fwd.Data = append(fwd.Data, &model.DataConnector{
+			From: st.Name, To: model.ScopeRef,
+			Maps: []model.DataMap{{FromPath: model.RCMember, ToPath: stateMember(i + 1)}},
+		})
+		comp.Activities = append(comp.Activities, &model.Activity{
+			Name: st.Compensation, Kind: model.KindProgram, Program: st.Compensation,
+			Exit:  expr.MustParse("RC = 0"), // compensations are retriable
+			Retry: retriableRetry,
+			Join:  model.JoinOr,
+		})
+	}
+
+	p.Activities = []*model.Activity{
+		{Name: forwardBlockName, Kind: model.KindBlock, Block: fwd, OutputType: statesType},
+		{Name: compensationBlockName, Kind: model.KindBlock, Block: comp, InputType: statesType},
+	}
+	p.Control = []*model.ControlConnector{{From: forwardBlockName, To: compensationBlockName}}
+	p.Data = []*model.DataConnector{
+		{From: forwardBlockName, To: compensationBlockName, Maps: stateMaps(n)},
+		{From: forwardBlockName, To: model.ScopeRef, Maps: stateMaps(n)},
+	}
+	return p, fwd, comp, nil
 }
 
 func stateMember(i int) string { return fmt.Sprintf("State_%d", i) }

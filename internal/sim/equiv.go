@@ -453,7 +453,7 @@ func RunE4() *Report {
 	long := gen.Config{MaxSteps: 12, MaxDepth: 8, MaxBranch: 2, PEdge: 0.3, PAbort: 0.1}
 	rows := []*equivRow{
 		{name: "saga n=5 abort@T4", cases: []*gen.Case{paperCase(NStepSaga("s", 5), gen.Plan{"T4": gen.Always})}},
-		{name: "travel saga abort@book_car", cases: []*gen.Case{paperCase(TravelSaga(), gen.Plan{"book_car": gen.Always})}},
+		{name: "travel saga abort@book_car", cases: []*gen.Case{paperCase(travelSaga(), gen.Plan{"book_car": gen.Always})}},
 		{name: "flexible Fig.3 abort@T6", cases: []*gen.Case{paperCase(Fig3Flexible(), gen.Plan{"T6": gen.Always})}},
 		{name: "diamond abort@d, cb flaky", cases: []*gen.Case{paperCase(diamond(), gen.Plan{"d": gen.Always, "cb": 2})}},
 	}

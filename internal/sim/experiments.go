@@ -1,106 +1,98 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
+	"repro/internal/atm"
+	"repro/internal/atm/flexible"
+	"repro/internal/atm/gen"
+	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/fmtm"
-	"repro/internal/rm"
 )
 
-// RunAllExperiments runs E1–E13 and returns their reports.
-func RunAllExperiments() []*Report {
-	return []*Report{RunE1(), RunE2(), RunE3(), RunE4(), RunE5(), RunE6(), RunE7(), RunE8(), RunE9(), RunE10(), RunE11(), RunE12(), RunE13()}
-}
-
-// e3Spec is the mixed specification the E3 pipeline run compiles.
-const e3Spec = `
-SAGA 'travel'
-  STEP 'book_flight' COMPENSATION 'cancel_flight'
-  STEP 'book_hotel'  COMPENSATION 'cancel_hotel'
-  STEP 'book_car'    COMPENSATION 'cancel_car'
-END 'travel'
-FLEXIBLE 'multidb'
-  SUB 'F1' COMPENSATABLE COMPENSATION 'FC1'
-  SUB 'F2' PIVOT
-  SUB 'F3' RETRIABLE
-  PATH 'F1' 'F2'
-  PATH 'F1' 'F3'
-END 'multidb'
-`
-
-// RunE3 reproduces Figure 5: the full Exotica/FMTM pipeline from
-// specification text to executable templates, plus rejection of invalid
-// input at each stage.
+// RunE3 reproduces the check stage of Figure 5 — "The pre-processor
+// checks that the user specification meets the format of the advanced
+// transaction model specified" — by generated violations: every row of
+// every constraint table (saga.Constraints, flexible.Constraints,
+// fmtm.FileConstraints) is broken in e3Seeds specs drawn by gen.Violate,
+// each printed as FMTM text and run through fmtm.Pipeline, which must
+// reject it at the specification stage naming that row. The pipeline's
+// acceptance side is way 3 of E1, E2, E4 and E6.
 func RunE3() *Report {
 	r := &Report{
 		ID:      "E3",
-		Title:   "Exotica/FMTM pipeline (Fig. 5): spec -> check -> FDL -> import -> semantic check -> template",
-		Columns: []string{"stage", "outcome"},
+		Title:   "Exotica/FMTM check stage (Fig. 5): every constraint, generated, rejected by name",
+		Columns: []string{"constraint", "section", "stage", "rejected"},
 		Pass:    true,
 	}
-	res, err := fmtm.Pipeline(e3Spec)
-	if err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	r.AddRow("specification check", fmt.Sprintf("ok (%d sagas, %d flexible)", len(res.Specs.Sagas), len(res.Specs.Flexible)))
-	r.AddRow("translation + FDL export", fmt.Sprintf("ok (%d bytes of FDL)", len(res.FDL)))
-	r.AddRow("FDL import + semantic check", fmt.Sprintf("ok (%d processes, %d programs)", len(res.File.Processes), len(res.File.Programs)))
-
-	// Run one instance of each template.
-	e := engine.New()
-	if err := fmtm.RegisterRuntime(e); err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	rec := &rm.Recorder{}
-	inj := rm.NewInjector()
-	sg := res.Specs.Sagas[0]
-	fx := res.Specs.Flexible[0]
-	err = fmtm.RegisterSaga(e, sg, fmtm.PureSagaBinding(sg), inj, rec)
-	if err == nil {
-		err = fmtm.RegisterFlexible(e, fx, fmtm.PureFlexibleBinding(fx), inj, rec)
-	}
-	if err == nil {
-		err = fmtm.Install(e, res.File)
-	}
-	if err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	for _, name := range []string{"travel", "multidb"} {
-		inst, err := e.CreateInstance(name, nil, nil)
-		if err == nil {
-			err = inst.Start()
+	for _, c := range slices.Concat(rules(saga.Constraints), rules(flexible.Constraints), rules(fmtm.FileConstraints)) {
+		n, stage, err := rejects(c.name)
+		if err != nil && r.Pass {
+			r.fail(fmt.Errorf("E3 %s %w", c.name, err))
 		}
-		if err != nil || !inst.Finished() {
-			r.Pass = false
-			r.AddRow("instance "+name, fmt.Sprintf("FAILED: %v", err))
-			continue
-		}
-		r.AddRow("instance "+name, "executed to completion")
-	}
-
-	// Invalid specs must be rejected with diagnostics.
-	bad := map[string]string{
-		"syntax error":           "SAGA 'x' STEP oops END 'x'",
-		"ill-formed flexible":    "FLEXIBLE 'f' SUB 'p1' PIVOT SUB 'p2' PIVOT PATH 'p1' 'p2' END 'f'",
-		"undeclared sub in path": "FLEXIBLE 'f' SUB 's' PIVOT PATH 'zz' END 'f'",
-	}
-	for name, src := range bad {
-		if _, err := fmtm.Pipeline(src); err == nil {
-			r.Pass = false
-			r.AddRow("reject "+name, "NOT REJECTED")
-		} else {
-			r.AddRow("reject "+name, "rejected with diagnostic")
-		}
+		r.AddRow(c.name, c.section, stage, fmt.Sprintf("%d/%d", n, e3Seeds))
 	}
 	return r
+}
+
+// e3Seeds is how many violations of each constraint E3 draws.
+const e3Seeds = 20
+
+// rule is a constraint table row as E3 reports it.
+type rule struct{ name, section string }
+
+// rules lists the rows of table t.
+func rules[S any](t atm.Table[S]) []rule {
+	out := make([]rule, len(t))
+	for i, c := range t {
+		out[i] = rule{c.Name, c.Section}
+	}
+	return out
+}
+
+// rejects runs the violations of constraint drawn from seeds 1..e3Seeds
+// through the pipeline and counts those the specification stage rejects
+// naming constraint. stage is where the first stopped; err is the first
+// not so rejected, as "seed=<s>: <stage>: <error>" and the spec text.
+func rejects(constraint string) (n int, stage string, err error) {
+	for seed := int64(1); seed <= e3Seeds; seed++ {
+		c := gen.Violate(constraint, seed)
+		if c == nil {
+			return 0, "-", errors.New("has no generated violation")
+		}
+		s, perr := pipelineStage(c.Text())
+		if seed == 1 {
+			stage = s
+		}
+		var v *atm.Violation
+		switch {
+		case s == "specification" && errors.As(perr, &v) && v.Constraint == constraint:
+			n++
+		case err == nil:
+			err = fmt.Errorf("seed=%d: %s: %v\n%s", seed, s, perr, c.Text())
+		}
+	}
+	return n, stage, err
+}
+
+// pipelineStage runs text through fmtm.Pipeline and names the stage that
+// rejected it: "accepted" when none did, "panic" when one panicked.
+func pipelineStage(text string) (stage string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			stage, err = "panic", fmt.Errorf("%v", p)
+		}
+	}()
+	if _, err = fmtm.Pipeline(text); err == nil {
+		return "accepted", nil
+	}
+	stage, _, _ = strings.Cut(strings.TrimPrefix(err.Error(), "fmtm: "), " stage: ")
+	return stage, err
 }
 
 // RunE5 checks the §3.2 navigation semantics properties on random DAGs:
@@ -118,9 +110,9 @@ func RunE5() *Report {
 	for seed := int64(0); seed < trials; seed++ {
 		rr := rand.New(rand.NewSource(seed))
 		n := 2 + rr.Intn(14)
-		proc := RandomDAG("rand", rr, n, 0.1+0.5*rr.Float64())
+		proc := randomDAG("rand", rr, n, 0.1+0.5*rr.Float64())
 		e := engine.New()
-		mustRegister(e, "coin", CoinProgram(seed))
+		mustRegister(e, "coin", coinProgram(seed))
 		if err := e.RegisterProcess(proc); err != nil {
 			violations++
 			continue

@@ -22,12 +22,6 @@ import (
 	"repro/internal/wal"
 )
 
-// RunAllBenchTables runs the B1–B10 harness tables (coarse wall-clock
-// versions of the bench_test.go benchmarks, for cmd/wfbench).
-func RunAllBenchTables() []*Report {
-	return []*Report{RunB1(), RunB2(), RunB3(), RunB4(), RunB5(), RunB6(), RunB7(), RunB8(), RunB9(), RunB10()}
-}
-
 // Timing is the result of one measured operation: the mean over every
 // timed iteration, the per-op time of the fastest batch (the noise floor —
 // the statistic to compare across PRs, since it is least disturbed by GC

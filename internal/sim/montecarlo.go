@@ -103,11 +103,7 @@ type FlexSimResult struct {
 // subtransactions retry inside the executor, so their abort probability
 // shapes latency, not outcome.
 func SimulateFlexible(spec *flexible.Spec, abort map[string]float64, trials int, seed int64) (FlexSimResult, error) {
-	trie, err := flexible.BuildTrie(spec)
-	if err != nil {
-		return FlexSimResult{}, err
-	}
-	if err := trie.CheckWellFormed(); err != nil {
+	if _, err := flexible.BuildTrie(spec); err != nil {
 		return FlexSimResult{}, err
 	}
 	dec := &probDecider{r: rand.New(rand.NewSource(seed)), abort: abort}

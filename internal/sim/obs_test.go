@@ -18,7 +18,7 @@ import (
 // append count must equal the log length.
 func TestSagaRunMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	spec := TravelSaga()
+	spec := travelSaga()
 	e := engine.New(engine.WithMetrics(reg))
 	if err := fmtm.RegisterRuntime(e); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,15 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/atm/flexible"
 	"repro/internal/atm/gen"
 	"repro/internal/atm/saga"
+	"repro/internal/fmtm"
 	"repro/internal/model"
 	"repro/internal/wal"
 )
@@ -57,7 +60,7 @@ func TestWorkloadGenerators(t *testing.T) {
 func TestRandomDAGGeneratorValid(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		p := RandomDAG("rand", r, 2+r.Intn(12), 0.4)
+		p := randomDAG("rand", r, 2+r.Intn(12), 0.4)
 		if err := p.Validate(nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,7 +80,7 @@ func TestExperimentsAllPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
 	}
-	for _, rep := range RunAllExperiments() {
+	for _, rep := range []*Report{RunE1(), RunE2(), RunE3(), RunE4(), RunE5(), RunE6(), RunE7(), RunE8(), RunE9(), RunE10(), RunE11(), RunE12(), RunE13()} {
 		if !rep.Pass {
 			t.Errorf("%s failed:\n%s", rep.ID, rep)
 		}
@@ -258,4 +261,39 @@ func TestRunS1(t *testing.T) {
 	if rep.Rows[0][1] != "1.000" || rep.Rows[0][4] != "0.000" {
 		t.Fatalf("p=0 row: %v", rep.Rows[0])
 	}
+}
+
+// TestE3RowsNeedTheirConstraint is the mutant check of E3's coverage: with
+// any one row deleted from its table, E3's line for that constraint fails,
+// so each row is the only check that rejects its violations by name.
+func TestE3RowsNeedTheirConstraint(t *testing.T) {
+	tables := []struct {
+		rows []rule
+		drop func(i int) (restore func())
+	}{
+		{rules(saga.Constraints), func(i int) func() { return without(&saga.Constraints, i) }},
+		{rules(flexible.Constraints), func(i int) func() { return without(&flexible.Constraints, i) }},
+		{rules(fmtm.FileConstraints), func(i int) func() { return without(&fmtm.FileConstraints, i) }},
+	}
+	for _, table := range tables {
+		for i, row := range table.rows {
+			if _, _, err := rejects(row.name); err != nil {
+				t.Fatalf("%s intact: %v", row.name, err)
+			}
+			restore := table.drop(i)
+			_, stage, err := rejects(row.name)
+			restore()
+			if err == nil {
+				t.Errorf("%s deleted: E3 still rejects its violations by its name", row.name)
+			}
+			t.Logf("%s deleted: first violation %s", row.name, stage)
+		}
+	}
+}
+
+// without deletes row i of table *t until restore is called.
+func without[S any](t *atm.Table[S], i int) (restore func()) {
+	saved := *t
+	*t = slices.Delete(slices.Clone(saved), i, i+1)
+	return func() { *t = saved }
 }

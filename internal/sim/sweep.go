@@ -60,7 +60,7 @@ type workload struct {
 }
 
 var (
-	travelRun   = workload{name: "travel saga abort@book_car", mk: travelWorkload, n: 1, spec: TravelSaga()}
+	travelRun   = workload{name: "travel saga abort@book_car", mk: travelWorkload, n: 1, spec: travelSaga()}
 	flexibleRun = workload{name: "flexible Fig.3 abort@T6", mk: flexibleWorkload, n: 1}
 	chainRun    = workload{name: "chain(5)", mk: func(opts ...engine.Option) (*engine.Engine, string) {
 		e := engine.New(opts...)

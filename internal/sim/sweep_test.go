@@ -32,7 +32,7 @@ func (l *dropLog) AppendBatch(recs []wal.Record) error {
 // hotelAborts is the travel engine with book_hotel aborting instead of
 // book_car: one program swapped.
 func hotelAborts() *engine.Engine {
-	spec := TravelSaga()
+	spec := travelSaga()
 	e := engine.New()
 	inj := rm.NewInjector()
 	inj.AbortAlways("book_hotel")

@@ -87,10 +87,10 @@ func DPEChain(name string, n int) *model.Process {
 	return p
 }
 
-// RandomDAG builds a random acyclic process over n "coin" activities with
+// randomDAG builds a random acyclic process over n "coin" activities with
 // forward-edge probability pEdge, random RC conditions and random joins.
-// Program "coin" must be registered by the caller (see CoinProgram).
-func RandomDAG(name string, r *rand.Rand, n int, pEdge float64) *model.Process {
+// Program "coin" must be registered by the caller (see coinProgram).
+func randomDAG(name string, r *rand.Rand, n int, pEdge float64) *model.Process {
 	p := model.NewProcess(name)
 	for i := 1; i <= n; i++ {
 		a := &model.Activity{Name: actName(i), Kind: model.KindProgram, Program: "coin"}
@@ -115,9 +115,9 @@ func RandomDAG(name string, r *rand.Rand, n int, pEdge float64) *model.Process {
 	return p
 }
 
-// CoinProgram commits or aborts deterministically per (path, iter) from
+// coinProgram commits or aborts deterministically per (path, iter) from
 // the seed.
-func CoinProgram(seed int64) engine.Program {
+func coinProgram(seed int64) engine.Program {
 	return engine.ProgramFunc(func(inv *engine.Invocation) error {
 		h := seed
 		for _, b := range inv.Path {
@@ -142,9 +142,9 @@ func NStepSaga(name string, n int) *saga.Spec {
 	return s
 }
 
-// TravelSaga is the running example of the paper's §4.1: book a flight, a
+// travelSaga is the running example of the paper's §4.1: book a flight, a
 // hotel and a car, with a cancellation compensating each booking.
-func TravelSaga() *saga.Spec {
+func travelSaga() *saga.Spec {
 	return &saga.Spec{
 		Name: "travel",
 		Steps: []saga.Step{
@@ -158,7 +158,7 @@ func TravelSaga() *saga.Spec {
 // travelWorkload builds an engine with opts running the travel saga with
 // book_car aborting, so every execution takes the compensation path.
 func travelWorkload(opts ...engine.Option) (*engine.Engine, string) {
-	spec := TravelSaga()
+	spec := travelSaga()
 	e := engine.New(opts...)
 	if err := fmtm.RegisterRuntime(e); err != nil {
 		panic(err)
