@@ -485,7 +485,11 @@ func benchRecord() wal.Record {
 // defaultContainerValues is a default-type container as the engine hands it
 // to the log: the layout's paths and a copy of the slots.
 func defaultContainerValues() wal.Values {
-	keys, vals := sim.Chain("x", 1).Types.MustContainer(model.DefaultType).Vector()
+	c, err := sim.Chain("x", 1).Types.NewContainer(model.DefaultType)
+	if err != nil {
+		panic(err)
+	}
+	keys, vals := c.Vector()
 	return wal.Values{Keys: keys, Vals: vals}
 }
 

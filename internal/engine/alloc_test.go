@@ -1,7 +1,10 @@
 package engine_test
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -13,10 +16,11 @@ import (
 // one FMTM-compiled travel saga to its commit on wal.Discard. The engine
 // that rebuilt adjacency maps, map-backed containers and a []Event trail
 // for every instance made 126; slot-vector containers and plans brought it
-// to 52, and records that carry the slot vector instead of a Snapshot map
-// to 46. The gate leaves room for a toolchain to move that, not for a map
-// per record to come back.
-const travelSagaAllocCeiling = 50
+// to 52, records that carry the slot vector instead of a Snapshot map to
+// 46, and containers cloned as one object with their slots to 36. The gate
+// leaves room for a toolchain to move that, not for a map per record or a
+// second object per container to come back.
+const travelSagaAllocCeiling = 40
 
 // TestTravelSagaAllocCeiling is the allocation gate of the navigation hot
 // path: per-instance work that creeps back into CreateInstance or Start
@@ -36,4 +40,92 @@ func TestTravelSagaAllocCeiling(t *testing.T) {
 	if allocs > travelSagaAllocCeiling {
 		t.Fatalf("%.0f allocs per travel saga, ceiling %d", allocs, travelSagaAllocCeiling)
 	}
+}
+
+// TestRetainedInstancesAreMostlyNotScanned: finished instances kept for
+// their trails are memory the garbage collector mostly need not scan. The
+// trail — the largest part of a finished instance — holds no pointer, so
+// of 5,000 retained travel and Figure 3 instances at most 45% of the live
+// heap is scannable (87% while trail records pointed at their activity).
+func TestRetainedInstancesAreMostlyNotScanned(t *testing.T) {
+	e := atmEngine(t, rm.NewInjector())
+	insts := make([]*engine.Instance, 5000)
+	for i := range insts {
+		inst, err := e.CreateInstance([]string{"travel", "fig3"}[i%2], nil, wal.Discard)
+		if err == nil {
+			err = inst.Start()
+		}
+		if err != nil || !inst.Finished() {
+			t.Fatalf("instance %d did not finish: %v", i, err)
+		}
+		insts[i] = inst
+	}
+	runtime.GC()
+	samples := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(samples)
+	runtime.KeepAlive(insts)
+	scan, live := samples[0].Value.Uint64(), samples[1].Value.Uint64()
+	t.Logf("scannable %d of %d live heap bytes (%.2f)", scan, live, float64(scan)/float64(live))
+	if float64(scan) > 0.45*float64(live) {
+		t.Fatalf("%d of %d live heap bytes are scannable with %d instances retained, want <= 45%%", scan, live, len(insts))
+	}
+}
+
+// TestRecoverAllCopiesNoRecord: demultiplexing a fleet's log by instance
+// copies no record. Recovering every instance of the log at once allocates
+// what recovering each from its own records allocates, plus bookkeeping per
+// instance — less than half a second copy of the records, at 50
+// instances and at 200.
+func TestRecoverAllCopiesNoRecord(t *testing.T) {
+	for _, n := range []int{50, 200} {
+		src := atmEngine(t, rm.NewInjector())
+		log := &wal.MemLog{}
+		for i := 0; i < n; i++ {
+			inst, err := src.CreateInstance([]string{"travel", "fig3"}[i%2], nil, log)
+			if err == nil {
+				err = inst.Start()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		records := log.Records()
+		var order []string
+		byInst := map[string][]wal.Record{}
+		for _, rec := range records {
+			if byInst[rec.Instance] == nil {
+				order = append(order, rec.Instance)
+			}
+			byInst[rec.Instance] = append(byInst[rec.Instance], rec)
+		}
+		discard := func(string) wal.Log { return wal.Discard }
+		all, each := atmEngine(t, rm.NewInjector()), atmEngine(t, rm.NewInjector())
+		allBytes := allocated(func() {
+			if insts, err := engine.RecoverAllFromCheckpoint(all, nil, records, discard); err != nil || len(insts) != n {
+				t.Fatalf("recovered %d of %d instances: %v", len(insts), n, err)
+			}
+		})
+		eachBytes := allocated(func() {
+			for _, id := range order {
+				if _, err := engine.Recover(each, byInst[id], wal.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		copyBytes := uint64(len(records)) * uint64(unsafe.Sizeof(wal.Record{}))
+		t.Logf("%d instances, %d records: all at once %d bytes, one by one %d, a copy of the records %d", n, len(records), allBytes, eachBytes, copyBytes)
+		if allBytes > eachBytes+copyBytes/2 {
+			t.Fatalf("recovering %d instances at once allocates %d bytes more than one by one; a copy of their %d records is %d",
+				n, allBytes-eachBytes, len(records), copyBytes)
+		}
+	}
+}
+
+// allocated returns the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }

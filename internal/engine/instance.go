@@ -58,7 +58,8 @@ type scope struct {
 	output    *model.Container
 	acts      []actState // by plan slot
 	owner     *actState  // block/process activity owning this scope (nil for root)
-	remaining int
+	index     int32      // position in Instance.scopes
+	remaining int32
 }
 
 // actState is the run-time state of one activity within a scope.
@@ -175,7 +176,8 @@ func (inst *Instance) newScope(p *plan, path string, input *model.Container, own
 		plan: p, path: path,
 		input: input, output: p.output.Clone(), owner: owner,
 		acts:      make([]actState, len(p.acts)),
-		remaining: len(p.acts),
+		index:     int32(len(inst.scopes)),
+		remaining: int32(len(p.acts)),
 	}
 	for i := range sc.acts {
 		sc.acts[i].plan, sc.acts[i].sc = &p.acts[i], sc
@@ -299,8 +301,8 @@ func (inst *Instance) ProgramRuns() []ProgramRun {
 	var out []ProgramRun
 	for i := range inst.trail {
 		r := &inst.trail[i]
-		if r.kind == EvFinished && !r.flag && r.as.plan.act.Program != "" {
-			out = append(out, ProgramRun{Path: r.as.path(), Program: r.as.plan.act.Program, Iter: int(r.iter), RC: r.rc})
+		if as := inst.act(r); r.kind == EvFinished && !r.flag && as.plan.act.Program != "" {
+			out = append(out, ProgramRun{Path: as.path(), Program: as.plan.act.Program, Iter: int(r.iter), RC: r.rc})
 		}
 	}
 	return out
@@ -361,7 +363,7 @@ func (inst *Instance) Start() error {
 		Type: wal.RecCreated, Instance: inst.id, Process: inst.tpl.proc.Name,
 		Values: recordValues(inst.root.input),
 	})
-	inst.event(trailRec{kind: EvCreated})
+	inst.event(nil, trailRec{kind: EvCreated})
 	inst.startScope(inst.root)
 	inst.pump()
 	return inst.err
@@ -392,7 +394,7 @@ func (inst *Instance) SelectWork(person string, itemID int64) error {
 	}
 	inst.addPending(-1)
 	inst.tick()
-	inst.event(trailRec{kind: EvWorkSelected, as: as})
+	inst.event(as, trailRec{kind: EvWorkSelected})
 	inst.enqueue(as)
 	inst.pump()
 	return inst.err
@@ -421,7 +423,7 @@ func (inst *Instance) ForceFinish(path string, rc int64) error {
 	}
 	inst.addPending(-1)
 	inst.tick()
-	inst.event(trailRec{kind: EvForced, as: as, rc: rc})
+	inst.event(as, trailRec{kind: EvForced, rc: rc})
 	out := as.plan.out.Clone()
 	out.SetRC(rc)
 	as.state = StateRunning
@@ -448,7 +450,7 @@ func (inst *Instance) Cancel() error {
 		return errors.New("engine: instance not started")
 	}
 	inst.tick()
-	inst.event(trailRec{kind: EvCanceled})
+	inst.event(nil, trailRec{kind: EvCanceled})
 	inst.eng.metrics.instCanceled.Inc()
 	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
 	inst.queue = nil
@@ -475,7 +477,7 @@ func (inst *Instance) Cancel() error {
 		return inst.err
 	}
 	inst.markDone()
-	inst.event(trailRec{kind: EvDone})
+	inst.event(nil, trailRec{kind: EvDone})
 	return nil
 }
 
@@ -497,7 +499,7 @@ func (inst *Instance) fail(err error) {
 // engine and its other instances are unaffected.
 func (inst *Instance) failActivity(af *ActivityFailure) {
 	inst.failures = append(inst.failures, Event{Kind: EvFailed, Path: af.Path, Iter: af.Iter, Program: af.Program, Cause: af.Cause.Error()})
-	inst.event(trailRec{kind: EvFailed, rc: int64(len(inst.failures) - 1)})
+	inst.event(nil, trailRec{kind: EvFailed, rc: int64(len(inst.failures) - 1)})
 	inst.fail(af)
 }
 
@@ -570,19 +572,31 @@ func (inst *Instance) commitLog() {
 
 // trailRec is the stored form of an audit-trail event: which activity
 // instance it is about and the few values that are not a function of that
-// activity. Paths and program names are read off the activity when an
-// Event is wanted — Trail, ProgramRuns, Trace, and at recording time only
-// if an observer or the bus listens — so recording an event copies no
-// strings. EvFailed alone does not fit: its Event is kept whole in
-// Instance.failures and rc is its index there.
+// activity. The activity is named by scope index and slot, not pointed to,
+// so a trail holds no pointer and the garbage collector never scans it.
+// Paths and program names are read off the activity when an Event is
+// wanted — Trail, ProgramRuns, Trace, and at recording time only if an
+// observer or the bus listens — so recording an event copies no strings.
+// EvFailed alone does not fit: its Event is kept whole in Instance.failures
+// and rc is its index there.
 type trailRec struct {
 	at   int64
-	rc   int64     // EvFinished, EvForced: the return code
-	as   *actState // the activity; the source for EvConnector; nil for instance-level events
-	iter int32     // the activity's iteration when the event was recorded
-	to   int32     // EvConnector: slot of the target activity in the source's scope
+	rc   int64 // EvFinished, EvForced: the return code
+	sc   int32 // the activity's scope in Instance.scopes; -1 for instance-level events
+	slot int32 // the activity's slot in that scope; the source for EvConnector
+	iter int32 // the activity's iteration when the event was recorded
+	to   int32 // EvConnector: slot of the target activity in the source's scope
 	kind EventKind
 	flag bool // EvConnector: the truth value; EvFinished: the completion was forced
+}
+
+// act returns the activity a trail record is about, nil for an
+// instance-level event.
+func (inst *Instance) act(r *trailRec) *actState {
+	if r.sc < 0 {
+		return nil
+	}
+	return &inst.scopes[r.sc].acts[r.slot]
 }
 
 // materialize builds the Event a trail record stands for.
@@ -593,21 +607,22 @@ func (inst *Instance) materialize(r *trailRec) Event {
 		return ev
 	}
 	ev := Event{Kind: r.kind, At: r.at}
-	if r.as == nil {
+	as := inst.act(r)
+	if as == nil {
 		return ev
 	}
 	if r.kind == EvConnector {
-		ev.From, ev.To, ev.Value = r.as.path(), r.as.sc.acts[r.to].path(), r.flag
+		ev.From, ev.To, ev.Value = as.path(), as.sc.acts[r.to].path(), r.flag
 		return ev
 	}
-	ev.Path, ev.Iter = r.as.path(), int(r.iter)
+	ev.Path, ev.Iter = as.path(), int(r.iter)
 	switch r.kind {
 	case EvStarted:
-		ev.Program = r.as.plan.act.Program
+		ev.Program = as.plan.act.Program
 	case EvFinished:
 		ev.RC = r.rc
 		if !r.flag { // forced completions are not program executions
-			ev.Program = r.as.plan.act.Program
+			ev.Program = as.plan.act.Program
 		}
 	case EvForced:
 		ev.RC = r.rc
@@ -621,10 +636,10 @@ func (inst *Instance) tick() { inst.now = inst.eng.clock() }
 // event appends one record to the audit trail, stamping inst.now and the
 // activity's current iteration, and hands the materialized Event to
 // whoever listens.
-func (inst *Instance) event(r trailRec) {
-	r.at = inst.now
-	if r.as != nil {
-		r.iter = int32(r.as.iter)
+func (inst *Instance) event(as *actState, r trailRec) {
+	r.at, r.sc = inst.now, -1
+	if as != nil {
+		r.sc, r.slot, r.iter = as.sc.index, as.plan.slot, int32(as.iter)
 	}
 	inst.trail = append(inst.trail, r)
 	bus := inst.eng.bus.Active()
@@ -633,7 +648,7 @@ func (inst *Instance) event(r trailRec) {
 	}
 	ev := inst.materialize(&r)
 	if bus {
-		inst.publishTrail(ev, r.as)
+		inst.publishTrail(ev, as)
 	}
 	if inst.eng.trailObs != nil {
 		inst.eng.trailObs(inst, ev)
@@ -761,7 +776,7 @@ func (inst *Instance) setReady(as *actState) {
 	if inst.eng.bus.Active() {
 		as.readyNs = obs.Now()
 	}
-	inst.event(trailRec{kind: EvReady, as: as})
+	inst.event(as, trailRec{kind: EvReady})
 	if as.plan.act.Start == model.StartManual {
 		inst.postWork(as)
 		return
@@ -789,12 +804,12 @@ func (inst *Instance) postWork(as *actState) {
 	}
 	as.workID = item.ID
 	inst.addPending(1)
-	inst.event(trailRec{kind: EvWorkPosted, as: as})
+	inst.event(as, trailRec{kind: EvWorkPosted})
 }
 
 func (inst *Instance) runActivity(as *actState) {
 	as.state = StateRunning
-	inst.event(trailRec{kind: EvStarted, as: as})
+	inst.event(as, trailRec{kind: EvStarted})
 
 	switch as.plan.act.Kind {
 	case model.KindProgram:
@@ -1065,7 +1080,7 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 		Type: wal.RecFinishedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
 		Values: recordValues(out),
 	})
-	inst.event(trailRec{kind: EvFinished, as: as, rc: out.RC(), flag: as.forced})
+	inst.event(as, trailRec{kind: EvFinished, rc: out.RC(), flag: as.forced})
 
 	if exit := as.plan.act.Exit; exit != nil {
 		ok, err := expr.EvalBool(exit, out)
@@ -1076,7 +1091,7 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 		if !ok {
 			// §3.2: "If false, the activity is rescheduled for execution."
 			inst.eng.metrics.loops.Inc()
-			inst.event(trailRec{kind: EvLooped, as: as})
+			inst.event(as, trailRec{kind: EvLooped})
 			as.iter++
 			inst.setReady(as)
 			return
@@ -1094,9 +1109,9 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 	as.output = out
 	if dead {
 		inst.eng.metrics.deadPaths.Inc()
-		inst.event(trailRec{kind: EvDeadPath, as: as})
+		inst.event(as, trailRec{kind: EvDeadPath})
 	} else {
-		inst.event(trailRec{kind: EvTerminated, as: as})
+		inst.event(as, trailRec{kind: EvTerminated})
 		inst.applyScopeOutput(as, out)
 		if inst.err != nil {
 			return
@@ -1116,7 +1131,7 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 				val = v
 			}
 		}
-		inst.event(trailRec{kind: EvConnector, as: as, to: c.to, flag: val})
+		inst.event(as, trailRec{kind: EvConnector, to: c.to, flag: val})
 		tgt := &as.sc.acts[c.to]
 		tgt.connSeen++
 		if val {
@@ -1183,7 +1198,7 @@ func (inst *Instance) scopeDone(sc *scope) {
 		}
 		inst.markDone()
 		inst.eng.metrics.instFinished.Inc()
-		inst.event(trailRec{kind: EvDone})
+		inst.event(nil, trailRec{kind: EvDone})
 		return
 	}
 	owner := sc.owner

@@ -41,6 +41,7 @@ type actPlan struct {
 	act      *model.Activity
 	in, out  *model.Container // the activity's containers holding their defaults, cloned like the scope's
 	incoming int32            // number of incoming control connectors
+	slot     int32            // index of the activity in its plan (and scope)
 	outgoing []connPlan
 	dataIn   []dataPlan             // data connectors targeting the activity
 	dataOut  []*model.DataConnector // data connectors from the activity to the scope output
@@ -82,7 +83,7 @@ func (e *Engine) compile(g *model.Graph, types *model.Types, proc string) (*plan
 	for i, a := range g.Activities {
 		slot[a.Name] = int32(i)
 		ap := &p.acts[i]
-		ap.act = a
+		ap.act, ap.slot = a, int32(i)
 		if ap.in, err = types.NewContainer(a.In()); err != nil {
 			return nil, err
 		}

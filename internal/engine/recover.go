@@ -25,34 +25,64 @@ func Recover(e *Engine, records []wal.Record, newLog wal.Log) (*Instance, error)
 	if len(records) == 0 {
 		return nil, errors.New("engine: empty log, nothing to recover")
 	}
-	created := records[0]
-	if created.Type != wal.RecCreated {
-		return nil, fmt.Errorf("engine: log does not begin with a %q record", wal.RecCreated)
+	r := newRecovery(&records[0], len(records)/2)
+	if r.err != nil {
+		return nil, r.err
 	}
-	tpl, ok := e.template(created.Process)
+	for i := range records {
+		rec := &records[i]
+		if rec.Instance != r.created.Instance {
+			return nil, fmt.Errorf("engine: log mixes instances %q and %q", r.created.Instance, rec.Instance)
+		}
+		r.add(rec)
+	}
+	return r.resume(e, newLog)
+}
+
+// recovery is one instance being rebuilt from a log: its RecCreated record
+// and the replay index of its logged completions. Both point into the
+// caller's record slices, which the index keeps alive for the life of the
+// instance; nothing is copied.
+type recovery struct {
+	created *wal.Record
+	replay  map[replayKey]*wal.Record
+	n       int   // the instance's records, replayed or not
+	err     error // the instance's first record is not its RecCreated
+}
+
+func newRecovery(first *wal.Record, hint int) recovery {
+	r := recovery{created: first, replay: make(map[replayKey]*wal.Record, hint)}
+	if first.Type != wal.RecCreated {
+		r.err = fmt.Errorf("engine: log does not begin with a %q record", wal.RecCreated)
+	}
+	return r
+}
+
+// add indexes the instance's next record.
+func (r *recovery) add(rec *wal.Record) {
+	r.n++
+	if rec.Type == wal.RecFinishedActivity {
+		r.replay[replayKey{rec.Path, rec.Iter}] = rec
+	}
+}
+
+// resume re-navigates the instance over its replay index.
+func (r *recovery) resume(e *Engine, newLog wal.Log) (*Instance, error) {
+	tpl, ok := e.template(r.created.Process)
 	if !ok {
-		return nil, fmt.Errorf("engine: process %q of the crashed instance is not registered", created.Process)
+		return nil, fmt.Errorf("engine: process %q of the crashed instance is not registered", r.created.Process)
 	}
 	if newLog == nil {
 		newLog = &wal.MemLog{}
 	}
 	in := tpl.plan.input.Clone()
-	if err := in.Restore(created.Values.Keys, created.Values.Vals); err != nil {
+	if err := in.Restore(r.created.Values.Keys, r.created.Values.Vals); err != nil {
 		return nil, fmt.Errorf("engine: restoring input container: %w", err)
 	}
 
-	e.metrics.recReplayed.Add(int64(len(records)))
-	inst := newInstance(e, created.Instance, tpl, in, newLog)
-	inst.replay = make(map[replayKey]*wal.Record, len(records)/2)
-	for i := range records[1:] {
-		rec := &records[1+i]
-		if rec.Instance != created.Instance {
-			return nil, fmt.Errorf("engine: log mixes instances %q and %q", created.Instance, rec.Instance)
-		}
-		if rec.Type == wal.RecFinishedActivity {
-			inst.replay[replayKey{rec.Path, rec.Iter}] = rec
-		}
-	}
+	e.metrics.recReplayed.Add(int64(r.n))
+	inst := newInstance(e, r.created.Instance, tpl, in, newLog)
+	inst.replay = r.replay
 	if err := inst.Start(); err != nil {
 		return inst, err
 	}
@@ -72,7 +102,7 @@ func Recover(e *Engine, records []wal.Record, newLog wal.Log) (*Instance, error)
 // checkpoint are recovered from the tail alone; instances in cp.Done
 // finished inside the covered prefix and are not resurrected. A nil cp is
 // the full-replay rung: tail is the whole log. Each instance is recovered
-// with Recover in order of first appearance; newLog, when non-nil,
+// as Recover would, in order of first appearance; newLog, when non-nil,
 // supplies its fresh log (nil gives each an in-memory log).
 //
 // Recovery stops at the first instance that fails to recover, returning
@@ -87,15 +117,14 @@ func RecoverAllFromCheckpoint(e *Engine, cp *wal.Checkpoint, tail []wal.Record, 
 			done[id] = true
 		}
 	}
-	// Demultiplex by counting: one pass sizes every instance's run of one
-	// backing array, a second fills it — no per-instance slice grows.
-	index := make(map[string]int) // instance ID → position in order
-	var order []string
-	var counts []int
-	views := [2][]wal.Record{live, tail}
-	for _, recs := range views {
-		for i := range recs {
-			id := recs[i].Instance
+	// Demultiplex by reference: one pass over the checkpoint's records and
+	// the tail's indexes each instance's completions where they lie.
+	index := make(map[string]int) // instance ID → position in recs
+	var recs []recovery
+	for _, view := range [2][]wal.Record{live, tail} {
+		for i := range view {
+			rec := &view[i]
+			id := rec.Instance
 			if id == "" {
 				return nil, errors.New("engine: record without an instance ID")
 			}
@@ -106,34 +135,25 @@ func RecoverAllFromCheckpoint(e *Engine, cp *wal.Checkpoint, tail []wal.Record, 
 			}
 			at, seen := index[id]
 			if !seen {
-				at = len(order)
+				at = len(recs)
 				index[id] = at
-				order = append(order, id)
-				counts = append(counts, 0)
+				recs = append(recs, newRecovery(rec, 0))
 			}
-			counts[at]++
+			recs[at].add(rec)
 		}
 	}
-	backing := make([]wal.Record, len(live)+len(tail))
-	byInst := make([][]wal.Record, len(order))
-	next := 0
-	for at, n := range counts {
-		byInst[at] = backing[next : next : next+n]
-		next += n
-	}
-	for _, recs := range views {
-		for i := range recs {
-			at := index[recs[i].Instance]
-			byInst[at] = append(byInst[at], recs[i])
+	out := make([]*Instance, 0, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		id := r.created.Instance
+		if r.err != nil {
+			return out, fmt.Errorf("engine: recovering %s: %w", id, r.err)
 		}
-	}
-	out := make([]*Instance, 0, len(order))
-	for at, id := range order {
 		var log wal.Log
 		if newLog != nil {
 			log = newLog(id)
 		}
-		inst, err := Recover(e, byInst[at], log)
+		inst, err := r.resume(e, log)
 		if err != nil {
 			return out, fmt.Errorf("engine: recovering %s: %w", id, err)
 		}

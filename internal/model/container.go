@@ -108,16 +108,6 @@ func (ts *Types) NewContainer(typeName string) (*Container, error) {
 	return &Container{lay: lay, values: append([]expr.Value(nil), lay.defaults...)}, nil
 }
 
-// MustContainer is NewContainer that panics on error, for tests and
-// translators that use registered types.
-func (ts *Types) MustContainer(typeName string) *Container {
-	c, err := ts.NewContainer(typeName)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Type returns the container's structure type.
 func (c *Container) Type() *StructType { return c.lay.typ }
 
@@ -194,9 +184,37 @@ func (c *Container) CopyFrom(src *Container, fromPath, toPath string) error {
 	return c.Set(toPath, v)
 }
 
-// Clone returns a deep copy of the container.
+// Clone returns a deep copy of the container. A container of up to four
+// slots — every container of the reference models — is one allocation:
+// the header and its slots share an object of the size the two took apart.
 func (c *Container) Clone() *Container {
-	return &Container{lay: c.lay, values: append([]expr.Value(nil), c.values...)}
+	var out *Container
+	var vals []expr.Value
+	switch len(c.values) {
+	case 1:
+		p := new(withSlots[[1]expr.Value])
+		out, vals = &p.c, p.v[:]
+	case 2:
+		p := new(withSlots[[2]expr.Value])
+		out, vals = &p.c, p.v[:]
+	case 3:
+		p := new(withSlots[[3]expr.Value])
+		out, vals = &p.c, p.v[:]
+	case 4:
+		p := new(withSlots[[4]expr.Value])
+		out, vals = &p.c, p.v[:]
+	default:
+		return &Container{lay: c.lay, values: append([]expr.Value(nil), c.values...)}
+	}
+	copy(vals, c.values)
+	*out = Container{lay: c.lay, values: vals}
+	return out
+}
+
+// withSlots is a container allocated together with its slot array.
+type withSlots[A any] struct {
+	c Container
+	v A
 }
 
 // Paths returns the container's member paths in sorted order (including

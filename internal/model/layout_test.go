@@ -18,7 +18,7 @@ import (
 // existing containers and the containers created afterwards unchanged.
 func TestLayoutSurvivesLaterRegistration(t *testing.T) {
 	ts := newTestTypes(t)
-	order := ts.MustContainer("Order")
+	order := mustContainer(ts, "Order")
 	order.MustSet("id", expr.Int(7))
 	order.MustSet("total.amount", expr.Float(12.5))
 	before, pathsBefore := order.String(), order.Paths()
@@ -53,11 +53,11 @@ func TestLayoutSurvivesLaterRegistration(t *testing.T) {
 	if got := order.Paths(); !reflect.DeepEqual(got, pathsBefore) {
 		t.Errorf("existing container's paths changed: %v, were %v", got, pathsBefore)
 	}
-	fresh := ts.MustContainer("Order")
+	fresh := mustContainer(ts, "Order")
 	if got := fresh.String(); got != `Order{RC=0, id=0, paid=FALSE, total.amount=0.0, total.currency="USD"}` {
 		t.Errorf("fresh Order after later registrations = %s", got)
 	}
-	if !fresh.Equal(ts.MustContainer("Order")) || fresh.Equal(order) {
+	if !fresh.Equal(mustContainer(ts, "Order")) || fresh.Equal(order) {
 		t.Error("fresh Order containers must equal each other and not the modified one")
 	}
 }
@@ -91,7 +91,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c := ts.MustContainer("Order")
+				c := mustContainer(ts, "Order")
 				c.MustSet("id", expr.Int(int64(g)))
 				c.MustSet("total.amount", expr.Int(int64(i)))
 				d := c.Clone()
@@ -202,7 +202,7 @@ func TestContainerMatchesMapReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ts, names := randomTypes(rng, 6)
 		for _, name := range names {
-			c, ref := ts.MustContainer(name), newRef(ts, name)
+			c, ref := mustContainer(ts, name), newRef(ts, name)
 			for _, p := range ref.paths() {
 				if rng.Intn(2) == 0 {
 					continue
@@ -223,7 +223,7 @@ func TestContainerMatchesMapReference(t *testing.T) {
 			if !reflect.DeepEqual(snap, ref.vals) {
 				t.Fatalf("seed %d %s: Snapshot = %v, want %v", seed, name, snap, ref.vals)
 			}
-			restored := ts.MustContainer(name)
+			restored := mustContainer(ts, name)
 			if err := restored.Restore(c.Vector()); err != nil {
 				t.Fatalf("seed %d %s: Restore: %v", seed, name, err)
 			}
@@ -255,7 +255,7 @@ func TestContainerMatchesMapReference(t *testing.T) {
 // TestContainerEqualAcrossRegistries: Equal compares by type name and
 // member values, so same-named types of two registries compare by path.
 func TestContainerEqualAcrossRegistries(t *testing.T) {
-	a, b := newTestTypes(t).MustContainer("Order"), newTestTypes(t).MustContainer("Order")
+	a, b := mustContainer(newTestTypes(t), "Order"), mustContainer(newTestTypes(t), "Order")
 	if !a.Equal(b) {
 		t.Fatal("equal containers of two registries differ")
 	}
@@ -292,7 +292,7 @@ func TestRestoreVectorMatchesByName(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ts, names := randomTypes(rng, 4)
 		name := names[rng.Intn(len(names))]
-		src := ts.MustContainer(name)
+		src := mustContainer(ts, name)
 		paths, vals := src.Vector()
 		for i := range vals {
 			switch rng.Intn(6) {
@@ -322,7 +322,7 @@ func TestRestoreVectorMatchesByName(t *testing.T) {
 				paths, vals = append(paths, "stranger"), append(vals, expr.Int(1))
 			}
 		}
-		got, want := ts.MustContainer(name), ts.MustContainer(name)
+		got, want := mustContainer(ts, name), mustContainer(ts, name)
 		gotErr, wantErr := got.Restore(paths, vals), restoreByName(want, paths, vals)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("seed %d %s: Restore(%v, %v): %v, by name: %v", seed, name, paths, vals, gotErr, wantErr)

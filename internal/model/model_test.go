@@ -7,6 +7,15 @@ import (
 	"repro/internal/expr"
 )
 
+// mustContainer is NewContainer for a type the test registered.
+func mustContainer(ts *Types, name string) *Container {
+	c, err := ts.NewContainer(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func newTestTypes(t *testing.T) *Types {
 	t.Helper()
 	ts := NewTypes()
@@ -123,7 +132,7 @@ func TestResolvePath(t *testing.T) {
 
 func TestContainerBasics(t *testing.T) {
 	ts := newTestTypes(t)
-	c := ts.MustContainer("Order")
+	c := mustContainer(ts, "Order")
 	// Defaults.
 	if v := c.MustGet("id"); v.AsInt() != 0 {
 		t.Errorf("id default = %v", v)
@@ -163,7 +172,7 @@ func TestContainerBasics(t *testing.T) {
 
 func TestContainerCloneAndEqual(t *testing.T) {
 	ts := newTestTypes(t)
-	a := ts.MustContainer("Order")
+	a := mustContainer(ts, "Order")
 	a.MustSet("id", expr.Int(1))
 	b := a.Clone()
 	if !a.Equal(b) {
@@ -176,7 +185,7 @@ func TestContainerCloneAndEqual(t *testing.T) {
 	if a.MustGet("id").AsInt() != 1 {
 		t.Fatal("original mutated")
 	}
-	c := ts.MustContainer("Money")
+	c := mustContainer(ts, "Money")
 	if a.Equal(c) {
 		t.Fatal("different types equal")
 	}
@@ -184,10 +193,10 @@ func TestContainerCloneAndEqual(t *testing.T) {
 
 func TestContainerSnapshotRestore(t *testing.T) {
 	ts := newTestTypes(t)
-	a := ts.MustContainer("Order")
+	a := mustContainer(ts, "Order")
 	a.MustSet("id", expr.Int(9))
 	a.SetRC(3)
-	b := ts.MustContainer("Order")
+	b := mustContainer(ts, "Order")
 	if err := b.Restore(a.Vector()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +210,9 @@ func TestContainerSnapshotRestore(t *testing.T) {
 
 func TestContainerCopyFrom(t *testing.T) {
 	ts := newTestTypes(t)
-	src := ts.MustContainer("Order")
+	src := mustContainer(ts, "Order")
 	src.MustSet("id", expr.Int(5))
-	dst := ts.MustContainer("SagaState")
+	dst := mustContainer(ts, "SagaState")
 	if err := dst.CopyFrom(src, "id", "State_1"); err != nil {
 		t.Fatal(err)
 	}

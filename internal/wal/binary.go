@@ -259,6 +259,10 @@ type scan struct {
 	// ends, when non-nil, collects the offset in its file at which every
 	// clean frame ends (FrameEnds).
 	ends []int64
+	// buf holds the bytes of every file the walk read (scan.read), taken
+	// from walkBufs and handed back by release. Nothing the walk returns
+	// aliases it: str and body copy every string and value out.
+	buf *bytes.Buffer
 }
 
 // maxInterned bounds a walk's intern table; past it strings are allocated
@@ -446,6 +450,15 @@ func countFrames(data []byte, off int) int {
 		n++
 	}
 	return n
+}
+
+// binaryFrames counts the complete frames of a binary log file's bytes; a
+// text log, or a file too short for its header, counts none.
+func binaryFrames(data []byte) int {
+	if len(data) < fileHeaderLen || !bytes.Equal(data[:len(binaryMagic)], binaryMagic[:]) || Format(data[fileHeaderLen-1]) != FormatBinary {
+		return 0
+	}
+	return countFrames(data, fileHeaderLen)
 }
 
 // binary walks binary frames starting at off (just past the file header).

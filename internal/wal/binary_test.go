@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expr"
@@ -399,6 +402,30 @@ func scanCorpus(t *testing.T, n int) (path string, distinct int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return path, writeScanCorpus(t, l, n)
+}
+
+// scanSegments writes the same corpus as scanCorpus into a segment
+// directory of segs binary segments.
+func scanSegments(t *testing.T, n, segs int) (dir string) {
+	t.Helper()
+	dir = t.TempDir()
+	l, err := OpenSegmentedLog(dir, SegmentFormat(FormatBinary), SegmentMaxRecords(n/segs+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeScanCorpus(t, l, n)
+	if got, err := ListSegments(dir); err != nil || len(got) != segs {
+		t.Fatalf("%d records in %d segments (err=%v), want %d", n, len(got), err, segs)
+	}
+	return dir
+}
+
+func writeScanCorpus(t *testing.T, l interface {
+	Log
+	Close() error
+}, n int) (distinct int) {
+	t.Helper()
 	paths := []string{"Flight", "Hotel", "Car"}
 	for i := 0; i < n; i++ {
 		rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("inst-%05d", i%5), Path: paths[i%len(paths)], Iter: i,
@@ -413,35 +440,49 @@ func scanCorpus(t *testing.T, n int) (path string, distinct int) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, 5 + 1 + len(paths) + 2
+	return 5 + 1 + len(paths) + 2
+}
+
+// poolDropSlack is what a walk may allocate beyond its count under the race
+// detector, whose sync.Pool drops a quarter of what it is handed: a new read
+// buffer and its pool box.
+func poolDropSlack() float64 {
+	if raceEnabled {
+		return 2
+	}
+	return 0
 }
 
 // TestScanAllocCeilings gates what reading a log allocates (CI runs it
 // beside the append gate). A walk that names an instance the log does not
 // hold validates every frame and materialises none: its allocations are
-// the file buffer and bookkeeping, the same number for 100 records as for
-// 500. A walk that keeps everything adds, on top of that, its record
-// slice — once, sized by hopping the length prefixes — one string per
-// distinct instance, process, path and value key (interned for the walk;
-// the slack is the intern table's own growth), one Vals slice per record,
-// and per distinct container type one key vector (the Keys slice every
-// record of the type shares and its entry in the walk's table; the scratch
-// the member names are collected in is allocated once) — and nothing else
-// per record.
+// bookkeeping — the file's bytes go into a read buffer the walks share —
+// the same number for 100 records as for 500. A walk that keeps everything
+// adds, on top of that, its record slice — once, sized by hopping the
+// length prefixes — one string per distinct instance, process, path and
+// value key (interned for the walk; the slack is the intern table's own
+// growth), one Vals slice per record, and per distinct container type one
+// key vector (the Keys slice every record of the type shares and its entry
+// in the walk's table; the scratch the member names are collected in is
+// allocated once) — and nothing else per record. The same records split
+// over eight segments still make one record slice: the walk reads every
+// segment before it scans one, so objects grow only by what opening and
+// listing a file costs, and bytes by less than a tenth.
 func TestScanAllocCeilings(t *testing.T) {
 	const records = 500
 	small, _ := scanCorpus(t, records/5)
 	big, distinct := scanCorpus(t, records)
-	walk := func(path, instance string, want int) float64 {
+	walk := func(l Ladder, want int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			h, err := Ladder{Path: path, Instance: instance}.Read()
+			h, err := l.Read()
 			if err != nil || len(h.Tail) != want || h.Len() == 0 {
-				t.Fatalf("walk of %s for %q: %d records err=%v, want %d", path, instance, len(h.Tail), err, want)
+				t.Fatalf("walk of %s for %q: %d records err=%v, want %d", l.Path, l.Instance, len(h.Tail), err, want)
 			}
 		})
 	}
-	absent := walk(big, "nobody", 0)
-	if few := walk(small, "nobody", 0); few != absent || absent > 20 {
+	slack := poolDropSlack()
+	absent := walk(Ladder{Path: big, Instance: "nobody"}, 0)
+	if few := walk(Ladder{Path: small, Instance: "nobody"}, 0); math.Abs(few-absent) > slack || absent > 20 {
 		t.Fatalf("a filtered walk that keeps nothing allocates %.0f objects over %d records, %.0f over %d: want the same, and <= 20",
 			absent, records, few, records/5)
 	}
@@ -451,12 +492,122 @@ func TestScanAllocCeilings(t *testing.T) {
 		perKeyVector   = 2 // the Keys slice and the table entry's key
 		keyScratch     = 1
 	)
-	whole := walk(big, "", records)
-	if ceiling := absent + 1 + float64(distinct) + internSlack + records + containerTypes*perKeyVector + keyScratch; whole > ceiling {
+	whole := walk(Ladder{Path: big}, records)
+	if ceiling := absent + slack + 1 + float64(distinct) + internSlack + records + containerTypes*perKeyVector + keyScratch; whole > ceiling {
 		t.Fatalf("an unfiltered walk of %d records allocates %.0f objects, ceiling %.0f (bookkeeping %.0f + 1 slice + %d strings + %d table growth + %d Vals slices + %d key vectors of %d + %d scratch)",
 			records, whole, ceiling, absent, distinct, internSlack, records, containerTypes, perKeyVector, keyScratch)
 	}
 	t.Logf("absent %.0f, whole %.0f over %d records", absent, whole, records)
+
+	// perFile bounds what one more segment costs a walk: its directory
+	// entry, name and parsed index, its path, opening, stating and closing
+	// it, and its share of the walk's per-segment tables.
+	const perFile = 16
+	one, eight := scanSegments(t, records, 1), scanSegments(t, records, 8)
+	dirWalk := func(dir string) (objects, bytes float64) {
+		l := Ladder{Path: dir, Full: true}
+		objects = walk(l, records)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const runs = 20
+		for i := 0; i < runs; i++ {
+			if _, err := l.Read(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return objects, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	oneObj, oneBytes := dirWalk(one)
+	eightObj, eightBytes := dirWalk(eight)
+	fileBytes := 0.0
+	if raceEnabled {
+		fi, err := os.Stat(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileBytes = float64(fi.Size()) // a dropped buffer is read again
+	}
+	if eightObj-oneObj > 7*perFile+slack || eightBytes > 1.10*oneBytes+fileBytes {
+		t.Fatalf("%d records in 8 segments: %.0f objects, %.0f bytes; in 1: %.0f objects, %.0f bytes — want at most %d objects more per extra file and 10%% more bytes",
+			records, eightObj, eightBytes, oneObj, oneBytes, perFile)
+	}
+	t.Logf("1 segment: %.0f objects %.0f bytes; 8 segments: %.0f objects %.0f bytes", oneObj, oneBytes, eightObj, eightBytes)
+}
+
+// TestWalkBufferReuse: what a walk returns shares nothing with the read
+// buffer the next walk reuses. Walks of one log run beside walks of
+// another, in both framings; every History is compared, after all the
+// walks, with what it held when its walk ended. CI runs it under the race
+// detector too.
+func TestWalkBufferReuse(t *testing.T) {
+	for _, f := range []Format{FormatText, FormatBinary} {
+		t.Run(f.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			logs := make([]string, 2)
+			for i := range logs {
+				logs[i] = filepath.Join(dir, fmt.Sprintf("%d.wal", i))
+				l, err := OpenFileLog(logs[i], WithFormat(f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 200; k++ {
+					rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("log%d-inst-%d", i, k%7), Path: fmt.Sprintf("P%d", k%11), Iter: k,
+						Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(int64(i)), "S": expr.String_(fmt.Sprintf("log%d value %d", i, k))})}
+					if err := l.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const walks = 16
+			type kept struct {
+				h    *History
+				want []byte
+			}
+			got := make([]kept, walks)
+			var wg sync.WaitGroup
+			for w := 0; w < walks; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					h, err := Ladder{Path: logs[w%2]}.Read()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[w] = kept{h, encodeAll(t, h.Tail)}
+				}(w)
+			}
+			wg.Wait()
+			for w := 0; w < walks; w++ { // and sequentially, on the buffers the goroutines returned
+				if _, err := (Ladder{Path: logs[w%2]}).Read(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for w, k := range got {
+				if k.h == nil {
+					continue
+				}
+				if now := encodeAll(t, k.h.Tail); !bytes.Equal(now, k.want) {
+					t.Fatalf("walk %d of %s changed after later walks reused the read buffer", w, logs[w%2])
+				}
+			}
+		})
+	}
+}
+
+func encodeAll(t *testing.T, recs []Record) []byte {
+	var b []byte
+	for _, rec := range recs {
+		var err error
+		if b, err = EncodeRecord(b, rec, FormatBinary); err != nil {
+			t.Error(err)
+		}
+	}
+	return b
 }
 
 // TestDecodersAgreeOnAnyMemberOrder: whatever order a file names a record's

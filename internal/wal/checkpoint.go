@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,6 +233,8 @@ func parseCheckpoint(data []byte, name string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: checkpoint %s: header declares %d records, found %d", name, hdr.N, len(body)-1)
 	}
 	cp := &Checkpoint{Seq: hdr.Seq, Cover: hdr.Cover, Done: hdr.Done}
+	// Sized once: a recovered instance's replay index keeps it alive.
+	cp.Records = slices.Grow(cp.Records, hdr.N)
 	for i, ln := range body[1:] {
 		rec, err := parseLine(ln)
 		if err != nil {

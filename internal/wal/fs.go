@@ -268,21 +268,22 @@ func FrameEnds(path string) ([]int64, error) {
 	if err != nil { // not a directory: one log file
 		segs = []SegmentInfo{{Path: path}}
 	}
-	var ends []int64
+	s := newScan("")
+	defer s.release()
+	s.ends = []int64{}
 	base := int64(0)
 	for _, seg := range segs {
-		s := newScan("")
-		s.ends = []int64{}
+		from := len(s.ends)
 		validLen, dropped, err := s.file(seg.Path)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range s.ends {
-			ends = append(ends, base+e)
+		for i := from; i < len(s.ends); i++ {
+			s.ends[i] += base
 		}
 		base += int64(validLen + dropped)
 	}
-	return ends, nil
+	return s.ends, nil
 }
 
 // CrashCut returns the byte at which a FaultCrash kills a rerun of the run

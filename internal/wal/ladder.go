@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -107,6 +108,7 @@ func (l Ladder) walk(repair bool) (*History, error) {
 	}
 	h := &History{Rung: SourceFullReplay}
 	s := newScan(l.Instance)
+	defer s.release()
 	if !fi.IsDir() {
 		h.Torn, err = s.readLog(l.Path, repair)
 	} else {
@@ -146,6 +148,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // Ladder.Recover on its own.
 func RepairSegments(dir string, afterIndex int) ([]Record, int, error) {
 	s := newScan("")
+	defer s.release()
 	torn, err := s.readSegments(dir, afterIndex, nil, true)
 	if err != nil {
 		return nil, 0, err
@@ -277,6 +280,30 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 	}
 	sort.Ints(indexes)
 
+	// Every local file is read into the walk's buffer before any is
+	// scanned, so a walk that keeps every record sizes its record slice
+	// once, for all its segments.
+	type span struct {
+		start, end int
+		err        error
+	}
+	spans := make([]span, len(indexes))
+	for i, idx := range indexes {
+		if path, ok := local[idx]; ok {
+			data, err := s.read(path)
+			spans[i] = span{s.buf.Len() - len(data), s.buf.Len(), err}
+		}
+	}
+	if s.instance == "" {
+		n := 0
+		for _, sp := range spans {
+			if sp.end > sp.start {
+				n += binaryFrames(s.buf.Bytes()[sp.start:sp.end])
+			}
+		}
+		s.recs = slices.Grow(s.recs, n)
+	}
+
 	// fetch makes segment idx's archived copy what the walk holds from
 	// (recs, frames) on, when one fetches and strict-decodes clean. The copy
 	// is scanned on its own, sharing the walk's filter and intern table, so
@@ -305,11 +332,14 @@ func (s *scan) readSegments(dir string, afterIndex int, store Store, repair bool
 	// repairs holds the repairLog call of every local segment the walk used,
 	// until no later segment can turn a torn tail into mid-log damage.
 	var repairs []func() error
-	for _, idx := range indexes {
+	for i, idx := range indexes {
 		recs, frames := len(s.recs), s.frames // where this segment starts
 		d := 0
 		if path, ok := local[idx]; ok {
-			validLen, dropped, err := s.file(path)
+			validLen, dropped, err := 0, 0, spans[i].err
+			if err == nil {
+				validLen, dropped, err = s.log(s.buf.Bytes()[spans[i].start:spans[i].end], false)
+			}
 			if err != nil {
 				s.recs, s.frames = s.recs[:recs], frames
 			}

@@ -34,6 +34,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -615,6 +616,7 @@ func RepairFile(path string) ([]Record, int, error) {
 // readLog reads every record of one log file; see scan.readLog.
 func readLog(path string, repair bool) ([]Record, int, error) {
 	s := newScan("")
+	defer s.release()
 	dropped, err := s.readLog(path, repair)
 	if err != nil {
 		return nil, 0, err
@@ -637,11 +639,48 @@ func (s *scan) readLog(path string, repair bool) (dropped int, err error) {
 // file scans one log file tolerantly: the length of its valid prefix and
 // the size of the torn tail after it.
 func (s *scan) file(path string) (validLen, dropped int, err error) {
-	data, err := os.ReadFile(path)
+	data, err := s.read(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, err
 	}
 	return s.log(data, false)
+}
+
+// walkBufs holds the read buffers of walks that ended, so a walk reads its
+// files into memory an earlier walk already grew.
+var walkBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// read appends the bytes of the file at path to the walk's one buffer and
+// returns them. They stay valid until the next read, which may move the
+// buffer; a caller that holds several files keeps their offsets.
+func (s *scan) read(path string) ([]byte, error) {
+	if s.buf == nil {
+		s.buf = walkBufs.Get().(*bytes.Buffer)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	start := s.buf.Len()
+	if fi, err := f.Stat(); err == nil {
+		s.buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	if _, err := s.buf.ReadFrom(f); err != nil {
+		s.buf.Truncate(start)
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	return s.buf.Bytes()[start:], nil
+}
+
+// release hands the walk's buffer back to walkBufs; the scan must read no
+// more files.
+func (s *scan) release() {
+	if s.buf != nil {
+		s.buf.Reset()
+		walkBufs.Put(s.buf)
+		s.buf = nil
+	}
 }
 
 // repairLog truncates the torn tail scan.file found (keeping a binary log's
