@@ -326,7 +326,7 @@ type InstanceInfo struct {
 	// Status: "created" (not started), "running" (started, waiting on
 	// manual work or mid-navigation), "finished", or "failed".
 	Status string
-	// Cause is the failure cause message for "failed" instances, "".
+	// Cause is the failure cause message for "failed" instances, ""
 	// otherwise.
 	Cause       string
 	PendingWork int

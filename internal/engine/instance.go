@@ -110,6 +110,9 @@ func (as *actState) path() string {
 // Instance is one execution of a process template. Instances are not safe
 // for concurrent use; drive them from a single goroutine.
 type Instance struct {
+	// The fields that hold pointers come first: the garbage collector scans
+	// an object only up to its last pointer, and an engine keeps every
+	// instance it finished.
 	eng *Engine
 	id  string
 	tpl *template
@@ -121,6 +124,28 @@ type Instance struct {
 	trail    []trailRec
 	failures []Event // the EvFailed events of the trail, whole (see trailRec)
 
+	// The trail's stamps, stored as runs of events that share one: at0 is
+	// the stamp of the run that begins at trail[0], and stamps holds a run
+	// for every later event whose stamp differs from its predecessor's —
+	// none while the clock does not move during the run.
+	stamps []stampRun
+
+	// replay indexes the completed activity executions of the log being
+	// recovered; the records stay where Recover's caller put them.
+	replay map[replayKey]*wal.Record
+
+	// logq holds the records navigation has produced since the last
+	// commitLog barrier, borrowed from logqPool while it is non-empty.
+	logq *[]wal.Record
+
+	// completions and pool carry concurrent mode (see concurrency).
+	completions chan completion
+	pool        chan struct{}
+
+	err error // guarded by stMu
+
+	at0 int64 // see stamps
+
 	// now is the engine clock as last read, the stamp of every trail event
 	// and work item until the next read. It is read on entry to a
 	// navigating call, per navigation step pump dequeues and per program
@@ -128,24 +153,17 @@ type Instance struct {
 	// points in a live run and in its replay.
 	now int64
 
-	// replay indexes the completed activity executions of the log being
-	// recovered; the records stay where Recover's caller put them.
-	replay map[replayKey]*wal.Record
-
-	// logq holds the records navigation has produced since the last
-	// commitLog barrier, borrowed from logqPool while it is non-empty;
-	// logFailed latches a failed barrier, after which nothing is logged.
-	logq      *[]wal.Record
+	// logFailed latches a failed commitLog barrier, after which nothing is
+	// logged.
 	logFailed bool
 
-	// stMu guards the status fields below for cross-goroutine monitors
-	// (Engine.Instances, Err, Finished, PendingWork). All writes happen on
-	// the navigator goroutine, which may therefore read them directly; any
-	// other goroutine must go through the locked accessors.
+	// stMu guards started, done, err and pendingManual for cross-goroutine
+	// monitors (Engine.Instances, Err, Finished, PendingWork). All writes
+	// happen on the navigator goroutine, which may therefore read them
+	// directly; any other goroutine must go through the locked accessors.
 	stMu          sync.Mutex
 	started       bool
 	done          bool
-	err           error
 	pendingManual int
 
 	// Concurrent-mode state: when concurrency > 1, program bodies run on a
@@ -153,8 +171,6 @@ type Instance struct {
 	// Navigation itself stays on one goroutine either way.
 	concurrency int
 	inflight    int
-	completions chan completion
-	pool        chan struct{}
 }
 
 func newInstance(e *Engine, id string, tpl *template, input *model.Container, log wal.Log) *Instance {
@@ -272,8 +288,13 @@ func (inst *Instance) Output() *model.Container { return inst.root.output.Clone(
 // after the instance settled.
 func (inst *Instance) Trail() []Event {
 	out := make([]Event, len(inst.trail))
+	at, k := inst.at0, 0
 	for i := range inst.trail {
-		out[i] = inst.materialize(&inst.trail[i])
+		if k < len(inst.stamps) && inst.stamps[k].from == i {
+			at = inst.stamps[k].at
+			k++
+		}
+		out[i] = inst.materialize(&inst.trail[i], at)
 	}
 	return out
 }
@@ -478,6 +499,7 @@ func (inst *Instance) Cancel() error {
 	}
 	inst.markDone()
 	inst.event(nil, trailRec{kind: EvDone})
+	inst.release()
 	return nil
 }
 
@@ -577,17 +599,27 @@ func (inst *Instance) commitLog() {
 // Paths and program names are read off the activity when an Event is
 // wanted — Trail, ProgramRuns, Trace, and at recording time only if an
 // observer or the bus listens — so recording an event copies no strings.
+// The stamp is not stored per record: events between two clock reads
+// share it, so the instance keeps one stampRun per clock read that moved.
 // EvFailed alone does not fit: its Event is kept whole in Instance.failures
-// and rc is its index there.
+// and rc is its index there. 24 bytes.
 type trailRec struct {
-	at   int64
 	rc   int64 // EvFinished, EvForced: the return code
 	sc   int32 // the activity's scope in Instance.scopes; -1 for instance-level events
 	slot int32 // the activity's slot in that scope; the source for EvConnector
-	iter int32 // the activity's iteration when the event was recorded
-	to   int32 // EvConnector: slot of the target activity in the source's scope
+	// iter is the activity's iteration when the event was recorded; for
+	// EvConnector, whose Event carries no iteration, the slot of the target
+	// activity in the source's scope.
+	iter int32
 	kind EventKind
 	flag bool // EvConnector: the truth value; EvFinished: the completion was forced
+}
+
+// stampRun is the clock stamp of the trail events from trail[from] up to
+// the next run.
+type stampRun struct {
+	from int
+	at   int64
 }
 
 // act returns the activity a trail record is about, nil for an
@@ -599,20 +631,20 @@ func (inst *Instance) act(r *trailRec) *actState {
 	return &inst.scopes[r.sc].acts[r.slot]
 }
 
-// materialize builds the Event a trail record stands for.
-func (inst *Instance) materialize(r *trailRec) Event {
+// materialize builds the Event a trail record stamped at stands for.
+func (inst *Instance) materialize(r *trailRec, at int64) Event {
 	if r.kind == EvFailed {
 		ev := inst.failures[r.rc]
-		ev.At = r.at
+		ev.At = at
 		return ev
 	}
-	ev := Event{Kind: r.kind, At: r.at}
+	ev := Event{Kind: r.kind, At: at}
 	as := inst.act(r)
 	if as == nil {
 		return ev
 	}
 	if r.kind == EvConnector {
-		ev.From, ev.To, ev.Value = as.path(), as.sc.acts[r.to].path(), r.flag
+		ev.From, ev.To, ev.Value = as.path(), as.sc.acts[r.iter].path(), r.flag
 		return ev
 	}
 	ev.Path, ev.Iter = as.path(), int(r.iter)
@@ -630,6 +662,14 @@ func (inst *Instance) materialize(r *trailRec) Event {
 	return ev
 }
 
+// lastStamp returns the stamp of the trail's last event.
+func (inst *Instance) lastStamp() int64 {
+	if k := len(inst.stamps); k > 0 {
+		return inst.stamps[k-1].at
+	}
+	return inst.at0
+}
+
 // tick reads the engine clock into inst.now.
 func (inst *Instance) tick() { inst.now = inst.eng.clock() }
 
@@ -637,16 +677,25 @@ func (inst *Instance) tick() { inst.now = inst.eng.clock() }
 // activity's current iteration, and hands the materialized Event to
 // whoever listens.
 func (inst *Instance) event(as *actState, r trailRec) {
-	r.at, r.sc = inst.now, -1
+	r.sc = -1
 	if as != nil {
-		r.sc, r.slot, r.iter = as.sc.index, as.plan.slot, int32(as.iter)
+		r.sc, r.slot = as.sc.index, as.plan.slot
+		if r.kind != EvConnector {
+			r.iter = int32(as.iter)
+		}
+	}
+	switch n := len(inst.trail); {
+	case n == 0:
+		inst.at0 = inst.now
+	case inst.now != inst.lastStamp():
+		inst.stamps = append(inst.stamps, stampRun{from: n, at: inst.now})
 	}
 	inst.trail = append(inst.trail, r)
 	bus := inst.eng.bus.Active()
 	if !bus && inst.eng.trailObs == nil {
 		return
 	}
-	ev := inst.materialize(&r)
+	ev := inst.materialize(&r, inst.now)
 	if bus {
 		inst.publishTrail(ev, as)
 	}
@@ -1131,7 +1180,7 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 				val = v
 			}
 		}
-		inst.event(as, trailRec{kind: EvConnector, to: c.to, flag: val})
+		inst.event(as, trailRec{kind: EvConnector, iter: c.to, flag: val})
 		tgt := &as.sc.acts[c.to]
 		tgt.connSeen++
 		if val {
@@ -1199,6 +1248,7 @@ func (inst *Instance) scopeDone(sc *scope) {
 		inst.markDone()
 		inst.eng.metrics.instFinished.Inc()
 		inst.event(nil, trailRec{kind: EvDone})
+		inst.release()
 		return
 	}
 	owner := sc.owner
@@ -1210,6 +1260,27 @@ func (inst *Instance) scopeDone(sc *scope) {
 		return
 	}
 	inst.finishActivity(owner, sc.output)
+}
+
+// release drops what only navigation reads once RecDone is logged: every
+// scope's input, the outputs of the inner scopes and of the activities,
+// the queue and the replay index. A finished instance keeps its history —
+// the trail, the activity states and the root output, which is all that
+// Output, Snapshot, Activities, Trail, ProgramRuns and Trace read — and
+// the interventions that reach navigation state refuse a finished
+// instance before they do.
+func (inst *Instance) release() {
+	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
+	inst.queue, inst.replay = nil, nil
+	for _, sc := range inst.scopes {
+		sc.input = nil
+		if sc != inst.root {
+			sc.output = nil
+		}
+		for i := range sc.acts {
+			sc.acts[i].output = nil
+		}
+	}
 }
 
 // replayKey names one activity execution in the replay index.

@@ -123,6 +123,9 @@ func TestCancelInstance(t *testing.T) {
 	if !inst.Finished() {
 		t.Fatal("canceled instance not finished")
 	}
+	if !Released(inst) {
+		t.Fatal("canceled instance kept its containers, queue or replay index")
+	}
 	if inst.PendingWork() != 0 || len(e.Worklists().List("alice")) != 0 {
 		t.Fatal("work items survived cancellation")
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestTrailRecHoldsNoPointer pins the stored form of the audit trail as
@@ -27,4 +28,13 @@ func TestTrailRecHoldsNoPointer(t *testing.T) {
 		}
 	}
 	check("trailRec", reflect.TypeOf(trailRec{}))
+}
+
+// TestTrailRecSize pins the trail record at 24 bytes: its stamp lives in
+// the instance's stamp runs, and a connector's target slot shares the
+// iteration field, which no connector event reads.
+func TestTrailRecSize(t *testing.T) {
+	if size := unsafe.Sizeof(trailRec{}); size > 24 {
+		t.Fatalf("trailRec is %d bytes, want <= 24", size)
+	}
 }
