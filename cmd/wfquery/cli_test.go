@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -30,14 +32,40 @@ func TestSubcommandsMatchRegistry(t *testing.T) {
 	}
 }
 
-// buildCmd compiles one of the repo's commands into dir.
-func buildCmd(t *testing.T, dir, name string) string {
+// built holds the commands compiled so far, each once per test process.
+var built = struct {
+	sync.Mutex
+	dir  string
+	bins map[string]string
+}{bins: map[string]string{}}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "wfquery-test-bin-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	built.dir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildCmd compiles one of the repo's commands, the first time a test of
+// this process asks for it, and returns the binary's path.
+func buildCmd(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
+	built.Lock()
+	defer built.Unlock()
+	if bin, ok := built.bins[name]; ok {
+		return bin
+	}
+	bin := filepath.Join(built.dir, name)
 	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build %s: %v\n%s", name, err, out)
 	}
+	built.bins[name] = bin
 	return bin
 }
 
@@ -86,8 +114,8 @@ func run(t *testing.T, bin string, args ...string) string {
 // boundaries past recorded history.
 func TestStateTimeTravel(t *testing.T) {
 	dir := t.TempDir()
-	wfrun := buildCmd(t, dir, "wfrun")
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfrun := buildCmd(t, "wfrun")
+	wfquery := buildCmd(t, "wfquery")
 	fdlPath := writeFDL(t, dir)
 	walPath := filepath.Join(dir, "run.wal")
 	run(t, wfrun, "-wal", walPath, fdlPath)
@@ -138,8 +166,8 @@ func TestStateTimeTravel(t *testing.T) {
 // the shard directories without naming its shard.
 func TestStateSharded(t *testing.T) {
 	dir := t.TempDir()
-	wfrun := buildCmd(t, dir, "wfrun")
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfrun := buildCmd(t, "wfrun")
+	wfquery := buildCmd(t, "wfquery")
 	fdlPath := writeFDL(t, dir)
 	fleetDir := filepath.Join(dir, "fleet")
 	run(t, wfrun, "-n", "6", "-shards", "2", "-parallel", "2", "-wal", fleetDir, fdlPath)
@@ -159,8 +187,8 @@ func TestStateSharded(t *testing.T) {
 // evaluator with identical final counts.
 func TestTrailExportAggAndTail(t *testing.T) {
 	dir := t.TempDir()
-	wfrun := buildCmd(t, dir, "wfrun")
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfrun := buildCmd(t, "wfrun")
+	wfquery := buildCmd(t, "wfquery")
 	fdlPath := writeFDL(t, dir)
 	trail := filepath.Join(dir, "trail.jsonl")
 	// 'step' aborts (RC=1), so every instance takes the A→C branch:
@@ -216,8 +244,8 @@ func TestTrailExportAggAndTail(t *testing.T) {
 // aggregate.
 func TestKilledRunLeavesQueryablePrefix(t *testing.T) {
 	dir := t.TempDir()
-	wfrun := buildCmd(t, dir, "wfrun")
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfrun := buildCmd(t, "wfrun")
+	wfquery := buildCmd(t, "wfquery")
 	fdlPath := writeFDL(t, dir)
 	trail := filepath.Join(dir, "trail.jsonl")
 	cmd := exec.Command(wfrun, "-n", "200000", "-parallel", "1", "-trail-export", trail, fdlPath)
@@ -265,7 +293,7 @@ func TestKilledRunLeavesQueryablePrefix(t *testing.T) {
 // both connector polarities.
 func TestReachCLI(t *testing.T) {
 	dir := t.TempDir()
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfquery := buildCmd(t, "wfquery")
 	fdlPath := writeFDL(t, dir)
 	cases := []struct {
 		args []string
@@ -297,8 +325,7 @@ func TestReachCLI(t *testing.T) {
 // TestUsageErrorsExitTwo pins the exit-code contract shared with wfrun:
 // misuse is 2, runtime failure is 1.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	dir := t.TempDir()
-	wfquery := buildCmd(t, dir, "wfquery")
+	wfquery := buildCmd(t, "wfquery")
 	cases := []struct {
 		name   string
 		args   []string

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -83,36 +82,23 @@ func runSharded(e *engine.Engine, process string, shards, fleetN, parallel, maxQ
 }
 
 // resumeSharded recovers every instance a sharded run left under the
-// fleet root directory: each shard-NN subdirectory is recovered through
-// its own ladder (engine.RecoverLadder; with -archive, missing or damaged
-// blobs are fetched back from ARCHIVE/shard-NN), and the concatenation is
-// reported like a single-log resume, with the recovery rung each shard
-// climbed to.
+// fleet root directory: one ladder per shard-NN subdirectory (with
+// -archive, missing or damaged blobs are fetched back from
+// ARCHIVE/shard-NN), recovered in parallel by engine.RecoverShards, and
+// the concatenation is reported like a single-log resume, with the
+// recovery rung each shard climbed to.
 func resumeSharded(build func() (*engine.Engine, *rm.Recorder), root, archiveDir string, metrics bool) {
 	e, _ := build()
-	dirs, err := engine.ShardDirs(root)
+	ladders, err := engine.ShardLadders(root, archiveDir)
 	if err != nil {
 		fatal(err)
 	}
-	if len(dirs) == 0 {
-		fatal(fmt.Errorf("engine: no shard-NN directories under %s", root))
+	insts, hs, err := engine.RecoverShards(e, ladders, nil)
+	if err != nil {
+		fatal(err)
 	}
-	var insts []*engine.Instance
 	byRung := map[string]int{} // shards per ladder rung, so archive fetches show in the summary
-	for _, dir := range dirs {
-		ladder := wal.Ladder{Path: dir}
-		if archiveDir != "" {
-			st, err := wal.NewDirStore(filepath.Join(archiveDir, filepath.Base(dir)))
-			if err != nil {
-				fatal(err)
-			}
-			ladder.Store = st
-		}
-		recovered, h, err := engine.RecoverLadder(e, ladder, nil)
-		if err != nil {
-			fatal(fmt.Errorf("engine: recovering shard %s: %w", dir, err))
-		}
-		insts = append(insts, recovered...)
+	for _, h := range hs {
 		byRung[h.Rung]++
 	}
 	finished := 0
@@ -132,7 +118,7 @@ func resumeSharded(build func() (*engine.Engine, *rm.Recorder), root, archiveDir
 		}
 	}
 	fmt.Printf("recovered %d instances from %d shard directories: finished=%d failed=%d (recovery rungs: %s)\n",
-		len(insts), len(dirs), finished, failed, strings.Join(parts, " "))
+		len(insts), len(ladders), finished, failed, strings.Join(parts, " "))
 	if metrics {
 		fmt.Println("-- metrics --")
 		obs.WritePrometheus(os.Stdout, obs.Default)

@@ -169,7 +169,10 @@ func WithBus(b *obs.Bus) Option {
 // replaying an instance under an observer revisits every historical
 // trail boundary in order — internal/history captures "state of X as of
 // boundary k" here, and the E13 soak runs the same observer on a live
-// instance as the equality oracle.
+// instance as the equality oracle. Instances of a fleet navigate on
+// several goroutines at once, and so do those RecoverShards and
+// RecoverFleet resume (one worker per shard), so fn must be safe to call
+// concurrently for different instances.
 func WithTrailObserver(fn func(inst *Instance, ev Event)) Option {
 	return func(e *Engine) { e.trailObs = fn }
 }

@@ -384,6 +384,7 @@ func TestLadderTable(t *testing.T) {
 					}
 					e, _ := newRecoveryEngine(t)
 					var insts []*Instance
+					var hists []*wal.History
 					for _, l := range ladders {
 						var h *wal.History
 						var got []*Instance
@@ -411,6 +412,7 @@ func TestLadderTable(t *testing.T) {
 							t.Fatalf("%s: recovered %d + done %d != %d", l.Path, len(got), row.done, ladderInstances)
 						}
 						insts = append(insts, got...)
+						hists = append(hists, h)
 					}
 					for _, inst := range insts {
 						snap := inst.Snapshot()
@@ -445,6 +447,28 @@ func TestLadderTable(t *testing.T) {
 						for i := range fleet {
 							if fleet[i].ID() != insts[i].ID() || !fleet[i].Snapshot().Equal(insts[i].Snapshot()) {
 								t.Fatalf("RecoverFleet[%d] = %s, per-shard recovery gave %s", i, fleet[i].ID(), insts[i].ID())
+							}
+						}
+						// The parallel walk of a second, identical crashed corpus
+						// reports what the per-shard walks reported.
+						_, again := buildLadderCorpus(t, row, format)
+						e3, _ := newRecoveryEngine(t)
+						par, hs, err := RecoverShards(e3, again, nil)
+						if err != nil || len(par) != len(insts) || len(hs) != len(hists) {
+							t.Fatalf("RecoverShards: %d instances %d histories err=%v, want %d %d",
+								len(par), len(hs), err, len(insts), len(hists))
+						}
+						for i, h := range hs {
+							want := hists[i]
+							if h.Rung != want.Rung || h.Torn != want.Torn || h.Len() != want.Len() ||
+								!reflect.DeepEqual(h.Done(), want.Done()) {
+								t.Fatalf("RecoverShards history %d: rung %q torn %d read %d done %v, per-shard %q %d %d %v",
+									i, h.Rung, h.Torn, h.Len(), h.Done(), want.Rung, want.Torn, want.Len(), want.Done())
+							}
+						}
+						for i := range par {
+							if par[i].ID() != insts[i].ID() || !par[i].Snapshot().Equal(insts[i].Snapshot()) {
+								t.Fatalf("RecoverShards[%d] = %s, per-shard recovery gave %s", i, par[i].ID(), insts[i].ID())
 							}
 						}
 					}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -598,19 +599,34 @@ func (f *Fleet) Stats() FleetStats {
 }
 
 // RecoverFleet recovers every instance of a sharded fleet from its root
-// directory. Each shard-NN subdirectory is an independent recovery unit
-// — placement happens before instance creation, so an instance's
-// records live wholly inside one shard — and recovery walks the shards
-// in index order, one RecoverLadder per shard directory (checkpoints are
-// co-located with the segments). The concatenation reproduces exactly
-// what recovering one shared log would have produced, modulo instance
-// order across shards (shard index, then first appearance within the
-// shard).
+// directory: ShardLadders lists one recovery ladder per shard-NN
+// subdirectory (checkpoints are co-located with the segments) and
+// RecoverShards recovers them in parallel. Each shard directory is an
+// independent recovery unit — placement happens before instance
+// creation, so an instance's records live wholly inside one shard — and
+// the result reproduces exactly what recovering one shared log would have
+// produced, modulo instance order across shards (shard index, then first
+// appearance within the shard).
 //
 // newLog, when non-nil, supplies the fresh log each recovered instance
-// writes. Recovery stops at the first shard that fails, returning the
-// instances recovered so far alongside the error.
+// writes; it may be called from several goroutines at once. A shard that
+// fails does not stop the others: every instance recovered is returned,
+// alongside the per-shard errors joined in shard order.
 func RecoverFleet(e *Engine, root string, newLog func(instanceID string) wal.Log) ([]*Instance, error) {
+	ladders, err := ShardLadders(root, "")
+	if err != nil {
+		return nil, err
+	}
+	insts, _, err := RecoverShards(e, ladders, newLog)
+	return insts, err
+}
+
+// ShardLadders returns one recovery ladder per shard-NN subdirectory of a
+// fleet root, in shard order (ShardDirs). With archiveDir non-empty each
+// ladder fetches missing or damaged blobs from the wal.DirStore at
+// archiveDir/shard-NN — where FleetConfig.ArchiveDir archives shard NN. A
+// root without a shard layout is an error.
+func ShardLadders(root, archiveDir string) ([]wal.Ladder, error) {
 	dirs, err := ShardDirs(root)
 	if err != nil {
 		return nil, err
@@ -618,13 +634,71 @@ func RecoverFleet(e *Engine, root string, newLog func(instanceID string) wal.Log
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("engine: no shard-NN directories under %s", root)
 	}
-	var out []*Instance
-	for _, dir := range dirs {
-		insts, _, err := RecoverLadder(e, wal.Ladder{Path: dir}, newLog)
-		out = append(out, insts...)
+	ladders := make([]wal.Ladder, len(dirs))
+	for i, dir := range dirs {
+		ladders[i].Path = dir
+		if archiveDir == "" {
+			continue
+		}
+		st, err := wal.NewDirStore(filepath.Join(archiveDir, filepath.Base(dir)))
 		if err != nil {
-			return out, fmt.Errorf("engine: recovering shard %s: %w", dir, err)
+			return nil, err
+		}
+		ladders[i].Store = st
+	}
+	return ladders, nil
+}
+
+// RecoverShards recovers every instance of a set of independent logs —
+// the shard directories of a fleet, one ladder each — by running
+// RecoverLadder over the ladders on min(len(ladders), GOMAXPROCS)
+// workers. The calling goroutine is one of them, so a single ladder or
+// GOMAXPROCS=1 recovers inline through the same loop. Results are
+// assembled in ladder order: the instances are each ladder's, in order of
+// first appearance, concatenated; the histories are one per ladder (nil
+// where the walk itself failed).
+//
+// Every ladder is recovered even when another fails — by then a later
+// shard's in-flight instances may already have resumed and re-run
+// programs, so their handles are returned rather than dropped. The error
+// joins the per-shard errors in ladder order, each naming its directory.
+//
+// Instances of different ladders navigate concurrently, as in a live
+// fleet: newLog, the engine's trail observer (WithTrailObserver) and its
+// bus may be called from several goroutines at once.
+func RecoverShards(e *Engine, ladders []wal.Ladder, newLog func(instanceID string) wal.Log) ([]*Instance, []*wal.History, error) {
+	insts := make([][]*Instance, len(ladders))
+	hs := make([]*wal.History, len(ladders))
+	errs := make([]error, len(ladders))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	// One closure serves every worker, so the worker count changes no
+	// allocation.
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1) - 1); i < len(ladders); i = int(next.Add(1) - 1) {
+			insts[i], hs[i], errs[i] = RecoverLadder(e, ladders[i], newLog)
 		}
 	}
-	return out, nil
+	workers := max(1, min(len(ladders), runtime.GOMAXPROCS(0)))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+
+	n := 0
+	for _, got := range insts {
+		n += len(got)
+	}
+	out := make([]*Instance, 0, n)
+	var failed []error
+	for i, got := range insts {
+		out = append(out, got...)
+		if errs[i] != nil {
+			failed = append(failed, fmt.Errorf("engine: recovering shard %s: %w", ladders[i].Path, errs[i]))
+		}
+	}
+	return out, hs, errors.Join(failed...)
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,6 +354,112 @@ func TestValidateCatches(t *testing.T) {
 		if err := p.Validate(nil); err == nil {
 			t.Errorf("%s: Validate succeeded, want error", m.name)
 		}
+	}
+}
+
+// TestValidateMessages pins the exact issue text, nested scopes included:
+// an issue's place in the process is spelled out only when it is
+// recorded, and must read as it always has.
+func TestValidateMessages(t *testing.T) {
+	cases := []struct {
+		mut  func(p *Process)
+		want []string
+	}{
+		{func(p *Process) { p.InputType = "Nope"; p.OutputType = "Nada" }, []string{
+			`process input references unknown structure "Nope"`,
+			`process output references unknown structure "Nada"`,
+			`process data connector "" -> "A": source path "id": model: unknown structure "Nope"`,
+			`process data connector "B" -> "": target path "State_1": model: unknown structure "Nada"`,
+		}},
+		{func(p *Process) {
+			p.Activities[0].Exit = expr.MustParse("nope = 1")
+			p.Activities[0].OutputType = "Zip"
+		}, []string{
+			`process activity "A" output references unknown structure "Zip"`,
+			`process activity "A" exit condition: model: unknown structure "Zip"`,
+			`process data connector "A" -> "B": source path "id": model: unknown structure "Zip"`,
+		}},
+		{func(p *Process) { p.Control[0].Condition = expr.MustParse("nonexistent = 0") }, []string{
+			`process connector "A" -> "B" transition condition: model: structure "Order" has no member "nonexistent"`,
+		}},
+		{func(p *Process) {
+			p.Control = append(p.Control, &ControlConnector{From: "A", To: "B"}, &ControlConnector{From: "C", To: "Zed"})
+		}, []string{
+			`process connector "A" -> "B": duplicate connector`,
+			`process connector "C" -> "Zed": unknown target activity`,
+		}},
+		{func(p *Process) {
+			p.Data = append(p.Data, &DataConnector{From: "A", To: "B", Maps: []DataMap{
+				{FromPath: "paid", ToPath: "id"}, {FromPath: "zz", ToPath: "id"}, {FromPath: "id", ToPath: "yy"}}})
+		}, []string{
+			`process data connector "A" -> "B": map "paid"(BOOL) -> "id"(LONG) is not assignment compatible`,
+			`process data connector "A" -> "B": source path "zz": model: structure "Order" has no member "zz"`,
+			`process data connector "A" -> "B": target path "yy": model: structure "Order" has no member "yy"`,
+		}},
+		{func(p *Process) { p.Activities = append(p.Activities, &Activity{Name: "", Kind: KindProgram}) }, []string{
+			`process has an activity with empty name`,
+		}},
+		{func(p *Process) {
+			b := p.Activities[1].Block
+			b.InputType = "Bad"
+			b.Activities[0].Exit = expr.MustParse("q = 1")
+			b.Activities[1].Program = ""
+			b.Control[0].Condition = expr.MustParse("w = 2")
+			b.Data = append(b.Data, &DataConnector{From: "step9", To: "step1"}, &DataConnector{From: ScopeRef, To: ScopeRef})
+		}, []string{
+			`process activity "B": block scope types must equal the activity container types`,
+			`process activity "B" input references unknown structure "Bad"`,
+			`process activity "B" activity "step1" exit condition: model: structure "Order" has no member "q"`,
+			`process activity "B" activity "step2": program activity without program`,
+			`process activity "B" connector "step1" -> "step2" transition condition: model: structure "Order" has no member "w"`,
+			`process activity "B" data connector "" -> "step1": source path "id": model: unknown structure "Bad"`,
+			`process activity "B" data connector "step9" -> "step1": unknown source`,
+			`process activity "B" data connector "" -> "": maps scope input directly to scope output`,
+			`process activity "B" data connector "" -> "": no member maps`,
+		}},
+		{func(p *Process) {
+			inner := &Graph{InputType: "Order", OutputType: "Order",
+				Activities: []*Activity{{Name: "deep", Kind: KindProgram, Retry: &RetryPolicy{MaxAttempts: -1}, DeadlineMS: -1}}}
+			b := p.Activities[1].Block
+			b.Activities = append(b.Activities, &Activity{Name: "nest", Kind: KindBlock, Block: inner, InputType: "Order", OutputType: "SagaState"})
+		}, []string{
+			`process activity "B" activity "nest": block scope types must equal the activity container types`,
+			`process activity "B" activity "nest" activity "deep": program activity without program`,
+			`process activity "B" activity "nest" activity "deep": retry policy fields must be non-negative`,
+			`process activity "B" activity "nest" activity "deep": negative program deadline`,
+		}},
+		{func(p *Process) {
+			p.Activities = append(p.Activities, &Activity{Name: "Z", Kind: KindProcess, Subprocess: "Demo", NotifySeconds: 3},
+				&Activity{Name: "Y", Kind: 99, Retry: &RetryPolicy{}, DeadlineMS: 5})
+		}, []string{
+			`process activity "Z": process activity invokes its own process (recursion not allowed)`,
+			`process activity "Z": notification deadline without a role to notify`,
+			`process activity "Y": invalid kind ActivityKind(99)`,
+			`process activity "Y": retry policy on a non-program activity`,
+			`process activity "Y": program deadline on a non-program activity`,
+		}},
+	}
+	for i, c := range cases {
+		p := buildValidProcess(t)
+		c.mut(p)
+		var ve *ValidationError
+		if err := p.Validate(map[string]bool{"Demo": true}); !errors.As(err, &ve) {
+			t.Fatalf("case %d: Validate = %v, want a ValidationError", i, err)
+		}
+		if !reflect.DeepEqual(ve.Issues, c.want) {
+			t.Errorf("case %d issues:\n got %q\nwant %q", i, ve.Issues, c.want)
+		}
+	}
+}
+
+// TestValidateFormatsNothing pins that validating a valid process spells
+// out no issue location: 19 allocations (the per-scope name, edge and
+// colour maps, condition references, resolved paths, the block's scope)
+// where formatting every activity's and connector's place took 83.
+func TestValidateFormatsNothing(t *testing.T) {
+	p := buildValidProcess(t)
+	if n := testing.AllocsPerRun(100, func() { _ = p.Validate(nil) }); n > 22 {
+		t.Fatalf("Validate of a valid process: %.0f allocations, ceiling 22", n)
 	}
 }
 

@@ -38,7 +38,7 @@ func (p *Process) Validate(known map[string]bool) error {
 	if err := p.Types.CheckCycles(); err != nil {
 		v.errf("%v", err)
 	}
-	v.checkGraph(&p.Graph, "process")
+	v.checkGraph(&p.Graph, nil)
 	return v.result()
 }
 
@@ -59,7 +59,38 @@ func (v *validator) result() error {
 	return &ValidationError{Process: v.p.Name, Issues: v.iss}
 }
 
-func (v *validator) checkType(name, where string) {
+// place names the part of a process an issue is about: "process",
+// `process activity "A"`, `process connector "A" -> "B" transition
+// condition`, ... It is spelled out only when an issue is recorded, so
+// validating a valid process formats no string.
+type place struct {
+	scope    *place // the block activity whose body this is; nil: the process
+	kind     string // "activity", "connector" or "data connector"; "": the scope itself
+	from, to string // the activity, or the connector's endpoints
+	suffix   string // " input", " exit condition", ...
+}
+
+func (p place) String() string {
+	s := "process"
+	if p.scope != nil {
+		s = p.scope.String()
+	}
+	switch p.kind {
+	case "activity":
+		s = fmt.Sprintf("%s activity %q", s, p.from)
+	case "connector", "data connector":
+		s = fmt.Sprintf("%s %s %q -> %q", s, p.kind, p.from, p.to)
+	}
+	return s + p.suffix
+}
+
+// with returns p with suffix appended to its name.
+func (p place) with(suffix string) place {
+	p.suffix += suffix
+	return p
+}
+
+func (v *validator) checkType(name string, where place) {
 	if name == "" {
 		return
 	}
@@ -68,15 +99,17 @@ func (v *validator) checkType(name, where string) {
 	}
 }
 
-func (v *validator) checkGraph(g *Graph, scope string) {
-	v.checkType(g.InputType, scope+" input")
-	v.checkType(g.OutputType, scope+" output")
+// checkGraph checks the body of scope (nil: the process itself).
+func (v *validator) checkGraph(g *Graph, scope *place) {
+	self := place{scope: scope}
+	v.checkType(g.InputType, self.with(" input"))
+	v.checkType(g.OutputType, self.with(" output"))
 
 	names := make(map[string]*Activity, len(g.Activities))
 	for _, a := range g.Activities {
-		where := fmt.Sprintf("%s activity %q", scope, a.Name)
+		where := place{scope: scope, kind: "activity", from: a.Name}
 		if a.Name == "" {
-			v.errf("%s has an activity with empty name", scope)
+			v.errf("%s has an activity with empty name", self)
 			continue
 		}
 		if _, dup := names[a.Name]; dup {
@@ -106,15 +139,16 @@ func (v *validator) checkGraph(g *Graph, scope string) {
 				if a.Block.InputType != a.InputType || a.Block.OutputType != a.OutputType {
 					v.errf("%s: block scope types must equal the activity container types", where)
 				}
-				v.checkGraph(a.Block, where)
+				block := where
+				v.checkGraph(a.Block, &block)
 			}
 		default:
 			v.errf("%s: invalid kind %v", where, a.Kind)
 		}
-		v.checkType(a.InputType, where+" input")
-		v.checkType(a.OutputType, where+" output")
+		v.checkType(a.InputType, where.with(" input"))
+		v.checkType(a.OutputType, where.with(" output"))
 		if a.Exit != nil {
-			v.checkCond(a.Exit, a.Out(), where+" exit condition")
+			v.checkCond(a.Exit, a.Out(), where.with(" exit condition"))
 		}
 		if a.Start == StartManual && a.Staff.IsZero() {
 			v.errf("%s: manual start requires a staff assignment", where)
@@ -145,7 +179,7 @@ func (v *validator) checkGraph(g *Graph, scope string) {
 	type edge struct{ from, to string }
 	seen := make(map[edge]bool)
 	for _, c := range g.Control {
-		where := fmt.Sprintf("%s connector %q -> %q", scope, c.From, c.To)
+		where := place{scope: scope, kind: "connector", from: c.From, to: c.To}
 		from, okF := names[c.From]
 		if !okF {
 			v.errf("%s: unknown source activity", where)
@@ -161,14 +195,14 @@ func (v *validator) checkGraph(g *Graph, scope string) {
 		}
 		seen[edge{c.From, c.To}] = true
 		if c.Condition != nil && okF {
-			v.checkCond(c.Condition, from.Out(), where+" transition condition")
+			v.checkCond(c.Condition, from.Out(), where.with(" transition condition"))
 		}
 	}
-	v.checkAcyclic(g, scope, names)
+	v.checkAcyclic(g, self, names)
 
 	// Data connectors.
 	for _, d := range g.Data {
-		where := fmt.Sprintf("%s data connector %q -> %q", scope, d.From, d.To)
+		where := place{scope: scope, kind: "data connector", from: d.From, to: d.To}
 		var srcType, dstType string
 		switch {
 		case d.From == ScopeRef:
@@ -215,7 +249,7 @@ func (v *validator) checkGraph(g *Graph, scope string) {
 
 // checkCond verifies that every member referenced by the condition resolves
 // to a scalar within the container type.
-func (v *validator) checkCond(n expr.Node, containerType, where string) {
+func (v *validator) checkCond(n expr.Node, containerType string, where place) {
 	for _, ref := range expr.Refs(n) {
 		if _, err := v.p.Types.ResolvePath(containerType, ref); err != nil {
 			v.errf("%s: %v", where, err)
@@ -226,7 +260,7 @@ func (v *validator) checkCond(n expr.Node, containerType, where string) {
 // checkAcyclic verifies the control graph of one scope is a DAG (§3.2: a
 // workflow model is an acyclic directed graph; loops are expressed with
 // exit conditions, not back edges).
-func (v *validator) checkAcyclic(g *Graph, scope string, names map[string]*Activity) {
+func (v *validator) checkAcyclic(g *Graph, scope place, names map[string]*Activity) {
 	const (
 		white = 0
 		grey  = 1
