@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/model"
+	"repro/internal/randdag"
 )
 
 // fanProcess builds A -> (W1..Ww) -> Z.
@@ -220,7 +221,7 @@ func TestPropertyConcurrentSameRunSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := randFor(seed)
-			proc := randomDAG(r, "Rand", 3+r.Intn(10), 0.4)
+			proc := randdag.Process(r, "Rand", 3+r.Intn(10), 0.4)
 			if err := e.RegisterProcess(proc); err != nil {
 				t.Fatal(err)
 			}

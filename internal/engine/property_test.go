@@ -6,42 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/expr"
 	"repro/internal/model"
+	"repro/internal/randdag"
 	"repro/internal/wal"
 )
-
-// randomDAG builds a random process: n activities, forward edges with
-// probability pEdge, random transition conditions and joins. Every graph it
-// returns passes Validate.
-func randomDAG(r *rand.Rand, name string, n int, pEdge float64) *model.Process {
-	p := model.NewProcess(name)
-	for i := 0; i < n; i++ {
-		a := &model.Activity{
-			Name: fmt.Sprintf("A%d", i), Kind: model.KindProgram, Program: "coin",
-		}
-		if r.Intn(2) == 0 {
-			a.Join = model.JoinOr
-		}
-		p.Activities = append(p.Activities, a)
-	}
-	conds := []string{"RC = 0", "RC <> 0", "TRUE", "RC = 0", "RC = 0"}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() >= pEdge {
-				continue
-			}
-			var cond expr.Node
-			if c := conds[r.Intn(len(conds))]; c != "TRUE" {
-				cond = expr.MustParse(c)
-			}
-			p.Control = append(p.Control, &model.ControlConnector{
-				From: fmt.Sprintf("A%d", i), To: fmt.Sprintf("A%d", j), Condition: cond,
-			})
-		}
-	}
-	return p
-}
 
 // coinProgram commits or aborts pseudo-randomly but deterministically per
 // (instance, path, iter).
@@ -66,7 +34,7 @@ func TestPropertyRandomDAGsComplete(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(12)
 		pEdge := 0.1 + 0.5*r.Float64()
-		proc := randomDAG(r, "Rand", n, pEdge)
+		proc := randdag.Process(r, "Rand", n, pEdge)
 		if err := proc.Validate(nil); err != nil {
 			t.Logf("seed %d: generator produced invalid process: %v", seed, err)
 			return false
@@ -92,10 +60,9 @@ func TestPropertyRandomDAGsComplete(t *testing.T) {
 			t.Logf("seed %d: instance stuck", seed)
 			return false
 		}
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("A%d", i)
-			if s, ok := inst.ActivityState(name); !ok || s != StateTerminated {
-				t.Logf("seed %d: %s in state %v", seed, name, s)
+		for _, a := range proc.Activities {
+			if s, ok := inst.ActivityState(a.Name); !ok || s != StateTerminated {
+				t.Logf("seed %d: %s in state %v", seed, a.Name, s)
 				return false
 			}
 		}
@@ -112,7 +79,7 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(8)
-		proc := randomDAG(r, "Rand", n, 0.4)
+		proc := randdag.Process(r, "Rand", n, 0.4)
 
 		mkEngine := func() *Engine {
 			e := New()
@@ -175,7 +142,7 @@ func TestPropertyDPENeverRunsFalseStarts(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(10)
-		proc := randomDAG(r, "Rand", n, 0.5)
+		proc := randdag.Process(r, "Rand", n, 0.5)
 		e := New()
 		if err := e.RegisterProgram("coin", &coinProgram{seed: seed}); err != nil {
 			t.Fatal(err)

@@ -243,6 +243,9 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 			queue:  reg.Gauge(fmt.Sprintf("engine.shard.%02d.queue.depth", i)),
 			active: reg.Gauge(fmt.Sprintf("engine.shard.%02d.active", i)),
 		}
+		// The shard joins before its logs open, so a failure below closes
+		// what this shard has opened too.
+		f.shards = append(f.shards, sh)
 		if cfg.Dir != "" {
 			dir := filepath.Join(cfg.Dir, ShardDirName(i))
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -305,7 +308,6 @@ func NewFleet(e *Engine, cfg FleetConfig) (*Fleet, error) {
 		if cfg.WrapLog != nil {
 			sh.log = cfg.WrapLog(i, sh.log)
 		}
-		f.shards = append(f.shards, sh)
 	}
 	return f, nil
 }
@@ -530,20 +532,19 @@ func (f *Fleet) Drain() {
 }
 
 // Close stops every shard's Checkpointer and closes its logs (group
-// commit first, then the segmented log underneath), returning the first
-// error. Idempotent.
+// commit first, then the segmented log underneath). It returns the first
+// error: a checkpointer's, in shard order, before a log's. Idempotent.
 func (f *Fleet) Close() error {
 	if f.closed {
 		return nil
 	}
 	f.closed = true
-	var first error
+	var ckptErr, logErr error
 	for _, sh := range f.shards {
-		if sh == nil {
-			continue
-		}
 		if sh.ckpt != nil {
-			sh.ckpt.Stop()
+			if err := sh.ckpt.Stop(); err != nil && ckptErr == nil {
+				ckptErr = err
+			}
 		}
 		if sh.arch != nil {
 			// Stop after the checkpointer's final pass so its last
@@ -552,17 +553,20 @@ func (f *Fleet) Close() error {
 			// non-empty queue at shutdown loses nothing.
 			sh.arch.Stop()
 		}
+		var err error
 		if sh.glog != nil {
-			if err := sh.glog.Close(); err != nil && first == nil {
-				first = err
-			}
+			err = sh.glog.Close()
 		} else if sh.slog != nil {
-			if err := sh.slog.Close(); err != nil && first == nil {
-				first = err
-			}
+			err = sh.slog.Close()
+		}
+		if err != nil && logErr == nil {
+			logErr = err
 		}
 	}
-	return first
+	if ckptErr != nil {
+		return ckptErr
+	}
+	return logErr
 }
 
 // ShardStats is a monitoring snapshot of one shard.

@@ -535,3 +535,82 @@ func BenchmarkRecoverFleet(b *testing.B) {
 		}
 	}
 }
+
+// TestFleetCloseReportsCheckpointError pins Close's error contract: a
+// checkpoint pass that fails — here shard-01's first checkpoint cannot be
+// published because a directory sits at its temporary path — is returned,
+// not dropped.
+func TestFleetCloseReportsCheckpointError(t *testing.T) {
+	root := t.TempDir()
+	blocked := filepath.Join(root, ShardDirName(1), "ckpt-000001.ckpt.tmp")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(newChainEngine(t), FleetConfig{Shards: 2, Dir: root, Parallel: 2,
+		GroupCommit: true, SegmentMaxRecords: 4, CheckpointEveryRecords: 8, NoRebalance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run("Chain", 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	err = f.Close()
+	if err == nil || !strings.Contains(err.Error(), "ckpt-000001.ckpt.tmp") {
+		t.Fatalf("Close = %v, want the failed checkpoint publication", err)
+	}
+}
+
+// closeCountingFS is the real file system, counting the files it creates
+// and the ones closed again.
+type closeCountingFS struct {
+	wal.OSFS
+	created, closed *int
+	mu              *sync.Mutex
+}
+
+func (fs closeCountingFS) Create(path string) (wal.File, error) {
+	f, err := fs.OSFS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	fs.mu.Lock()
+	*fs.created++
+	fs.mu.Unlock()
+	return closeCountingFile{f, fs}, nil
+}
+
+type closeCountingFile struct {
+	wal.File
+	fs closeCountingFS
+}
+
+func (f closeCountingFile) Close() error {
+	f.fs.mu.Lock()
+	*f.fs.closed++
+	f.fs.mu.Unlock()
+	return f.File.Close()
+}
+
+// TestNewFleetClosesPartialShard pins NewFleet's failure path: when a
+// shard's archive cannot be opened, the logs that shard already opened
+// are closed along with those of the shards before it.
+func TestNewFleetClosesPartialShard(t *testing.T) {
+	root := t.TempDir()
+	notDir := filepath.Join(root, "archive")
+	if err := os.WriteFile(notDir, []byte("a file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var created, closed int
+	fs := closeCountingFS{created: &created, closed: &closed, mu: &sync.Mutex{}}
+	_, err := NewFleet(newChainEngine(t), FleetConfig{Shards: 2, Dir: filepath.Join(root, "log"),
+		GroupCommit: true, CheckpointEveryRecords: 8, ArchiveDir: notDir,
+		FS: func(int) wal.FS { return fs }})
+	if err == nil {
+		t.Fatal("NewFleet over an archive path that is a file succeeded")
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if created == 0 || closed != created {
+		t.Fatalf("NewFleet failed (%v) with %d of %d created files closed", err, closed, created)
+	}
+}

@@ -1,9 +1,11 @@
 package fdl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/model"
 )
 
@@ -434,5 +436,38 @@ func TestMoreParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
+	}
+}
+
+// Every row of Constraints rejects a file that breaks it, by name. The
+// parser accepts every violation, so each is written in FDL.
+func TestConstraintsRejectByName(t *testing.T) {
+	const prog = "PROGRAM 'p' END 'p'\n"
+	proc := func(name, body string) string {
+		return "PROCESS '" + name + "' ( 'Default', 'Default' )\n" + body + "END '" + name + "'\n"
+	}
+	call := func(program string) string {
+		return "  PROGRAM_ACTIVITY 'A' ( 'Default', 'Default' ) PROGRAM '" + program + "' END 'A'\n"
+	}
+	cases := []struct{ constraint, src string }{
+		{"fdl.no-type-cycles", "STRUCTURE 'A' 'b': 'B' END 'A'\nSTRUCTURE 'B' 'a': 'A' END 'B'\n"},
+		{"fdl.program-named", "PROGRAM '' END ''\n"},
+		{"fdl.unique-programs", prog + prog},
+		{"fdl.unique-processes", prog + proc("P", call("p")) + proc("P", call("p"))},
+		{"fdl.process-valid", proc("P", "  PROCESS_ACTIVITY 'S' ( 'Default', 'Default' ) PROCESS 'Ghost' END 'S'\n")},
+		{"fdl.programs-declared", proc("P", call("ghost"))},
+	}
+	for _, c := range cases {
+		f, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.constraint, err)
+		}
+		var v *atm.Violation
+		if err := f.Check(); !errors.As(err, &v) || v.Constraint != c.constraint {
+			t.Errorf("%s: Check = %v, want a violation of that row", c.constraint, err)
+		}
+	}
+	if len(cases) != len(Constraints) {
+		t.Fatalf("%d cases for %d rows", len(cases), len(Constraints))
 	}
 }

@@ -65,7 +65,7 @@ func RunB15() *Report {
 		}
 		if mode == "archive-down" {
 			cfg.ArchiveStore = func(shard int) wal.Store {
-				return wal.NewFaultStore(&nullStore{}, wal.StoreUnavailable, 1, wal.StoreSticky())
+				return wal.NewFaultStore(&nullStore{}, wal.StoreUnavailable, 1, wal.Outage(wal.Forever))
 			}
 		}
 		e := NewEngine()

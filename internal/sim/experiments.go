@@ -13,6 +13,7 @@ import (
 	"repro/internal/atm/saga"
 	"repro/internal/engine"
 	"repro/internal/fmtm"
+	"repro/internal/randdag"
 )
 
 // RunE3 reproduces the check stage of Figure 5 — "The pre-processor
@@ -110,7 +111,7 @@ func RunE5() *Report {
 	for seed := int64(0); seed < trials; seed++ {
 		rr := rand.New(rand.NewSource(seed))
 		n := 2 + rr.Intn(14)
-		proc := randomDAG("rand", rr, n, 0.1+0.5*rr.Float64())
+		proc := randdag.Process(rr, "rand", n, 0.1+0.5*rr.Float64())
 		e := engine.New()
 		mustRegister(e, "coin", coinProgram(seed))
 		if err := e.RegisterProcess(proc); err != nil {
@@ -129,8 +130,8 @@ func RunE5() *Report {
 			stuck++
 			continue
 		}
-		for i := 1; i <= n; i++ {
-			if s, ok := inst.ActivityState(fmt.Sprintf("A%d", i)); !ok || s != engine.StateTerminated {
+		for _, a := range proc.Activities {
+			if s, ok := inst.ActivityState(a.Name); !ok || s != engine.StateTerminated {
 				violations++
 				break
 			}

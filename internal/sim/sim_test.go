@@ -12,6 +12,7 @@ import (
 	"repro/internal/atm/saga"
 	"repro/internal/fmtm"
 	"repro/internal/model"
+	"repro/internal/randdag"
 	"repro/internal/wal"
 )
 
@@ -60,7 +61,7 @@ func TestWorkloadGenerators(t *testing.T) {
 func TestRandomDAGGeneratorValid(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		p := randomDAG("rand", r, 2+r.Intn(12), 0.4)
+		p := randdag.Process(r, "rand", 2+r.Intn(12), 0.4)
 		if err := p.Validate(nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -131,18 +131,16 @@ type archiveState struct {
 	drain time.Duration
 }
 
-// storeFaults are the typed faults a wal.FaultStore injects.
-var storeFaults = []wal.StoreFaultKind{wal.StoreUnavailable, wal.StoreTimeout, wal.StorePartialWrite, wal.StoreCorruptRead}
-
 var (
 	healthy = &archiveState{"healthy", func(in wal.Store, _ int) wal.Store { return in }, 2 * time.Second}
-	// flaky injects one transient fault, its kind and op rotating with k.
+	// flaky injects one transient fault, its kind (the four
+	// wal.StoreFaultKinds in turn) and op rotating with k.
 	flaky = &archiveState{"flaky", func(in wal.Store, k int) wal.Store {
-		return wal.NewFaultStore(in, storeFaults[k%len(storeFaults)], int64(1+k%3), wal.StoreTimeoutDelay(time.Millisecond))
+		return wal.NewFaultStore(in, wal.StoreFaultKind(k%4), int64(1+k%3), wal.StoreTimeoutDelay(time.Millisecond))
 	}, 2 * time.Second}
 	// down fails every op; a drain would only time out.
 	down = &archiveState{"down", func(in wal.Store, _ int) wal.Store {
-		return wal.NewFaultStore(in, wal.StoreUnavailable, 1, wal.StoreSticky())
+		return wal.NewFaultStore(in, wal.StoreUnavailable, 1, wal.Outage(wal.Forever))
 	}, 0}
 )
 
@@ -153,11 +151,11 @@ const (
 	// crashBytes kills the server at every frame end of the crash-free run
 	// (clean) and inside every frame (torn): wal.FaultCrash beneath the log.
 	crashBytes planKind = iota
-	// fsOps fails a Write (EIO, ENOSPC) or a Sync at every FS op of the
-	// crash-free run where a matching op still lies ahead.
-	fsOps
-	// storeOps injects every FaultStore kind at every archive store op.
-	storeOps
+	// faultOps injects every typed fault of opFaults at every op of the
+	// crash-free run where a matching op still lies ahead: a file-system
+	// fault beneath the log of a row without an archive, a store fault
+	// beneath the archive of a row with one.
+	faultOps
 )
 
 // crashModes are the two ways a crash cut falls.
@@ -166,11 +164,29 @@ var crashModes = []struct {
 	torn bool
 }{{"clean crash", false}, {"short write", true}}
 
-// fsFaults are the fsOps faults and the error each surfaces as.
-var fsFaults = []struct {
-	kind     wal.FaultKind
+// opFault is one typed fault of a faultOps plan: a wal.FaultFS kind, with
+// the error it surfaces as, or a wal.FaultStore kind, which the log never
+// sees (no sentinel).
+type opFault struct {
+	fs       wal.FaultKind
+	store    wal.StoreFaultKind
 	sentinel error
-}{{wal.FaultEIO, wal.ErrDiskIO}, {wal.FaultENOSPC, wal.ErrDiskFull}, {wal.FaultFsync, wal.ErrFsyncFailed}}
+}
+
+func (f opFault) String() string {
+	if f.sentinel == nil {
+		return f.store.String()
+	}
+	return f.fs.String()
+}
+
+// opFaults is the one table of a faultOps plan.
+var opFaults = []opFault{
+	{fs: wal.FaultEIO, sentinel: wal.ErrDiskIO},
+	{fs: wal.FaultENOSPC, sentinel: wal.ErrDiskFull},
+	{fs: wal.FaultFsync, sentinel: wal.ErrFsyncFailed},
+	{store: wal.StoreUnavailable}, {store: wal.StoreTimeout}, {store: wal.StorePartialWrite}, {store: wal.StoreCorruptRead},
+}
 
 // sweepColumns is the one column set of every sweep report.
 var sweepColumns = []string{"workload", "log stack", "fault", "cuts", "fired", "torn tails",
@@ -464,35 +480,32 @@ func (row *sweepRow) sweep(r *Report) {
 		return wal.NewDirStore(archDir)
 	}
 
-	// The crash-free run sizes the plan and is the baseline. A down archive
-	// prunes nothing, so every frame stays on disk to be measured.
-	var base *trial
-	var frames int
-	var crashAt func(int, bool) (*wal.FaultFS, int64)
-	sizer, sizing := row, wal.Store(nil)
+	// The crash-free run sizes the plan and is the baseline. It runs over
+	// count-only injectors: the crash file system counts the bytes a crash
+	// cut falls between and the ops a file-system fault can strike, the
+	// store the ops a store fault can. A down archive prunes nothing, so
+	// every frame of a crash row stays on disk to be measured.
 	in, err := archive()
 	if err != nil {
 		r.fail(err)
 		return
 	}
-	if row.stack.archive != nil && row.plan != storeOps {
-		dead := *row
-		dead.stack.archive = down
-		sizer, sizing = &dead, down.store(in, 0)
-	}
-	trace := &opTraceFS{inner: wal.OSFS{}}
+	var base *trial
+	var trace *wal.FaultFS
 	counter := wal.NewFaultStore(in, wal.StoreUnavailable, 0)
-	switch row.plan {
-	case crashBytes:
-		frames, crashAt, err = crashFree(func(fs *wal.FaultFS) (string, error) {
-			base = sizer.run(dir, fs, sizing)
-			return base.logs[0], base.err
-		})
-	case fsOps:
-		base = sizer.run(dir, trace, sizing)
-	case storeOps:
-		base = row.run(dir, wal.OSFS{}, counter)
+	sizer, sizing := row, wal.Store(nil)
+	if row.stack.archive != nil {
+		sizing = counter
+		if row.plan == crashBytes {
+			dead := *row
+			dead.stack.archive = down
+			sizer, sizing = &dead, down.store(in, 0)
+		}
 	}
+	frames, crashAt, err := crashFree(func(fs *wal.FaultFS) (string, error) {
+		trace, base = fs, sizer.run(dir, fs, sizing)
+		return base.logs[0], base.err
+	})
 	want := row.work.n
 	if row.work.eras {
 		want++
@@ -534,24 +547,28 @@ func (row *sweepRow) sweep(r *Report) {
 			}
 			l.finish(r)
 		}
-	case fsOps:
-		for _, f := range fsFaults {
-			l := ln(f.kind.String())
-			for k := int64(1); k <= trace.lastMatch(f.kind) && l.err == nil; k++ {
-				l.cut(cut{k: int(k), fs: wal.NewFaultFS(f.kind, k), sentinel: f.sentinel})
+	case faultOps:
+		for _, f := range opFaults {
+			onStore := f.sentinel == nil
+			if onStore != (row.stack.archive != nil) {
+				continue
 			}
-			l.finish(r)
-		}
-	case storeOps:
-		for _, kind := range storeFaults {
-			l := ln(kind.String())
-			for k := int64(1); k <= counter.Ops() && l.err == nil; k++ {
-				in, err := archive()
-				if l.err = err; err != nil {
+			l := ln(f.String())
+			last := counter.Ops()
+			if !onStore {
+				last = trace.LastMatch(f.fs)
+			}
+			for k := int64(1); k <= last && l.err == nil; k++ {
+				c := cut{k: int(k), sentinel: f.sentinel}
+				if !onStore {
+					c.fs = wal.NewFaultFS(f.fs, k)
+				} else if c.inner, l.err = archive(); l.err == nil {
+					c.sf = wal.NewFaultStore(c.inner, f.store, k, wal.StoreTimeoutDelay(time.Millisecond))
+					c.st = c.sf
+				} else {
 					break
 				}
-				sf := wal.NewFaultStore(in, kind, k, wal.StoreTimeoutDelay(time.Millisecond))
-				l.cut(cut{k: int(k), st: sf, inner: in, sf: sf})
+				l.cut(c)
 			}
 			l.finish(r)
 		}
@@ -745,7 +762,7 @@ func (l *line) finish(r *Report) {
 		fail("a healthy archive needs no retry", fmt.Errorf("%d retries", l.retries))
 	case crash && row.stack.archive == down && l.retries == 0:
 		fail("a down archive is retried", errors.New("no retries"))
-	case row.plan == storeOps && (l.fired == 0 || l.retries == 0):
+	case row.plan == faultOps && row.stack.archive != nil && (l.fired == 0 || l.retries == 0):
 		fail("the archiver retries through faults", fmt.Errorf("%d faults fired, %d retries", l.fired, l.retries))
 	}
 	// Transient workers must have exited once the runs drained.
@@ -892,64 +909,6 @@ func (l *checkpointingLog) AppendBatch(recs []wal.Record) error {
 	return nil
 }
 
-// opTraceFS records whether each FS operation of a run is a write or a
-// sync, so an fsOps plan schedules each fault kind only at boundaries
-// where a matching operation still lies ahead (an EIO scheduled after the
-// run's last write would never fire).
-type opTraceFS struct {
-	inner wal.FS
-	mu    sync.Mutex
-	syncs []bool
-}
-
-func (fs *opTraceFS) Create(path string) (wal.File, error) {
-	f, err := fs.inner.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &opTraceFile{fs: fs, f: f}, nil
-}
-
-func (fs *opTraceFS) Rename(oldpath, newpath string) error {
-	return fs.inner.Rename(oldpath, newpath)
-}
-
-func (fs *opTraceFS) record(isSync bool) {
-	fs.mu.Lock()
-	fs.syncs = append(fs.syncs, isSync)
-	fs.mu.Unlock()
-}
-
-// lastMatch returns the highest 1-based boundary at which a fault of the
-// given kind can still fire (0 if none).
-func (fs *opTraceFS) lastMatch(kind wal.FaultKind) int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for i := len(fs.syncs) - 1; i >= 0; i-- {
-		if fs.syncs[i] == (kind == wal.FaultFsync) {
-			return int64(i + 1)
-		}
-	}
-	return 0
-}
-
-type opTraceFile struct {
-	fs *opTraceFS
-	f  wal.File
-}
-
-func (f *opTraceFile) Write(p []byte) (int, error) {
-	f.fs.record(false)
-	return f.f.Write(p)
-}
-
-func (f *opTraceFile) Sync() error {
-	f.fs.record(true)
-	return f.f.Sync()
-}
-
-func (f *opTraceFile) Close() error { return f.f.Close() }
-
 // sagaEventsFromRuns projects an instance's completed program executions
 // onto the rm.Event history the saga guarantee quantifies over: every run
 // of a step or compensation program becomes a commit (RC == 0) or abort
@@ -1024,9 +983,9 @@ func RunE9() *Report {
 func RunE10() *Report {
 	w := fleetOf(travelRun, 2, 1)
 	return sweep("E10", "storage-fault chaos soak: EIO/ENOSPC/fsync-fail at every FS op boundary, typed seal, no acked loss",
-		&sweepRow{work: w, stack: stack{kind: groupFile}, plan: fsOps},
-		&sweepRow{work: w, stack: stack{kind: groupSegments, segMax: 8}, plan: fsOps},
-		&sweepRow{work: w, stack: stack{kind: groupSegments, segMax: 8, format: wal.FormatBinary}, plan: fsOps})
+		&sweepRow{work: w, stack: stack{kind: groupFile}, plan: faultOps},
+		&sweepRow{work: w, stack: stack{kind: groupSegments, segMax: 8}, plan: faultOps},
+		&sweepRow{work: w, stack: stack{kind: groupSegments, segMax: 8, format: wal.FormatBinary}, plan: faultOps})
 }
 
 // RunE11 is the shard-crash soak: a 3-shard travel-saga fleet whose
@@ -1052,6 +1011,6 @@ func RunE12() *Report {
 		rows = append(rows, &sweepRow{work: travelRun, stack: s})
 	}
 	s.archive = healthy
-	rows = append(rows, &sweepRow{work: travelRun, stack: s, plan: storeOps})
+	rows = append(rows, &sweepRow{work: travelRun, stack: s, plan: faultOps})
 	return sweep("E12", "archive-tier soak: byte-offset crash at every frame end and torn cut + typed archive faults at every op boundary, gated pruning", rows...)
 }

@@ -87,34 +87,6 @@ func DPEChain(name string, n int) *model.Process {
 	return p
 }
 
-// randomDAG builds a random acyclic process over n "coin" activities with
-// forward-edge probability pEdge, random RC conditions and random joins.
-// Program "coin" must be registered by the caller (see coinProgram).
-func randomDAG(name string, r *rand.Rand, n int, pEdge float64) *model.Process {
-	p := model.NewProcess(name)
-	for i := 1; i <= n; i++ {
-		a := &model.Activity{Name: actName(i), Kind: model.KindProgram, Program: "coin"}
-		if r.Intn(2) == 0 {
-			a.Join = model.JoinOr
-		}
-		p.Activities = append(p.Activities, a)
-	}
-	conds := []string{"RC = 0", "RC <> 0", ""}
-	for i := 1; i <= n; i++ {
-		for j := i + 1; j <= n; j++ {
-			if r.Float64() >= pEdge {
-				continue
-			}
-			c := &model.ControlConnector{From: actName(i), To: actName(j)}
-			if s := conds[r.Intn(len(conds))]; s != "" {
-				c.Condition = expr.MustParse(s)
-			}
-			p.Control = append(p.Control, c)
-		}
-	}
-	return p
-}
-
 // coinProgram commits or aborts deterministically per (path, iter) from
 // the seed.
 func coinProgram(seed int64) engine.Program {

@@ -95,11 +95,11 @@ func TestArchiveFaultStoreSchedule(t *testing.T) {
 		t.Fatalf("transient fault fired twice: %v", err)
 	}
 
-	// Sticky fault: every matching op from failAt onward fails.
-	sticky := NewFaultStore(inner, StoreUnavailable, 1, StoreSticky())
+	// An endless outage: every matching op from failAt onward fails.
+	down := NewFaultStore(inner, StoreUnavailable, 1, Outage(Forever))
 	for i := 0; i < 3; i++ {
-		if _, err := sticky.Get("a"); !errors.Is(err, ErrStoreUnavailable) {
-			t.Fatalf("sticky op %d: %v", i, err)
+		if _, err := down.Get("a"); !errors.Is(err, ErrStoreUnavailable) {
+			t.Fatalf("endless outage op %d: %v", i, err)
 		}
 	}
 
@@ -182,60 +182,15 @@ func TestArchiverUploadsAndVerifies(t *testing.T) {
 	}
 }
 
-// flapStore fails every operation with ErrStoreUnavailable until the
-// first failN operations have been rejected, then recovers — the shape a
-// breaker must ride out and then close on.
-type flapStore struct {
-	inner Store
-	mu    sync.Mutex
-	failN int
-}
-
-func (s *flapStore) step() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failN > 0 {
-		s.failN--
-		return ErrStoreUnavailable
-	}
-	return nil
-}
-
-func (s *flapStore) Put(name string, data []byte) error {
-	if err := s.step(); err != nil {
-		return err
-	}
-	return s.inner.Put(name, data)
-}
-
-func (s *flapStore) Get(name string) ([]byte, error) {
-	if err := s.step(); err != nil {
-		return nil, err
-	}
-	return s.inner.Get(name)
-}
-
-func (s *flapStore) List() ([]string, error) {
-	if err := s.step(); err != nil {
-		return nil, err
-	}
-	return s.inner.List()
-}
-
-func (s *flapStore) Delete(name string) error {
-	if err := s.step(); err != nil {
-		return err
-	}
-	return s.inner.Delete(name)
-}
-
 func TestArchiverRetriesAndBreaker(t *testing.T) {
 	dir := t.TempDir()
 	inner, err := NewDirStore(filepath.Join(dir, "arch"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &flapStore{inner: inner, failN: 4}
+	// The backend refuses its first 4 operations, then recovers — the
+	// shape a breaker must ride out and then close on.
+	st := NewFaultStore(inner, StoreUnavailable, 1, Outage(4))
 	a, reg := newTestArchiver(st, ArchiveBreakerAfter(2))
 
 	var mu sync.Mutex
@@ -498,7 +453,7 @@ func TestArchiveCheckpointLadderSurvivesDownArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewFaultStore(inner, StoreUnavailable, 1, StoreSticky())
+	st := NewFaultStore(inner, StoreUnavailable, 1, Outage(Forever))
 	h, err := Ladder{Path: t.TempDir(), Store: st}.Recover()
 	if err != nil {
 		t.Fatalf("a down archive must degrade to full replay, not fail: %v", err)

@@ -237,9 +237,9 @@ func TestWriteCheckpointFSFault(t *testing.T) {
 	}
 }
 
-// A sticky fault keeps failing matching operations; Fired reports it.
+// An endless outage keeps failing matching operations; Fired reports it.
 func TestFaultFSSticky(t *testing.T) {
-	fs := NewFaultFS(FaultEIO, 1, faultSticky())
+	fs := NewFaultFS(FaultEIO, 1, Outage(Forever))
 	f, err := fs.Create(filepath.Join(t.TempDir(), "x"))
 	if err != nil {
 		t.Fatal(err)
@@ -287,5 +287,42 @@ func TestFaultFSSticky(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "z")); !os.IsNotExist(err) {
 		t.Fatalf("the dead file system renamed a file: %v", err)
+	}
+}
+
+// An outage of L operations fails the first matching op at or past failAt
+// and the L-1 matching ones after it, skipping ops of the other class; the
+// schedule records the last op of each class, so LastMatch is the horizon
+// past which a fault of that kind could not fire.
+func TestFaultFSOutageAndTrace(t *testing.T) {
+	fs := NewFaultFS(FaultFsync, 2, Outage(2))
+	f, err := fs.Create(filepath.Join(t.TempDir(), "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ops := []struct {
+		sync bool
+		fail bool
+	}{{true, false}, {false, false}, {true, true}, {false, false}, {true, true}, {true, false}, {false, false}}
+	for i, op := range ops {
+		err := error(nil)
+		if op.sync {
+			err = f.Sync()
+		} else {
+			_, err = f.Write([]byte("x"))
+		}
+		if (err != nil) != op.fail || (op.fail && !errors.Is(err, ErrFsyncFailed)) {
+			t.Fatalf("op %d (sync=%v) = %v, want failure %v", i+1, op.sync, err, op.fail)
+		}
+	}
+	if fs.Ops() != 7 || !fs.Fired() {
+		t.Fatalf("ops=%d fired=%v", fs.Ops(), fs.Fired())
+	}
+	if w, s := fs.LastMatch(FaultEIO), fs.LastMatch(FaultFsync); w != 7 || s != 6 {
+		t.Fatalf("last write %d, last sync %d; want 7, 6", w, s)
+	}
+	if fs.LastMatch(FaultCrash) != fs.LastMatch(FaultENOSPC) {
+		t.Fatal("a crash and ENOSPC both strike writes")
 	}
 }

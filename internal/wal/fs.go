@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
+	"time"
 )
 
 // FS is the filesystem seam beneath the write paths of FileLog,
@@ -109,16 +111,97 @@ func (k FaultKind) String() string {
 	}
 }
 
+// Forever is the outage length of a device that stays broken: every
+// matching operation from the first one fails.
+const Forever = math.MaxInt64
+
+// schedule is the one fault schedule beneath FaultFS and FaultStore. It
+// counts operations; the first at or past failAt (1-based) whose class the
+// fault's kind matches fails, and so do the matching ones after it until
+// outage of them have failed — 1 by default, a transient fault the device
+// recovers from, which is exactly the case where a log or an archiver that
+// did not take the error seriously would carry on over a hole. failAt <= 0
+// fails nothing (count-only mode). Either way the schedule records the last
+// operation of each class, the op trace a sweep sizes its plan by.
+type schedule struct {
+	mu     sync.Mutex
+	failAt int64
+	outage int64
+	delay  time.Duration // a FaultStore's StoreTimeout stall
+	ops    int64
+	failed int64    // matching operations failed so far
+	last   [3]int64 // the last operation of each opClass
+}
+
+// opClass classifies an operation for fault matching: a file's write or
+// sync, a store's put, get or anything else.
+type opClass int
+
+const (
+	opWrite opClass = iota
+	opSync
+)
+
+const (
+	storePut opClass = iota
+	storeGet
+	storeOther
+)
+
+// FaultOption configures a FaultFS or a FaultStore.
+type FaultOption func(*schedule)
+
+// Outage sets how many matching operations the fault fails, from the first
+// at or past failAt: 1 (the default) is a transient fault, Forever a device
+// that stays down.
+func Outage(n int64) FaultOption {
+	return func(s *schedule) {
+		if n > 0 {
+			s.outage = n
+		}
+	}
+}
+
+func (s *schedule) init(failAt int64, opts []FaultOption) {
+	s.failAt, s.outage = failAt, 1
+	for _, o := range opts {
+		o(s)
+	}
+}
+
+// next counts one operation of class c and reports whether it fails; match
+// tells whether the fault's kind can hit class c. The caller holds mu.
+func (s *schedule) next(c opClass, match bool) bool {
+	s.ops++
+	s.last[c] = s.ops
+	if s.failAt <= 0 || s.ops < s.failAt || !match || s.failed >= s.outage {
+		return false
+	}
+	s.failed++
+	return true
+}
+
+// Ops reports how many operations have passed through so far.
+func (s *schedule) Ops() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ops
+}
+
+// Fired reports whether the scheduled fault has been injected.
+func (s *schedule) Fired() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed > 0
+}
+
 // FaultFS wraps a real filesystem and injects one scheduled storage
-// fault. Every Write and Sync on files created through it increments a
-// shared operation counter; the first operation at or past FailAt whose
-// type matches the fault kind returns the kind's sentinel instead of
+// fault. Every Write and Sync on files created through it is one operation
+// of the schedule; a matching one returns the kind's sentinel instead of
 // touching the disk (for Sync faults the write itself has already
-// happened — the fsync-gate shape). The fault fires once by default: the
-// "disk" recovers afterwards, which is exactly the case where an unsealed
-// log would resume acking over a hole. FailAt <= 0 injects nothing and
-// turns the FaultFS into a pure operation counter, which chaos sweeps use
-// to size their schedules.
+// happened — the fsync-gate shape). FailAt <= 0 injects nothing and turns
+// the FaultFS into a pure operation counter whose LastMatch tells a chaos
+// sweep where each kind can still fire.
 //
 // A FaultCrash is scheduled in bytes: a crash sweep runs its workload once
 // crash-free and kills the rerun at one of the FrameEnds of what it wrote
@@ -127,25 +210,10 @@ func (k FaultKind) String() string {
 //
 // FaultFS is safe for concurrent use.
 type FaultFS struct {
+	schedule
 	inner FS
-
-	mu     sync.Mutex
-	kind   FaultKind
-	failAt int64
-	sticky bool
-	ops    int64
-	bytes  int64 // written so far; FaultCrash only
-	fired  bool
-}
-
-// FaultOption configures a FaultFS.
-type FaultOption func(*FaultFS)
-
-// faultSticky makes every matching operation from the scheduled one
-// onward fail, modeling a disk that stays broken rather than a transient
-// fault.
-func faultSticky() FaultOption {
-	return func(fs *FaultFS) { fs.sticky = true }
+	kind  FaultKind
+	bytes int64 // written so far; FaultCrash only
 }
 
 // NewFaultFS returns a FaultFS over the real filesystem that fails the
@@ -153,25 +221,27 @@ func faultSticky() FaultOption {
 // (1-based) — for FaultCrash, the Write that crosses byte failAt. failAt
 // <= 0 never fails (count-only mode).
 func NewFaultFS(kind FaultKind, failAt int64, opts ...FaultOption) *FaultFS {
-	fs := &FaultFS{inner: OSFS{}, kind: kind, failAt: failAt}
-	for _, o := range opts {
-		o(fs)
-	}
+	fs := &FaultFS{inner: OSFS{}, kind: kind}
+	fs.init(failAt, opts)
 	return fs
 }
 
-// Ops reports how many Write/Sync operations have passed through so far.
-func (fs *FaultFS) Ops() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.ops
+// class is the operation a fault of kind k strikes: a Sync for FaultFsync,
+// a Write for the others.
+func (k FaultKind) class() opClass {
+	if k == FaultFsync {
+		return opSync
+	}
+	return opWrite
 }
 
-// Fired reports whether the scheduled fault has been injected.
-func (fs *FaultFS) Fired() bool {
+// LastMatch returns the last operation so far that a fault of kind could
+// have failed (0: none) — the horizon of a sweep over that kind: scheduled
+// past it, the fault would never fire.
+func (fs *FaultFS) LastMatch(kind FaultKind) int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.fired
+	return fs.last[kind.class()]
 }
 
 // Create implements FS.
@@ -198,41 +268,35 @@ func (fs *FaultFS) Rename(oldpath, newpath string) error {
 // whether it is the scheduled fault. It returns how many of the n bytes
 // reach the file: all, none under an injected error, the ones below the
 // crash byte under a crash.
-func (fs *FaultFS) step(isSync bool, n int) (int, error) {
+func (fs *FaultFS) step(c opClass, n int) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.ops++
-	if fs.kind == FaultCrash {
-		if fs.fired {
-			return 0, ErrCrash
-		}
-		if fs.failAt <= 0 || fs.bytes+int64(n) <= fs.failAt {
-			fs.bytes += int64(n)
+	if fs.kind != FaultCrash {
+		if !fs.next(c, c == fs.kind.class()) {
 			return n, nil
 		}
-		n = int(fs.failAt - fs.bytes)
-		fs.bytes, fs.fired = fs.failAt, true
-		return n, ErrCrash
+		switch fs.kind {
+		case FaultEIO:
+			return 0, ErrDiskIO
+		case FaultENOSPC:
+			return 0, ErrDiskFull
+		default:
+			return 0, ErrFsyncFailed
+		}
 	}
-	if fs.failAt <= 0 || fs.ops < fs.failAt {
+	// A crash counts the operation but is scheduled in bytes, and a dead
+	// process stays dead.
+	fs.next(c, false)
+	if fs.failed > 0 {
+		return 0, ErrCrash
+	}
+	if fs.failAt <= 0 || fs.bytes+int64(n) <= fs.failAt {
+		fs.bytes += int64(n)
 		return n, nil
 	}
-	if fs.fired && !fs.sticky {
-		return n, nil
-	}
-	wantSync := fs.kind == FaultFsync
-	if isSync != wantSync {
-		return n, nil
-	}
-	fs.fired = true
-	switch fs.kind {
-	case FaultEIO:
-		return 0, ErrDiskIO
-	case FaultENOSPC:
-		return 0, ErrDiskFull
-	default:
-		return 0, ErrFsyncFailed
-	}
+	n = int(fs.failAt - fs.bytes)
+	fs.bytes, fs.failed = fs.failAt, 1
+	return n, ErrCrash
 }
 
 // faultFile is a File whose Write/Sync consult the FaultFS schedule.
@@ -242,7 +306,7 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	keep, err := f.fs.step(false, len(p))
+	keep, err := f.fs.step(opWrite, len(p))
 	if n, werr := f.f.Write(p[:keep]); werr != nil {
 		return n, werr
 	}
@@ -252,7 +316,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 func (f *faultFile) Sync() error {
 	// The write already reached the file; only the barrier fails — the
 	// fsync-gate shape (data possibly dropped from the page cache).
-	if _, err := f.fs.step(true, 0); err != nil {
+	if _, err := f.fs.step(opSync, 0); err != nil {
 		return err
 	}
 	return f.f.Sync()

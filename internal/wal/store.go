@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -177,7 +176,7 @@ func (k StoreFaultKind) String() string {
 // matches reports whether an operation class can carry this fault:
 // unavailability and timeouts hit any operation, partial writes only a
 // Put, corrupt reads only a Get.
-func (k StoreFaultKind) matches(op storeOp) bool {
+func (k StoreFaultKind) matches(op opClass) bool {
 	switch k {
 	case StorePartialWrite:
 		return op == storePut
@@ -188,52 +187,28 @@ func (k StoreFaultKind) matches(op storeOp) bool {
 	}
 }
 
-// storeOp classifies a Store operation for fault matching.
-type storeOp int
-
-const (
-	storePut storeOp = iota
-	storeGet
-	storeOther
-)
-
-// FaultStore wraps a Store and injects one scheduled typed fault — the
-// FaultFS idiom lifted to the archive domain. Every Put/Get/List/Delete
-// increments a shared operation counter; the first operation at or past
-// FailAt whose class matches the fault kind misbehaves. The fault fires
-// once by default (the backend recovers — exactly the case where an
-// archiver must retry rather than give up); StoreSticky keeps it broken,
-// modeling a dead backend. failAt <= 0 injects nothing and turns the
-// FaultStore into a pure operation counter, which the E12 sweep uses to
-// size its fault schedules.
+// FaultStore wraps a Store and injects one scheduled typed fault through
+// the same schedule as a FaultFS: every Put/Get/List/Delete is one
+// operation, and a matching one misbehaves. The default outage of one
+// operation is a backend that recovers — exactly the case where an
+// archiver must retry rather than give up; Outage(Forever) is a dead
+// backend. failAt <= 0 injects nothing and turns the FaultStore into a
+// pure operation counter, which the E12 sweep uses to size its fault
+// schedules.
 //
 // FaultStore is safe for concurrent use.
 type FaultStore struct {
+	schedule
 	inner Store
-
-	mu     sync.Mutex
-	kind   StoreFaultKind
-	failAt int64
-	sticky bool
-	delay  time.Duration // StoreTimeout stall before the sentinel
-	ops    int64
-	fired  bool
+	kind  StoreFaultKind
 }
 
-// StoreFaultOption configures a FaultStore.
-type StoreFaultOption func(*FaultStore)
-
-// StoreSticky makes every matching operation from the scheduled one
-// onward fail — a backend that stays down.
-func StoreSticky() StoreFaultOption {
-	return func(s *FaultStore) { s.sticky = true }
-}
-
-// StoreTimeoutDelay sets how long a StoreTimeout fault stalls before
-// returning ErrStoreTimeout (default 10ms — long enough to overlap an
-// archiver's per-op deadline in tests, short enough not to slow soaks).
-func StoreTimeoutDelay(d time.Duration) StoreFaultOption {
-	return func(s *FaultStore) {
+// StoreTimeoutDelay sets how long a FaultStore's StoreTimeout fault stalls
+// before returning ErrStoreTimeout (default 10ms — long enough to overlap
+// an archiver's per-op deadline in tests, short enough not to slow soaks).
+// A FaultFS has no stalling fault and ignores it.
+func StoreTimeoutDelay(d time.Duration) FaultOption {
+	return func(s *schedule) {
 		if d > 0 {
 			s.delay = d
 		}
@@ -243,113 +218,71 @@ func StoreTimeoutDelay(d time.Duration) StoreFaultOption {
 // NewFaultStore returns a FaultStore over inner that fails the first
 // kind-matching operation at or past the failAt-th store operation
 // (1-based). failAt <= 0 never fails (count-only mode).
-func NewFaultStore(inner Store, kind StoreFaultKind, failAt int64, opts ...StoreFaultOption) *FaultStore {
-	s := &FaultStore{inner: inner, kind: kind, failAt: failAt, delay: 10 * time.Millisecond}
-	for _, o := range opts {
-		o(s)
-	}
+func NewFaultStore(inner Store, kind StoreFaultKind, failAt int64, opts ...FaultOption) *FaultStore {
+	s := &FaultStore{inner: inner, kind: kind}
+	s.delay = 10 * time.Millisecond
+	s.init(failAt, opts)
 	return s
 }
 
-// Ops reports how many store operations have passed through so far.
-func (s *FaultStore) Ops() int64 {
+// step counts one operation — what names it in errors — and decides
+// whether it is the scheduled fault. An unavailable or timed-out backend
+// fails it here; a partial write or a corrupt read is left to the caller,
+// told by fire.
+func (s *FaultStore) step(op opClass, what string) (fire bool, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ops
-}
-
-// Fired reports whether the scheduled fault has been injected.
-func (s *FaultStore) Fired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
-
-// step counts one operation and decides whether it is the scheduled
-// fault.
-func (s *FaultStore) step(op storeOp) (StoreFaultKind, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ops++
-	if s.failAt <= 0 || s.ops < s.failAt {
-		return 0, false
+	fire = s.next(op, s.kind.matches(op))
+	s.mu.Unlock()
+	switch {
+	case fire && s.kind == StoreUnavailable:
+		return true, fmt.Errorf("%w: %s", ErrStoreUnavailable, what)
+	case fire && s.kind == StoreTimeout:
+		time.Sleep(s.delay)
+		return true, fmt.Errorf("%w: %s", ErrStoreTimeout, what)
 	}
-	if s.fired && !s.sticky {
-		return 0, false
-	}
-	if !s.kind.matches(op) {
-		return 0, false
-	}
-	s.fired = true
-	return s.kind, true
+	return fire, nil
 }
 
 // Put implements Store.
 func (s *FaultStore) Put(name string, data []byte) error {
-	if kind, fire := s.step(storePut); fire {
-		switch kind {
-		case StoreUnavailable:
-			return fmt.Errorf("%w: put %s", ErrStoreUnavailable, name)
-		case StoreTimeout:
-			time.Sleep(s.delay)
-			return fmt.Errorf("%w: put %s", ErrStoreTimeout, name)
-		case StorePartialWrite:
-			// The nasty case: the backend acked a truncated object. Only
-			// read-back verification can catch this.
-			return s.inner.Put(name, data[:len(data)/2])
-		}
+	fire, err := s.step(storePut, "put "+name)
+	switch {
+	case err != nil:
+		return err
+	case fire:
+		// The nasty case: the backend acked a truncated object. Only
+		// read-back verification can catch this.
+		return s.inner.Put(name, data[:len(data)/2])
 	}
 	return s.inner.Put(name, data)
 }
 
 // Get implements Store.
 func (s *FaultStore) Get(name string) ([]byte, error) {
-	if kind, fire := s.step(storeGet); fire {
-		switch kind {
-		case StoreUnavailable:
-			return nil, fmt.Errorf("%w: get %s", ErrStoreUnavailable, name)
-		case StoreTimeout:
-			time.Sleep(s.delay)
-			return nil, fmt.Errorf("%w: get %s", ErrStoreTimeout, name)
-		case StoreCorruptRead:
-			data, err := s.inner.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			corrupt := append([]byte(nil), data...)
-			if len(corrupt) > 0 {
-				corrupt[len(corrupt)/2] ^= 0x40
-			}
-			return corrupt, nil
-		}
+	fire, err := s.step(storeGet, "get "+name)
+	if err != nil {
+		return nil, err
 	}
-	return s.inner.Get(name)
+	data, err := s.inner.Get(name)
+	if fire && err == nil && len(data) > 0 {
+		data = append([]byte(nil), data...)
+		data[len(data)/2] ^= 0x40
+	}
+	return data, err
 }
 
 // List implements Store.
 func (s *FaultStore) List() ([]string, error) {
-	if kind, fire := s.step(storeOther); fire {
-		switch kind {
-		case StoreUnavailable:
-			return nil, fmt.Errorf("%w: list", ErrStoreUnavailable)
-		case StoreTimeout:
-			time.Sleep(s.delay)
-			return nil, fmt.Errorf("%w: list", ErrStoreTimeout)
-		}
+	if _, err := s.step(storeOther, "list"); err != nil {
+		return nil, err
 	}
 	return s.inner.List()
 }
 
 // Delete implements Store.
 func (s *FaultStore) Delete(name string) error {
-	if kind, fire := s.step(storeOther); fire {
-		switch kind {
-		case StoreUnavailable:
-			return fmt.Errorf("%w: delete %s", ErrStoreUnavailable, name)
-		case StoreTimeout:
-			time.Sleep(s.delay)
-			return fmt.Errorf("%w: delete %s", ErrStoreTimeout, name)
-		}
+	if _, err := s.step(storeOther, "delete "+name); err != nil {
+		return err
 	}
 	return s.inner.Delete(name)
 }
