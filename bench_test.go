@@ -1,6 +1,9 @@
-// Benchmarks B1–B8 of EXPERIMENTS.md. Each benchmark regenerates one
-// measurement table of the evaluation; cmd/wfbench prints the same series
-// as aligned tables.
+// Benchmarks B1–B8 of EXPERIMENTS.md, the only implementation of those
+// tables (cmd/wfbench prints B9–B16). Regenerate them with
+//
+//	go test -run '^$' -bench . -benchmem ./
+//
+// B6's worker sweep is the -cpu list: add -cpu 1,2,4,8 to that command.
 package exotica_test
 
 import (
@@ -8,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +29,18 @@ import (
 	"repro/internal/wal"
 )
 
+// runInstance creates and starts one instance of the named process and
+// fails the benchmark unless it finishes.
+func runInstance(b *testing.B, e *engine.Engine, name string, log wal.Log) {
+	inst, err := e.CreateInstance(name, nil, log)
+	if err == nil {
+		err = inst.Start()
+	}
+	if err != nil || !inst.Finished() {
+		b.Fatalf("%s did not finish: %v", name, err)
+	}
+}
+
 // ---------------------------------------------------------------- B1 ----
 
 func benchNavigate(b *testing.B, proc *model.Process) {
@@ -35,13 +51,7 @@ func benchNavigate(b *testing.B, proc *model.Process) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst, err := e.CreateInstance(proc.Name, nil, wal.Discard)
-		if err == nil {
-			err = inst.Start()
-		}
-		if err != nil || !inst.Finished() {
-			b.Fatal(err)
-		}
+		runInstance(b, e, proc.Name, wal.Discard)
 	}
 }
 
@@ -131,13 +141,7 @@ func BenchmarkSagaWorkflow(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					inst, err := e.CreateInstance(spec.Name, nil, wal.Discard)
-					if err == nil {
-						err = inst.Start()
-					}
-					if err != nil || !inst.Finished() {
-						b.Fatal(err)
-					}
+					runInstance(b, e, spec.Name, wal.Discard)
 				}
 			})
 		}
@@ -200,13 +204,7 @@ func BenchmarkFlexibleWorkflow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst, err := e.CreateInstance(spec.Name, nil, wal.Discard)
-				if err == nil {
-					err = inst.Start()
-				}
-				if err != nil || !inst.Finished() {
-					b.Fatal(err)
-				}
+				runInstance(b, e, spec.Name, wal.Discard)
 			}
 		})
 	}
@@ -288,13 +286,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			log := &wal.MemLog{}
-			inst, err := e.CreateInstance(proc.Name, nil, log)
-			if err == nil {
-				err = inst.Start()
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
+			runInstance(b, e, proc.Name, log)
 			records := log.Records()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -335,6 +327,10 @@ func BenchmarkTxDBCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkTxDBContention runs one read-then-upgrade transaction per op on
+// GOMAXPROCS workers (the -cpu flag is the worker sweep). Reading k1 and
+// writing it last is a lock conversion, so on a small keyspace concurrent
+// transactions deadlock; deadlocks/op reports how often.
 func BenchmarkTxDBContention(b *testing.B) {
 	for _, keys := range []int{4, 1024} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
@@ -349,10 +345,18 @@ func BenchmarkTxDBContention(b *testing.B) {
 						if _, _, err := tx.Get(k1); err != nil {
 							return err
 						}
-						return tx.Put(k2, "v")
+						// Widen the window between lock acquisitions so
+						// transactions actually overlap.
+						runtime.Gosched()
+						if err := tx.Put(k2, "v"); err != nil {
+							return err
+						}
+						return tx.Put(k1, "v")
 					})
 				}
 			})
+			_, _, deadlocks := s.Stats()
+			b.ReportMetric(float64(deadlocks)/float64(b.N), "deadlocks/op")
 		})
 	}
 }
@@ -368,18 +372,23 @@ func BenchmarkAblationWAL(b *testing.B) {
 	}
 	b.Run("wal=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			inst, _ := e.CreateInstance("live", nil, wal.Discard)
-			if err := inst.Start(); err != nil {
-				b.Fatal(err)
-			}
+			runInstance(b, e, "live", wal.Discard)
 		}
 	})
 	b.Run("wal=mem", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			inst, _ := e.CreateInstance("live", nil, &wal.MemLog{})
-			if err := inst.Start(); err != nil {
-				b.Fatal(err)
-			}
+			runInstance(b, e, "live", &wal.MemLog{})
+		}
+	})
+	b.Run("wal=file", func(b *testing.B) {
+		l, err := wal.OpenFileLog(filepath.Join(b.TempDir(), "ablation.wal"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runInstance(b, e, "live", l)
 		}
 	})
 }
@@ -398,10 +407,7 @@ func BenchmarkAblationDeadPath(b *testing.B) {
 	for _, name := range []string{"live", "dead"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				inst, _ := e.CreateInstance(name, nil, wal.Discard)
-				if err := inst.Start(); err != nil {
-					b.Fatal(err)
-				}
+				runInstance(b, e, name, wal.Discard)
 			}
 		})
 	}
@@ -411,7 +417,7 @@ func BenchmarkAblationDeadPath(b *testing.B) {
 
 func BenchmarkConcurrentScheduler(b *testing.B) {
 	const width = 8
-	const latency = 500 * time.Microsecond
+	const latency = 2 * time.Millisecond
 	for _, pool := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
 			e := engine.New(engine.WithConcurrency(pool))
@@ -436,13 +442,7 @@ func BenchmarkConcurrentScheduler(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst, err := e.CreateInstance("fan", nil, wal.Discard)
-				if err == nil {
-					err = inst.Start()
-				}
-				if err != nil || !inst.Finished() {
-					b.Fatal(err)
-				}
+				runInstance(b, e, "fan", wal.Discard)
 			}
 		})
 	}
@@ -455,13 +455,7 @@ func BenchmarkWALCompact(b *testing.B) {
 		b.Fatal(err)
 	}
 	log := &wal.MemLog{}
-	inst, err := e.CreateInstance("c1000", nil, log)
-	if err == nil {
-		err = inst.Start()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
+	runInstance(b, e, "c1000", log)
 	records := log.Records()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

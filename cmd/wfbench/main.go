@@ -2,11 +2,12 @@
 // correctness experiments E1–E13 that reproduce the paper's figures and
 // appendix traces (plus the WAL, checkpoint, storage-fault, shard-crash,
 // archive-tier and queryable-history soaks), and the measurement tables
-// B1–B16.
+// B9–B16. Tables B1–B8 are the testing.B benchmarks of the repository root:
+// go test -bench . -benchmem ./
 //
 //	wfbench                  # run everything
 //	wfbench -experiment E2   # one correctness experiment
-//	wfbench -bench B2        # one measurement table
+//	wfbench -bench B9        # one measurement table
 //	wfbench -experiment none # measurements only
 //	wfbench -json out.json   # also write a machine-readable wfbench/v1 file
 //	wfbench -flight-dump f.jsonl  # dump the run's event-bus flight recorder
@@ -32,7 +33,7 @@ func main() {
 
 func realMain() int {
 	exp := flag.String("experiment", "all", "E1..E13, all, or none")
-	bench := flag.String("bench", "all", "B1..B16, S1, all, or none")
+	bench := flag.String("bench", "all", "B9..B16, S1, all, or none (B1..B8 run under go test -bench)")
 	jsonOut := flag.String("json", "", "write every report as machine-readable JSON (wfbench/v1) to this file")
 	flightDump := flag.String("flight-dump", "", "attach a flight recorder to the default event bus and dump its JSONL here at exit")
 	trailExport := flag.String("trail-export", "", "stream every default-bus event to this file as a history/v1 JSONL trail export (unbounded, unlike the flight recorder's ring)")
@@ -77,50 +78,49 @@ func realMain() int {
 		"E13": sim.RunE13,
 	}
 	benches := map[string]func() *sim.Report{
-		"B1": sim.RunB1, "B2": sim.RunB2, "B3": sim.RunB3, "B4": sim.RunB4,
-		"B5": sim.RunB5, "B6": sim.RunB6, "B7": sim.RunB7, "B8": sim.RunB8, "B9": sim.RunB9,
-		"B10": sim.RunB10, "B11": sim.RunB11, "B12": sim.RunB12, "B13": sim.RunB13, "B14": sim.RunB14, "B15": sim.RunB15, "B16": sim.RunB16,
+		"B9": sim.RunB9, "B10": sim.RunB10, "B11": sim.RunB11, "B12": sim.RunB12, "B13": sim.RunB13, "B14": sim.RunB14, "B15": sim.RunB15, "B16": sim.RunB16,
 		"S1": sim.RunS1,
 	}
 
-	code := 0
-	run := func(sel string, all map[string]func() *sim.Report, order []string) {
-		switch strings.ToLower(sel) {
+	// Resolve both selections before running anything, so a mistyped
+	// -bench fails at once rather than after the experiments.
+	var runs []func() *sim.Report
+	for _, s := range []struct {
+		sel   string
+		all   map[string]func() *sim.Report
+		order []string
+	}{
+		{*exp, experiments, []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}},
+		{*bench, benches, []string{"B9", "B10", "B11", "B12", "B13", "B14", "B15", "B16", "S1"}},
+	} {
+		switch strings.ToLower(s.sel) {
 		case "none":
-			return
 		case "all":
-			for _, id := range order {
-				rep := all[id]()
-				fmt.Println(rep)
-				if bf != nil {
-					bf.Add(rep)
-				}
-				if !rep.Pass {
-					code = 1
-				}
+			for _, id := range s.order {
+				runs = append(runs, s.all[id])
 			}
 		default:
-			f, ok := all[strings.ToUpper(sel)]
+			f, ok := s.all[strings.ToUpper(s.sel)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "wfbench: unknown selection %q\n", sel)
-				code = 2
-				return
+				fmt.Fprintf(os.Stderr, "wfbench: unknown selection %q\n", s.sel)
+				return 2
 			}
-			rep := f()
-			fmt.Println(rep)
-			if bf != nil {
-				bf.Add(rep)
-			}
-			if !rep.Pass {
-				code = 1
-			}
+			runs = append(runs, f)
 		}
 	}
-	run(*exp, experiments, []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"})
-	if code != 2 {
-		run(*bench, benches, []string{"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10", "B11", "B12", "B13", "B14", "B15", "B16", "S1"})
+
+	code := 0
+	for _, f := range runs {
+		rep := f()
+		fmt.Println(rep)
+		if bf != nil {
+			bf.Add(rep)
+		}
+		if !rep.Pass {
+			code = 1
+		}
 	}
-	if bf != nil && code != 2 {
+	if bf != nil {
 		if err := bf.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "wfbench: writing %s: %v\n", *jsonOut, err)
 			return 1

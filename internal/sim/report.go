@@ -24,7 +24,7 @@ type Report struct {
 // units so BENCH_*.json files can be compared across PRs.
 type Sample struct {
 	// Name identifies the measured case within the report, e.g.
-	// "B1/chain/1000".
+	// "B13/encode/binary".
 	Name string `json:"name"`
 	// NsOp is the mean ns per operation; MinNsOp the fastest batch's
 	// per-op time (the cross-PR comparison statistic, see measureStats);

@@ -104,18 +104,13 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-// TestFastBenchTables smoke-runs the cheap measurement harnesses so the
-// table-generating code is covered by the test suite; the full sweep
-// (including the multi-second contention series) is cmd/wfbench's job.
+// TestFastBenchTables smoke-runs the fleet measurement harnesses so the
+// table-generating code is covered by the test suite; the gates themselves
+// are cmd/wfbench's job. B1–B8 are testing.B benchmarks of the repository
+// root, smoke-run by CI with -benchtime 1x.
 func TestFastBenchTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement smoke tests skipped in -short mode")
-	}
-	for _, f := range []func() *Report{RunB1, RunB3, RunB5, RunB7, RunB8} {
-		rep := f()
-		if !rep.Pass || len(rep.Rows) == 0 {
-			t.Errorf("%s: pass=%v rows=%d", rep.ID, rep.Pass, len(rep.Rows))
-		}
 	}
 	// B10's >=10x gate is a replayed-record ratio — a deterministic count,
 	// not a wall-clock figure — so it holds under -race too.
