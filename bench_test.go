@@ -226,18 +226,42 @@ func BenchmarkTranslateSaga(b *testing.B) {
 	}
 }
 
+// BenchmarkTranslateFlexible translates a spec of at least subs
+// subtransactions per row and reports how many it has (subtxns): no two
+// rows may time the same size.
 func BenchmarkTranslateFlexible(b *testing.B) {
+	rows := map[int]int{} // subtransactions → the row that drew them
 	for _, subs := range []int{4, 16, 64} {
+		spec := flexibleOfAtLeast(b, subs)
+		if row, dup := rows[len(spec.Subs)]; dup {
+			b.Fatalf("rows subs=%d and subs=%d both translate %d subtransactions", row, subs, len(spec.Subs))
+		}
+		rows[len(spec.Subs)] = subs
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			spec := gen.New(gen.Flexible, 1, gen.Config{MaxSteps: subs, MaxDepth: subs, MaxBranch: 3}).Flexible
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fmtm.TranslateFlexible(spec); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(len(spec.Subs)), "subtxns")
 		})
 	}
+}
+
+// flexibleOfAtLeast returns the flexible transaction of the first seed
+// whose draw, bounded by subs subtransactions in all and on one path, has
+// at least subs of them (seeds 1, 2 and 3 draw 4, 17 and 70 for 4, 16 and
+// 64).
+func flexibleOfAtLeast(b *testing.B, subs int) *flexible.Spec {
+	b.Helper()
+	for seed := int64(1); seed <= 1000; seed++ {
+		spec := gen.New(gen.Flexible, seed, gen.Config{MaxSteps: subs, MaxDepth: subs, MaxBranch: 3}).Flexible
+		if len(spec.Subs) >= subs {
+			return spec
+		}
+	}
+	b.Fatalf("no seed up to 1000 draws a flexible transaction of %d subtransactions", subs)
+	return nil
 }
 
 func BenchmarkFDLExport(b *testing.B) {

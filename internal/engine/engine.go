@@ -29,6 +29,8 @@ import (
 )
 
 // Invocation is the context handed to a program when its activity runs.
+// A program may use it, and write Out, only until Run returns: the engine
+// reuses the Invocation for later attempts and logs Out as it is then.
 type Invocation struct {
 	InstanceID string
 	// Path identifies the activity execution within the instance, e.g.
@@ -38,7 +40,10 @@ type Invocation struct {
 	// Iter is the activity's own exit-condition iteration (0 on the first
 	// execution).
 	Iter int
-	// In is the activity input container (read-only by convention).
+	// In is the activity input container. It is frozen: a write through
+	// it fails (Set returns model.ErrReadOnly, SetRC panics, and the panic
+	// fails the activity), because inputs may be shared with other
+	// activities and instances.
 	In *model.Container
 	// Out is the output container the program fills in; set RC to 0 for
 	// commit and non-zero for abort.
@@ -306,11 +311,15 @@ func (e *Engine) CreateInstanceID(process, id string, input map[string]expr.Valu
 	if log == nil {
 		log = &wal.MemLog{}
 	}
-	in := tpl.plan.input.Clone()
-	for k, v := range input {
-		if err := in.Set(k, v); err != nil {
-			return nil, err
+	in := tpl.plan.input // the frozen defaults, shared while no value differs
+	if len(input) > 0 {
+		in = in.Clone()
+		for k, v := range input {
+			if err := in.Set(k, v); err != nil {
+				return nil, err
+			}
 		}
+		in.Freeze()
 	}
 	inst := newInstance(e, id, tpl, in, log)
 	e.metrics.instCreated.Inc()

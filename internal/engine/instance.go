@@ -52,35 +52,76 @@ func (s State) String() string {
 // It is the runtime half of a plan — only what differs from instance to
 // instance lives here, indexed by the plan's activity slots.
 type scope struct {
-	plan      *plan
-	path      string // "" for root, "B#0", "B#0/S#1", ...
-	input     *model.Container
-	output    *model.Container
-	acts      []actState // by plan slot
-	owner     *actState  // block/process activity owning this scope (nil for root)
-	index     int32      // position in Instance.scopes
+	plan *plan
+	// joined is the scope's path ("B#0", "B#0/S#1", ...; pathLen bytes)
+	// followed by every activity's scope-qualified path in slot order —
+	// the scope's path, "/" and the activity's name — so a nested scope
+	// builds all its paths in one string when it opens. The root's
+	// activities go by their names and its joined is "".
+	joined string
+	input  *model.Container
+	// output is the plan's frozen default until an activity's output is
+	// first mapped into it (applyScopeOutput).
+	output *model.Container
+	acts   []actState // by plan slot
+	// outputs holds, by actPlan.keep, the outputs of the terminated
+	// activities that a data connector reads; nil when the plan keeps none.
+	outputs   []*model.Container
+	owner     *actState // block/process activity owning this scope (nil for root)
+	index     int32     // position in Instance.scopes
 	remaining int32
+	pathLen   int32
 }
 
-// actState is the run-time state of one activity within a scope.
-type actState struct {
-	plan   *actPlan
-	sc     *scope
-	joined string // cached scope-qualified path (see path())
-	output *model.Container
-	iter   int
-	workID int64
+// path returns the scope's path, "" for the root.
+func (sc *scope) path() string { return sc.joined[:sc.pathLen] }
 
-	// Monotonic phase stamps for live latency attribution (obs.Now
-	// nanoseconds): readyNs is when the activity last became ready, so
-	// dispatch events carry the queue wait — stamped only while the bus is
-	// active, 0 ("no wait") otherwise; progNs is the last program
-	// invocation's wall time, carried on the finish event. progNs is
-	// written by executeAttempts (a worker goroutine in concurrent mode)
-	// and read by finishActivity after the completion channel
-	// synchronizes the two.
+// actPath returns the scope-qualified path of the activity in the slot.
+func (sc *scope) actPath(slot int32) string {
+	ap := &sc.plan.acts[slot]
+	if sc.owner == nil {
+		return ap.act.Name
+	}
+	n := int(sc.pathLen)
+	from := n + int(slot)*(n+1) + int(ap.nameOff)
+	return sc.joined[from : from+n+1+len(ap.act.Name)]
+}
+
+// joinPaths builds a nested scope's joined paths. The scope's path is the
+// path of the activity that opens it and that activity's iteration,
+// "Forward#0".
+func joinPaths(p *plan, owner string, iter int32) (joined string, pathLen int32) {
+	var digits [11]byte
+	it := strconv.AppendInt(digits[:0], int64(iter), 10)
+	n := len(owner) + 1 + len(it)
+	var b strings.Builder
+	b.Grow(n + len(p.acts)*(n+1) + p.names)
+	path := func() {
+		b.WriteString(owner)
+		b.WriteByte('#')
+		b.Write(it)
+	}
+	path()
+	for i := range p.acts {
+		path()
+		b.WriteByte('/')
+		b.WriteString(p.acts[i].act.Name)
+	}
+	return b.String(), int32(n)
+}
+
+// actState is the run-time state of one activity within a scope. It holds
+// no pointer — the scope and the plan are reached through its scope index
+// and slot — so the garbage collector never scans a scope's slab. 32 bytes.
+type actState struct {
+	// readyNs is when the activity last became ready (obs.Now nanoseconds),
+	// so dispatch events carry the queue wait: stamped only while the bus
+	// is active, 0 ("no wait") otherwise.
 	readyNs int64
-	progNs  int64
+
+	sc   int32 // the activity's scope in Instance.scopes
+	slot int32 // the activity's slot in that scope and its plan
+	iter int32
 
 	// Start conditions are AND or OR over the incoming control connectors,
 	// so two counts stand for their truth values: how many have been
@@ -92,20 +133,21 @@ type actState struct {
 	forced bool // the current completion was forced by a user (no program ran)
 }
 
-// path returns the activity's scope-qualified path. The join is computed
-// once and cached: path() is called on every navigation step (WAL record,
-// trail event, bus publish), and re-concatenating would make each step
-// allocate even when nothing is listening.
-func (as *actState) path() string {
-	if as.joined == "" {
-		if as.sc.path == "" {
-			as.joined = as.plan.act.Name
-		} else {
-			as.joined = as.sc.path + "/" + as.plan.act.Name
-		}
-	}
-	return as.joined
+// scopeOf returns the scope the activity belongs to.
+func (inst *Instance) scopeOf(as *actState) *scope { return inst.scopes[as.sc] }
+
+// planOf returns the activity's plan.
+func (inst *Instance) planOf(as *actState) *actPlan {
+	return &inst.scopes[as.sc].plan.acts[as.slot]
 }
+
+// path returns the activity's scope-qualified path.
+func (inst *Instance) path(as *actState) string {
+	return inst.scopes[as.sc].actPath(as.slot)
+}
+
+// actKey names an activity of an instance by scope index and slot.
+type actKey struct{ sc, slot int32 }
 
 // Instance is one execution of a process template. Instances are not safe
 // for concurrent use; drive them from a single goroutine.
@@ -118,10 +160,16 @@ type Instance struct {
 	tpl *template
 	log wal.Log
 
-	root     *scope
-	scopes   []*scope // every scope created so far, root first
-	queue    []*actState
+	root   *scope
+	scopes []*scope // every scope created so far, root first
+	// queue[qhead:] are the activities waiting for a navigation step; the
+	// queue starts over from its first element whenever it drains.
+	queue []*actState
+	// trail is the audit trail. While a navigating call runs it lives in a
+	// buffer borrowed from trailPool (trailBuf), and when the call returns
+	// it is copied to a slice of its exact length (settleTrail).
 	trail    []trailRec
+	trailBuf *[]trailRec
 	failures []Event // the EvFailed events of the trail, whole (see trailRec)
 
 	// The trail's stamps, stored as runs of events that share one: at0 is
@@ -134,11 +182,15 @@ type Instance struct {
 	// recovered; the records stay where Recover's caller put them.
 	replay map[replayKey]*wal.Record
 
+	// work holds the worklist item of every manual activity posted so far
+	// (its latest posting); nil while none has been.
+	work map[actKey]int64
+
 	// logq holds the records navigation has produced since the last
 	// commitLog barrier, borrowed from logqPool while it is non-empty.
 	logq *[]wal.Record
 
-	// completions and pool carry concurrent mode (see concurrency).
+	// completions and pool carry concurrent mode (see inflight).
 	completions chan completion
 	pool        chan struct{}
 
@@ -153,50 +205,61 @@ type Instance struct {
 	// points in a live run and in its replay.
 	now int64
 
-	// logFailed latches a failed commitLog barrier, after which nothing is
-	// logged.
-	logFailed bool
+	// progNs is the wall time of the program invocation whose completion
+	// finishActivity is folding in (0 for a replayed, forced, block or
+	// subprocess completion), carried on the bus's finish event.
+	progNs int64
 
 	// stMu guards started, done, err and pendingManual for cross-goroutine
 	// monitors (Engine.Instances, Err, Finished, PendingWork). All writes
 	// happen on the navigator goroutine, which may therefore read them
 	// directly; any other goroutine must go through the locked accessors.
 	stMu          sync.Mutex
-	started       bool
-	done          bool
-	pendingManual int
+	pendingManual int32
 
-	// Concurrent-mode state: when concurrency > 1, program bodies run on a
-	// worker pool of that size and completions flow through the channel.
-	// Navigation itself stays on one goroutine either way.
-	concurrency int
-	inflight    int
+	// inflight counts the program bodies running on the worker pool in
+	// concurrent mode (Engine.concurrency > 1); their completions flow
+	// through the channel. Navigation itself stays on one goroutine either
+	// way.
+	inflight int32
+
+	qhead int32 // see queue
+
+	started bool
+	done    bool
+
+	// logFailed latches a failed commitLog barrier, after which nothing is
+	// logged.
+	logFailed bool
 }
 
 func newInstance(e *Engine, id string, tpl *template, input *model.Container, log wal.Log) *Instance {
-	inst := &Instance{
-		eng: e, id: id, tpl: tpl, log: log,
-		trail:       make([]trailRec, 0, tpl.plan.events+2), // plus created and done
-		concurrency: e.concurrency,
+	inst := &Instance{eng: e, id: id, tpl: tpl, log: log}
+	if n := e.concurrency; n > 1 {
+		inst.completions = make(chan completion, n)
+		inst.pool = make(chan struct{}, n)
 	}
-	if inst.concurrency > 1 {
-		inst.completions = make(chan completion, inst.concurrency)
-		inst.pool = make(chan struct{}, inst.concurrency)
-	}
-	inst.root = inst.newScope(tpl.plan, "", input, nil)
+	inst.root = inst.newScope(tpl.plan, input, nil)
 	return inst
 }
 
-func (inst *Instance) newScope(p *plan, path string, input *model.Container, owner *actState) *scope {
+// newScope opens a scope over the plan. The scope's output is the plan's
+// frozen default until something is mapped into it.
+func (inst *Instance) newScope(p *plan, input *model.Container, owner *actState) *scope {
 	sc := &scope{
-		plan: p, path: path,
-		input: input, output: p.output.Clone(), owner: owner,
+		plan: p, input: input, output: p.output, owner: owner,
 		acts:      make([]actState, len(p.acts)),
 		index:     int32(len(inst.scopes)),
 		remaining: int32(len(p.acts)),
 	}
+	if p.kept > 0 {
+		sc.outputs = make([]*model.Container, p.kept)
+	}
+	if owner != nil {
+		sc.joined, sc.pathLen = joinPaths(p, inst.path(owner), owner.iter)
+	}
 	for i := range sc.acts {
-		sc.acts[i].plan, sc.acts[i].sc = &p.acts[i], sc
+		sc.acts[i].sc, sc.acts[i].slot = sc.index, int32(i)
 	}
 	inst.scopes = append(inst.scopes, sc)
 	return sc
@@ -208,15 +271,15 @@ func (inst *Instance) newScope(p *plan, path string, input *model.Container, own
 func (inst *Instance) lookup(path string) *actState {
 	for _, sc := range inst.scopes {
 		name := path
-		if sc.path != "" {
-			rest, ok := strings.CutPrefix(path, sc.path)
+		if sc.owner != nil {
+			rest, ok := strings.CutPrefix(path, sc.path())
 			if !ok || !strings.HasPrefix(rest, "/") {
 				continue
 			}
 			name = rest[1:]
 		}
 		for i := range sc.acts {
-			if sc.acts[i].plan.act.Name == name {
+			if sc.plan.acts[i].act.Name == name {
 				return &sc.acts[i]
 			}
 		}
@@ -283,9 +346,8 @@ func (inst *Instance) Output() *model.Container { return inst.root.output.Clone(
 
 // Trail returns the audit trail so far, materialized from the stored
 // records on every call. Like Trace and Activities it is not synchronized
-// with navigation or with itself (activity paths are joined and cached on
-// first use): call it from the navigator goroutine, or from one goroutine
-// after the instance settled.
+// with navigation: call it from the navigator goroutine, or after the
+// instance settled.
 func (inst *Instance) Trail() []Event {
 	out := make([]Event, len(inst.trail))
 	at, k := inst.at0, 0
@@ -304,7 +366,7 @@ func (inst *Instance) Trail() []Event {
 func (inst *Instance) PendingWork() int {
 	inst.stMu.Lock()
 	defer inst.stMu.Unlock()
-	return inst.pendingManual
+	return int(inst.pendingManual)
 }
 
 // ProgramRun summarizes one completed program-activity execution, in
@@ -322,8 +384,12 @@ func (inst *Instance) ProgramRuns() []ProgramRun {
 	var out []ProgramRun
 	for i := range inst.trail {
 		r := &inst.trail[i]
-		if as := inst.act(r); r.kind == EvFinished && !r.flag && as.plan.act.Program != "" {
-			out = append(out, ProgramRun{Path: as.path(), Program: as.plan.act.Program, Iter: int(r.iter), RC: r.rc})
+		if r.kind != EvFinished || r.flag {
+			continue
+		}
+		sc := inst.scopes[r.sc]
+		if prog := sc.plan.acts[r.slot].act.Program; prog != "" {
+			out = append(out, ProgramRun{Path: sc.actPath(r.slot), Program: prog, Iter: int(r.iter), RC: r.rc})
 		}
 	}
 	return out
@@ -360,10 +426,10 @@ func (inst *Instance) Activities() []ActivityInfo {
 	var out []ActivityInfo
 	for _, sc := range inst.scopes {
 		for i := range sc.acts {
-			as := &sc.acts[i]
+			as, act := &sc.acts[i], sc.plan.acts[i].act
 			out = append(out, ActivityInfo{
-				Path: as.path(), Kind: as.plan.act.Kind, State: as.state, Dead: as.dead,
-				Iter: as.iter, Manual: as.plan.act.Start == model.StartManual,
+				Path: sc.actPath(int32(i)), Kind: act.Kind, State: as.state, Dead: as.dead,
+				Iter: int(as.iter), Manual: act.Start == model.StartManual,
 			})
 		}
 	}
@@ -436,20 +502,21 @@ func (inst *Instance) ForceFinish(path string, rc int64) error {
 	if as == nil {
 		return fmt.Errorf("engine: no activity at %q", path)
 	}
-	if as.state != StateReady || as.plan.act.Start != model.StartManual {
+	ap := inst.planOf(as)
+	if as.state != StateReady || ap.act.Start != model.StartManual {
 		return fmt.Errorf("engine: activity %q is not a ready manual activity", path)
 	}
-	if err := inst.eng.worklists.Withdraw(as.workID); err != nil {
+	if err := inst.eng.worklists.Withdraw(inst.work[actKey{as.sc, as.slot}]); err != nil {
 		return err
 	}
 	inst.addPending(-1)
 	inst.tick()
 	inst.event(as, trailRec{kind: EvForced, rc: rc})
-	out := as.plan.out.Clone()
+	out := ap.out.Clone()
 	out.SetRC(rc)
 	as.state = StateRunning
 	as.forced = true
-	inst.finishActivity(as, out)
+	inst.finishActivity(as, out, 0)
 	as.forced = false
 	inst.pump()
 	return inst.err
@@ -472,18 +539,20 @@ func (inst *Instance) Cancel() error {
 	}
 	inst.tick()
 	inst.event(nil, trailRec{kind: EvCanceled})
+	defer inst.settleTrail()
 	inst.eng.metrics.instCanceled.Inc()
-	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
-	inst.queue = nil
+	inst.dropQueue()
 	for _, sc := range inst.scopes {
 		for i := range sc.acts {
 			as := &sc.acts[i]
 			if as.state == StateTerminated {
 				continue
 			}
-			if as.state == StateReady && as.plan.act.Start == model.StartManual && as.workID != 0 {
-				if err := inst.eng.worklists.Withdraw(as.workID); err == nil {
-					inst.addPending(-1)
+			if as.state == StateReady && sc.plan.acts[i].act.Start == model.StartManual {
+				if id := inst.work[actKey{as.sc, as.slot}]; id != 0 {
+					if err := inst.eng.worklists.Withdraw(id); err == nil {
+						inst.addPending(-1)
+					}
 				}
 			}
 			as.state = StateTerminated
@@ -539,7 +608,7 @@ func (inst *Instance) markDone() {
 	inst.stMu.Unlock()
 }
 
-func (inst *Instance) addPending(d int) {
+func (inst *Instance) addPending(d int32) {
 	inst.stMu.Lock()
 	inst.pendingManual += d
 	inst.stMu.Unlock()
@@ -553,6 +622,29 @@ var logqPool = sync.Pool{New: func() any {
 	q := make([]wal.Record, 0, 8)
 	return &q
 }}
+
+// trailPool lends an instance the buffer its trail grows in while a
+// navigating call runs; settleTrail gives it back and keeps a copy of the
+// trail's exact length. A travel saga records about 26 events, a Figure 3
+// instance about 47.
+var trailPool = sync.Pool{New: func() any {
+	t := make([]trailRec, 0, 128)
+	return &t
+}}
+
+// settleTrail ends a navigating call's use of the borrowed trail buffer:
+// the trail becomes a copy of its exact length and the buffer goes back to
+// trailPool. Whatever the instance does next — finish, wait on a
+// worklist, stay failed or crashed — it holds no spare trail capacity.
+func (inst *Instance) settleTrail() {
+	buf := inst.trailBuf
+	if buf == nil {
+		return
+	}
+	inst.trailBuf = nil
+	inst.trail, *buf = append([]trailRec(nil), inst.trail...), inst.trail[:0]
+	trailPool.Put(buf)
+}
 
 // appendLog queues rec behind the records navigation has produced since
 // the last barrier; nothing reaches the log before commitLog.
@@ -622,15 +714,6 @@ type stampRun struct {
 	at   int64
 }
 
-// act returns the activity a trail record is about, nil for an
-// instance-level event.
-func (inst *Instance) act(r *trailRec) *actState {
-	if r.sc < 0 {
-		return nil
-	}
-	return &inst.scopes[r.sc].acts[r.slot]
-}
-
 // materialize builds the Event a trail record stamped at stands for.
 func (inst *Instance) materialize(r *trailRec, at int64) Event {
 	if r.kind == EvFailed {
@@ -639,22 +722,22 @@ func (inst *Instance) materialize(r *trailRec, at int64) Event {
 		return ev
 	}
 	ev := Event{Kind: r.kind, At: at}
-	as := inst.act(r)
-	if as == nil {
+	if r.sc < 0 {
 		return ev
 	}
+	sc := inst.scopes[r.sc]
 	if r.kind == EvConnector {
-		ev.From, ev.To, ev.Value = as.path(), as.sc.acts[r.iter].path(), r.flag
+		ev.From, ev.To, ev.Value = sc.actPath(r.slot), sc.actPath(r.iter), r.flag
 		return ev
 	}
-	ev.Path, ev.Iter = as.path(), int(r.iter)
+	ev.Path, ev.Iter = sc.actPath(r.slot), int(r.iter)
 	switch r.kind {
 	case EvStarted:
-		ev.Program = as.plan.act.Program
+		ev.Program = sc.plan.acts[r.slot].act.Program
 	case EvFinished:
 		ev.RC = r.rc
 		if !r.flag { // forced completions are not program executions
-			ev.Program = as.plan.act.Program
+			ev.Program = sc.plan.acts[r.slot].act.Program
 		}
 	case EvForced:
 		ev.RC = r.rc
@@ -679,9 +762,9 @@ func (inst *Instance) tick() { inst.now = inst.eng.clock() }
 func (inst *Instance) event(as *actState, r trailRec) {
 	r.sc = -1
 	if as != nil {
-		r.sc, r.slot = as.sc.index, as.plan.slot
+		r.sc, r.slot = as.sc, as.slot
 		if r.kind != EvConnector {
-			r.iter = int32(as.iter)
+			r.iter = as.iter
 		}
 	}
 	switch n := len(inst.trail); {
@@ -689,6 +772,10 @@ func (inst *Instance) event(as *actState, r trailRec) {
 		inst.at0 = inst.now
 	case inst.now != inst.lastStamp():
 		inst.stamps = append(inst.stamps, stampRun{from: n, at: inst.now})
+	}
+	if inst.trailBuf == nil {
+		inst.trailBuf = trailPool.Get().(*[]trailRec)
+		inst.trail = append(*inst.trailBuf, inst.trail...)
 	}
 	inst.trail = append(inst.trail, r)
 	bus := inst.eng.bus.Active()
@@ -726,12 +813,12 @@ func (inst *Instance) publishTrail(ev Event, as *actState) {
 		}
 		bus.Publish(obs.Event{Kind: obs.EvActivityDispatch, Instance: inst.id,
 			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, DurNs: wait})
-		if as.plan.act.Kind == model.KindBlock && as.plan.act.Name == compensationActivityName {
+		if act := inst.planOf(as).act; act.Kind == model.KindBlock && act.Name == compensationActivityName {
 			bus.Publish(obs.Event{Kind: obs.EvCompensation, Instance: inst.id, Path: ev.Path, Iter: ev.Iter})
 		}
 	case EvFinished:
 		bus.Publish(obs.Event{Kind: obs.EvActivityFinished, Instance: inst.id,
-			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, RC: ev.RC, DurNs: as.progNs})
+			Path: ev.Path, Iter: ev.Iter, Program: ev.Program, RC: ev.RC, DurNs: inst.progNs})
 	case EvLooped:
 		bus.Publish(obs.Event{Kind: obs.EvActivityLoop, Instance: inst.id, Path: ev.Path, Iter: ev.Iter})
 	case EvDeadPath:
@@ -751,12 +838,36 @@ func (inst *Instance) enqueue(as *actState) {
 	inst.eng.metrics.queueDepth.Add(1)
 }
 
+// dequeue takes the next activity off the queue, nil when it is empty.
+// A drained queue starts over from its first element, so a queue that
+// never holds more than a few activities at once never grows again.
+func (inst *Instance) dequeue() *actState {
+	if int(inst.qhead) == len(inst.queue) {
+		return nil
+	}
+	as := inst.queue[inst.qhead]
+	inst.queue[inst.qhead] = nil
+	inst.qhead++
+	if int(inst.qhead) == len(inst.queue) {
+		inst.queue, inst.qhead = inst.queue[:0], 0
+	}
+	inst.eng.metrics.queueDepth.Add(-1)
+	return as
+}
+
+// dropQueue empties the queue and lets go of its array.
+func (inst *Instance) dropQueue() {
+	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue) - int(inst.qhead)))
+	inst.queue, inst.qhead = nil, 0
+}
+
 // completion carries a finished asynchronous program invocation back to
 // the navigator goroutine.
 type completion struct {
-	as  *actState
-	out *model.Container
-	err error
+	as     *actState
+	out    *model.Container
+	progNs int64
+	err    error
 }
 
 // pump drives navigation. Everything except program bodies runs on the
@@ -768,10 +879,11 @@ type completion struct {
 // when the instance failed for a reason other than the log.
 func (inst *Instance) pump() {
 	for {
-		for inst.err == nil && len(inst.queue) > 0 {
-			as := inst.queue[0]
-			inst.queue = inst.queue[1:]
-			inst.eng.metrics.queueDepth.Add(-1)
+		for inst.err == nil {
+			as := inst.dequeue()
+			if as == nil {
+				break
+			}
 			if as.state != StateReady {
 				continue // stale entry (e.g. scope was reset)
 			}
@@ -781,6 +893,7 @@ func (inst *Instance) pump() {
 		}
 		if inst.inflight == 0 {
 			inst.commitLog()
+			inst.settleTrail()
 			return
 		}
 		// Queue drained (or the instance failed) with programs in flight:
@@ -802,7 +915,7 @@ func (inst *Instance) pump() {
 			}
 			continue
 		}
-		inst.finishActivity(c.as, c.out)
+		inst.finishActivity(c.as, c.out, c.progNs)
 	}
 }
 
@@ -826,7 +939,7 @@ func (inst *Instance) setReady(as *actState) {
 		as.readyNs = obs.Now()
 	}
 	inst.event(as, trailRec{kind: EvReady})
-	if as.plan.act.Start == model.StartManual {
+	if inst.planOf(as).act.Start == model.StartManual {
 		inst.postWork(as)
 		return
 	}
@@ -835,23 +948,27 @@ func (inst *Instance) setReady(as *actState) {
 
 func (inst *Instance) postWork(as *actState) {
 	if inst.eng.worklists == nil {
-		inst.fail(fmt.Errorf("engine: manual activity %q requires an organization", as.path()))
+		inst.fail(fmt.Errorf("engine: manual activity %q requires an organization", inst.path(as)))
 		return
 	}
 	inst.commitLog()
 	if inst.err != nil {
 		return
 	}
+	act := inst.planOf(as).act
 	item, err := inst.eng.worklists.Post(org.WorkItem{
-		Activity: as.path(), Instance: inst.id,
+		Activity: inst.path(as), Instance: inst.id,
 		ReadyAt:     inst.now,
-		NotifyAfter: as.plan.act.NotifySeconds, NotifyRole: as.plan.act.NotifyRole,
-	}, as.plan.act.Staff.Role, as.plan.act.Staff.Person)
+		NotifyAfter: act.NotifySeconds, NotifyRole: act.NotifyRole,
+	}, act.Staff.Role, act.Staff.Person)
 	if err != nil {
 		inst.fail(err)
 		return
 	}
-	as.workID = item.ID
+	if inst.work == nil {
+		inst.work = make(map[actKey]int64)
+	}
+	inst.work[actKey{as.sc, as.slot}] = item.ID
 	inst.addPending(1)
 	inst.event(as, trailRec{kind: EvWorkPosted})
 }
@@ -860,7 +977,9 @@ func (inst *Instance) runActivity(as *actState) {
 	as.state = StateRunning
 	inst.event(as, trailRec{kind: EvStarted})
 
-	switch as.plan.act.Kind {
+	sc := inst.scopeOf(as)
+	ap := &sc.plan.acts[as.slot]
+	switch ap.act.Kind {
 	case model.KindProgram:
 		// Recovery path: a logged completion replaces the program
 		// invocation. Blocks and subprocesses always re-navigate (their
@@ -868,70 +987,66 @@ func (inst *Instance) runActivity(as *actState) {
 		// produces the identical audit trail.
 		if rec := inst.replayHit(as); rec != nil {
 			inst.tick()
-			out := as.plan.out.Clone()
+			out := ap.out.Clone()
 			if err := out.Restore(rec.Values.Keys, rec.Values.Vals); err != nil {
 				inst.fail(err)
 				return
 			}
-			inst.finishActivity(as, out)
+			inst.finishActivity(as, out, 0)
 			return
 		}
-		inst.runProgram(as)
+		inst.runProgram(as, sc, ap)
 	case model.KindBlock:
-		in := inst.buildInput(as)
+		in := inst.buildInput(sc, ap)
 		if inst.err != nil {
 			return
 		}
-		inst.startScope(inst.newScope(as.plan.block, childPath(as), in, as))
+		inst.startScope(inst.newScope(ap.block, in, as))
 	case model.KindProcess:
-		in := inst.buildInput(as)
+		in := inst.buildInput(sc, ap)
 		if inst.err != nil {
 			return
 		}
-		sub := as.plan.sub.plan
+		sub := ap.sub.plan
 		subIn := sub.input.Clone()
 		copyCommon(subIn, in)
-		inst.startScope(inst.newScope(sub, childPath(as), subIn, as))
+		subIn.Freeze()
+		inst.startScope(inst.newScope(sub, subIn, as))
 	default:
-		inst.fail(fmt.Errorf("engine: activity %q has invalid kind", as.path()))
+		inst.fail(fmt.Errorf("engine: activity %q has invalid kind", inst.path(as)))
 	}
 }
 
-// childPath is the path of the scope the activity's current iteration
-// opens: "Forward#0".
-func childPath(as *actState) string {
-	return as.path() + "#" + strconv.Itoa(as.iter)
-}
-
-func (inst *Instance) runProgram(as *actState) {
-	in := inst.buildInput(as)
+func (inst *Instance) runProgram(as *actState, sc *scope, ap *actPlan) {
+	in := inst.buildInput(sc, ap)
 	if inst.err != nil {
 		return
 	}
+	path, iter := sc.actPath(as.slot), as.iter
 	inst.appendLog(wal.Record{
-		Type: wal.RecStartedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
+		Type: wal.RecStartedActivity, Instance: inst.id, Path: path, Iter: int(iter),
 	})
 	inst.commitLog() // the program body must not run ahead of the log
 	if inst.err != nil {
 		return
 	}
-	if inst.concurrency > 1 {
+	if inst.pool != nil {
 		// Concurrent mode: run the program body on the worker pool; the
 		// completion is folded back into navigation by pump. The attempt
-		// loop only touches state that is immutable while the activity
-		// runs, so it is safe on the worker goroutine.
+		// loop is handed everything it reads, none of which changes while
+		// the activity runs, so it is safe on the worker goroutine.
 		inst.inflight++
 		inst.eng.metrics.inflight.Add(1)
 		pool := inst.pool
 		go func() {
 			pool <- struct{}{}
-			out, err := inst.executeAttempts(as, in)
+			out, ns, err := inst.executeAttempts(ap, path, iter, in)
 			<-pool
-			inst.completions <- completion{as: as, out: out, err: err}
+			inst.completions <- completion{as: as, out: out, progNs: ns, err: err}
 		}()
 		return
 	}
-	final, err := inst.executeAttempts(as, in)
+	final, ns, err := inst.executeAttempts(ap, path, iter, in)
 	inst.tick()
 	if err != nil {
 		var af *ActivityFailure
@@ -942,32 +1057,35 @@ func (inst *Instance) runProgram(as *actState) {
 		}
 		return
 	}
-	inst.finishActivity(as, final)
+	inst.finishActivity(as, final, ns)
 }
 
+// invPool lends every program attempt its Invocation: a program returns
+// before its attempt ends, so the next attempt, of any instance, may reuse
+// it. An attempt with a deadline copies it (invokeGuarded), because its
+// goroutine can outlive the attempt.
+var invPool = sync.Pool{New: func() any { return new(Invocation) }}
+
 // executeAttempts drives the fault-tolerant invocation of one program
-// activity: each attempt runs with panic isolation and the activity's
-// optional deadline against a fresh output container (a failed attempt
-// must not leak partial output into the next one); transient errors are
-// retried under the activity's RetryPolicy with exponential backoff, and
-// the final error is an *ActivityFailure recording the cause. It is called
-// on the navigator goroutine in sequential mode and on a worker goroutine
-// in concurrent mode — everything it touches is immutable while the
-// activity is running.
-func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model.Container, error) {
+// activity — the iteration iter of the activity at path — on its input
+// in: each attempt runs with panic isolation and the activity's optional
+// deadline against a fresh output container (a failed attempt must not
+// leak partial output into the next one); transient errors are retried
+// under the activity's RetryPolicy with exponential backoff, and the final
+// error is an *ActivityFailure recording the cause. It also returns the
+// wall time of the attempts. It is called on the navigator goroutine in
+// sequential mode and on a worker goroutine in concurrent mode, and reads
+// nothing of the instance's navigation state.
+func (inst *Instance) executeAttempts(ap *actPlan, path string, iter int32, in *model.Container) (*model.Container, int64, error) {
 	m := inst.eng.metrics
-	act, prog := as.plan.act, as.plan.prog
+	act, prog := ap.act, ap.prog
 	budget := act.Retry.Attempts()
 	br := inst.eng.breakerFor(act.Program)
 	var lastErr error
 	attempts := 0
 	start := time.Now()
 	for attempt := 1; attempt <= budget; attempt++ {
-		out := as.plan.out.Clone()
-		inv := &Invocation{
-			InstanceID: inst.id, Path: as.path(), Iter: as.iter,
-			In: in, Out: out, Attempt: attempt,
-		}
+		out := ap.out.Clone()
 		attempts = attempt
 		if attempt > 1 {
 			m.retries.Inc()
@@ -984,7 +1102,15 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 			}
 		}
 		if !blocked {
-			if err := invokeGuarded(prog, inv, act.DeadlineMS); err == nil {
+			inv := invPool.Get().(*Invocation)
+			*inv = Invocation{
+				InstanceID: inst.id, Path: path, Iter: int(iter),
+				In: in, Out: out, Attempt: attempt,
+			}
+			err := invokeGuarded(prog, inv, act.DeadlineMS)
+			*inv = Invocation{}
+			invPool.Put(inv)
+			if err == nil {
 				if br != nil {
 					br.Record(false)
 				}
@@ -998,9 +1124,9 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 				} else {
 					m.aborted.Inc()
 				}
-				as.progNs = time.Since(start).Nanoseconds()
-				m.programNs.Observe(as.progNs)
-				return out, nil
+				ns := time.Since(start).Nanoseconds()
+				m.programNs.Observe(ns)
+				return out, ns, nil
 			} else {
 				lastErr = err
 				if br != nil {
@@ -1012,7 +1138,7 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 				m.panics.Inc()
 				if bus := inst.eng.bus; bus.Active() {
 					bus.Publish(obs.Event{Kind: obs.EvActivityPanic, Instance: inst.id,
-						Path: as.path(), Iter: as.iter, Program: act.Program,
+						Path: path, Iter: int(iter), Program: act.Program,
 						N: int64(attempt), Cause: lastErr.Error()})
 				}
 			}
@@ -1025,7 +1151,7 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 				// Budget exhausted: forgo the retry so correlated failures
 				// cannot multiply into a retry storm; the activity fails
 				// with the last error.
-				inst.publishRetryExhausted(as.path(), act.Program, attempt)
+				inst.publishRetryExhausted(path, act.Program, attempt)
 				break
 			}
 			inst.eng.recordRetryBudgetGauge()
@@ -1037,7 +1163,7 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 		}
 		if bus := inst.eng.bus; bus.Active() {
 			bus.Publish(obs.Event{Kind: obs.EvActivityRetry, Instance: inst.id,
-				Path: as.path(), Iter: as.iter, Program: act.Program,
+				Path: path, Iter: int(iter), Program: act.Program,
 				N: int64(attempt), DurNs: backoff.Nanoseconds(), Cause: lastErr.Error()})
 		}
 		if backoff > 0 {
@@ -1046,10 +1172,10 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 	}
 	m.invocations.Inc()
 	m.progFailed.Inc()
-	as.progNs = time.Since(start).Nanoseconds()
-	m.programNs.Observe(as.progNs)
-	return nil, &ActivityFailure{
-		Path: as.path(), Program: act.Program, Iter: as.iter,
+	ns := time.Since(start).Nanoseconds()
+	m.programNs.Observe(ns)
+	return nil, ns, &ActivityFailure{
+		Path: path, Program: act.Program, Iter: int(iter),
 		Attempts: attempts, Cause: lastErr,
 	}
 }
@@ -1061,12 +1187,16 @@ func (inst *Instance) executeAttempts(as *actState, in *model.Container) (*model
 // executing on its abandoned goroutine against an output container the
 // engine will never read again — the documented cost of preempting
 // programs that cannot be cancelled.
+//
+// inv is only borrowed for the call (invPool): an attempt with a deadline
+// hands its goroutine a copy of its own.
 func invokeGuarded(prog Program, inv *Invocation, deadlineMS int64) error {
 	if deadlineMS <= 0 {
 		return runIsolated(prog, inv)
 	}
+	own := *inv
 	done := make(chan error, 1)
-	go func() { done <- runIsolated(prog, inv) }()
+	go func() { done <- runIsolated(prog, &own) }()
 	timer := time.NewTimer(time.Duration(deadlineMS) * time.Millisecond)
 	defer timer.Stop()
 	select {
@@ -1101,16 +1231,21 @@ func copyCommon(dst, src *model.Container) {
 // buildInput materializes an activity's input container by pulling the
 // data connectors that target it: scope input and the stored outputs of
 // terminated source activities. Connectors from activities that never ran
-// (dead paths) contribute nothing — the target sees declared defaults.
-func (inst *Instance) buildInput(as *actState) *model.Container {
-	in := as.plan.in.Clone()
-	for _, d := range as.plan.dataIn {
-		src := as.sc.input
+// (dead paths) contribute nothing — the target sees declared defaults. An
+// input no connector writes is the plan's frozen default itself, and every
+// input is frozen: a program reads it and never writes it.
+func (inst *Instance) buildInput(sc *scope, ap *actPlan) *model.Container {
+	in := ap.in
+	for _, d := range ap.dataIn {
+		src := sc.input
 		if d.from != scopeInput {
-			src = as.sc.acts[d.from].output // nil when dead or not yet run
+			src = sc.outputs[sc.plan.acts[d.from].keep] // nil when dead or not yet run
 		}
 		if src == nil {
 			continue
+		}
+		if in == ap.in {
+			in = in.Clone()
 		}
 		for _, m := range d.maps {
 			if err := in.CopyFrom(src, m.FromPath, m.ToPath); err != nil {
@@ -1119,19 +1254,24 @@ func (inst *Instance) buildInput(as *actState) *model.Container {
 			}
 		}
 	}
+	if in != ap.in {
+		in.Freeze()
+	}
 	return in
 }
 
 // finishActivity handles the transient finished state: log the completion,
-// evaluate the exit condition, loop or terminate.
-func (inst *Instance) finishActivity(as *actState, out *model.Container) {
+// evaluate the exit condition, loop or terminate. progNs is the wall time
+// of the program invocation that produced out (0 if none ran).
+func (inst *Instance) finishActivity(as *actState, out *model.Container, progNs int64) {
 	inst.appendLog(wal.Record{
-		Type: wal.RecFinishedActivity, Instance: inst.id, Path: as.path(), Iter: as.iter,
+		Type: wal.RecFinishedActivity, Instance: inst.id, Path: inst.path(as), Iter: int(as.iter),
 		Values: recordValues(out),
 	})
+	inst.progNs = progNs
 	inst.event(as, trailRec{kind: EvFinished, rc: out.RC(), flag: as.forced})
 
-	if exit := as.plan.act.Exit; exit != nil {
+	if exit := inst.planOf(as).act.Exit; exit != nil {
 		ok, err := expr.EvalBool(exit, out)
 		if err != nil {
 			inst.fail(err)
@@ -1153,20 +1293,24 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container) {
 // truth values (false for dead activities — dead path elimination) and
 // completes the scope when it was the last one.
 func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead bool) {
+	sc := inst.scopeOf(as)
+	ap := &sc.plan.acts[as.slot]
 	as.state = StateTerminated
 	as.dead = dead
-	as.output = out
+	if ap.keep >= 0 {
+		sc.outputs[ap.keep] = out
+	}
 	if dead {
 		inst.eng.metrics.deadPaths.Inc()
 		inst.event(as, trailRec{kind: EvDeadPath})
 	} else {
 		inst.event(as, trailRec{kind: EvTerminated})
-		inst.applyScopeOutput(as, out)
+		inst.applyScopeOutput(sc, ap, out)
 		if inst.err != nil {
 			return
 		}
 	}
-	for _, c := range as.plan.outgoing {
+	for _, c := range ap.outgoing {
 		val := false
 		if !dead {
 			if c.cond == nil {
@@ -1181,7 +1325,7 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 			}
 		}
 		inst.event(as, trailRec{kind: EvConnector, iter: c.to, flag: val})
-		tgt := &as.sc.acts[c.to]
+		tgt := &sc.acts[c.to]
 		tgt.connSeen++
 		if val {
 			tgt.connTrue++
@@ -1191,18 +1335,22 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 			return
 		}
 	}
-	as.sc.remaining--
-	if as.sc.remaining == 0 {
-		inst.scopeDone(as.sc)
+	sc.remaining--
+	if sc.remaining == 0 {
+		inst.scopeDone(sc)
 	}
 }
 
 // applyScopeOutput pushes the activity's outputs into the scope output
-// container along data connectors targeting the scope sink.
-func (inst *Instance) applyScopeOutput(as *actState, out *model.Container) {
-	for _, d := range as.plan.dataOut {
+// container along data connectors targeting the scope sink. The first
+// write replaces the plan's frozen default with a copy of the scope's own.
+func (inst *Instance) applyScopeOutput(sc *scope, ap *actPlan, out *model.Container) {
+	for _, d := range ap.dataOut {
+		if sc.output.Frozen() {
+			sc.output = sc.output.Clone()
+		}
 		for _, m := range d.Maps {
-			if err := as.sc.output.CopyFrom(out, m.FromPath, m.ToPath); err != nil {
+			if err := sc.output.CopyFrom(out, m.FromPath, m.ToPath); err != nil {
 				inst.fail(err)
 				return
 			}
@@ -1217,11 +1365,12 @@ func (inst *Instance) checkStart(as *actState) {
 	if as.state != StateWaiting {
 		return
 	}
-	if as.connSeen < as.plan.incoming {
+	ap := inst.planOf(as)
+	if as.connSeen < ap.incoming {
 		return // §3.2: wait until all incoming connectors are evaluated
 	}
-	start := as.connTrue == as.plan.incoming
-	if as.plan.act.Join == model.JoinOr {
+	start := as.connTrue == ap.incoming
+	if ap.act.Join == model.JoinOr {
 		start = as.connTrue > 0
 	}
 	if start {
@@ -1252,33 +1401,30 @@ func (inst *Instance) scopeDone(sc *scope) {
 		return
 	}
 	owner := sc.owner
-	if owner.plan.act.Kind == model.KindProcess {
+	if ap := inst.planOf(owner); ap.act.Kind == model.KindProcess {
 		// Bridge the subprocess output back into the owner's container.
-		out := owner.plan.out.Clone()
+		out := ap.out.Clone()
 		copyCommon(out, sc.output)
-		inst.finishActivity(owner, out)
+		inst.finishActivity(owner, out, 0)
 		return
 	}
-	inst.finishActivity(owner, sc.output)
+	inst.finishActivity(owner, sc.output, 0)
 }
 
 // release drops what only navigation reads once RecDone is logged: every
 // scope's input, the outputs of the inner scopes and of the activities,
-// the queue and the replay index. A finished instance keeps its history —
-// the trail, the activity states and the root output, which is all that
-// Output, Snapshot, Activities, Trail, ProgramRuns and Trace read — and
-// the interventions that reach navigation state refuse a finished
-// instance before they do.
+// the queue, the work items and the replay index. A finished instance
+// keeps its history — the trail, the activity states, the scopes' paths
+// and the root output, which is all that Output, Snapshot, Activities,
+// Trail, ProgramRuns and Trace read — and the interventions that reach
+// navigation state refuse a finished instance before they do.
 func (inst *Instance) release() {
-	inst.eng.metrics.queueDepth.Add(-int64(len(inst.queue)))
-	inst.queue, inst.replay = nil, nil
+	inst.dropQueue()
+	inst.replay, inst.work = nil, nil
 	for _, sc := range inst.scopes {
-		sc.input = nil
+		sc.input, sc.outputs = nil, nil
 		if sc != inst.root {
 			sc.output = nil
-		}
-		for i := range sc.acts {
-			sc.acts[i].output = nil
 		}
 	}
 }
@@ -1292,13 +1438,15 @@ type replayKey struct {
 // replayHit returns the logged completion of the activity's current
 // iteration, if the log being recovered has one that carries an output.
 func (inst *Instance) replayHit(as *actState) *wal.Record {
-	if rec := inst.replay[replayKey{as.path(), as.iter}]; rec != nil && rec.Values.Len() > 0 {
+	if rec := inst.replay[replayKey{inst.path(as), int(as.iter)}]; rec != nil && rec.Values.Len() > 0 {
 		return rec
 	}
 	return nil
 }
 
-// recordValues is a container's record form: shared paths, copied slots.
+// recordValues is a container's record form: the layout's paths and the
+// container's own slots, neither copied — so no container is written once
+// its record is queued.
 func recordValues(c *model.Container) wal.Values {
 	keys, vals := c.Vector()
 	return wal.Values{Keys: keys, Vals: vals}

@@ -27,21 +27,31 @@ type template struct {
 type plan struct {
 	acts   []actPlan
 	starts []int32 // slots of the activities without incoming control connectors
-	// input and output are the scope's containers holding their defaults;
-	// a scope clones them instead of building containers by type name.
+	// input and output are the scope's containers holding their defaults,
+	// frozen: a scope clones them instead of building containers by type
+	// name, or shares them while nothing writes them.
 	input, output *model.Container
-	// events is how many trail events one pass over the graph records when
-	// every activity executes once, blocks and subprocesses included: an
-	// instance sizes its trail with it.
-	events int
+	// names is the byte length of every activity name of the graph, the
+	// part of a nested scope's joined paths that does not depend on the
+	// scope's path (see scope.joined).
+	names int
+	// kept is how many activities a data connector reads the output of:
+	// the length of a scope's outputs.
+	kept int32
 }
 
 // actPlan is one activity of a plan.
 type actPlan struct {
 	act      *model.Activity
-	in, out  *model.Container // the activity's containers holding their defaults, cloned like the scope's
+	in, out  *model.Container // the activity's containers holding their defaults, frozen like the scope's
 	incoming int32            // number of incoming control connectors
-	slot     int32            // index of the activity in its plan (and scope)
+	// nameOff is the byte length of the names of the activities in earlier
+	// slots: where the activity's path lies in a nested scope's joined
+	// paths.
+	nameOff int32
+	// keep is the activity's index in its scope's outputs when a data
+	// connector reads its output, -1 when none does.
+	keep     int32
 	outgoing []connPlan
 	dataIn   []dataPlan             // data connectors targeting the activity
 	dataOut  []*model.DataConnector // data connectors from the activity to the scope output
@@ -73,21 +83,22 @@ const scopeInput = -1
 func (e *Engine) compile(g *model.Graph, types *model.Types, proc string) (*plan, error) {
 	p := &plan{acts: make([]actPlan, len(g.Activities))}
 	var err error
-	if p.input, err = types.NewContainer(g.In()); err != nil {
+	if p.input, err = defaults(types, g.In()); err != nil {
 		return nil, err
 	}
-	if p.output, err = types.NewContainer(g.Out()); err != nil {
+	if p.output, err = defaults(types, g.Out()); err != nil {
 		return nil, err
 	}
 	slot := make(map[string]int32, len(g.Activities))
 	for i, a := range g.Activities {
 		slot[a.Name] = int32(i)
 		ap := &p.acts[i]
-		ap.act, ap.slot = a, int32(i)
-		if ap.in, err = types.NewContainer(a.In()); err != nil {
+		ap.act, ap.nameOff, ap.keep = a, int32(p.names), -1
+		p.names += len(a.Name)
+		if ap.in, err = defaults(types, a.In()); err != nil {
 			return nil, err
 		}
-		if ap.out, err = types.NewContainer(a.Out()); err != nil {
+		if ap.out, err = defaults(types, a.Out()); err != nil {
 			return nil, err
 		}
 		switch a.Kind {
@@ -114,16 +125,8 @@ func (e *Engine) compile(g *model.Graph, types *model.Types, proc string) (*plan
 		from.outgoing = append(from.outgoing, connPlan{cond: c.Condition, to: to})
 	}
 	for i := range p.acts {
-		ap := &p.acts[i]
-		if ap.incoming == 0 {
+		if p.acts[i].incoming == 0 {
 			p.starts = append(p.starts, int32(i))
-		}
-		p.events += 4 + len(ap.outgoing) // ready, started, finished, terminated, connectors
-		switch {
-		case ap.block != nil:
-			p.events += ap.block.events
-		case ap.sub != nil:
-			p.events += ap.sub.plan.events
 		}
 	}
 	for _, d := range g.Data {
@@ -135,9 +138,24 @@ func (e *Engine) compile(g *model.Graph, types *model.Types, proc string) (*plan
 		from := int32(scopeInput)
 		if d.From != model.ScopeRef {
 			from = slot[d.From]
+			if src := &p.acts[from]; src.keep < 0 {
+				src.keep = p.kept
+				p.kept++
+			}
 		}
 		to := &p.acts[slot[d.To]]
 		to.dataIn = append(to.dataIn, dataPlan{from: from, maps: d.Maps})
 	}
 	return p, nil
+}
+
+// defaults returns a frozen container of the named type holding its
+// defaults.
+func defaults(types *model.Types, typeName string) (*model.Container, error) {
+	c, err := types.NewContainer(typeName)
+	if err != nil {
+		return nil, err
+	}
+	c.Freeze()
+	return c, nil
 }

@@ -79,6 +79,7 @@ func (r *recovery) resume(e *Engine, newLog wal.Log) (*Instance, error) {
 	if err := in.Restore(r.created.Values.Keys, r.created.Values.Vals); err != nil {
 		return nil, fmt.Errorf("engine: restoring input container: %w", err)
 	}
+	in.Freeze()
 
 	e.metrics.recReplayed.Add(int64(r.n))
 	inst := newInstance(e, r.created.Instance, tpl, in, newLog)

@@ -47,7 +47,7 @@ func (inst *Instance) Trace() *obs.Trace {
 	// parentOf returns the span to attach a child or event for the given
 	// path to: the owning activity execution's span, or the root. The
 	// scope path of a nested execution is exactly the owner's key —
-	// childPath builds "ownerPath#iter/member".
+	// joinPaths builds "ownerPath#iter/member".
 	parentOf := func(path string) *obs.Span {
 		if i := strings.LastIndexByte(path, '/'); i >= 0 {
 			if p := spans[path[:i]]; p != nil {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,6 +23,11 @@ type layout struct {
 	slot     map[string]int // dotted path -> index into paths
 	defaults []expr.Value   // by slot
 	rc       int            // slot of the RC member
+	// frozen marks the read-only twin of a layout, and twin links the two:
+	// a read-only container points at the frozen twin, so the guard costs a
+	// container no field of its own.
+	frozen bool
+	twin   *layout
 }
 
 // buildLayout flattens a structure type against the registry. It fails
@@ -77,6 +83,9 @@ func (ts *Types) buildLayout(t *StructType) (*layout, error) {
 		lay.defaults[i] = defaults[path]
 	}
 	lay.rc = lay.slot[RCMember]
+	ro := *lay
+	ro.frozen, ro.twin = true, lay
+	lay.twin = &ro
 	return lay, nil
 }
 
@@ -87,7 +96,8 @@ func (ts *Types) buildLayout(t *StructType) (*layout, error) {
 //
 // Containers implement expr.Env so conditions evaluate directly against
 // them. A Container is not safe for concurrent mutation; the engine
-// serializes access.
+// serializes access. A frozen container (Freeze) is read-only and may be
+// shared by any number of goroutines.
 type Container struct {
 	lay    *layout
 	values []expr.Value // by layout slot, fully populated with defaults
@@ -106,6 +116,28 @@ func (ts *Types) NewContainer(typeName string) (*Container, error) {
 		return nil, err
 	}
 	return &Container{lay: lay, values: append([]expr.Value(nil), lay.defaults...)}, nil
+}
+
+// ErrReadOnly is the error of a write through a frozen container.
+var ErrReadOnly = errors.New("container is read-only")
+
+// Freeze makes the container read-only for good: Set, CopyFrom and Restore
+// return ErrReadOnly and SetRC panics with it, so a container shared by
+// many readers — a template's defaults — never changes under them. Clone
+// still returns a writable copy. Freezing a frozen container writes
+// nothing, so goroutines sharing one may.
+func (c *Container) Freeze() {
+	if !c.lay.frozen {
+		c.lay = c.lay.twin
+	}
+}
+
+// Frozen reports whether the container is read-only (Freeze).
+func (c *Container) Frozen() bool { return c.lay.frozen }
+
+// readOnlyError is the error of a write to the member at path.
+func (c *Container) readOnlyError(path string) error {
+	return fmt.Errorf("model: member %q of %q: %w", path, c.lay.typ.Name, ErrReadOnly)
 }
 
 // Type returns the container's structure type.
@@ -137,16 +169,24 @@ func (c *Container) MustGet(path string) expr.Value {
 // RC returns the container's return code member.
 func (c *Container) RC() int64 { return c.values[c.lay.rc].AsInt() }
 
-// SetRC sets the return code member.
-func (c *Container) SetRC(rc int64) { c.values[c.lay.rc] = expr.Int(rc) }
+// SetRC sets the return code member. It panics on a frozen container.
+func (c *Container) SetRC(rc int64) {
+	if c.lay.frozen {
+		panic(c.readOnlyError(RCMember))
+	}
+	c.values[c.lay.rc] = expr.Int(rc)
+}
 
 // Set assigns a member at a dotted path. The member must exist and the
 // value's kind must match the member's declared kind (ints are accepted for
-// float members and widened).
+// float members and widened). The container must not be frozen.
 func (c *Container) Set(path string, v expr.Value) error {
 	i, ok := c.lay.slot[path]
 	if !ok {
 		return fmt.Errorf("model: container %q has no member %q", c.lay.typ.Name, path)
+	}
+	if c.lay.frozen {
+		return c.readOnlyError(path)
 	}
 	coerced, err := coerce(v, c.values[i].Kind())
 	if err != nil {
@@ -184,10 +224,15 @@ func (c *Container) CopyFrom(src *Container, fromPath, toPath string) error {
 	return c.Set(toPath, v)
 }
 
-// Clone returns a deep copy of the container. A container of up to four
-// slots — every container of the reference models — is one allocation:
-// the header and its slots share an object of the size the two took apart.
+// Clone returns a writable deep copy of the container, frozen or not. A
+// container of up to four slots — every container of the reference models —
+// is one allocation: the header and its slots share an object of the size
+// the two took apart.
 func (c *Container) Clone() *Container {
+	lay := c.lay
+	if lay.frozen {
+		lay = lay.twin
+	}
 	var out *Container
 	var vals []expr.Value
 	switch len(c.values) {
@@ -204,10 +249,10 @@ func (c *Container) Clone() *Container {
 		p := new(withSlots[[4]expr.Value])
 		out, vals = &p.c, p.v[:]
 	default:
-		return &Container{lay: c.lay, values: append([]expr.Value(nil), c.values...)}
+		return &Container{lay: lay, values: append([]expr.Value(nil), c.values...)}
 	}
 	copy(vals, c.values)
-	*out = Container{lay: c.lay, values: vals}
+	*out = Container{lay: lay, values: vals}
 	return out
 }
 
@@ -251,17 +296,23 @@ func (c *Container) Snapshot() map[string]expr.Value {
 }
 
 // Vector returns what a WAL record carries: the layout's sorted paths, RC
-// included — one slice shared by every container of the type, which callers
-// must not write through — and, index-aligned, a copy of the values.
+// included — one slice shared by every container of the type — and,
+// index-aligned, the container's own slots. Neither is a copy: callers must
+// not write through them, and a record made from them holds the values the
+// container holds, so the engine writes no container once its record is
+// queued (DESIGN.md §8).
 func (c *Container) Vector() (paths []string, vals []expr.Value) {
-	return c.lay.paths, slices.Clone(c.values)
+	return c.lay.paths, c.values
 }
 
 // Restore is the inverse of Vector: member paths[i] becomes vals[i]. When
 // paths are the layout's own, values of the member's kind go slot for slot;
 // anything else goes by name through Set, which rejects an unknown path and
-// coerces kinds. RC is restored as logged.
+// coerces kinds. RC is restored as logged. The container must not be frozen.
 func (c *Container) Restore(paths []string, vals []expr.Value) error {
+	if c.lay.frozen {
+		return fmt.Errorf("model: restoring %q: %w", c.lay.typ.Name, ErrReadOnly)
+	}
 	aligned := slices.Equal(paths, c.lay.paths)
 	for i, v := range vals {
 		switch {

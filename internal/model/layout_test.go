@@ -1,13 +1,16 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/expr"
 )
@@ -294,6 +297,7 @@ func TestRestoreVectorMatchesByName(t *testing.T) {
 		name := names[rng.Intn(len(names))]
 		src := mustContainer(ts, name)
 		paths, vals := src.Vector()
+		vals = slices.Clone(vals) // Vector hands out the container's own slots
 		for i := range vals {
 			switch rng.Intn(6) {
 			case 0:
@@ -331,5 +335,64 @@ func TestRestoreVectorMatchesByName(t *testing.T) {
 		if !reflect.DeepEqual(got.values, want.values) {
 			t.Fatalf("seed %d %s: Restore(%v, %v) = %s, by name %s", seed, name, paths, vals, got, want)
 		}
+	}
+}
+
+// TestFrozenContainerRefusesWrites: a frozen container — a template's
+// defaults, an activity's input — refuses every write (Set, CopyFrom and
+// Restore return ErrReadOnly, SetRC and MustSet panic with it) and keeps
+// its values, while Clone hands out a writable copy and leaves the
+// original frozen. The guard lives in the layout, so a container stays
+// 32 bytes and a clone of up to four slots keeps its size class.
+func TestFrozenContainerRefusesWrites(t *testing.T) {
+	ts := NewTypes()
+	if err := ts.Register(&StructType{Name: "IO", Members: []Member{{Name: "x", Basic: Long, Default: expr.Int(5)}}}); err != nil {
+		t.Fatal(err)
+	}
+	c := mustContainer(ts, "IO")
+	src := c.Clone()
+	c.Freeze()
+	if !c.Frozen() || src.Frozen() {
+		t.Fatalf("Frozen() = %v after Freeze, %v on a clone taken before", c.Frozen(), src.Frozen())
+	}
+	refused := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrReadOnly) {
+			t.Errorf("%s on a frozen container: %v, want ErrReadOnly", name, err)
+		}
+	}
+	panics := func(name string, write func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			refused(name, err)
+		}()
+		write()
+	}
+	refused("Set", c.Set("x", expr.Int(9)))
+	refused("CopyFrom", c.CopyFrom(src, "x", "x"))
+	refused("Restore", c.Restore(src.Vector()))
+	panics("SetRC", func() { c.SetRC(7) })
+	panics("MustSet", func() { c.MustSet("x", expr.Int(9)) })
+	if !c.MustGet("x").Equal(expr.Int(5)) || c.RC() != 0 {
+		t.Fatalf("frozen container changed: %s", c)
+	}
+	w := c.Clone()
+	if w.Frozen() || !w.Equal(c) {
+		t.Fatalf("Clone of a frozen container: frozen %v, %s vs %s", w.Frozen(), w, c)
+	}
+	w.SetRC(3)
+	if err := w.Set("x", expr.Int(9)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Frozen() || !c.MustGet("x").Equal(expr.Int(5)) || c.RC() != 0 {
+		t.Fatalf("writing the clone changed the frozen original: %s", c)
+	}
+	c.Freeze() // freezing twice is freezing once
+	if !c.Frozen() || c.Clone().Frozen() {
+		t.Fatal("a second Freeze changed what Frozen or Clone report")
+	}
+	if size := unsafe.Sizeof(Container{}); size != 32 {
+		t.Fatalf("Container is %d bytes, want 32", size)
 	}
 }
