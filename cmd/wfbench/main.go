@@ -1,15 +1,12 @@
-// Command wfbench regenerates the evaluation of EXPERIMENTS.md: the
-// correctness experiments E1–E13 that reproduce the paper's figures and
-// appendix traces (plus the WAL, checkpoint, storage-fault, shard-crash,
-// archive-tier and queryable-history soaks), and the measurement tables
-// B9–B16. Tables B1–B8 are the testing.B benchmarks of the repository root:
-// go test -bench . -benchmem ./
+// Command wfbench regenerates the correctness half of EXPERIMENTS.md: the
+// experiments E1–E13 that reproduce the paper's figures and appendix
+// traces (plus the WAL, checkpoint, storage-fault, shard-crash,
+// archive-tier and queryable-history soaks) and the S1 simulation. The
+// measurement tables B1–B16 are the testing.B benchmarks of the repository
+// root: go test -run '^$' -bench . -benchmem ./
 //
-//	wfbench                  # run everything
-//	wfbench -experiment E2   # one correctness experiment
-//	wfbench -bench B9        # one measurement table
-//	wfbench -experiment none # measurements only
-//	wfbench -json out.json   # also write a machine-readable wfbench/v1 file
+//	wfbench                  # run E1–E13 and S1
+//	wfbench -experiment E2   # one experiment
 //	wfbench -flight-dump f.jsonl  # dump the run's event-bus flight recorder
 //	wfbench -trail-export t.jsonl # stream every bus event as a history/v1 trail
 package main
@@ -32,12 +29,24 @@ func main() {
 }
 
 func realMain() int {
-	exp := flag.String("experiment", "all", "E1..E13, all, or none")
-	bench := flag.String("bench", "all", "B9..B16, S1, all, or none (B1..B8 run under go test -bench)")
-	jsonOut := flag.String("json", "", "write every report as machine-readable JSON (wfbench/v1) to this file")
+	exp := flag.String("experiment", "all", "E1..E13, S1, or all")
 	flightDump := flag.String("flight-dump", "", "attach a flight recorder to the default event bus and dump its JSONL here at exit")
 	trailExport := flag.String("trail-export", "", "stream every default-bus event to this file as a history/v1 JSONL trail export (unbounded, unlike the flight recorder's ring)")
 	flag.Parse()
+
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "S1"}
+	experiments := map[string]func() *sim.Report{
+		"E1": sim.RunE1, "E2": sim.RunE2, "E3": sim.RunE3, "E4": sim.RunE4, "E5": sim.RunE5, "E6": sim.RunE6,
+		"E7": sim.RunE7, "E8": sim.RunE8, "E9": sim.RunE9, "E10": sim.RunE10, "E11": sim.RunE11, "E12": sim.RunE12,
+		"E13": sim.RunE13, "S1": sim.RunS1,
+	}
+	if !strings.EqualFold(*exp, "all") {
+		if _, ok := experiments[strings.ToUpper(*exp)]; !ok {
+			fmt.Fprintf(os.Stderr, "wfbench: unknown experiment %q\n", *exp)
+			return 2
+		}
+		order = []string{strings.ToUpper(*exp)}
+	}
 
 	if *trailExport != "" {
 		w, err := history.NewWriter(*trailExport)
@@ -67,65 +76,13 @@ func realMain() int {
 		}()
 	}
 
-	var bf *sim.BenchFile
-	if *jsonOut != "" {
-		bf = sim.NewBenchFile()
-	}
-
-	experiments := map[string]func() *sim.Report{
-		"E1": sim.RunE1, "E2": sim.RunE2, "E3": sim.RunE3, "E4": sim.RunE4, "E5": sim.RunE5, "E6": sim.RunE6,
-		"E7": sim.RunE7, "E8": sim.RunE8, "E9": sim.RunE9, "E10": sim.RunE10, "E11": sim.RunE11, "E12": sim.RunE12,
-		"E13": sim.RunE13,
-	}
-	benches := map[string]func() *sim.Report{
-		"B9": sim.RunB9, "B10": sim.RunB10, "B11": sim.RunB11, "B12": sim.RunB12, "B13": sim.RunB13, "B14": sim.RunB14, "B15": sim.RunB15, "B16": sim.RunB16,
-		"S1": sim.RunS1,
-	}
-
-	// Resolve both selections before running anything, so a mistyped
-	// -bench fails at once rather than after the experiments.
-	var runs []func() *sim.Report
-	for _, s := range []struct {
-		sel   string
-		all   map[string]func() *sim.Report
-		order []string
-	}{
-		{*exp, experiments, []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}},
-		{*bench, benches, []string{"B9", "B10", "B11", "B12", "B13", "B14", "B15", "B16", "S1"}},
-	} {
-		switch strings.ToLower(s.sel) {
-		case "none":
-		case "all":
-			for _, id := range s.order {
-				runs = append(runs, s.all[id])
-			}
-		default:
-			f, ok := s.all[strings.ToUpper(s.sel)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "wfbench: unknown selection %q\n", s.sel)
-				return 2
-			}
-			runs = append(runs, f)
-		}
-	}
-
 	code := 0
-	for _, f := range runs {
-		rep := f()
+	for _, id := range order {
+		rep := experiments[id]()
 		fmt.Println(rep)
-		if bf != nil {
-			bf.Add(rep)
-		}
 		if !rep.Pass {
 			code = 1
 		}
-	}
-	if bf != nil {
-		if err := bf.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wfbench: writing %s: %v\n", *jsonOut, err)
-			return 1
-		}
-		fmt.Printf("wrote %s (%d reports)\n", *jsonOut, len(bf.Reports))
 	}
 	return code
 }

@@ -21,8 +21,8 @@
 //     translations;
 //   - internal/txdb, internal/rm — the multidatabase substrate (strict 2PL
 //     stores) and failure-injectable resource managers;
-//   - internal/sim — workload generators and the E1–E13 / B9–B16
-//     evaluation harness (B1–B8 are the benchmarks in bench_test.go).
+//   - internal/sim — workload generators and the E1–E13 / S1 evaluation
+//     harness (B1–B16 are the benchmarks in bench_test.go).
 //
 // This package exposes the single most common flow — compile a
 // specification and execute one of the generated processes with scripted

@@ -171,3 +171,28 @@ func allocated(f func()) uint64 {
 	runtime.ReadMemStats(&m1)
 	return m1.TotalAlloc - m0.TotalAlloc
 }
+
+// snapshotAllocs bounds the allocations of the Snapshot of a finished
+// travel saga: the snapshot, its output map (two objects), the activity
+// list it is built from and its own activity slice, each sized once.
+// Unsized appends and sort.Slice's reflect swapper, with a second sort of
+// the already sorted list, made 17.
+const snapshotAllocs = 5
+
+// TestSnapshotAllocCeiling: Snapshot is on the verify path of every
+// recovered instance, so what it allocates is paid per instance recovered.
+func TestSnapshotAllocCeiling(t *testing.T) {
+	e := atmEngine(t, rm.NewInjector())
+	inst, err := e.CreateInstance("travel", nil, wal.Discard)
+	if err == nil {
+		err = inst.Start()
+	}
+	if err != nil || !inst.Finished() {
+		t.Fatalf("travel did not commit: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() { _ = inst.Snapshot() })
+	t.Logf("%.0f allocs per Snapshot of %d activities", allocs, len(inst.Snapshot().Activities))
+	if allocs > snapshotAllocs {
+		t.Fatalf("%.0f allocs per Snapshot, ceiling %d", allocs, snapshotAllocs)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -423,7 +423,11 @@ type ActivityInfo struct {
 // created so far (inner scopes appear once their block or subprocess has
 // started), sorted by path.
 func (inst *Instance) Activities() []ActivityInfo {
-	var out []ActivityInfo
+	n := 0
+	for _, sc := range inst.scopes {
+		n += len(sc.acts)
+	}
+	out := make([]ActivityInfo, 0, n)
 	for _, sc := range inst.scopes {
 		for i := range sc.acts {
 			as, act := &sc.acts[i], sc.plan.acts[i].act
@@ -433,7 +437,7 @@ func (inst *Instance) Activities() []ActivityInfo {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b ActivityInfo) int { return strings.Compare(a.Path, b.Path) })
 	return out
 }
 
@@ -1221,7 +1225,8 @@ func runIsolated(prog Program, inv *Invocation) (err error) {
 // kinds; the bridge between a process activity's containers and the
 // subprocess's own type registry.
 func copyCommon(dst, src *model.Container) {
-	for _, path := range src.Paths() {
+	paths, _ := src.Vector()
+	for _, path := range paths {
 		if _, ok := dst.Get(path); ok {
 			_ = dst.CopyFrom(src, path, path) // incompatible kinds are skipped by design
 		}

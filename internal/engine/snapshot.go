@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sort"
-
-	"repro/internal/expr"
-)
+import "repro/internal/expr"
 
 // ActivitySnapshot is the persistent-state view of one activity instance
 // inside an InstanceSnapshot: its stored navigation state, loop iteration
@@ -51,12 +47,11 @@ func (inst *Instance) Snapshot() *InstanceSnapshot {
 		Output:   inst.root.output.Snapshot(),
 		TrailLen: len(inst.trail),
 	}
-	for _, ai := range inst.Activities() {
-		s.Activities = append(s.Activities, ActivitySnapshot{
-			Path: ai.Path, State: ai.State.String(), Iter: ai.Iter, Dead: ai.Dead,
-		})
+	ais := inst.Activities()
+	s.Activities = make([]ActivitySnapshot, len(ais))
+	for i, ai := range ais {
+		s.Activities[i] = ActivitySnapshot{Path: ai.Path, State: ai.State.String(), Iter: ai.Iter, Dead: ai.Dead}
 	}
-	sort.Slice(s.Activities, func(i, j int) bool { return s.Activities[i].Path < s.Activities[j].Path })
 	return s
 }
 

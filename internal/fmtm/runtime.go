@@ -16,7 +16,8 @@ const CopyName = "fmtm_nop"
 
 // CopyProgram implements CopyName.
 var CopyProgram engine.Program = engine.ProgramFunc(func(inv *engine.Invocation) error {
-	for _, path := range inv.In.Paths() {
+	paths, _ := inv.In.Vector()
+	for _, path := range paths {
 		if _, ok := inv.Out.Get(path); ok {
 			if err := inv.Out.CopyFrom(inv.In, path, path); err != nil {
 				return err

@@ -262,12 +262,6 @@ type withSlots[A any] struct {
 	v A
 }
 
-// Paths returns the container's member paths in sorted order (including
-// RC), useful for serialization and debugging.
-func (c *Container) Paths() []string {
-	return append([]string(nil), c.lay.paths...)
-}
-
 // String renders the container as "Type{a=1, b="x"}" with sorted members.
 func (c *Container) String() string {
 	var sb strings.Builder

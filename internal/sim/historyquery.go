@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/history"
@@ -253,114 +252,6 @@ func RunE13() *Report {
 		}
 		r.AddRow(s.name, fmt.Sprint(len(s.evs)), fmt.Sprint(len(s.snaps)), fmt.Sprint(queries),
 			yesNo(asOfOK), yesNo(len(aggBad) == 0), yesNo(contErr == nil))
-	}
-	return r
-}
-
-// RunB16 measures what the checkpoint ladder buys a time-travel query on
-// a fleet-128 trail: the same "state of the crashed instance as of its
-// newest boundary" question answered through the bounded
-// checkpoint+tail rung versus the full-history rung. The acceptance
-// gate is deterministic — the bounded path must read at least 10x fewer
-// records off disk than full-history replay — and the wall-clock
-// column shows what that buys (the reported ratio is records read,
-// wall time is informational).
-func RunB16() *Report {
-	r := &Report{
-		ID:      "B16",
-		Title:   "time travel on a fleet-128 trail: bounded checkpoint+tail rung vs full-history replay",
-		Columns: []string{"mode", "rung", "records read", "records replayed", "query wall", "read ratio x"},
-		Pass:    true,
-	}
-	const fleetN = 128
-	const chainN = 20
-	proc := Chain("b16", chainN)
-	recsPerInst := 2*chainN + 2
-
-	root, err := os.MkdirTemp("", "wfbench-b16")
-	if err != nil {
-		r.Pass = false
-		r.Err = err
-		return r
-	}
-	defer os.RemoveAll(root)
-
-	build := func(opts ...engine.Option) (*engine.Engine, error) {
-		e := engine.New(opts...)
-		mustRegister(e, "ok", OKProgram)
-		mustRegister(e, "abort", AbortProgram)
-		if err := e.RegisterProcess(proc); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-
-	// run executes fleetN chain instances sequentially over a fresh
-	// segmented log in dir, crashing mid-way through the last one so a
-	// live instance sits in the tail (the one worth time-traveling into
-	// after a crash), checkpointing every 64 appends when ckpt is set.
-	// It returns the crashed instance's ID.
-	run := func(dir string, ckpt bool) (string, error) {
-		return crashedFleet(func() (*engine.Engine, error) { return build() }, proc.Name, dir, fleetN, recsPerInst, ckpt)
-	}
-
-	// Full-history trail: no checkpoints exist, so the query must read
-	// everything the fleet ever logged.
-	dirA := filepath.Join(root, "full")
-	idA, err := run(dirA, false)
-	if err != nil {
-		r.Pass = false
-		r.Err = fmt.Errorf("B16 full trail: %w", err)
-		return r
-	}
-	srcA := &history.Source{WAL: dirA, Full: true}
-	startA := time.Now()
-	snapA, nA, stA, err := srcA.StateAt(build, idA, 0)
-	wallA := time.Since(startA)
-	if err != nil {
-		r.Pass = false
-		r.Err = fmt.Errorf("B16 full query: %w", err)
-		return r
-	}
-
-	// Checkpointed trail: the bounded rung answers from the newest
-	// checkpoint plus the segment tail.
-	dirB := filepath.Join(root, "ckpt")
-	idB, err := run(dirB, true)
-	if err != nil {
-		r.Pass = false
-		r.Err = fmt.Errorf("B16 ckpt trail: %w", err)
-		return r
-	}
-	srcB := &history.Source{WAL: dirB}
-	startB := time.Now()
-	snapB, nB, stB, err := srcB.StateAt(build, idB, 0)
-	wallB := time.Since(startB)
-	if err != nil {
-		r.Pass = false
-		r.Err = fmt.Errorf("B16 bounded query: %w", err)
-		return r
-	}
-
-	r.AddRow("full history", stA.Rung, fmt.Sprint(stA.RecordsRead), fmt.Sprint(stA.RecordsReplayed), wallA.String(), "1.0")
-	ratio := float64(stA.RecordsRead) / float64(max(stB.RecordsRead, 1))
-	r.AddRow("checkpoint+tail", stB.Rung, fmt.Sprint(stB.RecordsRead), fmt.Sprint(stB.RecordsReplayed), wallB.String(), fmt.Sprintf("%.1f", ratio))
-
-	// Gates: the bounded rung actually engaged, it read >= 10x less, and
-	// both rungs reconstruct the same crashed-instance state (IDs differ
-	// across the two runs; the navigational state must not).
-	switch {
-	case stB.Rung == wal.SourceFullReplay:
-		r.Pass = false
-		r.Err = fmt.Errorf("B16: bounded query fell back to full replay")
-	case ratio < 10:
-		r.Pass = false
-		r.Err = fmt.Errorf("B16: read ratio %.1fx < 10x (full %d, bounded %d)", ratio, stA.RecordsRead, stB.RecordsRead)
-	case snapA.Status != snapB.Status || snapA.TrailLen != snapB.TrailLen || nA != nB ||
-		len(snapA.Activities) != len(snapB.Activities):
-		r.Pass = false
-		r.Err = fmt.Errorf("B16: rungs disagree: full %s/%d (%d boundaries) vs bounded %s/%d (%d)",
-			snapA.Status, snapA.TrailLen, nA, snapB.Status, snapB.TrailLen, nB)
 	}
 	return r
 }

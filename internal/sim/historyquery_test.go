@@ -11,22 +11,6 @@ import (
 	"repro/internal/wal"
 )
 
-// TestRunB16 asserts the bounded-rung gate. Like B10, the >=10x gate is
-// a records-read ratio — a deterministic count, not a wall-clock figure
-// — so it holds under -race too.
-func TestRunB16(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet-128 trail generation skipped in -short mode")
-	}
-	rep := RunB16()
-	if !rep.Pass || len(rep.Rows) != 2 {
-		t.Fatalf("B16: pass=%v rows=%d (%v)\n%s", rep.Pass, len(rep.Rows), rep.Err, rep)
-	}
-	if rep.Rows[1][1] == wal.SourceFullReplay {
-		t.Errorf("B16: bounded row used the full-replay rung:\n%s", rep)
-	}
-}
-
 // bucketIndex locates the decade bucket v falls into; the satellite
 // agreement gate is "within one decade bucket".
 func bucketIndex(snap obs.HistogramSnapshot, v int64) int {

@@ -6,10 +6,7 @@ import (
 )
 
 // Report is one experiment's printable result: a header, column names,
-// rows, and an overall pass/fail verdict for the correctness experiments.
-// Measurement reports additionally carry machine-readable Samples — the
-// numbers behind the formatted cells — which cmd/wfbench -json serializes
-// for the perf trajectory.
+// rows, and an overall pass/fail verdict.
 type Report struct {
 	ID      string
 	Title   string
@@ -17,39 +14,11 @@ type Report struct {
 	Rows    [][]string
 	Pass    bool
 	Err     error
-	Samples []Sample
-}
-
-// Sample is one measured data point of a report, in raw (unformatted)
-// units so BENCH_*.json files can be compared across PRs.
-type Sample struct {
-	// Name identifies the measured case within the report, e.g.
-	// "B13/encode/binary".
-	Name string `json:"name"`
-	// NsOp is the mean ns per operation; MinNsOp the fastest batch's
-	// per-op time (the cross-PR comparison statistic, see measureStats);
-	// Iters how many timed iterations contributed.
-	NsOp    float64 `json:"ns_op"`
-	MinNsOp float64 `json:"min_ns_op,omitempty"`
-	Iters   int     `json:"iters,omitempty"`
-	// RecordsPerSec is the report-specific throughput figure (activities,
-	// log records, or commits per second); 0 when not applicable.
-	RecordsPerSec float64 `json:"records_per_sec,omitempty"`
 }
 
 // AddRow appends a formatted row.
 func (r *Report) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
-}
-
-// AddSample records a machine-readable data point.
-func (r *Report) AddSample(s Sample) {
-	r.Samples = append(r.Samples, s)
-}
-
-// sampleFrom converts a Timing into a Sample.
-func sampleFrom(name string, tm Timing, recordsPerSec float64) Sample {
-	return Sample{Name: name, NsOp: tm.MeanNs, MinNsOp: tm.MinNs, Iters: tm.Iters, RecordsPerSec: recordsPerSec}
 }
 
 // String renders the report as an aligned text table.

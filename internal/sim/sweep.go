@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/atm/saga"
 	"repro/internal/engine"
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/rm"
 	"repro/internal/wal"
@@ -225,6 +226,76 @@ func crashFree(write func(*wal.FaultFS) (string, error)) (int, func(k int, torn 
 	}, err
 }
 
+// CrashedFleet leaves in dir what a server leaves that dies half-way
+// through the last of n instances of proc, run one after another over a
+// segmented log of 64-record segments (with a checkpoint pass every 64
+// records when ckpt is set): n-1 whole instances, half of the last and a
+// torn record after it. build makes the engine of each run. The run
+// happens twice — crash-free in dir+".clean" for the byte to die at
+// (crashFree), then over a file system that dies there — without fsync:
+// the crash surfaces when the write buffer next drains, at the latest on
+// Close, and leaves the same bytes. It returns the crashed instance's ID.
+// The restart (B10) and time-travel (B16) benchmarks read what it leaves.
+func CrashedFleet(build history.Builder, proc, dir string, n int, ckpt bool) (string, error) {
+	run := func(dir string, ckpt bool, fs *wal.FaultFS) (string, error) {
+		slog, err := wal.OpenSegmentedLog(dir, wal.SegmentMaxRecords(64), wal.SegmentFS(fs))
+		if err != nil {
+			return "", err
+		}
+		var log wal.Log = slog
+		var cl *checkpointingLog
+		if ckpt {
+			cl = &checkpointingLog{inner: slog, ck: engine.NewCheckpointer(slog, engine.CheckpointEveryRecords(64)), every: 64}
+			log = cl
+		}
+		e, err := build()
+		if err != nil {
+			return "", err
+		}
+		id := ""
+		for i := 0; i < n; i++ {
+			inst, err := e.CreateInstance(proc, nil, log)
+			if err == nil {
+				id, err = inst.ID(), inst.Start()
+			}
+			if err != nil && !(i == n-1 && errors.Is(err, wal.ErrCrash)) {
+				return "", err
+			}
+		}
+		if cl != nil {
+			if cl.err != nil {
+				return "", cl.err
+			}
+			// A final pass folds the last sealed segments, as the
+			// background checkpointer would have before the crash — without
+			// the record trigger: a dead log rotates nothing.
+			if err := engine.NewCheckpointer(slog).CheckpointNow(); err != nil {
+				return "", err
+			}
+		}
+		if err := slog.Close(); (err != nil) != fs.Fired() {
+			return "", fmt.Errorf("crash fired=%v, close: %v", fs.Fired(), err)
+		}
+		return id, nil
+	}
+	clean := dir + ".clean"
+	defer os.RemoveAll(clean)
+	frames, crashAt, err := crashFree(func(fs *wal.FaultFS) (string, error) {
+		_, err := run(clean, false, fs)
+		return clean, err
+	})
+	if err != nil || frames == 0 || frames%n != 0 {
+		return "", fmt.Errorf("crash-free run of %d instances: %d frames, %v", n, frames, err)
+	}
+	perInst := frames / n
+	fs, _ := crashAt((n-1)*perInst+perInst/2, true)
+	id, err := run(dir, ckpt, fs)
+	if err == nil && !fs.Fired() {
+		err = errors.New("the crash never fired")
+	}
+	return id, err
+}
+
 // trial is what one run of a row left behind.
 type trial struct {
 	err      error // the first failure the workload saw
@@ -274,8 +345,14 @@ func (t *trial) drive(e *engine.Engine, proc string, n, parallel int, log wal.Lo
 			}
 			return
 		}
-		res, err := runFleet(e, proc, n, parallel, log)
-		t.fleet(res, err)
+		f, err := engine.NewFleet(e, engine.FleetConfig{Shards: 1, Parallel: parallel,
+			WrapLog: func(int, wal.Log) wal.Log { return log }})
+		if err != nil {
+			t.err = err
+			return
+		}
+		defer f.Close()
+		t.fleet(f.Run(proc, n, nil))
 	})
 }
 
@@ -821,7 +898,7 @@ func logBytes(path string, st wal.Store) (local, pruned int64, n int, err error)
 		pruned += int64(len(data))
 		n++
 	}
-	return segmentBytes(path), pruned, n, nil
+	return SegmentBytes(path), pruned, n, nil
 }
 
 // ackTrackingLog wraps a Log and records every acknowledged append — the
@@ -875,6 +952,21 @@ func (l *ackTrackingLog) lost(recovered []wal.Record) (n int) {
 		}
 	}
 	return n
+}
+
+// SegmentBytes sums the on-disk size of every WAL segment in dir.
+func SegmentBytes(dir string) int64 {
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		return 0
+	}
+	var total int64
+	for _, s := range segs {
+		if fi, err := os.Stat(s.Path); err == nil {
+			total += fi.Size()
+		}
+	}
+	return total
 }
 
 // checkpointingLog wraps a Log and runs a synchronous checkpoint pass

@@ -1,8 +1,10 @@
-// Package sim provides workloads, experiment runners and timing harnesses
-// for the reproduction's evaluation (EXPERIMENTS.md): process topologies for
-// navigation benchmarks, the paper's example specifications, the E-series
-// correctness experiments and the B-series measurements with their
-// printable reports.
+// Package sim provides the workloads and the experiment runners of the
+// reproduction's evaluation (EXPERIMENTS.md): process topologies for the
+// benchmarks, the paper's example specifications, the E-series correctness
+// experiments and the S1 simulation with their printable reports, and the
+// crashed corpus the restart and time-travel benchmarks read. The
+// B-series measurements are the testing.B benchmarks of the repository
+// root.
 package sim
 
 import (
