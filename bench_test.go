@@ -1,13 +1,14 @@
 // Benchmarks B1–B16 of EXPERIMENTS.md, the only implementation of those
-// tables, and the tests that hold their count gates. Regenerate the tables
-// with
+// tables, and the tests of their gates that are not rows of the cost
+// ledger (ledger_test.go). Regenerate the tables with
 //
 //	go test -run '^$' -bench . -benchmem ./
 //
 // B6's worker sweep is the -cpu list: add -cpu 1,2,4,8 to that command.
 // A table row is a sub-benchmark and a column a reported metric. A gate
-// on a count is a test here, which go test ./ runs; a gate on wall clock
-// fails its benchmark, which -benchtime 1x runs once.
+// on a count is a row of the cost ledger or a test here, which go test ./
+// runs; a gate on wall clock fails its benchmark, which -benchtime 1x runs
+// once.
 package exotica_test
 
 import (
@@ -612,7 +613,8 @@ func runDurableFleet(tb testing.TB, e *engine.Engine, dir string, fleet int, gro
 // BenchmarkFleetGroupCommit is B9: fleets of 1, 8 and 32 instances on a
 // shared durable log, every append waiting out its own sync against group
 // commit, which syncs once per batch and grows its batches while a sync
-// is in flight. TestGroupCommitSyncsFivefoldFewer holds its gate.
+// is in flight. Its gate, at least 5x fewer syncs at fleet 32, is a row
+// of the cost ledger (ledger_test.go).
 func BenchmarkFleetGroupCommit(b *testing.B) {
 	for _, fleet := range []int{1, 8, 32} {
 		var perRecord float64 // records/s of the row before
@@ -642,23 +644,6 @@ func BenchmarkFleetGroupCommit(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// TestGroupCommitSyncsFivefoldFewer is B9's gate: at fleet 32, group
-// commit issues at least 5x fewer syncs than a sync per append. A count,
-// so it holds on a loaded box and under the race detector, where the
-// records/s speedup the benchmark reports does not.
-func TestGroupCommitSyncsFivefoldFewer(t *testing.T) {
-	e, dir := newChainEngine(t), t.TempDir()
-	per := runDurableFleet(t, e, dir, 32, false)
-	group := runDurableFleet(t, e, dir, 32, true)
-	t.Logf("fleet 32, %d records: %d syncs per append, %d with group commit", per.records, per.syncs, group.syncs)
-	if per.records != 32*chainRecs || group.records != per.records {
-		t.Fatalf("logged %d and %d records, want %d", per.records, group.records, 32*chainRecs)
-	}
-	if per.syncs < 5*group.syncs {
-		t.Fatalf("group commit issued %d syncs, per-append %d: want at least 5x fewer", group.syncs, per.syncs)
 	}
 }
 
@@ -697,7 +682,8 @@ func restart(tb testing.TB, dir string, n int, ckpt bool) *wal.History {
 
 // BenchmarkRestart is B10: restarting a crashed history of 8, 32 and 128
 // instances by full replay against from the newest checkpoint plus the
-// segment tail. TestRestartFromCheckpointReplaysTenfoldLess holds its gate.
+// segment tail. Its gate, at least 10x fewer records replayed at 128
+// instances, is a row of the cost ledger (ledger_test.go).
 func BenchmarkRestart(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		var full int // records the full replay of the row before read
@@ -721,21 +707,6 @@ func BenchmarkRestart(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// TestRestartFromCheckpointReplaysTenfoldLess is B10's gate: restart work
-// is bounded by the checkpoint period, not the history, so at 128
-// instances the checkpointed restart replays at least 10x fewer records
-// than full replay.
-func TestRestartFromCheckpointReplaysTenfoldLess(t *testing.T) {
-	const n = 128
-	fullDir, _ := crashedCorpus(t, n, false)
-	ckptDir, _ := crashedCorpus(t, n, true)
-	full, ckpt := restart(t, fullDir, n, false).Len(), restart(t, ckptDir, n, true).Len()
-	t.Logf("%d instances: full replay %d records, checkpointed %d", n, full, ckpt)
-	if full < 10*ckpt {
-		t.Fatalf("replay ratio %.1fx, want >= 10x (full %d, checkpointed %d)", float64(full)/float64(ckpt), full, ckpt)
 	}
 }
 
@@ -1038,7 +1009,7 @@ func BenchmarkWALDecode(b *testing.B) {
 
 // BenchmarkWALFileAppend is the end-to-end append hot path without
 // per-record fsync (the group-commit regime). B13's zero-alloc gate is
-// wal.TestFileAppendIdleBusZeroAlloc.
+// the cost ledger's wal-append-binary row (ledger_test.go).
 func BenchmarkWALFileAppend(b *testing.B) {
 	rec := benchRecord()
 	for _, f := range []wal.Format{wal.FormatText, wal.FormatBinary} {
@@ -1347,8 +1318,8 @@ func timeTravel(tb testing.TB, dir, id string, full bool) (*engine.InstanceSnaps
 
 // BenchmarkTimeTravel is B16: the time-travel query on a crashed
 // fleet-128 trail through the whole history against through the newest
-// checkpoint plus the segment tail.
-// TestTimeTravelFromCheckpointReadsTenfoldLess holds its gate.
+// checkpoint plus the segment tail. Its gate, at least 10x fewer records
+// read for the same answer, is a row of the cost ledger (ledger_test.go).
 func BenchmarkTimeTravel(b *testing.B) {
 	var full float64 // records the full-history query read
 	for _, ckpt := range []bool{false, true} {
@@ -1368,27 +1339,5 @@ func BenchmarkTimeTravel(b *testing.B) {
 				b.ReportMetric(full/float64(st.RecordsRead), "read-ratio-x")
 			}
 		})
-	}
-}
-
-// TestTimeTravelFromCheckpointReadsTenfoldLess is B16's gate: on a crashed
-// fleet-128 trail the bounded rung answers the query, reads at least 10x
-// fewer records than the full history, and gives the same answer.
-func TestTimeTravelFromCheckpointReadsTenfoldLess(t *testing.T) {
-	fullDir, fullID := crashedCorpus(t, 128, false)
-	ckptDir, ckptID := crashedCorpus(t, 128, true)
-	a, na, sa := timeTravel(t, fullDir, fullID, true)
-	c, nc, sc := timeTravel(t, ckptDir, ckptID, false)
-	t.Logf("full history (%s) read %d records, checkpoint+tail (%s) %d", sa.Rung, sa.RecordsRead, sc.Rung, sc.RecordsRead)
-	if sc.Rung == wal.SourceFullReplay {
-		t.Fatal("the checkpointed trail was answered by full replay")
-	}
-	if sa.RecordsRead < 10*sc.RecordsRead {
-		t.Errorf("read ratio %.1fx, want >= 10x", float64(sa.RecordsRead)/float64(sc.RecordsRead))
-	}
-	// The two runs' instance IDs differ; their navigation state must not.
-	if a.Status != c.Status || a.TrailLen != c.TrailLen || na != nc || len(a.Activities) != len(c.Activities) {
-		t.Errorf("rungs disagree: full %s/%d (%d boundaries), bounded %s/%d (%d)",
-			a.Status, a.TrailLen, na, c.Status, c.TrailLen, nc)
 	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,30 +18,6 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
-
-// goldenSpec is the travel saga of §4.1 and the Figure 3 flexible
-// transaction of §4.2, as FMTM compiles them.
-const goldenSpec = `
-SAGA 'travel'
-  STEP 'book_flight' COMPENSATION 'cancel_flight'
-  STEP 'book_hotel'  COMPENSATION 'cancel_hotel'
-  STEP 'book_car'    COMPENSATION 'cancel_car'
-END 'travel'
-
-FLEXIBLE 'fig3'
-  SUB 'F1' COMPENSATABLE COMPENSATION 'FC1'
-  SUB 'F2' PIVOT
-  SUB 'F3' RETRIABLE
-  SUB 'F4' PIVOT
-  SUB 'F5' COMPENSATABLE COMPENSATION 'FC5'
-  SUB 'F6' COMPENSATABLE COMPENSATION 'FC6'
-  SUB 'F7' RETRIABLE
-  SUB 'F8' PIVOT
-  PATH 'F1' 'F2' 'F4' 'F5' 'F6' 'F8'
-  PATH 'F1' 'F2' 'F4' 'F7'
-  PATH 'F1' 'F2' 'F3'
-END 'fig3'
-`
 
 // goldenCases fix the abort decisions of each run. The golden files were
 // captured on the commit before templates were compiled into plans, so
@@ -71,12 +48,14 @@ var goldenCases = []struct {
 }
 
 // atmEngine returns an engine with its own metrics registry on which FMTM
-// has compiled and installed goldenSpec; inj decides every subtransaction
-// and compensation.
+// has compiled and installed testdata/atm.spec — the travel saga of §4.1
+// and the Figure 3 flexible transaction of §4.2; inj decides every
+// subtransaction and compensation.
 func atmEngine(t testing.TB, inj *rm.Injector, opts ...engine.Option) *engine.Engine {
 	t.Helper()
-	res, err := fmtm.Pipeline(goldenSpec)
-	if err != nil {
+	spec, err := os.ReadFile("testdata/atm.spec")
+	res, perr := fmtm.Pipeline(string(spec))
+	if err := errors.Join(err, perr); err != nil {
 		t.Fatal(err)
 	}
 	e := engine.New(append([]engine.Option{engine.WithMetrics(obs.NewRegistry())}, opts...)...)

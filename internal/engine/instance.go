@@ -943,7 +943,9 @@ func (inst *Instance) setReady(as *actState) {
 		as.readyNs = obs.Now()
 	}
 	inst.event(as, trailRec{kind: EvReady})
-	if inst.planOf(as).act.Start == model.StartManual {
+	// A manual activity whose completion is logged replays as an automatic
+	// one does: the person is not asked again.
+	if inst.planOf(as).act.Start == model.StartManual && inst.replayHit(as) == nil {
 		inst.postWork(as)
 		return
 	}

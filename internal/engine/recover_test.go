@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -166,6 +167,22 @@ func TestRecoverySweep(t *testing.T) {
 			}
 			if rec.Output().MustGet("State_1").AsInt() != 0 {
 				t.Error("recovered output wrong")
+			}
+			// Recovery can itself be recovered: the resumed run logs the
+			// whole execution afresh, so a crash after any of its records
+			// recovers to the crash-free trail and output again.
+			for j := 1; ; j++ {
+				e3, _ := newRecoveryEngine(t)
+				relog := &wal.MemLog{CrashAfter: j}
+				_, crash := Recover(e3, log.Records(), relog)
+				if crash == nil {
+					break // the resumed run logged fewer than j records
+				}
+				e4, _ := newRecoveryEngine(t)
+				again, err := Recover(e4, relog.Records(), nil)
+				if !errors.Is(crash, wal.ErrCrash) || err != nil || !again.Finished() || !reflect.DeepEqual(trailStrings(again), want) || again.Output().MustGet("State_1").AsInt() != 0 {
+					t.Fatalf("recovery crashed after %d records (%v), then recovered: %v; want the crash-free run", j, crash, err)
+				}
 			}
 		})
 	}

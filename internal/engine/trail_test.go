@@ -3,7 +3,9 @@ package engine
 import (
 	"reflect"
 	"testing"
-	"unsafe"
+
+	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // TestTrailRecHoldsNoPointer pins the stored form of the audit trail as
@@ -43,19 +45,37 @@ func holdsNoPointer(t *testing.T, path string, typ reflect.Type) {
 	}
 }
 
-// TestTrailRecSize pins the trail record at 24 bytes: its stamp lives in
-// the instance's stamp runs, and a connector's target slot shares the
-// iteration field, which no connector event reads.
-func TestTrailRecSize(t *testing.T) {
-	if size := unsafe.Sizeof(trailRec{}); size > 24 {
-		t.Fatalf("trailRec is %d bytes, want <= 24", size)
+// TestProgramAdvancesClock: a program's run time shows on the trail — its
+// start is stamped before the program runs, its finish after it returns.
+func TestProgramAdvancesClock(t *testing.T) {
+	now := int64(100)
+	e := New(WithMetrics(obs.NewRegistry()), WithBus(obs.NewBus()), WithClock(func() int64 { return now }))
+	if err := e.RegisterProgram("slow", ProgramFunc(func(inv *Invocation) error {
+		now += 7
+		inv.Out.SetRC(0)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestActStateSize pins an activity's run-time state at 32 bytes (88 while
-// it held its plan, scope, path, output, work item and program time).
-func TestActStateSize(t *testing.T) {
-	if size := unsafe.Sizeof(actState{}); size > 32 {
-		t.Fatalf("actState is %d bytes, want <= 32", size)
+	p := model.NewProcess("Slow")
+	p.Activities = []*model.Activity{{Name: "S", Kind: model.KindProgram, Program: "slow"}}
+	if err := e.RegisterProcess(p); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.CreateInstance("Slow", nil, nil)
+	if err == nil {
+		err = inst.Start()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[EventKind]int64{}
+	for _, ev := range inst.Trail() {
+		if ev.Path == "S" {
+			at[ev.Kind] = ev.At
+		}
+	}
+	if at[EvStarted] != 100 || at[EvFinished] != 107 {
+		t.Fatalf("started at %d, finished at %d; want 100 and 107", at[EvStarted], at[EvFinished])
 	}
 }

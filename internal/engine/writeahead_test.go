@@ -39,67 +39,6 @@ func goldenScript(t *testing.T, name string) (process string, script func(*rm.In
 	return "", nil
 }
 
-// TestFlushCountPin is the per-layer evidence for the write-ahead barrier:
-// a lone instance on a real GroupCommitLog logs the record sequence it
-// always did, but waits for the disk once per navigation step — one flush
-// for each program execution plus the one that carries RecDone.
-func TestFlushCountPin(t *testing.T) {
-	cases := []struct {
-		golden           string
-		records, flushes int64
-	}{
-		{"travel-commit", 9, 4},       // created+started, finished+started x2, finished+block+done
-		{"travel-compensated", 16, 7}, // three steps, NOP and two compensations
-		{"fig3-commit", 16, 7},        // first path, six subtransactions
-	}
-	for _, tc := range cases {
-		t.Run(tc.golden, func(t *testing.T) {
-			process, script := goldenScript(t, tc.golden)
-			inj := rm.NewInjector()
-			script(inj)
-			e := atmEngine(t, inj)
-			walReg := obs.NewRegistry()
-			log, path := groupLogOn(t, walReg, 0)
-			inst, err := e.CreateInstance(process, nil, log)
-			if err == nil {
-				err = inst.Start()
-			}
-			if err != nil || !inst.Finished() {
-				t.Fatalf("%s did not finish: %v", process, err)
-			}
-			if err := log.Close(); err != nil {
-				t.Fatal(err)
-			}
-			recs, err := wal.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			programs := e.Metrics().Counter("engine.program.invocations").Value()
-			got := map[string]int64{
-				"records on disk":         int64(len(recs)),
-				"engine.wal.appends":      e.Metrics().Counter("engine.wal.appends").Value(),
-				"wal.group.records":       walReg.Counter("wal.group.records").Value(),
-				"wal.group.batches":       walReg.Counter("wal.group.batches").Value(),
-				"program executions + 1":  programs + 1,
-				"wal.fsync_ns count":      walReg.Histogram("wal.fsync_ns").SnapshotNow().Count,
-				"wal.group.batch_records": walReg.SizeHistogram("wal.group.batch_records").SnapshotNow().Count,
-			}
-			want := map[string]int64{
-				"records on disk":         tc.records,
-				"engine.wal.appends":      tc.records,
-				"wal.group.records":       tc.records,
-				"wal.group.batches":       tc.flushes,
-				"program executions + 1":  tc.flushes,
-				"wal.fsync_ns count":      tc.flushes,
-				"wal.group.batch_records": tc.flushes,
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("flush counts moved:\n got %v\nwant %v", got, want)
-			}
-		})
-	}
-}
-
 // recordKey identifies a WAL record within one instance.
 type recordKey struct {
 	Type wal.RecordType

@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 )
 
 // parityRecords is the shared cross-format test corpus: every record type
@@ -359,180 +356,6 @@ func TestLargeRecordStrictRead(t *testing.T) {
 	if len(strict) != 1 || len(tol) != 1 || dropped != 0 {
 		t.Fatalf("large record: strict %d tolerant %d dropped %d", len(strict), len(tol), dropped)
 	}
-}
-
-// TestFileAppendIdleBusZeroAlloc is the allocs/op regression gate from the
-// ISSUE: with an idle event bus and no per-append fsync, the binary
-// FileLog append path must not allocate (CI runs this test; B13 reports
-// the same number).
-func TestFileAppendIdleBusZeroAlloc(t *testing.T) {
-	if obs.DefaultBus.Active() {
-		t.Skip("event bus active; hot path intentionally allocates events")
-	}
-	path := filepath.Join(t.TempDir(), "wal.bin")
-	l, err := OpenFileLog(path, WithFormat(FormatBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rec := Record{Type: RecFinishedActivity, Instance: "inst-00042", Path: "Flight", Iter: 1,
-		Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0)})}
-	// Warm up so the encode scratch reaches steady-state capacity.
-	for i := 0; i < 64; i++ {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("idle-bus binary append allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// scanCorpus writes a binary log of n records: five instances of one
-// process, round-robin, each opened by a created record and continued by
-// finished activities on three paths whose output holds two integers.
-func scanCorpus(t *testing.T, n int) (path string, distinct int) {
-	t.Helper()
-	path = filepath.Join(t.TempDir(), "scan.wal")
-	l, err := OpenFileLog(path, WithFormat(FormatBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, writeScanCorpus(t, l, n)
-}
-
-// scanSegments writes the same corpus as scanCorpus into a segment
-// directory of segs binary segments.
-func scanSegments(t *testing.T, n, segs int) (dir string) {
-	t.Helper()
-	dir = t.TempDir()
-	l, err := OpenSegmentedLog(dir, SegmentFormat(FormatBinary), SegmentMaxRecords(n/segs+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeScanCorpus(t, l, n)
-	if got, err := ListSegments(dir); err != nil || len(got) != segs {
-		t.Fatalf("%d records in %d segments (err=%v), want %d", n, len(got), err, segs)
-	}
-	return dir
-}
-
-func writeScanCorpus(t *testing.T, l interface {
-	Log
-	Close() error
-}, n int) (distinct int) {
-	t.Helper()
-	paths := []string{"Flight", "Hotel", "Car"}
-	for i := 0; i < n; i++ {
-		rec := Record{Type: RecFinishedActivity, Instance: fmt.Sprintf("inst-%05d", i%5), Path: paths[i%len(paths)], Iter: i,
-			Values: ValuesOf(map[string]expr.Value{"RC": expr.Int(0), "N": expr.Int(int64(i))})}
-		if i < 5 {
-			rec = Record{Type: RecCreated, Instance: rec.Instance, Process: "Travel", Values: rec.Values}
-		}
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return 5 + 1 + len(paths) + 2
-}
-
-// poolDropSlack is what a walk may allocate beyond its count under the race
-// detector, whose sync.Pool drops a quarter of what it is handed: a new read
-// buffer and its pool box.
-func poolDropSlack() float64 {
-	if raceEnabled {
-		return 2
-	}
-	return 0
-}
-
-// TestScanAllocCeilings gates what reading a log allocates (CI runs it
-// beside the append gate). A walk that names an instance the log does not
-// hold validates every frame and materialises none: its allocations are
-// bookkeeping — the file's bytes go into a read buffer the walks share —
-// the same number for 100 records as for 500. A walk that keeps everything
-// adds, on top of that, its record slice — once, sized by hopping the
-// length prefixes — one string per distinct instance, process, path and
-// value key (interned for the walk; the slack is the intern table's own
-// growth), one Vals slice per record, and per distinct container type one
-// key vector (the Keys slice every record of the type shares and its entry
-// in the walk's table; the scratch the member names are collected in is
-// allocated once) — and nothing else per record. The same records split
-// over eight segments still make one record slice: the walk reads every
-// segment before it scans one, so objects grow only by what opening and
-// listing a file costs, and bytes by less than a tenth.
-func TestScanAllocCeilings(t *testing.T) {
-	const records = 500
-	small, _ := scanCorpus(t, records/5)
-	big, distinct := scanCorpus(t, records)
-	walk := func(l Ladder, want int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			h, err := l.Read()
-			if err != nil || len(h.Tail) != want || h.Len() == 0 {
-				t.Fatalf("walk of %s for %q: %d records err=%v, want %d", l.Path, l.Instance, len(h.Tail), err, want)
-			}
-		})
-	}
-	slack := poolDropSlack()
-	absent := walk(Ladder{Path: big, Instance: "nobody"}, 0)
-	if few := walk(Ladder{Path: small, Instance: "nobody"}, 0); math.Abs(few-absent) > slack || absent > 20 {
-		t.Fatalf("a filtered walk that keeps nothing allocates %.0f objects over %d records, %.0f over %d: want the same, and <= 20",
-			absent, records, few, records/5)
-	}
-	const (
-		internSlack    = 8
-		containerTypes = 1 // every record of the corpus carries {N, RC}
-		perKeyVector   = 2 // the Keys slice and the table entry's key
-		keyScratch     = 1
-	)
-	whole := walk(Ladder{Path: big}, records)
-	if ceiling := absent + slack + 1 + float64(distinct) + internSlack + records + containerTypes*perKeyVector + keyScratch; whole > ceiling {
-		t.Fatalf("an unfiltered walk of %d records allocates %.0f objects, ceiling %.0f (bookkeeping %.0f + 1 slice + %d strings + %d table growth + %d Vals slices + %d key vectors of %d + %d scratch)",
-			records, whole, ceiling, absent, distinct, internSlack, records, containerTypes, perKeyVector, keyScratch)
-	}
-	t.Logf("absent %.0f, whole %.0f over %d records", absent, whole, records)
-
-	// perFile bounds what one more segment costs a walk: its directory
-	// entry, name and parsed index, its path, opening, stating and closing
-	// it, and its share of the walk's per-segment tables.
-	const perFile = 16
-	one, eight := scanSegments(t, records, 1), scanSegments(t, records, 8)
-	dirWalk := func(dir string) (objects, bytes float64) {
-		l := Ladder{Path: dir, Full: true}
-		objects = walk(l, records)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		const runs = 20
-		for i := 0; i < runs; i++ {
-			if _, err := l.Read(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&m1)
-		return objects, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
-	}
-	oneObj, oneBytes := dirWalk(one)
-	eightObj, eightBytes := dirWalk(eight)
-	fileBytes := 0.0
-	if raceEnabled {
-		fi, err := os.Stat(big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fileBytes = float64(fi.Size()) // a dropped buffer is read again
-	}
-	if eightObj-oneObj > 7*perFile+slack || eightBytes > 1.10*oneBytes+fileBytes {
-		t.Fatalf("%d records in 8 segments: %.0f objects, %.0f bytes; in 1: %.0f objects, %.0f bytes — want at most %d objects more per extra file and 10%% more bytes",
-			records, eightObj, eightBytes, oneObj, oneBytes, perFile)
-	}
-	t.Logf("1 segment: %.0f objects %.0f bytes; 8 segments: %.0f objects %.0f bytes", oneObj, oneBytes, eightObj, eightBytes)
 }
 
 // TestWalkBufferReuse: what a walk returns shares nothing with the read
