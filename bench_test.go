@@ -101,15 +101,19 @@ func BenchmarkSagaNative(b *testing.B) {
 		for _, abort := range []bool{false, true} {
 			b.Run(fmt.Sprintf("n=%d/abort=%v", n, abort), func(b *testing.B) {
 				spec := sim.NStepSaga("s", n)
-				binding := fmtm.PureSagaBinding(spec)
-				dec := sagaDecider(n, abort)
-				ex := &saga.Executor{Decider: dec}
+				prep, err := saga.Prepare(spec, fmtm.PureSagaBinding(spec))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ex := &saga.Executor{Decider: sagaDecider(n, abort)}
+				subtxns := sagaSubtxns(b, n, abort)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ex.Execute(spec, binding, nil); err != nil {
+					if _, err := ex.Run(prep, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
+				reportPerSubtxn(b, subtxns)
 			})
 		}
 	}
@@ -128,6 +132,23 @@ func sagaDecider(n int, abort bool) rm.Decider {
 		}
 		return rm.Commit
 	})
+}
+
+// sagaSubtxns counts the subtransaction attempts of one run of the n-step
+// saga: the native executor's history, which the workflow's equals (E1).
+func sagaSubtxns(b *testing.B, n int, abort bool) int {
+	spec := sim.NStepSaga("s", n)
+	rec := &rm.Recorder{}
+	if _, err := (&saga.Executor{Decider: sagaDecider(n, abort)}).Execute(spec, fmtm.PureSagaBinding(spec), rec); err != nil {
+		b.Fatal(err)
+	}
+	return len(rec.Events())
+}
+
+// reportPerSubtxn reports the benchmark's time per subtransaction attempt,
+// so a native executor and its workflow encoding compare per unit of work.
+func reportPerSubtxn(b *testing.B, subtxns int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subtxns), "ns/subtxn")
 }
 
 type deciderFunc func(string) rm.Outcome
@@ -153,11 +174,13 @@ func BenchmarkSagaWorkflow(b *testing.B) {
 				if err := e.RegisterProcess(p); err != nil {
 					b.Fatal(err)
 				}
+				subtxns := sagaSubtxns(b, n, abort)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					runInstance(b, e, spec.Name, wal.Discard)
 				}
+				reportPerSubtxn(b, subtxns)
 			})
 		}
 	}
@@ -178,20 +201,37 @@ func flexDecider(abortSub string) rm.Decider {
 	})
 }
 
+// flexSubtxns counts the subtransaction attempts of one run of Figure 3
+// with abortSub aborting: the native executor's history, which the
+// workflow's equals (E2).
+func flexSubtxns(b *testing.B, abortSub string) int {
+	spec := sim.Fig3Flexible()
+	rec := &rm.Recorder{}
+	if _, err := (&flexible.Executor{Decider: flexDecider(abortSub)}).Execute(spec, fmtm.PureFlexibleBinding(spec), rec); err != nil {
+		b.Fatal(err)
+	}
+	return len(rec.Events())
+}
+
 func BenchmarkFlexibleNative(b *testing.B) {
 	for _, sc := range []struct{ name, abort string }{
 		{"p1", ""}, {"p2_via_T8", "T8"}, {"p3_via_T4", "T4"}, {"abort_via_T2", "T2"},
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			spec := sim.Fig3Flexible()
-			binding := fmtm.PureFlexibleBinding(spec)
+			prep, err := flexible.Prepare(spec, fmtm.PureFlexibleBinding(spec))
+			if err != nil {
+				b.Fatal(err)
+			}
 			ex := &flexible.Executor{Decider: flexDecider(sc.abort)}
+			subtxns := flexSubtxns(b, sc.abort)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ex.Execute(spec, binding, nil); err != nil {
+				if _, err := ex.Run(prep, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportPerSubtxn(b, subtxns)
 		})
 	}
 }
@@ -216,11 +256,13 @@ func BenchmarkFlexibleWorkflow(b *testing.B) {
 			if err := e.RegisterProcess(p); err != nil {
 				b.Fatal(err)
 			}
+			subtxns := flexSubtxns(b, sc.abort)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runInstance(b, e, spec.Name, wal.Discard)
 			}
+			reportPerSubtxn(b, subtxns)
 		})
 	}
 }

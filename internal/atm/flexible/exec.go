@@ -56,23 +56,60 @@ func (e *Executor) maxRetries() int {
 	return e.MaxRetries
 }
 
-// Execute runs the flexible transaction against the binding, appending the
-// observable history to rec.
-func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, error) {
+// Prepared is a flexible transaction whose path trie is built, checked
+// and bound once, ready to run any number of times: the native analogue of
+// registering a process with the engine.
+type Prepared struct {
+	trie  *Trie
+	nodes []boundNode // by Node.ID
+}
+
+// boundNode is what running a trie node needs of its subtransaction.
+type boundNode struct {
+	sub, comp rm.Subtransaction
+	retriable bool
+}
+
+// Prepare builds the spec's path trie (BuildTrie, which checks the
+// constraints) and binds every subtransaction and compensation.
+func Prepare(spec *Spec, b Binding) (*Prepared, error) {
 	trie, err := BuildTrie(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := spec.Bind(b); err != nil {
+		return nil, err
+	}
+	p := &Prepared{trie: trie, nodes: make([]boundNode, len(trie.Nodes()))}
+	for _, n := range trie.Nodes() {
+		if n.Parent == nil {
+			continue // the root enters by no subtransaction
+		}
+		sub := spec.Sub(n.Sub)
+		p.nodes[n.ID] = boundNode{sub: b[n.Sub], comp: b[sub.Compensation], retriable: sub.Retriable}
+	}
+	return p, nil
+}
+
+// Execute prepares the flexible transaction against the binding and runs
+// it (Run).
+func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, error) {
+	p, err := Prepare(spec, b)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := spec.Bind(b); err != nil {
-		return Result{}, err
-	}
+	return e.Run(p, rec)
+}
 
+// Run runs a prepared flexible transaction, appending the observable
+// history to rec.
+func (e *Executor) Run(p *Prepared, rec *rm.Recorder) (Result, error) {
 	res := Result{}
-	next := trie.Root.Children[0]
+	next := p.trie.Root.Children[0]
 	for next != nil {
 		n := next
-		sub := spec.Sub(n.Sub)
-		committed, err := e.execSub(b[n.Sub], sub.Retriable, rec)
+		bn := &p.nodes[n.ID]
+		committed, err := e.execSub(bn.sub, bn.retriable, rec)
 		if err != nil {
 			return Result{}, err
 		}
@@ -90,7 +127,7 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 		// globally).
 		alt, toComp := Fallback(n)
 		for _, c := range toComp {
-			if _, err := e.execSub(b[spec.Sub(c.Sub).Compensation], true, rec); err != nil {
+			if _, err := e.execSub(p.nodes[c.ID].comp, true, rec); err != nil {
 				return Result{}, err
 			}
 		}

@@ -3,6 +3,7 @@ package flexible
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -370,5 +371,45 @@ func TestCheckHistoryRejects(t *testing.T) {
 		ev("C6", c), ev("C5", a), ev("C5", c), ev("T7", a), ev("T7", c)}
 	if err := CheckHistory(Fig3(), ok); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPreparedRunsAsExecute prepares Figure 3 once and runs it under each
+// single abort, twice each: the results and histories are Execute's.
+// Prepare refuses what Execute refuses, with the same error.
+func TestPreparedRunsAsExecute(t *testing.T) {
+	spec := Fig3()
+	p, err := Prepare(spec, bindPure(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, abort := range []string{"", "T1", "T2", "T4", "T5", "T6", "T8"} {
+		decider := func() rm.Decider {
+			inj := rm.NewInjector()
+			if abort != "" {
+				inj.AbortAlways(abort)
+			}
+			return inj
+		}
+		wantRec := &rm.Recorder{}
+		want, err := (&Executor{Decider: decider()}).Execute(Fig3(), bindPure(Fig3()), wantRec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			rec := &rm.Recorder{}
+			got, err := (&Executor{Decider: decider()}).Run(p, rec)
+			if err != nil || !reflect.DeepEqual(got, want) || history(rec) != history(wantRec) {
+				t.Errorf("abort %q, run %d: %+v %v %s; Execute %+v %s",
+					abort, run, got, err, history(rec), want, history(wantRec))
+			}
+		}
+	}
+
+	missing := bindPure(spec)
+	delete(missing, "C5")
+	_, execErr := (&Executor{}).Execute(spec, missing, nil)
+	if _, err := Prepare(spec, missing); err == nil || execErr == nil || err.Error() != execErr.Error() {
+		t.Errorf("Prepare %v, Execute %v", err, execErr)
 	}
 }

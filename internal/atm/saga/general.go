@@ -116,8 +116,11 @@ func (e *Executor) ExecuteGeneral(spec *GeneralSpec, b Binding, rec *rm.Recorder
 			return GeneralResult{}, err
 		}
 		if !ok {
-			if err := e.compensate(spec.Name, done, b, rec); err != nil {
-				return GeneralResult{}, err
+			for i := len(done) - 1; i >= 0; i-- {
+				comp := done[i].Compensation
+				if err := e.compensateOne(spec.Name, comp, b[comp], rec); err != nil {
+					return GeneralResult{}, err
+				}
 			}
 			return GeneralResult{Committed: false, Aborted: []string{next.Name}}, nil
 		}

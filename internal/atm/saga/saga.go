@@ -56,6 +56,35 @@ type Result struct {
 	AbortedAt int
 }
 
+// Prepared is a saga validated and bound once, ready to run any number of
+// times: the native analogue of registering a process with the engine.
+type Prepared struct {
+	name  string
+	steps []Step              // a copy of the spec's steps
+	fwd   []rm.Subtransaction // the bound steps, by index
+	comps []rm.Subtransaction // their bound compensations
+}
+
+// Prepare validates the saga and binds every step and compensation.
+func Prepare(spec *Spec, b Binding) (*Prepared, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Bind(b); err != nil {
+		return nil, err
+	}
+	p := &Prepared{
+		name:  spec.Name,
+		steps: append([]Step(nil), spec.Steps...),
+		fwd:   make([]rm.Subtransaction, len(spec.Steps)),
+		comps: make([]rm.Subtransaction, len(spec.Steps)),
+	}
+	for i, st := range spec.Steps {
+		p.fwd[i], p.comps[i] = b[st.Name], b[st.Compensation]
+	}
+	return p, nil
+}
+
 // Executor runs sagas natively — the baseline the paper's workflow
 // implementation (Figure 2) is measured against. Compensations are treated
 // as retriable: an aborted compensation is retried until it commits, with a
@@ -66,24 +95,27 @@ type Executor struct {
 	MaxCompensationRetries int
 }
 
-// Execute runs the saga against the binding, appending the observable
-// history to rec: forward steps in order; on the first abort, the
-// compensations of all committed steps in reverse order.
+// Execute prepares the saga against the binding and runs it (Run).
 func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := Prepare(spec, b)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := spec.Bind(b); err != nil {
-		return Result{}, err
-	}
-	for i, st := range spec.Steps {
-		ok, err := rm.Exec(b[st.Name], e.Decider, rec)
+	return e.Run(p, rec)
+}
+
+// Run runs a prepared saga, appending the observable history to rec:
+// forward steps in order; on the first abort, the compensations of all
+// committed steps in reverse order.
+func (e *Executor) Run(p *Prepared, rec *rm.Recorder) (Result, error) {
+	for i, st := range p.fwd {
+		ok, err := rm.Exec(st, e.Decider, rec)
 		if err != nil {
 			return Result{}, err
 		}
 		if !ok {
 			// Step i+1 aborted: compensate T_i..T_1.
-			if err := e.compensate(spec.Name, spec.Steps[:i], b, rec); err != nil {
+			if err := e.compensate(p, i, rec); err != nil {
 				return Result{}, err
 			}
 			return Result{Committed: false, AbortedAt: i + 1}, nil
@@ -96,37 +128,42 @@ func (e *Executor) Execute(spec *Spec, b Binding, rec *rm.Recorder) (Result, err
 // require to compensate an already completed saga", in which case all
 // steps are compensated.
 func (e *Executor) Compensate(spec *Spec, b Binding, rec *rm.Recorder) error {
-	if err := spec.Validate(); err != nil {
+	p, err := Prepare(spec, b)
+	if err != nil {
 		return err
 	}
-	if err := spec.Bind(b); err != nil {
-		return err
-	}
-	return e.compensate(spec.Name, spec.Steps, b, rec)
+	return e.compensate(p, len(p.steps), rec)
 }
 
-// compensate runs the compensations of the committed steps, last first,
-// each retried until it commits.
-func (e *Executor) compensate(name string, committed []Step, b Binding, rec *rm.Recorder) error {
+// compensate runs the compensations of the first committed steps, last
+// first.
+func (e *Executor) compensate(p *Prepared, committed int, rec *rm.Recorder) error {
+	for i := committed - 1; i >= 0; i-- {
+		if err := e.compensateOne(p.name, p.steps[i].Compensation, p.comps[i], rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compensateOne runs the compensation comp of the named saga, bound to sub,
+// until it commits.
+func (e *Executor) compensateOne(name, comp string, sub rm.Subtransaction, rec *rm.Recorder) error {
 	maxRetries := e.MaxCompensationRetries
 	if maxRetries <= 0 {
 		maxRetries = 1000
 	}
-	for i := len(committed) - 1; i >= 0; i-- {
-		comp := committed[i].Compensation
-		for attempt := 0; ; attempt++ {
-			ok, err := rm.Exec(b[comp], e.Decider, rec)
-			if err != nil {
-				return err
-			}
-			if ok {
-				break
-			}
-			if attempt >= maxRetries {
-				return fmt.Errorf("saga %s: compensation %q did not commit after %d attempts",
-					name, comp, attempt+1)
-			}
+	for attempt := 0; ; attempt++ {
+		ok, err := rm.Exec(sub, e.Decider, rec)
+		if err != nil {
+			return err
+		}
+		if ok {
+			return nil
+		}
+		if attempt >= maxRetries {
+			return fmt.Errorf("saga %s: compensation %q did not commit after %d attempts",
+				name, comp, attempt+1)
 		}
 	}
-	return nil
 }

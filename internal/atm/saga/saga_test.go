@@ -242,3 +242,48 @@ func TestCheckGuaranteeRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedRunsAsExecute prepares the travel saga once and runs it under
+// every abort position, twice each: the results and histories are
+// Execute's, and a later edit of the spec or the binding does not reach the
+// prepared saga. Prepare refuses what Execute refuses, with the same error.
+func TestPreparedRunsAsExecute(t *testing.T) {
+	spec := travelSpec()
+	b := bindPure(spec)
+	p, err := Prepare(spec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Steps[0].Compensation = "C9"
+	b["T2"] = rm.Subtransaction{Name: "X"}
+	for abortAt := 0; abortAt <= 3; abortAt++ {
+		decider := func() rm.Decider {
+			inj := rm.NewInjector()
+			if abortAt > 0 {
+				inj.AbortAlways(fmt.Sprintf("T%d", abortAt))
+			}
+			return inj
+		}
+		wantRec := &rm.Recorder{}
+		want, err := (&Executor{Decider: decider()}).Execute(travelSpec(), bindPure(travelSpec()), wantRec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			rec := &rm.Recorder{}
+			got, err := (&Executor{Decider: decider()}).Run(p, rec)
+			if err != nil || got != want || historyString(rec) != historyString(wantRec) {
+				t.Errorf("abort at %d, run %d: %+v %v %s; Execute %+v %s",
+					abortAt, run, got, err, historyString(rec), want, historyString(wantRec))
+			}
+		}
+	}
+
+	unbound := travelSpec()
+	missing := bindPure(unbound)
+	delete(missing, "C2")
+	_, execErr := (&Executor{}).Execute(unbound, missing, nil)
+	if _, err := Prepare(unbound, missing); err == nil || execErr == nil || err.Error() != execErr.Error() {
+		t.Errorf("Prepare %v, Execute %v", err, execErr)
+	}
+}

@@ -17,6 +17,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,12 +120,13 @@ func WithOrganization(dir *org.Directory) Option {
 	}
 }
 
-// WithClock replaces the engine clock (seconds; the default is wall-clock
-// time), which stamps the audit trail (Event.At) and work items' ReadyAt.
-// An instance reads it on entry to Start, SelectWork, ForceFinish and
-// Cancel, once per navigation step, and once per program completion —
-// run inline, replayed from the log, or folded in from the worker pool —
-// and every event and work item until the next read shares that stamp.
+// WithClock replaces the engine clock (seconds; the default is the wall
+// time at process start plus the monotonic time since), which stamps the
+// audit trail (Event.At) and work items' ReadyAt. An instance reads it on
+// entry to Start, SelectWork, ForceFinish and Cancel, once per navigation
+// step, and once per program completion — run inline, replayed from the
+// log, or folded in from the worker pool — and every event and work item
+// until the next read shares that stamp.
 func WithClock(clock func() int64) Option {
 	return func(e *Engine) { e.clock = clock }
 }
@@ -187,7 +189,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		programs:  map[string]Program{NOPName: NOP},
 		processes: make(map[string]*template),
-		clock:     func() int64 { return time.Now().Unix() },
+		clock:     wallSeconds,
 		sleep:     time.Sleep,
 	}
 	for _, o := range opts {
@@ -201,6 +203,11 @@ func New(opts ...Option) *Engine {
 	}
 	return e
 }
+
+// wallSeconds is the default engine clock: Unix seconds from one
+// monotonic read (obs.Now) added to the wall time at obs's epoch, so a
+// wall-clock step after process start does not move the stamps.
+func wallSeconds() int64 { return obs.UnixNano(obs.Now()) / int64(time.Second) }
 
 // Metrics returns the registry this engine records into.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }
@@ -251,7 +258,7 @@ func (e *Engine) RegisterProcess(p *model.Process) error {
 	if err := p.Validate(known); err != nil {
 		return err
 	}
-	pl, err := e.compile(&p.Graph, p.Types, p.Name)
+	pl, err := e.compile(&p.Graph, &defaults{types: p.Types, byName: map[string]*model.Container{}}, p.Name, "")
 	if err != nil {
 		return err
 	}
@@ -294,7 +301,8 @@ func (e *Engine) CreateInstance(process string, input map[string]expr.Value, log
 // the ID before creation — a Fleet hashes the ID to pick the shard and
 // must create the instance against that shard's log (ShardFor).
 func (e *Engine) NewInstanceID() string {
-	return fmt.Sprintf("inst-%d", e.nextID.Add(1))
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], "inst-"...), e.nextID.Add(1), 10))
 }
 
 // CreateInstanceID is CreateInstance with a caller-supplied instance ID,

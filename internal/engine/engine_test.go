@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/model"
@@ -74,6 +75,24 @@ func runToEnd(t *testing.T, e *Engine, procName string, input map[string]expr.Va
 		t.Fatalf("Start: %v", err)
 	}
 	return inst
+}
+
+// TestDefaultClockStampsWallSeconds checks the default engine clock, one
+// monotonic read added to the wall time at process start: every stamp of
+// a run lies within a second of time.Now().Unix() around it.
+func TestDefaultClockStampsWallSeconds(t *testing.T) {
+	e := newTestEngine(t)
+	if err := e.RegisterProcess(chainProcess("Chain")); err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now().Unix()
+	inst := runToEnd(t, e, "Chain", nil)
+	after := time.Now().Unix()
+	for _, ev := range inst.Trail() {
+		if ev.At < before-1 || ev.At > after+1 {
+			t.Fatalf("%v stamped %d, wall clock read %d..%d", ev.Kind, ev.At, before, after)
+		}
+	}
 }
 
 func programsInOrder(inst *Instance) []string {
@@ -401,6 +420,63 @@ func TestSubprocess(t *testing.T) {
 	}
 }
 
+// TestSubprocessSkipsMismatchedKinds pins the engine's side of
+// model.Container.CopyCommon: a member the caller and the subprocess both
+// have but with kinds that do not assign keeps its default across the
+// bridge, in both directions, while every other member is copied and the
+// instance finishes.
+func TestSubprocessSkipsMismatchedKinds(t *testing.T) {
+	e := newTestEngine(t)
+	var seen *model.Container
+	if err := e.RegisterProgram("peek", ProgramFunc(func(inv *Invocation) error {
+		seen = inv.In.Clone()
+		inv.Out.MustSet("x", expr.Int(inv.In.MustGet("x").AsInt()+1))
+		inv.Out.MustSet("y", expr.String_("child"))
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	child := model.NewProcess("Child")
+	child.Types.Register(&model.StructType{Name: "IO", Members: []model.Member{
+		{Name: "x", Basic: model.Long}, {Name: "y", Basic: model.String},
+	}})
+	child.InputType, child.OutputType = "IO", "IO"
+	child.Activities = []*model.Activity{{Name: "w", Kind: model.KindProgram, Program: "peek", InputType: "IO", OutputType: "IO"}}
+	child.Data = []*model.DataConnector{
+		{From: model.ScopeRef, To: "w", Maps: []model.DataMap{{FromPath: "x", ToPath: "x"}, {FromPath: "y", ToPath: "y"}}},
+		{From: "w", To: model.ScopeRef, Maps: []model.DataMap{{FromPath: "x", ToPath: "x"}, {FromPath: "y", ToPath: "y"}}},
+	}
+	if err := e.RegisterProcess(child); err != nil {
+		t.Fatal(err)
+	}
+	parent := model.NewProcess("Parent")
+	parent.Types.Register(&model.StructType{Name: "IO", Members: []model.Member{
+		{Name: "x", Basic: model.Long}, {Name: "y", Basic: model.Long, Default: expr.Int(9)},
+	}})
+	parent.InputType, parent.OutputType = "IO", "IO"
+	parent.Activities = []*model.Activity{{
+		Name: "S", Kind: model.KindProcess, Subprocess: "Child", InputType: "IO", OutputType: "IO",
+	}}
+	parent.Data = []*model.DataConnector{
+		{From: model.ScopeRef, To: "S", Maps: []model.DataMap{{FromPath: "x", ToPath: "x"}, {FromPath: "y", ToPath: "y"}}},
+		{From: "S", To: model.ScopeRef, Maps: []model.DataMap{{FromPath: "x", ToPath: "x"}, {FromPath: "y", ToPath: "y"}}},
+	}
+	if err := e.RegisterProcess(parent); err != nil {
+		t.Fatal(err)
+	}
+	inst := runToEnd(t, e, "Parent", map[string]expr.Value{"x": expr.Int(41), "y": expr.Int(5)})
+	if !inst.Finished() {
+		t.Fatalf("not finished: %v", inst.Err())
+	}
+	if x, y := seen.MustGet("x").AsInt(), seen.MustGet("y").AsString(); x != 41 || y != "" {
+		t.Errorf("subprocess input x=%d y=%q, want 41 and the default \"\"", x, y)
+	}
+	out := inst.Output()
+	if x, y := out.MustGet("x").AsInt(), out.MustGet("y").AsInt(); x != 42 || y != 9 {
+		t.Errorf("output x=%d y=%d, want 42 and the default 9", x, y)
+	}
+}
+
 func TestDataFlowActToAct(t *testing.T) {
 	e := newTestEngine(t)
 	p := model.NewProcess("Flow")
@@ -650,5 +726,29 @@ func TestInstanceAccessors(t *testing.T) {
 	}
 	if e.Directory() != nil {
 		t.Fatal("no directory expected")
+	}
+}
+
+// TestConditionOnMissingMemberFails pins the error of a transition or exit
+// condition that references a member its container lacks: registration
+// refuses it, by name, before any condition is bound to slots (the bound
+// evaluation's own error for such a reference is TestBoundConditionMatchesUnbound's).
+func TestConditionOnMissingMemberFails(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(p *model.Process)
+	}{
+		{"transition", `model: process "Cond" invalid: process connector "A" -> "B" transition condition: model: structure "Default" has no member "missing"`,
+			func(p *model.Process) { p.Control[0].Condition = expr.MustParse("RC = 0 AND missing = 1") }},
+		{"exit", `model: process "Cond" invalid: process activity "C" exit condition: model: structure "Default" has no member "missing"`,
+			func(p *model.Process) { p.Activities[2].Exit = expr.MustParse("missing.deep = 1") }},
+	} {
+		e := newTestEngine(t)
+		p := chainProcess("Cond")
+		tc.edit(p)
+		err := e.RegisterProcess(p)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: %v, want %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -401,3 +401,61 @@ func manualEngine(t *testing.T) *engine.Engine {
 	}
 	return e
 }
+
+// TestRecoverCanceledInstance cancels the approval right after Start, so
+// its log holds created and done only, and recovers every prefix of that
+// log on a fresh engine. The full log gives the live instance's status,
+// with no work posted and no program run, and its recovered log recovers
+// the same way again; the prefix without done is an instance waiting on
+// approve.
+func TestRecoverCanceledInstance(t *testing.T) {
+	e := manualEngine(t)
+	log := &wal.MemLog{}
+	inst, err := e.CreateInstance("Approval", nil, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	records := log.Records()
+	if len(records) != 2 || records[0].Type != wal.RecCreated || records[1].Type != wal.RecDone {
+		t.Fatalf("canceled log = %v", records)
+	}
+	liveStatus, liveCause := inst.StatusInfo()
+	recoverFrom := func(records []wal.Record) (*engine.Instance, *engine.Engine, *wal.MemLog) {
+		t.Helper()
+		re, relog := manualEngine(t), &wal.MemLog{}
+		rec, err := engine.Recover(re, records, relog)
+		if err != nil {
+			t.Fatalf("recover %d records: %v", len(records), err)
+		}
+		return rec, re, relog
+	}
+	for k := 1; k <= len(records); k++ {
+		rec, re, relog := recoverFrom(records[:k])
+		status, cause := rec.StatusInfo()
+		programs := re.Metrics().Counter("engine.program.invocations").Value()
+		posted := len(re.Worklists().List("alice"))
+		if programs != 0 {
+			t.Errorf("prefix %d: %d program calls, want 0", k, programs)
+		}
+		if k < len(records) {
+			if status != "running" || rec.PendingWork() != 1 || posted != 1 {
+				t.Errorf("prefix %d: %s, %d pending, %d posted; want running with approve posted", k, status, rec.PendingWork(), posted)
+			}
+			continue
+		}
+		if status != liveStatus || cause != liveCause || rec.PendingWork() != 0 || posted != 0 {
+			t.Errorf("full log: %s %q, %d pending, %d posted; want %s %q with nothing posted",
+				status, cause, rec.PendingWork(), posted, liveStatus, liveCause)
+		}
+		again, _, _ := recoverFrom(relog.Records())
+		if s, _ := again.StatusInfo(); s != liveStatus || again.PendingWork() != 0 {
+			t.Errorf("recovering the recovered log: %s, %d pending", s, again.PendingWork())
+		}
+	}
+}

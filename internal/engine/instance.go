@@ -71,6 +71,13 @@ type scope struct {
 	index     int32     // position in Instance.scopes
 	remaining int32
 	pathLen   int32
+	// zero marks the root and a block's scope that every owner above it
+	// opened in its iteration 0 within the same process: the scopes such a
+	// scope's blocks and subprocess calls open in their iteration 0 take
+	// the joined paths their owner's plan holds (actPlan.joined), shared by
+	// every instance. A subprocess's scope is not zero, as the plans of its
+	// blocks were joined below the subprocess's own root.
+	zero bool
 }
 
 // path returns the scope's path, "" for the root.
@@ -89,7 +96,8 @@ func (sc *scope) actPath(slot int32) string {
 
 // joinPaths builds a nested scope's joined paths. The scope's path is the
 // path of the activity that opens it and that activity's iteration,
-// "Forward#0".
+// "Forward#0". A scope opened in iteration 0 below a zero scope takes its
+// owner plan's copy (actPlan.joined) instead.
 func joinPaths(p *plan, owner string, iter int32) (joined string, pathLen int32) {
 	var digits [11]byte
 	it := strconv.AppendInt(digits[:0], int64(iter), 10)
@@ -167,7 +175,7 @@ type Instance struct {
 	queue []*actState
 	// trail is the audit trail. While a navigating call runs it lives in a
 	// buffer borrowed from trailPool (trailBuf), and when the call returns
-	// it is copied to a slice of its exact length (settleTrail).
+	// it is copied to a slice of its exact length (settle).
 	trail    []trailRec
 	trailBuf *[]trailRec
 	failures []Event // the EvFailed events of the trail, whole (see trailRec)
@@ -187,7 +195,8 @@ type Instance struct {
 	work map[actKey]int64
 
 	// logq holds the records navigation has produced since the last
-	// commitLog barrier, borrowed from logqPool while it is non-empty.
+	// commitLog barrier, in a buffer borrowed from logqPool from the first
+	// record of a navigating call until the call returns (settle).
 	logq *[]wal.Record
 
 	// completions and pool carry concurrent mode (see inflight).
@@ -231,6 +240,11 @@ type Instance struct {
 	// logFailed latches a failed commitLog barrier, after which nothing is
 	// logged.
 	logFailed bool
+
+	// replayDone is set while the log being recovered ends in RecDone: a
+	// manual activity with no logged completion is then not posted, since
+	// the instance was canceled before anyone finished it (Recover).
+	replayDone bool
 }
 
 func newInstance(e *Engine, id string, tpl *template, input *model.Container, log wal.Log) *Instance {
@@ -255,7 +269,13 @@ func (inst *Instance) newScope(p *plan, input *model.Container, owner *actState)
 	if p.kept > 0 {
 		sc.outputs = make([]*model.Container, p.kept)
 	}
-	if owner != nil {
+	switch {
+	case owner == nil:
+		sc.zero = true
+	case owner.iter == 0 && inst.scopeOf(owner).zero:
+		ap := inst.planOf(owner)
+		sc.joined, sc.pathLen, sc.zero = ap.joined, ap.pathLen, ap.block != nil
+	default:
 		sc.joined, sc.pathLen = joinPaths(p, inst.path(owner), owner.iter)
 	}
 	for i := range sc.acts {
@@ -543,7 +563,7 @@ func (inst *Instance) Cancel() error {
 	}
 	inst.tick()
 	inst.event(nil, trailRec{kind: EvCanceled})
-	defer inst.settleTrail()
+	defer inst.settle()
 	inst.eng.metrics.instCanceled.Inc()
 	inst.dropQueue()
 	for _, sc := range inst.scopes {
@@ -619,7 +639,8 @@ func (inst *Instance) addPending(d int32) {
 }
 
 // logqPool lends an instance the buffer that queues a navigation step's
-// records, so an instance holds none between steps or once it has ended.
+// records for one navigating call, so an instance holds none between calls
+// or once it has ended.
 // A step of the reference models queues at most 3 records (finished +
 // block-finished + done); 8 leaves room for deeper nesting.
 var logqPool = sync.Pool{New: func() any {
@@ -628,7 +649,7 @@ var logqPool = sync.Pool{New: func() any {
 }}
 
 // trailPool lends an instance the buffer its trail grows in while a
-// navigating call runs; settleTrail gives it back and keeps a copy of the
+// navigating call runs; settle gives it back and keeps a copy of the
 // trail's exact length. A travel saga records about 26 events, a Figure 3
 // instance about 47.
 var trailPool = sync.Pool{New: func() any {
@@ -636,11 +657,16 @@ var trailPool = sync.Pool{New: func() any {
 	return &t
 }}
 
-// settleTrail ends a navigating call's use of the borrowed trail buffer:
-// the trail becomes a copy of its exact length and the buffer goes back to
+// settle ends a navigating call's use of its borrowed buffers, after its
+// last commitLog barrier: the record queue goes back to logqPool, and the
+// trail becomes a copy of its exact length while its buffer goes back to
 // trailPool. Whatever the instance does next — finish, wait on a
-// worklist, stay failed or crashed — it holds no spare trail capacity.
-func (inst *Instance) settleTrail() {
+// worklist, stay failed or crashed — it holds no spare capacity.
+func (inst *Instance) settle() {
+	if q := inst.logq; q != nil {
+		inst.logq = nil
+		logqPool.Put(q)
+	}
 	buf := inst.trailBuf
 	if buf == nil {
 		return
@@ -673,10 +699,9 @@ func (inst *Instance) appendLog(rec wal.Record) {
 // instance's record sequence.
 func (inst *Instance) commitLog() {
 	q := inst.logq
-	if q == nil {
+	if q == nil || len(*q) == 0 {
 		return
 	}
-	inst.logq = nil
 	if err := wal.AppendAll(inst.log, *q); err != nil {
 		inst.logFailed = true
 		inst.fail(err)
@@ -685,7 +710,6 @@ func (inst *Instance) commitLog() {
 	}
 	clear(*q)
 	*q = (*q)[:0]
-	logqPool.Put(q)
 }
 
 // trailRec is the stored form of an audit-trail event: which activity
@@ -897,7 +921,7 @@ func (inst *Instance) pump() {
 		}
 		if inst.inflight == 0 {
 			inst.commitLog()
-			inst.settleTrail()
+			inst.settle()
 			return
 		}
 		// Queue drained (or the instance failed) with programs in flight:
@@ -944,9 +968,13 @@ func (inst *Instance) setReady(as *actState) {
 	}
 	inst.event(as, trailRec{kind: EvReady})
 	// A manual activity whose completion is logged replays as an automatic
-	// one does: the person is not asked again.
+	// one does: the person is not asked again. One whose completion is not
+	// logged while the log ends in RecDone stays ready until recovery
+	// cancels the instance again.
 	if inst.planOf(as).act.Start == model.StartManual && inst.replayHit(as) == nil {
-		inst.postWork(as)
+		if !inst.replayDone {
+			inst.postWork(as)
+		}
 		return
 	}
 	inst.enqueue(as)
@@ -1015,7 +1043,7 @@ func (inst *Instance) runActivity(as *actState) {
 		}
 		sub := ap.sub.plan
 		subIn := sub.input.Clone()
-		copyCommon(subIn, in)
+		_ = subIn.CopyCommon(in) // members whose kinds do not assign keep their defaults
 		subIn.Freeze()
 		inst.startScope(inst.newScope(sub, subIn, as))
 	default:
@@ -1089,7 +1117,7 @@ func (inst *Instance) executeAttempts(ap *actPlan, path string, iter int32, in *
 	br := inst.eng.breakerFor(act.Program)
 	var lastErr error
 	attempts := 0
-	start := time.Now()
+	start := obs.Now()
 	for attempt := 1; attempt <= budget; attempt++ {
 		out := ap.out.Clone()
 		attempts = attempt
@@ -1130,7 +1158,7 @@ func (inst *Instance) executeAttempts(ap *actPlan, path string, iter int32, in *
 				} else {
 					m.aborted.Inc()
 				}
-				ns := time.Since(start).Nanoseconds()
+				ns := obs.Now() - start
 				m.programNs.Observe(ns)
 				return out, ns, nil
 			} else {
@@ -1178,7 +1206,7 @@ func (inst *Instance) executeAttempts(ap *actPlan, path string, iter int32, in *
 	}
 	m.invocations.Inc()
 	m.progFailed.Inc()
-	ns := time.Since(start).Nanoseconds()
+	ns := obs.Now() - start
 	m.programNs.Observe(ns)
 	return nil, ns, &ActivityFailure{
 		Path: path, Program: act.Program, Iter: int(iter),
@@ -1223,18 +1251,6 @@ func runIsolated(prog Program, inv *Invocation) (err error) {
 	return prog.Run(inv)
 }
 
-// copyCommon copies members present in both containers with compatible
-// kinds; the bridge between a process activity's containers and the
-// subprocess's own type registry.
-func copyCommon(dst, src *model.Container) {
-	paths, _ := src.Vector()
-	for _, path := range paths {
-		if _, ok := dst.Get(path); ok {
-			_ = dst.CopyFrom(src, path, path) // incompatible kinds are skipped by design
-		}
-	}
-}
-
 // buildInput materializes an activity's input container by pulling the
 // data connectors that target it: scope input and the stored outputs of
 // terminated source activities. Connectors from activities that never ran
@@ -1254,8 +1270,8 @@ func (inst *Instance) buildInput(sc *scope, ap *actPlan) *model.Container {
 		if in == ap.in {
 			in = in.Clone()
 		}
-		for _, m := range d.maps {
-			if err := in.CopyFrom(src, m.FromPath, m.ToPath); err != nil {
+		for i := range d.maps {
+			if err := d.maps[i].copy(in, src); err != nil {
 				inst.fail(err)
 				return nil
 			}
@@ -1278,7 +1294,7 @@ func (inst *Instance) finishActivity(as *actState, out *model.Container, progNs 
 	inst.progNs = progNs
 	inst.event(as, trailRec{kind: EvFinished, rc: out.RC(), flag: as.forced})
 
-	if exit := inst.planOf(as).act.Exit; exit != nil {
+	if exit := inst.planOf(as).exit; exit != nil {
 		ok, err := expr.EvalBool(exit, out)
 		if err != nil {
 			inst.fail(err)
@@ -1352,15 +1368,13 @@ func (inst *Instance) terminateActivity(as *actState, out *model.Container, dead
 // container along data connectors targeting the scope sink. The first
 // write replaces the plan's frozen default with a copy of the scope's own.
 func (inst *Instance) applyScopeOutput(sc *scope, ap *actPlan, out *model.Container) {
-	for _, d := range ap.dataOut {
-		if sc.output.Frozen() {
-			sc.output = sc.output.Clone()
-		}
-		for _, m := range d.Maps {
-			if err := sc.output.CopyFrom(out, m.FromPath, m.ToPath); err != nil {
-				inst.fail(err)
-				return
-			}
+	if len(ap.dataOut) > 0 && sc.output.Frozen() {
+		sc.output = sc.output.Clone()
+	}
+	for i := range ap.dataOut {
+		if err := ap.dataOut[i].copy(sc.output, out); err != nil {
+			inst.fail(err)
+			return
 		}
 	}
 }
@@ -1411,7 +1425,7 @@ func (inst *Instance) scopeDone(sc *scope) {
 	if ap := inst.planOf(owner); ap.act.Kind == model.KindProcess {
 		// Bridge the subprocess output back into the owner's container.
 		out := ap.out.Clone()
-		copyCommon(out, sc.output)
+		_ = out.CopyCommon(sc.output) // members whose kinds do not assign keep their defaults
 		inst.finishActivity(owner, out, 0)
 		return
 	}
@@ -1427,7 +1441,7 @@ func (inst *Instance) scopeDone(sc *scope) {
 // navigation state refuse a finished instance before they do.
 func (inst *Instance) release() {
 	inst.dropQueue()
-	inst.replay, inst.work = nil, nil
+	inst.replay, inst.work, inst.replayDone = nil, nil, false
 	for _, sc := range inst.scopes {
 		sc.input, sc.outputs = nil, nil
 		if sc != inst.root {

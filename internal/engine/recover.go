@@ -48,6 +48,7 @@ type recovery struct {
 	replay  map[replayKey]*wal.Record
 	n       int   // the instance's records, replayed or not
 	err     error // the instance's first record is not its RecCreated
+	done    bool  // the log holds the instance's RecDone
 }
 
 func newRecovery(first *wal.Record, hint int) recovery {
@@ -61,12 +62,18 @@ func newRecovery(first *wal.Record, hint int) recovery {
 // add indexes the instance's next record.
 func (r *recovery) add(rec *wal.Record) {
 	r.n++
-	if rec.Type == wal.RecFinishedActivity {
+	switch rec.Type {
+	case wal.RecFinishedActivity:
 		r.replay[replayKey{rec.Path, rec.Iter}] = rec
+	case wal.RecDone:
+		r.done = true
 	}
 }
 
-// resume re-navigates the instance over its replay index.
+// resume re-navigates the instance over its replay index. A logged RecDone
+// that re-navigation does not reach was written by Cancel: the instance
+// stopped where its log ends, so it is canceled there again, and the
+// manual activities ready at that point are not offered to anyone.
 func (r *recovery) resume(e *Engine, newLog wal.Log) (*Instance, error) {
 	tpl, ok := e.template(r.created.Process)
 	if !ok {
@@ -83,9 +90,14 @@ func (r *recovery) resume(e *Engine, newLog wal.Log) (*Instance, error) {
 
 	e.metrics.recReplayed.Add(int64(r.n))
 	inst := newInstance(e, r.created.Instance, tpl, in, newLog)
-	inst.replay = r.replay
+	inst.replay, inst.replayDone = r.replay, r.done
 	if err := inst.Start(); err != nil {
 		return inst, err
+	}
+	if r.done && !inst.done {
+		if err := inst.Cancel(); err != nil {
+			return inst, err
+		}
 	}
 	return inst, nil
 }

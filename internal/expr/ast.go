@@ -144,6 +144,20 @@ func (r *Ref) precedence() int { return precAtom }
 // String implements Node.
 func (r *Ref) String() string { return joinPath(r.Path) }
 
+// Bound is a Ref resolved by Bind to the slot its member has in the
+// environments the condition is evaluated against (SlotEnv). It renders
+// as the Ref, so a bound condition's text and errors are the unbound
+// one's.
+type Bound struct {
+	Ref  *Ref
+	Slot int
+}
+
+func (b *Bound) precedence() int { return precAtom }
+
+// String implements Node.
+func (b *Bound) String() string { return b.Ref.String() }
+
 // True is the constant TRUE expression, handy as a default condition.
 var True Node = &Lit{Val: Bool(true)}
 

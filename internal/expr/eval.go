@@ -31,12 +31,13 @@ func eval(n Node, env Env) (Value, error) {
 	switch n := n.(type) {
 	case *Lit:
 		return n.Val, nil
-	case *Ref:
-		v, ok := env.Lookup(n.Path)
-		if !ok {
-			return Null, fmt.Errorf("unknown member %q", n.String())
+	case *Bound:
+		if se, ok := env.(SlotEnv); ok {
+			return se.At(n.Slot), nil
 		}
-		return v, nil
+		return lookup(n.Ref, env)
+	case *Ref:
+		return lookup(n, env)
 	case *Unary:
 		x, err := eval(n.X, env)
 		if err != nil {
@@ -114,6 +115,38 @@ func eval(n Node, env Env) (Value, error) {
 	default:
 		return Null, fmt.Errorf("invalid node %T", n)
 	}
+}
+
+func lookup(r *Ref, env Env) (Value, error) {
+	v, ok := env.Lookup(r.Path)
+	if !ok {
+		return Null, fmt.Errorf("unknown member %q", r.String())
+	}
+	return v, nil
+}
+
+// Bind returns a copy of n in which every reference that slot resolves is
+// Bound to its slot, and n itself when slot resolves none. A bound
+// condition must be evaluated against SlotEnvs whose slots are the ones
+// slot resolved against; a reference slot does not resolve stays a Ref and
+// fails at evaluation as it would have unbound.
+func Bind(n Node, slot func(path []string) (int, bool)) Node {
+	switch n := n.(type) {
+	case *Ref:
+		if i, ok := slot(n.Path); ok {
+			return &Bound{Ref: n, Slot: i}
+		}
+	case *Unary:
+		if x := Bind(n.X, slot); x != n.X {
+			return &Unary{Op: n.Op, X: x}
+		}
+	case *Binary:
+		l, r := Bind(n.L, slot), Bind(n.R, slot)
+		if l != n.L || r != n.R {
+			return &Binary{Op: n.Op, L: l, R: r}
+		}
+	}
+	return n
 }
 
 // Refs returns the set of member paths referenced by the expression, in

@@ -226,6 +226,14 @@ type Env interface {
 	Lookup(path []string) (Value, bool)
 }
 
+// SlotEnv is an Env whose members also sit in numbered slots, the ones
+// Bind resolves references to: a Bound reference reads At(slot) instead of
+// looking its path up. Data containers implement SlotEnv.
+type SlotEnv interface {
+	Env
+	At(slot int) Value
+}
+
 // MapEnv is a simple Env backed by a map from the joined dotted path to a
 // value; convenient in tests.
 type MapEnv map[string]Value

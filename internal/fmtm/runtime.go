@@ -14,15 +14,11 @@ import (
 // where compensation starts.
 const CopyName = "fmtm_nop"
 
-// CopyProgram implements CopyName.
+// CopyProgram implements CopyName. A common member whose kinds do not
+// assign fails the program.
 var CopyProgram engine.Program = engine.ProgramFunc(func(inv *engine.Invocation) error {
-	paths, _ := inv.In.Vector()
-	for _, path := range paths {
-		if _, ok := inv.Out.Get(path); ok {
-			if err := inv.Out.CopyFrom(inv.In, path, path); err != nil {
-				return err
-			}
-		}
+	if err := inv.Out.CopyCommon(inv.In); err != nil {
+		return err
 	}
 	inv.Out.SetRC(0)
 	return nil

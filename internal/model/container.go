@@ -224,6 +224,58 @@ func (c *Container) CopyFrom(src *Container, fromPath, toPath string) error {
 	return c.Set(toPath, v)
 }
 
+// SlotOf returns the slot of the member at a dotted path in every
+// container of c's type (and its frozen copies), false when the type has
+// no such member. CopySlot and At address members by it.
+func (c *Container) SlotOf(path string) (int, bool) {
+	i, ok := c.lay.slot[path]
+	return i, ok
+}
+
+// At returns the value in slot i (SlotOf), so bound conditions read a
+// member without looking its path up (expr.SlotEnv).
+func (c *Container) At(i int) expr.Value { return c.values[i] }
+
+// CopySlot is CopyFrom with both members resolved by SlotOf: slot from of
+// src, a container of the type from was resolved against, goes into slot
+// to of c, with Set's coercion and errors.
+func (c *Container) CopySlot(src *Container, from, to int) error {
+	if c.lay.frozen {
+		return c.readOnlyError(c.lay.paths[to])
+	}
+	coerced, err := coerce(src.values[from], c.values[to].Kind())
+	if err != nil {
+		return fmt.Errorf("model: member %q of %q: %v", c.lay.paths[to], c.lay.typ.Name, err)
+	}
+	c.values[to] = coerced
+	return nil
+}
+
+// CopyCommon copies every member of src that c has too, RC included —
+// the bridge between containers of two types or two registries. It copies
+// slot for slot when both containers are of one type of one registry, and
+// otherwise member by member with Set's coercion: a member whose kinds do
+// not assign is left as it was, and the error of the first such member is
+// returned once every other member is copied.
+func (c *Container) CopyCommon(src *Container) error {
+	if c.lay.frozen {
+		return fmt.Errorf("model: copying into %q: %w", c.lay.typ.Name, ErrReadOnly)
+	}
+	if src.lay == c.lay || src.lay == c.lay.twin {
+		copy(c.values, src.values)
+		return nil
+	}
+	var first error
+	for i, path := range src.lay.paths {
+		if j, ok := c.lay.slot[path]; ok {
+			if err := c.CopySlot(src, i, j); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
 // Clone returns a writable deep copy of the container, frozen or not. A
 // container of up to four slots — every container of the reference models —
 // is one allocation: the header and its slots share an object of the size

@@ -229,6 +229,113 @@ func TestContainerCopyFrom(t *testing.T) {
 	}
 }
 
+// TestCopySlotMatchesCopyFrom checks that a copy between resolved slots
+// coerces and fails as the copy by name does.
+func TestCopySlotMatchesCopyFrom(t *testing.T) {
+	ts := newTestTypes(t)
+	src := mustContainer(ts, "Order")
+	src.MustSet("id", expr.Int(5))
+	slot := func(c *Container, path string) int {
+		i, ok := c.SlotOf(path)
+		if !ok {
+			t.Fatalf("%s has no slot for %q", c.Type().Name, path)
+		}
+		return i
+	}
+	for _, m := range []struct{ from, typ, to string }{
+		{"id", "SagaState", "State_1"},    // same kind
+		{"id", "Order", "total.amount"},   // LONG widened to FLOAT
+		{"paid", "SagaState", "State_2"},  // BOOL does not assign to LONG
+		{"total.currency", "Order", "id"}, // nor STRING
+	} {
+		byName, bySlot := mustContainer(ts, m.typ), mustContainer(ts, m.typ)
+		errName := byName.CopyFrom(src, m.from, m.to)
+		errSlot := bySlot.CopySlot(src, slot(src, m.from), slot(bySlot, m.to))
+		if (errName == nil) != (errSlot == nil) || (errName != nil && errName.Error() != errSlot.Error()) {
+			t.Errorf("%v: CopyFrom %v, CopySlot %v", m, errName, errSlot)
+		}
+		if !byName.Equal(bySlot) {
+			t.Errorf("%v: CopyFrom gave %v, CopySlot %v", m, byName, bySlot)
+		}
+	}
+	if _, ok := src.SlotOf("missing"); ok {
+		t.Error("a slot for a missing member")
+	}
+}
+
+// TestCopyCommon checks the bridge between containers: slot for slot when
+// both share a type, member by member otherwise, and a member whose kinds
+// do not assign keeps its value while every other is copied and the first
+// such member's error is returned.
+func TestCopyCommon(t *testing.T) {
+	ts := newTestTypes(t)
+	src := mustContainer(ts, "SagaState")
+	src.MustSet("State_1", expr.Int(1))
+	src.MustSet("State_2", expr.Int(2))
+	src.SetRC(3)
+	frozen := src.Clone()
+	frozen.Freeze()
+	same := mustContainer(ts, "SagaState")
+	if err := same.CopyCommon(frozen); err != nil || !same.Equal(src) {
+		t.Fatalf("same type: %v, got %v", err, same)
+	}
+	if err := frozen.CopyCommon(src); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("copy into a frozen container: %v", err)
+	}
+
+	other := NewTypes()
+	if err := other.Register(&StructType{Name: "SagaState", Members: []Member{
+		{Name: "State_1", Basic: String},
+		{Name: "State_2", Basic: Float},
+		{Name: "extra", Basic: Long, Default: expr.Int(7)},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	dst := mustContainer(other, "SagaState")
+	err := dst.CopyCommon(src)
+	if err == nil || !strings.Contains(err.Error(), `member "State_1"`) {
+		t.Fatalf("kind mismatch: %v", err)
+	}
+	if got := dst.MustGet("State_1"); got.Kind() != expr.KindString || got.AsString() != "" {
+		t.Errorf("State_1 = %v, want its default", got)
+	}
+	if dst.MustGet("State_2").AsFloat() != 2 || dst.RC() != 3 || dst.MustGet("extra").AsInt() != 7 {
+		t.Errorf("common members not copied: %v", dst)
+	}
+}
+
+// TestBoundConditionMatchesUnbound checks that a condition bound to a
+// container's slots evaluates as the unbound one does, and that a
+// reference to a member the container lacks fails with the same error.
+func TestBoundConditionMatchesUnbound(t *testing.T) {
+	ts := newTestTypes(t)
+	c := mustContainer(ts, "Order")
+	c.MustSet("id", expr.Int(5))
+	c.MustSet("total.amount", expr.Float(2.5))
+	slot := func(path []string) (int, bool) { return c.SlotOf(strings.Join(path, ".")) }
+	for _, src := range []string{
+		`id = 5 AND total.amount > 2`,
+		`NOT paid OR total.currency = "EUR"`,
+		`id = 5 AND missing = 1`,
+		`missing.deep = 1 OR id = 5`,
+		`RC <> 0`,
+	} {
+		n := expr.MustParse(src)
+		b := expr.Bind(n, slot)
+		if b.String() != n.String() {
+			t.Errorf("%s: bound renders as %s", src, b)
+		}
+		want, wantErr := expr.EvalBool(n, c)
+		got, gotErr := expr.EvalBool(b, c)
+		if got != want || (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Errorf("%s: bound %v, %v; unbound %v, %v", src, got, gotErr, want, wantErr)
+		}
+		if strings.Contains(src, "missing") && (gotErr == nil || !strings.Contains(gotErr.Error(), `unknown member "missing`)) {
+			t.Errorf("%s: error %v, want an unknown member", src, gotErr)
+		}
+	}
+}
+
 // buildValidProcess returns a small but complete process exercising all
 // construct kinds.
 func buildValidProcess(t *testing.T) *Process {

@@ -49,13 +49,23 @@ type Event struct {
 	At int64 `json:"at_ns"`
 }
 
-// epoch anchors the monotonic event clock.
-var epoch = time.Now()
+// epoch anchors the monotonic event clock; epochUnixNano is the wall time
+// it was taken at.
+var (
+	epoch         = time.Now()
+	epochUnixNano = epoch.UnixNano()
+)
 
 // Now returns the monotonic event timestamp: nanoseconds since process
 // start. Differences between two Now values are immune to wall-clock
 // adjustments (time.Since uses the runtime's monotonic reading).
 func Now() int64 { return time.Since(epoch).Nanoseconds() }
+
+// UnixNano converts a Now timestamp to wall-clock Unix nanoseconds: the
+// wall time at process start plus the monotonic time elapsed since. It
+// reads no clock, and a step of the wall clock after process start does
+// not move it.
+func UnixNano(now int64) int64 { return epochUnixNano + now }
 
 // Bus is a lock-cheap publish/subscribe fan-out for Events. Publishing
 // never blocks: channel subscribers have bounded queues and a publish

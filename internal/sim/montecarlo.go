@@ -47,11 +47,11 @@ type SagaSimResult struct {
 // SimulateSaga runs the saga spec through the native executor trials times
 // under independent per-step abort probabilities.
 func SimulateSaga(spec *saga.Spec, abort map[string]float64, trials int, seed int64) (SagaSimResult, error) {
-	if err := spec.Validate(); err != nil {
+	prep, err := saga.Prepare(spec, fmtm.PureSagaBinding(spec))
+	if err != nil {
 		return SagaSimResult{}, err
 	}
 	dec := &probDecider{r: rand.New(rand.NewSource(seed)), abort: abort}
-	binding := fmtm.PureSagaBinding(spec)
 	res := SagaSimResult{Trials: trials, AbortAt: make([]float64, len(spec.Steps))}
 	var commits int
 	var compensations int
@@ -62,7 +62,7 @@ func SimulateSaga(spec *saga.Spec, abort map[string]float64, trials int, seed in
 	for i := 0; i < trials; i++ {
 		rec := &rm.Recorder{}
 		ex := &saga.Executor{Decider: dec}
-		out, err := ex.Execute(spec, binding, rec)
+		out, err := ex.Run(prep, rec)
 		if err != nil {
 			return SagaSimResult{}, err
 		}
@@ -103,16 +103,16 @@ type FlexSimResult struct {
 // subtransactions retry inside the executor, so their abort probability
 // shapes latency, not outcome.
 func SimulateFlexible(spec *flexible.Spec, abort map[string]float64, trials int, seed int64) (FlexSimResult, error) {
-	if _, err := flexible.BuildTrie(spec); err != nil {
+	prep, err := flexible.Prepare(spec, fmtm.PureFlexibleBinding(spec))
+	if err != nil {
 		return FlexSimResult{}, err
 	}
 	dec := &probDecider{r: rand.New(rand.NewSource(seed)), abort: abort}
-	binding := fmtm.PureFlexibleBinding(spec)
 	res := FlexSimResult{Trials: trials, PathRate: map[string]float64{}}
 	var switches int
 	for i := 0; i < trials; i++ {
 		ex := &flexible.Executor{Decider: dec}
-		out, err := ex.Execute(spec, binding, nil)
+		out, err := ex.Run(prep, nil)
 		if err != nil {
 			return FlexSimResult{}, err
 		}

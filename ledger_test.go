@@ -430,7 +430,7 @@ func (l *ledger) runtime(t *testing.T) {
 	for _, c := range []struct {
 		process        string
 		objects, bytes float64 // ceilings
-	}{{"travel", 21, 2800}, {"fig3", 31, 4500}} {
+	}{{"travel", 20, 2800}, {"fig3", 29, 4500}} {
 		kase := c.process + "-commit"
 		e := atmEngine(t, rm.NewInjector(), engine.WithBus(obs.NewBus()))
 		var inst *engine.Instance
